@@ -8,14 +8,9 @@ from .control import (
     ModeKind,
     SpeedCommand,
     SpeedMode,
-    cartesian_to_joint_rates,
-    energy_objective,
-    energy_objective_gradient,
-    pd_joint_control,
     primary_speed_select,
     scale_factor,
     secondary_scale,
-    ziegler_nichols_gains,
 )
 from .engine import (
     Event,
@@ -30,7 +25,6 @@ from .engine import (
 )
 from .kinematics import (
     Jacobian,
-    JointState,
     KinematicsError,
     LinkRow,
     Pose,
@@ -38,7 +32,6 @@ from .kinematics import (
     forward_kinematics,
     jacobian,
     load_robot_model,
-    max_reach_sampled,
     null_space_projector,
     pseudo_inverse,
 )
@@ -71,7 +64,6 @@ from .separation import (
     ViolationGate,
     compute_msd_dynamic,
     separation_terms,
-    separation_violated,
 )
 from .stability import (
     LyapunovSample,

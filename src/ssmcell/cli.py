@@ -14,6 +14,7 @@ from . import bridge as bridge_mod
 from . import kpi as kpi_mod
 from .engine import detect_deadlock, ideal_cycle_time, run, run_benchmark
 from .scenario import ScenarioError, SimMode, parse_scenario
+from .scenarios import bundled_scenario_path
 from .separation import SeparationInputs, compute_msd_dynamic, separation_terms
 from .stability import LyapunovSample, StabilityError, evaluate_trace
 from .tracefile import (
@@ -89,10 +90,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_scenario(path: str, seed: int | None, noise: bool):
     candidate = Path(path)
     if not candidate.exists():
-        from .scenarios import BUILDERS, bundled_scenario_path
-
-        if path in BUILDERS:
-            candidate = Path(str(bundled_scenario_path(path)))
+        bundled = bundled_scenario_path(path)
+        if bundled.is_file():
+            candidate = Path(str(bundled))
         else:
             raise FileNotFoundError(f"no scenario file or bundled scenario named {path!r}")
     scenario = parse_scenario(str(candidate))

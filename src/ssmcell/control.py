@@ -11,13 +11,10 @@ import numpy as np
 from .kinematics import (
     DEFAULT_DAMPING,
     Jacobian,
-    JointState,
     RANK_TOL,
     RobotModel,
     SINGULARITY_THRESHOLD,
     jacobian,
-    null_space_projector,
-    pseudo_inverse,
 )
 from .separation import SeparationInputs, ViolationGate
 from .zones import Quadrant, Zone, ZoneLayout
@@ -178,66 +175,12 @@ def secondary_scale(
     return mode_in
 
 
-def energy_objective(q, model: RobotModel) -> float:
-    """Joint-range-centering surrogate for motor energy use; 0 at the midpoints, else < 0."""
-    q = np.asarray(q, dtype=float)
-    total = 0.0
-    for i, (lo, hi) in enumerate(model.joint_limits):
-        mid = 0.5 * (lo + hi)
-        rng = hi - lo
-        total -= ((q[i] - mid) / rng) ** 2
-    return total
-
-
-def energy_objective_gradient(q, model: RobotModel) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    grad = np.empty(6)
-    for i, (lo, hi) in enumerate(model.joint_limits):
-        mid = 0.5 * (lo + hi)
-        rng = hi - lo
-        grad[i] = -2.0 * (q[i] - mid) / (rng * rng)
-    return grad
-
-
-def pd_joint_control(e, edot, gains: Gains) -> np.ndarray:
-    """Joint-space PD law: Kp e + Kd de/dt."""
-    return gains.kp @ np.asarray(e, dtype=float) + gains.kd @ np.asarray(edot, dtype=float)
-
-
-def cartesian_to_joint_rates(
-    J: Jacobian,
-    v_task,
-    gains: Gains,
-    w_grad,
-    *,
-    project: bool = True,
-    damping: float = 0.0,
-) -> np.ndarray:
-    """Resolve a 6-vector task velocity into joint rates with a secondary objective.
-
-    With projection enabled the secondary term k0*grad(w) is pushed through the
-    null-space projector so it cannot disturb the task-space velocity; the
-    projector always uses the exact pseudo-inverse even when the task side is
-    damped.
-    """
-    v_task = np.asarray(v_task, dtype=float)
-    w_grad = np.asarray(w_grad, dtype=float)
-    base = pseudo_inverse(J, damping) @ (gains.task_gain @ v_task)
-    qdot0 = gains.k0 * w_grad
-    if project:
-        return base + null_space_projector(J) @ qdot0
-    return base + qdot0
-
-
 @dataclass
 class ControllerConfig:
     control_period: float = CONTROL_PERIOD
     nominal_speed: float = NOMINAL_SPEED
     scan_period: float = 0.030
     skeleton_period: float = 1.0 / 30.0
-    stale_periods: float = STALE_PERIODS
-    damping: float = DEFAULT_DAMPING
-    singular_threshold: float = SINGULARITY_THRESHOLD
     # Gate both loops to the skeleton rate (the slow-loop emulation baseline).
     sequential: bool = False
 
@@ -247,7 +190,7 @@ class Controller:
 
     Sensor messages may arrive at different rates (zero-order hold between
     arrivals) or out of order within a period (latest timestamp wins).  A
-    sensor silent for longer than stale_periods of its own period forces a
+    sensor silent for longer than STALE_PERIODS of its own period forces a
     fail-safe standstill.  An explicit e-stop latches until reset.
     """
 
@@ -317,10 +260,9 @@ class Controller:
         self._estop_latched = False
 
     def _stale(self, t: float) -> bool:
-        n = self.config.stale_periods
         return (
-            t - self._occ_t > n * self.config.scan_period + _TIME_TOL
-            or t - self._skel_t > n * self.config.skeleton_period + _TIME_TOL
+            t - self._occ_t > STALE_PERIODS * self.config.scan_period + _TIME_TOL
+            or t - self._skel_t > STALE_PERIODS * self.config.skeleton_period + _TIME_TOL
         )
 
     def _arbitrate(self, t: float, robot_quadrant: Quadrant, tcp_speed: float):
@@ -339,6 +281,12 @@ class Controller:
     def _resolve_rates(self, q: np.ndarray, v6: np.ndarray, J: Jacobian) -> tuple[np.ndarray, bool]:
         """Single-SVD velocity resolution with null-space energy optimization.
 
+        Rates are J^+ (task_gain v6) plus N (k0 grad w), where w is the
+        joint-range-centering objective -sum(((q - mid) / range)^2) and N the
+        null-space projector.  Below SINGULARITY_THRESHOLD the task part uses
+        the damped least-squares factors s / (s^2 + DEFAULT_DAMPING^2)
+        (Chiaverini 1997); the projector always uses the exact inverse.
+
         The factorisation is reused while the Jacobian matrix is bit-for-bit the
         one of the previous call, and the rates while q and v6 are too.  Both
         are exact: the same inputs give the same floats.
@@ -347,11 +295,10 @@ class Controller:
         key = Jm.tobytes()
         if key != self._svd_key:
             U, s, Vt = np.linalg.svd(Jm)
-            damped = s[-1] < self.config.singular_threshold
+            damped = s[-1] < SINGULARITY_THRESHOLD
             exact_factors = np.where(s > RANK_TOL * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
             if damped:
-                d = self.config.damping
-                task_factors = s / (s * s + d * d)
+                task_factors = s / (s * s + DEFAULT_DAMPING * DEFAULT_DAMPING)
             else:
                 task_factors = exact_factors
             self._svd_key = key
@@ -375,7 +322,7 @@ class Controller:
         robot_quadrant: Quadrant,
         task_direction,
         joint_reference,
-        state: JointState,
+        q: np.ndarray,
         tcp_speed: float = 0.0,
         dt: float | None = None,
         J: Jacobian | None = None,
@@ -405,7 +352,6 @@ class Controller:
             self.fraction += math.copysign(min(abs(delta), step_max), delta) if delta else 0.0
         self.mode = mode
 
-        q = state.q
         if J is None:
             J = jacobian(self.model, q)
         v6 = np.zeros(6)
@@ -435,40 +381,3 @@ class Controller:
             damped=damped,
         )
 
-
-def ziegler_nichols_gains(
-    dt: float = CONTROL_PERIOD,
-    *,
-    k0: float = 0.05,
-    ks_floor: float = 0.3,
-    accel_limit: float = 2.0,
-) -> Gains:
-    """PD gains from an ultimate-gain sweep on the simulated velocity plant.
-
-    The plant is a velocity-commanded joint with one control period of
-    actuation latency; proportional gain is swept upward until the error
-    stops decaying, giving the ultimate gain and oscillation period.
-    """
-
-    def decay_ratio(kp: float) -> float:
-        e, u_prev, n = 1.0, 0.0, 400
-        peak = 0.0
-        for k in range(n):
-            e -= u_prev * dt
-            u_prev = kp * e
-            if k >= n // 2:
-                peak = max(peak, abs(e))
-        return peak
-
-    lo, hi = 1.0, 4.0 / dt
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if decay_ratio(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    ku = lo
-    tu = 2.0 * dt  # boundary oscillation alternates sign every step
-    kp = 0.8 * ku
-    kd = kp * tu / 8.0
-    return Gains.diagonal(kp=kp, kd=kd, k0=k0, ks_floor=ks_floor, accel_limit=accel_limit)

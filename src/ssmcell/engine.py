@@ -10,7 +10,7 @@ import numpy as np
 
 from . import perception
 from .control import CommandSource, Controller, ControllerConfig, Gains, ModeKind
-from .kinematics import FrameChain, Jacobian, JointState, RobotModel, load_robot_model, tcp_position
+from .kinematics import FrameChain, Jacobian, RobotModel, load_robot_model, tcp_position
 from .perception import ScannerMount, min_distance_tcp, pose_landmarks, simulate_scan
 from .scenario import Scenario, SimMode, TaskStep
 from .separation import msd_at_speeds
@@ -313,7 +313,7 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
             robot_quadrant=robot_quadrant,
             task_direction=task_dir,
             joint_reference=q_ref,
-            state=JointState(q=q, qdot=np.zeros(6), t=t),
+            q=q,
             tcp_speed=tcp_speed,
             dt=dt,
             J=J,

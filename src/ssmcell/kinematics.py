@@ -92,24 +92,6 @@ class RobotModel:
 
 
 @dataclass(frozen=True)
-class JointState:
-    """Instantaneous joint configuration at time t."""
-
-    q: np.ndarray
-    qdot: np.ndarray
-    t: float = 0.0
-
-    @staticmethod
-    def make(model: RobotModel, q, qdot, t: float = 0.0) -> "JointState":
-        q = model.check_joint_vector(q)
-        qdot = np.asarray(qdot, dtype=float)
-        limits = np.asarray(model.max_joint_speed)
-        if np.any(np.abs(qdot) > limits + 1e-12):
-            raise KinematicsError("joint rate exceeds speed limit")
-        return JointState(q=q, qdot=qdot, t=t)
-
-
-@dataclass(frozen=True)
 class Pose:
     """TCP position (m) and orientation as a unit quaternion (w, x, y, z)."""
 
@@ -134,19 +116,6 @@ class Jacobian:
             raise KinematicsError(f"Jacobian must be 6x6, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise KinematicsError("Jacobian has non-finite entries")
-
-
-def _dh_transform(theta: float, d: float, a: float, alpha: float) -> np.ndarray:
-    ct, st = math.cos(theta), math.sin(theta)
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    return np.array(
-        [
-            [ct, -st * ca, st * sa, a * ct],
-            [st, ct * ca, -ct * sa, a * st],
-            [0.0, sa, ca, d],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
 
 
 class FrameChain:
@@ -215,17 +184,6 @@ class FrameChain:
         return J
 
 
-def link_frames(model: RobotModel, q) -> list[np.ndarray]:
-    """Cumulative 4x4 frames from the base to each link, base frame first (7 entries)."""
-    q = np.asarray(q, dtype=float)
-    T = np.eye(4)
-    frames = [T]
-    for i, row in enumerate(model.link_parameters):
-        T = T @ _dh_transform(q[i] + row.theta_offset, row.d, row.a, row.alpha)
-        frames.append(T)
-    return frames
-
-
 def _rotation_to_quaternion(R: np.ndarray) -> np.ndarray:
     # Shepperd's method, numerically safe for all rotation matrices.
     tr = R[0, 0] + R[1, 1] + R[2, 2]
@@ -291,38 +249,6 @@ def null_space_projector(J: Jacobian | np.ndarray) -> np.ndarray:
     """N = I - J^+ J; maps joint rates into motions invisible at the TCP."""
     m = J.matrix if isinstance(J, Jacobian) else np.asarray(J, dtype=float)
     return np.eye(m.shape[1]) - pseudo_inverse(m) @ m
-
-
-def smallest_singular_value(J: Jacobian | np.ndarray) -> float:
-    m = J.matrix if isinstance(J, Jacobian) else np.asarray(J, dtype=float)
-    return float(np.linalg.svd(m, compute_uv=False)[-1])
-
-
-def max_reach_sampled(model: RobotModel, samples: int = 4000, seed: int = 0) -> float:
-    """Sampled maximization of TCP distance with a coordinate-descent refinement."""
-    rng = np.random.default_rng(seed)
-    lows = np.array([lo for lo, _ in model.joint_limits])
-    highs = np.array([hi for _, hi in model.joint_limits])
-    best_q = np.zeros(6)
-    best = float(np.linalg.norm(tcp_position(model, best_q)))
-    for _ in range(samples):
-        q = rng.uniform(lows, highs)
-        d = float(np.linalg.norm(tcp_position(model, q)))
-        if d > best:
-            best, best_q = d, q
-    step = 0.1
-    while step > 1e-6:
-        improved = False
-        for i in range(6):
-            for delta in (-step, step):
-                q = best_q.copy()
-                q[i] = np.clip(q[i] + delta, lows[i], highs[i])
-                d = float(np.linalg.norm(tcp_position(model, q)))
-                if d > best:
-                    best, best_q, improved = d, q, True
-        if not improved:
-            step *= 0.5
-    return best
 
 
 def load_robot_model(path) -> RobotModel:

@@ -429,12 +429,6 @@ def min_distance_tcp(frame: SkeletonFrame, tcp) -> tuple[float, str]:
     return float(d[i]), LANDMARK_NAMES[i]
 
 
-def bone_lengths(frame: SkeletonFrame) -> dict[tuple[str, str], float]:
-    return {
-        (a, b): float(np.linalg.norm(frame.landmark(a) - frame.landmark(b))) for a, b in BONES
-    }
-
-
 def default_scanner_mounts(layout: ZoneLayout) -> tuple[ScannerMount, ScannerMount]:
     """Far-corner mounts looking back across the monitored area (overlapping FOV)."""
     rect = layout.normal_extent
@@ -451,23 +445,3 @@ def default_scanner_mounts(layout: ZoneLayout) -> tuple[ScannerMount, ScannerMou
         )
     return tuple(mounts)
 
-
-def base_corner_scanner_mounts(layout: ZoneLayout) -> tuple[ScannerMount, ScannerMount]:
-    """Base-side corner mounts facing the approach area.
-
-    Hits land on the surface of an intruder facing the robot, so raw hit
-    classification reflects the deepest zone the body has entered.
-    """
-    rect = layout.normal_extent
-    mounts = []
-    for y in (rect.y_min, rect.y_max):
-        heading = math.atan2(-y, rect.x_max - rect.x_min)
-        mounts.append(
-            ScannerMount(
-                x=rect.x_min,
-                y=y,
-                heading=heading,
-                plane_height=layout.laser_mount_height,
-            )
-        )
-    return tuple(mounts)

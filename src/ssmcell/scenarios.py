@@ -1,141 +1,11 @@
-"""Bundled demonstration scenarios; the .scn files under data/ mirror these builders."""
+"""Bundled data files: the demonstration scenarios and the default robot model.
+
+The ``.scn`` files under ``data/`` are the only definition of the bundled scenarios.
+"""
 
 from __future__ import annotations
 
 from importlib import resources
-
-from .perception import Posture
-from .scenario import (
-    GainsConfig,
-    HumanScript,
-    HumanWaypoint,
-    LayoutConfig,
-    RobotTask,
-    Scenario,
-    ScannerPose,
-    SimMode,
-    TaskStep,
-)
-from .separation import SeparationInputs
-from .zones import SafetyParams
-
-# Start pose: TCP at the first sorting waypoint (0.35, -0.30, 0.25) in the left quadrant.
-_Q0 = (-0.708626272, -0.373845277, 1.647358634, 0.633394073, -0.5, 0.3)
-
-# Scanners sit at the base-side corners of the monitored area looking toward the
-# approach side, so scan hits land on the intruder's robot-facing surface and raw
-# hit classification reports the deepest zone the body has entered.
-_SCANNERS = (
-    ScannerPose(x=0.0, y=-0.45, heading=0.29145679447786715),
-    ScannerPose(x=0.0, y=0.45, heading=-0.29145679447786715),
-)
-
-_SAFETY = SafetyParams(approach_speed=1.6, stop_time=0.25, intrusion=0.04, uncertainty=0.01)
-_SEPARATION = SeparationInputs(
-    robot_reaction_time=0.1,
-    perception_response_time=0.064,
-    intrusion=0.06,
-    robot_uncertainty=0.02,
-    human_uncertainty=0.02,
-)
-_LAYOUT = LayoutConfig(workspace_length=1.5, workspace_width=0.9, quadrant_half_width=0.425)
-_GAINS = GainsConfig()
-
-
-def approach_retreat() -> Scenario:
-    """Operator approaches along the robot's own quadrant, reaches in, crosses into
-    danger, and retreats; drives the full speed staircase of the controller."""
-    human = HumanScript(
-        waypoints=(
-            HumanWaypoint(0.0, 2.3, -0.32, Posture.STANDING),
-            HumanWaypoint(2.0, 2.3, -0.32, Posture.STANDING),
-            HumanWaypoint(3.8, 1.0, -0.32, Posture.STANDING),
-            HumanWaypoint(7.0, 1.0, -0.32, Posture.REACHING),
-            HumanWaypoint(11.0, 1.0, -0.32, Posture.REACHING),
-            HumanWaypoint(13.9, 0.42, -0.32, Posture.STANDING),
-            HumanWaypoint(15.3, 0.42, -0.32, Posture.STANDING),
-            HumanWaypoint(17.23, 1.0, -0.32, Posture.STANDING),
-            HumanWaypoint(19.5, 2.3, -0.32, Posture.STANDING),
-        )
-    )
-    task = RobotTask(
-        steps=(
-            TaskStep("sort_a", (0.35, -0.30, 0.25), 1.5),
-            TaskStep("sort_b", (0.15, -0.35, 0.30), 1.5),
-            TaskStep("present", (0.30, -0.18, 0.45), 18.0),
-            TaskStep("sort_c", (0.30, -0.25, 0.20), 1.5),
-            TaskStep("sort_d", (0.45, -0.30, 0.30), 1.5),
-        )
-    )
-    return Scenario(
-        name="approach_retreat",
-        mode=SimMode.PROPOSED,
-        duration=34.0,
-        seed=17,
-        humans=(human,),
-        task=task,
-        q0=_Q0,
-        scanners=_SCANNERS,
-        safety=_SAFETY,
-        separation=_SEPARATION,
-        layout_config=_LAYOUT,
-        gains_config=_GAINS,
-        parallelism=1.0,
-    )
-
-
-def sorting_benchmark() -> Scenario:
-    """Parts sorting on the left while the operator assembles on the right, with one
-    deep intrusion into the right quadrant; base scenario for the three-way benchmark."""
-    human = HumanScript(
-        waypoints=(
-            HumanWaypoint(0.0, 2.4, 0.35, Posture.STANDING),
-            HumanWaypoint(2.0, 2.4, 0.35, Posture.STANDING),
-            HumanWaypoint(4.0, 0.9, 0.35, Posture.STANDING),
-            HumanWaypoint(16.0, 0.9, 0.35, Posture.STANDING),
-            HumanWaypoint(18.0, 0.55, 0.35, Posture.STANDING),
-            HumanWaypoint(25.0, 0.55, 0.35, Posture.STANDING),
-            HumanWaypoint(27.0, 0.9, 0.35, Posture.STANDING),
-            HumanWaypoint(38.0, 0.9, 0.35, Posture.STANDING),
-            HumanWaypoint(41.0, 2.4, 0.35, Posture.STANDING),
-        )
-    )
-    task = RobotTask(
-        steps=(
-            TaskStep("sort_1", (0.35, -0.30, 0.25), 2.5),
-            TaskStep("sort_2", (0.15, -0.38, 0.30), 2.5),
-            TaskStep("sort_3", (0.45, -0.28, 0.35), 2.5),
-            TaskStep("sort_4", (0.20, -0.30, 0.45), 2.5),
-            TaskStep("sort_5", (0.40, -0.35, 0.20), 2.5),
-            TaskStep("sort_6", (0.25, -0.28, 0.30), 2.5),
-            TaskStep("place", (0.50, -0.30, 0.30), 3.0),
-            TaskStep("assemble_1", (0.30, -0.30, 0.40), 12.0, modes=("autonomous",)),
-            TaskStep("assemble_2", (0.45, -0.30, 0.25), 12.0, modes=("autonomous",)),
-            TaskStep("assemble_3", (0.25, -0.35, 0.35), 12.0, modes=("autonomous",)),
-            TaskStep("pack", (0.35, -0.30, 0.30), 3.0),
-        )
-    )
-    return Scenario(
-        name="sorting_benchmark",
-        mode=SimMode.PROPOSED,
-        duration=68.0,
-        seed=23,
-        humans=(human,),
-        task=task,
-        q0=_Q0,
-        scanners=_SCANNERS,
-        safety=_SAFETY,
-        separation=_SEPARATION,
-        layout_config=_LAYOUT,
-        gains_config=_GAINS,
-        parallelism=2.5,
-    )
-
-
-BUILDERS = {
-    "approach_retreat": approach_retreat,
-    "sorting_benchmark": sorting_benchmark,
-}
 
 
 def bundled_scenario_path(name: str):

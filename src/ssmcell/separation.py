@@ -85,16 +85,6 @@ def compute_msd_dynamic(inputs: SeparationInputs) -> float:
     return msd_at_speeds(inputs, inputs.human_speed, inputs.robot_speed)
 
 
-def separation_violated(actual_distance: float, inputs: SeparationInputs) -> bool:
-    """True iff the measured distance is strictly below the dynamic minimum.
-
-    A distance exactly equal to the minimum is compliant.
-    """
-    if actual_distance < 0:
-        raise SeparationError("actual_distance must be >= 0")
-    return bool(actual_distance < compute_msd_dynamic(inputs))
-
-
 class ViolationGate:
     """Stateful violation predicate with release hysteresis for in-loop use.
 

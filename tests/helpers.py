@@ -1,4 +1,4 @@
-"""Shared scenario builders and independent oracles for the test suite."""
+"""Shared scenario helpers and independent oracles for the test suite."""
 
 import dataclasses
 import math
@@ -6,9 +6,14 @@ import math
 import numpy as np
 
 from ssmcell.perception import Posture
-from ssmcell.scenario import HumanScript, HumanWaypoint, RobotTask, TaskStep
-from ssmcell.scenarios import sorting_benchmark
+from ssmcell.scenario import HumanScript, HumanWaypoint, RobotTask, TaskStep, parse_scenario
+from ssmcell.scenarios import bundled_scenario_path
 from ssmcell.zones import Zone
+
+
+def bundled(name):
+    """A bundled scenario, parsed from its .scn file."""
+    return parse_scenario(str(bundled_scenario_path(name)))
 
 
 def oracle_transform_chain(model, q):
@@ -59,7 +64,7 @@ def oracle_rect_member(layout, x, y, z):
 
 def tiny_scenario(**overrides):
     """Short run: parked human in the right quadrant, robot sorting on the left."""
-    base = sorting_benchmark()
+    base = bundled("sorting_benchmark")
     duration = overrides.get("duration", 12.0)
     if "humans" not in overrides:
         park_end = min(11.0, 0.9 * duration)

@@ -1,0 +1,20 @@
+"""The names the benchmark's tracer wraps must exist in the package.
+
+perfbench/tracer.py patches ssmcell functions and methods by name.  A rename
+or deletion there would otherwise surface only in a traced benchmark run.
+"""
+
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import tracer  # noqa: E402
+
+
+def test_every_traced_name_resolves_to_a_callable():
+    # bindings() raises for a missing or non-callable name.
+    found = tracer.bindings()
+    assert len(found) >= len(tracer.TARGETS)
+    assert all(callable(obj) for obj in found.values())

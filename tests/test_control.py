@@ -14,16 +14,18 @@ from ssmcell.control import (
     MODE_FULL,
     ModeKind,
     SpeedMode,
-    cartesian_to_joint_rates,
-    energy_objective,
-    energy_objective_gradient,
-    pd_joint_control,
     primary_speed_select,
     scale_factor,
     secondary_scale,
-    ziegler_nichols_gains,
 )
-from ssmcell.kinematics import JointState, RobotModel, jacobian
+from ssmcell.kinematics import (
+    DEFAULT_DAMPING,
+    SINGULARITY_THRESHOLD,
+    Jacobian,
+    RobotModel,
+    jacobian,
+    pseudo_inverse,
+)
 from ssmcell.separation import SeparationInputs
 from ssmcell.zones import Quadrant, Zone, build_zone_layout
 
@@ -37,6 +39,7 @@ SEPARATION = SeparationInputs(
     robot_uncertainty=0.02,
     human_uncertainty=0.02,
 )
+REGULAR_Q = np.array([0.4, -1.1, 0.9, 0.6, -0.7, 0.3])
 
 
 def occ(left=Zone.NORMAL, right=Zone.NORMAL):
@@ -110,11 +113,19 @@ class TestSecondaryScale:
             secondary_scale(-0.1, LAYOUT, MODE_COLLABORATIVE, GAINS)
 
 
+def resolve(q, v, gains=GAINS, J=None):
+    """Rates and damped flag from the engine's resolver, on a fresh controller."""
+    ctrl = Controller(MODEL, LAYOUT, gains, SEPARATION)
+    q = np.asarray(q, dtype=float)
+    J = jacobian(MODEL, q) if J is None else J
+    return ctrl._resolve_rates(q, np.asarray(v, dtype=float), J)
+
+
 class TestVelocityResolution:
     def test_zero_task_zero_gradient(self):
-        J = jacobian(MODEL, np.array([0.4, -1.1, 0.9, 0.6, -0.7, 0.3]))
-        out = cartesian_to_joint_rates(J, np.zeros(6), GAINS, np.zeros(6))
-        assert np.max(np.abs(out)) < 1e-12
+        mids = np.array([0.5 * (lo + hi) for lo, hi in MODEL.joint_limits])
+        out, _ = resolve(mids, np.zeros(6))
+        assert np.max(np.abs(out)) == 0.0
 
     def test_null_space_invisible_in_task_space(self):
         rng = np.random.default_rng(8)
@@ -122,67 +133,101 @@ class TestVelocityResolution:
             q = rng.uniform(-2.5, 2.5, 6)
             J = jacobian(MODEL, q)
             v = rng.normal(size=6) * 0.2
-            grad = rng.normal(size=6)
-            out = cartesian_to_joint_rates(J, v, GAINS, grad, project=True)
-            from ssmcell.kinematics import pseudo_inverse
-
-            base = pseudo_inverse(J) @ (GAINS.task_gain @ v)
+            out, damped = resolve(q, v)
+            base = pseudo_inverse(J, DEFAULT_DAMPING if damped else 0.0) @ (GAINS.task_gain @ v)
             assert np.max(np.abs(J.matrix @ (out - base))) < 1e-9
 
     def test_identity_gain_reduces_to_inverse(self):
         rng = np.random.default_rng(9)
-        from ssmcell.kinematics import Jacobian
-
         M = rng.normal(size=(6, 6)) + 3 * np.eye(6)
-        J = Jacobian(matrix=M)
         gains = Gains.diagonal(task_gain=1.0, k0=0.0)
         v = rng.normal(size=6)
-        out = cartesian_to_joint_rates(J, v, gains, np.zeros(6))
+        out, _ = resolve(REGULAR_Q, v, gains, J=Jacobian(matrix=M))
         assert np.max(np.abs(out - np.linalg.inv(M) @ v)) < 1e-8
+
+    def test_damped_branch_matches_reference(self):
+        stretched = np.zeros(6)  # q = 0 is the fully extended arm, also the joint midpoints
+        J = jacobian(MODEL, stretched)
+        assert np.linalg.svd(J.matrix, compute_uv=False)[-1] < SINGULARITY_THRESHOLD
+        v = np.random.default_rng(13).normal(size=6) * 0.2
+        out, damped = resolve(stretched, v)
+        assert damped
+        reference = pseudo_inverse(J, DEFAULT_DAMPING) @ (GAINS.task_gain @ v)
+        assert np.max(np.abs(out - reference)) < 1e-9
 
 
 class TestEnergyObjective:
+    """The null-space term is k0 times the gradient of w(q) = -sum(((q - mid) / range)^2).
+
+    A Jacobian with joint i's column zeroed leaves exactly that joint in the
+    null space, so the term shows there in full.
+    """
+
+    @staticmethod
+    def objective(q):
+        return -sum(
+            ((qi - 0.5 * (lo + hi)) / (hi - lo)) ** 2 for qi, (lo, hi) in zip(q, MODEL.joint_limits)
+        )
+
+    @staticmethod
+    def free_joint(i):
+        M = np.eye(6)
+        M[:, i] = 0.0
+        return Jacobian(matrix=M)
+
     def test_zero_gradient_at_midpoints(self):
         mids = np.array([0.5 * (lo + hi) for lo, hi in MODEL.joint_limits])
-        assert np.max(np.abs(energy_objective_gradient(mids, MODEL))) == 0.0
-        assert energy_objective(mids, MODEL) == 0.0
+        for i in range(6):
+            out, _ = resolve(mids, np.zeros(6), J=self.free_joint(i))
+            assert np.max(np.abs(out)) == 0.0
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(10)
         h = 1e-6
         for _ in range(20):
             q = rng.uniform(-3, 3, 6)
-            grad = energy_objective_gradient(q, MODEL)
             for i in range(6):
+                out, _ = resolve(q, np.zeros(6), J=self.free_joint(i))
                 qp, qm = q.copy(), q.copy()
                 qp[i] += h
                 qm[i] -= h
-                fd = (energy_objective(qp, MODEL) - energy_objective(qm, MODEL)) / (2 * h)
-                assert abs(grad[i] - fd) < 1e-8
-
-    def test_objective_nonpositive(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            q = rng.uniform(-6, 6, 6)
-            assert energy_objective(q, MODEL) <= 0.0
+                fd = (self.objective(qp) - self.objective(qm)) / (2 * h)
+                assert abs(out[i] - GAINS.k0 * fd) < 1e-8
+                assert np.max(np.abs(np.delete(out, i))) < 1e-12
 
 
 class TestPdLaw:
+    """The PD correction of Controller.step: (I + Kd) u = Kp (joint_reference - q)."""
+
+    @staticmethod
+    def correction(e, gains):
+        ctrl = make_controller(gains=gains)
+        ctrl.offer_scan(0.0, occ())
+        ctrl.offer_skeleton(0.0, math.inf)
+        cmd = step_simple(ctrl, 0.0, q=np.zeros(6), reference=np.asarray(e, dtype=float))
+        return cmd.qdot_cmd
+
     def test_zero_errors(self):
-        assert np.max(np.abs(pd_joint_control(np.zeros(6), np.zeros(6), GAINS))) == 0.0
+        ctrl = make_controller()
+        ctrl.fraction = 1.0
+        ctrl.offer_scan(0.0, occ())
+        ctrl.offer_skeleton(0.0, math.inf)
+        cmd = step_simple(ctrl, 0.0, direction=(1.0, 0.0, 0.0))
+        assert np.max(np.abs(cmd.qdot_task)) > 0.0
+        assert np.array_equal(cmd.qdot_cmd, cmd.qdot_task)
 
     def test_unit_proportional(self):
-        gains = Gains.diagonal(kp=1.0, kd=0.0)
         e = np.zeros(6)
         e[2] = 1.0
-        out = pd_joint_control(e, np.zeros(6), gains)
+        out = self.correction(e, Gains.diagonal(kp=1.0, kd=0.0, k0=0.0))
         assert np.array_equal(out, e)
 
     def test_linearity_in_kp(self):
-        e = np.array([0.1, -0.2, 0.3, 0.0, 0.5, -0.1])
-        a = pd_joint_control(e, np.zeros(6), Gains.diagonal(kp=20.0, kd=0.0))
-        b = pd_joint_control(e, np.zeros(6), Gains.diagonal(kp=40.0, kd=0.0))
+        e = np.array([0.1, -0.2, 0.3, 0.0, 0.5, -0.1]) * 0.01  # small enough to stay unclamped
+        a = self.correction(e, Gains.diagonal(kp=20.0, kd=0.0, k0=0.0))
+        b = self.correction(e, Gains.diagonal(kp=40.0, kd=0.0, k0=0.0))
         assert np.allclose(b, 2 * a)
+        assert np.allclose(a, 20 * e)
 
 
 def make_controller(sequential=False, gains=None):
@@ -191,14 +236,14 @@ def make_controller(sequential=False, gains=None):
     return ctrl
 
 
-def step_simple(ctrl, t, q=None, direction=(0.0, 0.0, 0.0), tcp_speed=0.0):
-    q = np.array([0.4, -1.1, 0.9, 0.6, -0.7, 0.3]) if q is None else q
+def step_simple(ctrl, t, q=None, direction=(0.0, 0.0, 0.0), tcp_speed=0.0, reference=None):
+    q = REGULAR_Q if q is None else q
     return ctrl.step(
         t,
         robot_quadrant=Quadrant.LEFT,
         task_direction=np.asarray(direction),
-        joint_reference=q,
-        state=JointState(q=q, qdot=np.zeros(6), t=t),
+        joint_reference=q if reference is None else reference,
+        q=q,
         tcp_speed=tcp_speed,
     )
 
@@ -376,7 +421,7 @@ class TestFactorReuse:
                     robot_quadrant=Quadrant.LEFT,
                     task_direction=np.array([0.6, 0.0, -0.8]),
                     joint_reference=q + 1e-3,
-                    state=JointState(q=tick_q, qdot=np.zeros(6), t=t),
+                    q=tick_q,
                     J=tick_J,
                 )
             return cmd
@@ -397,17 +442,3 @@ class TestSpeedModeValidation:
     def test_reduced_free_fraction(self):
         assert SpeedMode(ModeKind.REDUCED, 0.42).fraction == 0.42
 
-
-class TestZieglerNichols:
-    def test_returns_positive_stable_gains(self):
-        gains = ziegler_nichols_gains()
-        assert np.all(np.diag(gains.kp) > 0)
-        assert np.all(np.diag(gains.kd) >= 0)
-        # closed loop with one-period latency converges at the tuned gain
-        dt = 0.002
-        kp = gains.kp[0, 0]
-        e, u_prev = 1.0, 0.0
-        for _ in range(2000):
-            e -= u_prev * dt
-            u_prev = kp * e
-        assert abs(e) < 0.5

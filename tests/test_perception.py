@@ -11,8 +11,6 @@ from ssmcell.perception import (
     Posture,
     ScannerMount,
     SkeletonFrame,
-    base_corner_scanner_mounts,
-    bone_lengths,
     default_scanner_mounts,
     merge_occupancy,
     min_distance_tcp,
@@ -21,9 +19,14 @@ from ssmcell.perception import (
     simulate_scan,
     skeleton_sample,
 )
+from ssmcell.engine import build_scanner_mounts
 from ssmcell.zones import Quadrant, Zone, build_zone_layout, classify_point
 
+from helpers import bundled
+
 LAYOUT = build_zone_layout(0.45, 1.5, 0.9, 0.425)
+# Base-side corner mounts facing the approach area, as the bundled scenarios place them.
+BUNDLED_MOUNTS = build_scanner_mounts(bundled("sorting_benchmark"), LAYOUT)
 
 
 def human_at(x, y, posture=Posture.STANDING, heading=math.pi, radius=0.3):
@@ -103,7 +106,7 @@ class TestScanToOccupancy:
         assert any(label.zone == Zone.DANGER for label, _ in entries)
 
     def test_two_scanner_merge_is_max(self):
-        mounts = base_corner_scanner_mounts(LAYOUT)
+        mounts = BUNDLED_MOUNTS
         humans = [human_at(0.9, -0.3)]
         entries = []
         per_scanner = []
@@ -163,6 +166,9 @@ class TestSkeleton:
         assert min(wrists) < standing_min
 
     def test_bone_lengths_invariant_across_postures(self):
+        def bone_lengths(frame):
+            return {(a, b): np.linalg.norm(frame.landmark(a) - frame.landmark(b)) for a, b in BONES}
+
         base = bone_lengths(skeleton_sample(human_at(1.5, 0.2), 0.0))
         for posture in (Posture.REACHING, Posture.LEANING):
             other = bone_lengths(skeleton_sample(human_at(1.1, -0.4, posture=posture), 0.0))
@@ -243,14 +249,17 @@ class TestMounts:
             assert mount.plane_height == LAYOUT.laser_mount_height
 
     def test_base_corner_mounts_face_forward(self):
-        mounts = base_corner_scanner_mounts(LAYOUT)
-        for mount in mounts:
-            assert mount.x == LAYOUT.normal_extent.x_min
+        rect = LAYOUT.normal_extent
+        assert sorted(m.y for m in BUNDLED_MOUNTS) == [rect.y_min, rect.y_max]
+        for mount in BUNDLED_MOUNTS:
+            assert mount.x == rect.x_min
             assert abs(mount.heading) < math.pi / 2
+            # aimed at the far end of the centre line
+            assert mount.heading == pytest.approx(math.atan2(-mount.y, rect.x_max - rect.x_min))
 
     def test_coverage_from_either_mount_set(self):
         # a disc in the warning band is seen by at least one scanner of each pair
-        for mounts in (default_scanner_mounts(LAYOUT), base_corner_scanner_mounts(LAYOUT)):
+        for mounts in (default_scanner_mounts(LAYOUT), BUNDLED_MOUNTS):
             humans = [human_at(1.0, 0.0)]
             entries = []
             for mount in mounts:

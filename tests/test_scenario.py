@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ssmcell.perception import Posture
@@ -12,7 +13,9 @@ from ssmcell.scenario import (
     parse_sections,
     serialize_scenario,
 )
-from ssmcell.scenarios import approach_retreat, bundled_scenario_path, sorting_benchmark
+from ssmcell.scenarios import bundled_scenario_path
+
+from helpers import bundled
 
 
 class TestParseSections:
@@ -37,24 +40,48 @@ class TestParseSections:
 class TestBundledScenarios:
     def test_approach_retreat_file_parses_clean(self):
         scenario = parse_scenario(str(bundled_scenario_path("approach_retreat")))
-        assert scenario == approach_retreat()
+        assert (scenario.name, scenario.mode, scenario.duration, scenario.seed) == (
+            "approach_retreat",
+            SimMode.PROPOSED,
+            34.0,
+            17,
+        )
+        names = [s.name for s in scenario.task.steps]
+        assert names == ["sort_a", "sort_b", "present", "sort_c", "sort_d"]
+        assert_starts_at_first_target(scenario)
 
     def test_sorting_benchmark_file_parses_clean(self):
         scenario = parse_scenario(str(bundled_scenario_path("sorting_benchmark")))
-        assert scenario == sorting_benchmark()
+        assert (scenario.name, scenario.mode, scenario.duration, scenario.seed) == (
+            "sorting_benchmark",
+            SimMode.PROPOSED,
+            68.0,
+            23,
+        )
+        assert scenario.parallelism == 2.5
+        assert len(scenario.task.steps) == 11
+        assert_starts_at_first_target(scenario)
 
     def test_round_trip_identity(self):
-        for builder in (approach_retreat, sorting_benchmark):
-            scenario = builder()
+        for name in ("approach_retreat", "sorting_benchmark"):
+            scenario = bundled(name)
             again = parse_scenario(serialize_scenario(scenario))
             assert again == scenario
             # serialized forms match byte for byte too
             assert serialize_scenario(again) == serialize_scenario(scenario)
 
 
+def assert_starts_at_first_target(scenario):
+    from ssmcell.engine import build_model
+    from ssmcell.kinematics import tcp_position
+
+    tcp = tcp_position(build_model(scenario), np.asarray(scenario.q0))
+    assert np.linalg.norm(tcp - scenario.task.steps[0].target) < 1e-6
+
+
 class TestValidation:
     def test_decreasing_waypoints_name_the_index(self):
-        text = serialize_scenario(approach_retreat()).replace(
+        text = serialize_scenario(bundled("approach_retreat")).replace(
             "waypoint = 3.8 1.0 -0.32 standing", "waypoint = 1.5 1.0 -0.32 standing"
         )
         with pytest.raises(ScenarioError) as exc:
@@ -67,7 +94,7 @@ class TestValidation:
         assert "missing [scenario]" in str(exc.value)
 
     def test_unknown_mode(self):
-        text = serialize_scenario(approach_retreat()).replace(
+        text = serialize_scenario(bundled("approach_retreat")).replace(
             "mode = proposed", "mode = telepathic"
         )
         with pytest.raises(ScenarioError) as exc:
@@ -75,7 +102,7 @@ class TestValidation:
         assert "unknown mode" in str(exc.value)
 
     def test_unknown_posture_with_line(self):
-        text = serialize_scenario(approach_retreat()).replace(
+        text = serialize_scenario(bundled("approach_retreat")).replace(
             "waypoint = 2.0 2.3 -0.32 standing", "waypoint = 2.0 2.3 -0.32 flying"
         )
         with pytest.raises(ScenarioError) as exc:
@@ -83,7 +110,7 @@ class TestValidation:
         assert "posture" in str(exc.value)
 
     def test_infeasible_layout_propagates(self):
-        text = serialize_scenario(approach_retreat()).replace(
+        text = serialize_scenario(bundled("approach_retreat")).replace(
             "stop_time = 0.25", "stop_time = 2.5"
         )
         with pytest.raises(ScenarioError) as exc:
@@ -91,7 +118,7 @@ class TestValidation:
         assert "layout" in str(exc.value)
 
     def test_script_longer_than_run_rejected(self):
-        text = serialize_scenario(approach_retreat()).replace(
+        text = serialize_scenario(bundled("approach_retreat")).replace(
             "duration = 34.0", "duration = 10.0"
         )
         with pytest.raises(ScenarioError):
@@ -138,7 +165,7 @@ class TestHumanScript:
 
 class TestModeFilter:
     def test_autonomous_only_steps(self):
-        scenario = sorting_benchmark()
+        scenario = bundled("sorting_benchmark")
         hrc = scenario.task.steps_for(SimMode.PROPOSED)
         auto = scenario.task.steps_for(SimMode.AUTONOMOUS)
         assert len(auto) == len(hrc) + 3

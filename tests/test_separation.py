@@ -7,7 +7,6 @@ from ssmcell.separation import (
     ViolationGate,
     compute_msd_dynamic,
     separation_terms,
-    separation_violated,
 )
 
 
@@ -87,25 +86,43 @@ class TestDynamicMsd:
 
 
 class TestViolationPredicate:
+    """A fresh gate trips iff the distance is strictly below the dynamic minimum."""
+
     def test_boundary_is_compliant(self):
         inputs = make_inputs()
         msd = compute_msd_dynamic(inputs)
-        assert separation_violated(msd, inputs) is False
+        assert ViolationGate().update(msd, inputs) is False
 
     def test_zero_distance_violates(self):
-        assert separation_violated(0.0, make_inputs()) is True
+        assert ViolationGate().update(0.0, make_inputs()) is True
 
     def test_single_threshold_sweep(self):
         inputs = make_inputs()
         msd = compute_msd_dynamic(inputs)
-        values = [separation_violated(d, inputs) for d in np.linspace(0.0, 2 * msd, 2001)]
+        values = [ViolationGate().update(d, inputs) for d in np.linspace(0.0, 2 * msd, 2001)]
         flips = sum(1 for a, b in zip(values, values[1:]) if a != b)
         assert flips == 1
         assert values[0] is True and values[-1] is False
 
     def test_negative_distance_rejected(self):
-        with pytest.raises(SeparationError):
-            separation_violated(-0.1, make_inputs())
+        # The controller's skeleton scaling rejects a negative distance before the gate sees it.
+        from ssmcell.control import ControlError, Controller, Gains
+        from ssmcell.kinematics import RobotModel
+        from ssmcell.zones import Quadrant, Zone, build_zone_layout
+
+        ctrl = Controller(
+            RobotModel(), build_zone_layout(0.45, 1.5, 0.9, 0.425), Gains.diagonal(), make_inputs()
+        )
+        ctrl.offer_scan(0.0, {Quadrant.LEFT: Zone.NORMAL, Quadrant.RIGHT: Zone.NORMAL})
+        ctrl.offer_skeleton(0.0, -0.1)
+        with pytest.raises(ControlError):
+            ctrl.step(
+                0.0,
+                robot_quadrant=Quadrant.LEFT,
+                task_direction=np.zeros(3),
+                joint_reference=np.zeros(6),
+                q=np.zeros(6),
+            )
 
 
 class TestViolationGate:
