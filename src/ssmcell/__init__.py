@@ -16,7 +16,6 @@ from .engine import (
     Event,
     EventKind,
     SimResult,
-    TraceRow,
     detect_deadlock,
     ideal_cycle_time,
     nominal_task_duration,
@@ -72,6 +71,7 @@ from .stability import (
     evaluate_trace,
     lyapunov_value,
 )
+from .trace import Trace, TraceRow
 from .zones import (
     Quadrant,
     SafetyParams,

@@ -231,7 +231,14 @@ def replay(
     """
     if speed_factor <= 0:
         raise BridgeError("speed_factor must be positive")
-    rows = read_trace(trace_path)
+    trace = read_trace(trace_path)
+    records = zip(
+        trace.values("t"),
+        [mode.value for mode in trace.values("mode")],
+        trace.values("fraction"),
+        trace.values("d_i"),
+        trace.values("dyn_msd"),
+    )
     bridge = SpeedBridge(bind_address, decimation=1)
 
     def feeder():
@@ -240,13 +247,13 @@ def replay(
             while bridge.client_count() == 0 and time.monotonic() < deadline:
                 time.sleep(0.005)
         prev_t = None
-        for i, row in enumerate(rows):
+        for i, (t, mode, fraction, d_i, dyn_msd) in enumerate(records):
             if prev_t is not None and speed_factor != float("inf"):
-                gap = (row.t - prev_t) / speed_factor
+                gap = (t - prev_t) / speed_factor
                 if gap > 0:
                     time.sleep(gap)
-            prev_t = row.t
-            bridge.publish(i, row.t, row.mode.value, row.fraction, row.d_i, row.dyn_msd)
+            prev_t = t
+            bridge.publish(i, t, mode, fraction, d_i, dyn_msd)
         bridge.close(flush=True)
 
     thread = threading.Thread(target=feeder, daemon=True)

@@ -12,11 +12,11 @@ from pathlib import Path
 
 from . import bridge as bridge_mod
 from . import kpi as kpi_mod
-from .engine import detect_deadlock, ideal_cycle_time, run, run_benchmark
+from .engine import detect_deadlock, ideal_cycle_time, lyapunov_samples, run, run_benchmark
 from .scenario import ScenarioError, SimMode, parse_scenario
 from .scenarios import bundled_scenario_path
 from .separation import SeparationInputs, compute_msd_dynamic, separation_terms
-from .stability import LyapunovSample, StabilityError, evaluate_trace
+from .stability import StabilityError, evaluate_trace
 from .tracefile import (
     TraceFileError,
     emit_profile_data,
@@ -210,9 +210,7 @@ def _cmd_msd_dynamic(args) -> int:
 
 
 def _cmd_check_stability(args) -> int:
-    trace = read_trace(args.trace)
-    samples = [LyapunovSample(t=r.t, value=r.lyap, mode=r.mode) for r in trace]
-    report = evaluate_trace(samples, eps=args.eps)
+    report = evaluate_trace(lyapunov_samples(read_trace(args.trace)), eps=args.eps)
     for seg in report.segments:
         print(
             f"segment {seg.t_start:.3f}-{seg.t_end:.3f}s mode={seg.mode.value} "

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,6 +15,7 @@ from .perception import ScannerMount, min_distance_tcp, pose_landmarks, simulate
 from .scenario import Scenario, SimMode, TaskStep
 from .separation import msd_at_speeds
 from .stability import LyapunovSample, lyapunov_value
+from .trace import Trace, TraceRow, as_trace
 from .zones import Quadrant, Zone, ZoneLayout, classify_footprint
 
 ARRIVAL_TOL = 0.003  # m, TCP-to-target distance that counts as arrived
@@ -39,38 +40,21 @@ class Event:
 
 
 @dataclass(frozen=True)
-class TraceRow:
-    t: float
-    q: np.ndarray = field(repr=False)
-    qdot: np.ndarray = field(repr=False)
-    tcp: np.ndarray = field(repr=False)
-    tcp_speed: float = 0.0
-    human_x: float = math.nan
-    human_y: float = math.nan
-    human_speed: float = 0.0
-    occ_left: Zone = Zone.NORMAL
-    occ_right: Zone = Zone.NORMAL
-    d_i: float = math.inf
-    dyn_msd: float = 0.0
-    mode: ModeKind = ModeKind.FULL
-    fraction: float = 0.0
-    v_cap: float = 0.0
-    v_task: float = 0.0
-    source: CommandSource = CommandSource.PRIMARY_LOOP
-    damped: bool = False
-    pending: bool = True
-    lyap: float = 0.0
-
-
-@dataclass(frozen=True)
 class SimResult:
     scenario: Scenario
     layout: ZoneLayout
-    trace: list[TraceRow]
+    trace: Trace
     events: list[Event]
 
     def lyapunov_samples(self) -> list[LyapunovSample]:
-        return [LyapunovSample(t=r.t, value=r.lyap, mode=r.mode) for r in self.trace]
+        return lyapunov_samples(self.trace)
+
+
+def lyapunov_samples(trace: Trace) -> list[LyapunovSample]:
+    """The energy series of a trace, one sample per tick."""
+    return list(
+        map(LyapunovSample, trace.values("t"), trace.values("lyap"), trace.values("mode"))
+    )
 
 
 def build_gains(scenario: Scenario) -> Gains:
@@ -214,7 +198,7 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
     ignore_humans = scenario.mode == SimMode.AUTONOMOUS
     quadrant_blind = scenario.mode == SimMode.TRADITIONAL
 
-    trace: list[TraceRow] = []
+    trace = Trace.empty(n_ticks)
     events: list[Event] = []
     last_scan_tick = -1
     last_skel_tick = -1
@@ -342,29 +326,28 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
         msd_now = msd_at_speeds(
             scenario.separation, human0.walk_speed if human0 else 0.0, tcp_speed
         )
-        trace.append(
-            TraceRow(
-                t=t,
-                q=q.copy(),
-                qdot=command.qdot_cmd.copy(),
-                tcp=tcp.copy(),
-                tcp_speed=tcp_speed,
-                human_x=float(human0.ground[0]) if human0 else math.nan,
-                human_y=float(human0.ground[1]) if human0 else math.nan,
-                human_speed=human0.walk_speed if human0 else 0.0,
-                occ_left=controller.occupancy[Quadrant.LEFT],
-                occ_right=controller.occupancy[Quadrant.RIGHT],
-                d_i=d_true,
-                dyn_msd=msd_now,
-                mode=command.mode.kind,
-                fraction=command.fraction,
-                v_cap=command.v_cartesian,
-                v_task=float(np.linalg.norm(task_dir)) * command.fraction * scenario.nominal_speed,
-                source=command.source,
-                damped=command.damped,
-                pending=tracker.pending,
-                lyap=lyap,
-            )
+        trace.record(
+            i,
+            t=t,
+            q=q,
+            qdot=command.qdot_cmd,
+            tcp=tcp,
+            tcp_speed=tcp_speed,
+            human_x=float(human0.ground[0]) if human0 else math.nan,
+            human_y=float(human0.ground[1]) if human0 else math.nan,
+            human_speed=human0.walk_speed if human0 else 0.0,
+            occ_left=controller.occupancy[Quadrant.LEFT],
+            occ_right=controller.occupancy[Quadrant.RIGHT],
+            d_i=d_true,
+            dyn_msd=msd_now,
+            mode=command.mode.kind,
+            fraction=command.fraction,
+            v_cap=command.v_cartesian,
+            v_task=float(np.linalg.norm(task_dir)) * command.fraction * scenario.nominal_speed,
+            source=command.source,
+            damped=command.damped,
+            pending=tracker.pending,
+            lyap=lyap,
         )
         if bridge is not None:
             bridge.publish(seq, t, command.mode.kind.value, command.fraction, d_true, msd_now)
@@ -379,29 +362,24 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
 
 
 def detect_deadlock(
-    trace: list[TraceRow], events: list[Event], stall_threshold: float = 5.0
+    trace: Trace | list[TraceRow], events: list[Event], stall_threshold: float = 5.0
 ) -> list[Event]:
     """Deadlock events: standstill with pending task steps for longer than the threshold."""
-    if not trace or math.isinf(stall_threshold):
+    trace = as_trace(trace)
+    if not len(trace) or math.isinf(stall_threshold):
         return []
+    times = trace.values("t")
+    dt = times[1] - times[0] if len(times) > 1 else 0.0
+    stalled = trace.mask("pending", True) & trace.mask("mode", ModeKind.STANDSTILL, ModeKind.ESTOP)
+    # A stall starts at a stalled row and ends at the next row that is not, or
+    # one tick after the last row.
+    edges = np.flatnonzero(np.diff(stalled, prepend=False, append=False)).tolist()
     out: list[Event] = []
-    start: float | None = None
-    dt = trace[1].t - trace[0].t if len(trace) > 1 else 0.0
-    stalled = (ModeKind.STANDSTILL, ModeKind.ESTOP)
-
-    def close(end_t: float):
-        nonlocal start
-        if start is not None and end_t - start > stall_threshold:
+    for first, after in zip(edges[::2], edges[1::2]):
+        start = times[first]
+        end_t = times[after] if after < len(times) else times[-1] + dt
+        if end_t - start > stall_threshold:
             out.append(Event(start, EventKind.DEADLOCK, f"duration={end_t - start!r}"))
-        start = None
-
-    for row in trace:
-        if row.pending and row.mode in stalled:
-            if start is None:
-                start = row.t
-        else:
-            close(row.t)
-    close(trace[-1].t + dt)
     return out
 
 

@@ -8,11 +8,15 @@ quality with quality fixed at 1.0 in simulation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .control import COLLABORATIVE_FRACTION, ModeKind
-from .engine import Event, EventKind, SimResult, TraceRow, detect_deadlock, ideal_cycle_time
+from .engine import Event, EventKind, SimResult, detect_deadlock, ideal_cycle_time
+from .trace import Trace, TraceRow, as_trace
 
 _FRACTION_TOL = 1e-12
 # An intrusion is paired with the first command change inside this window;
@@ -60,7 +64,7 @@ def cycle_time(events: list[Event]) -> float:
     return sum(spans) / len(spans)
 
 
-def reaction_time(trace: list[TraceRow], events: list[Event]) -> float | None:
+def reaction_time(trace: Trace | list[TraceRow], events: list[Event]) -> float | None:
     """Mean latency from a zone intrusion to the first resulting command change.
 
     Returns None when the run had no intrusions (undefined metric).
@@ -79,16 +83,19 @@ def reaction_time(trace: list[TraceRow], events: list[Event]) -> float | None:
     return sum(deltas) / len(deltas)
 
 
-def flexibility_rate(trace: list[TraceRow]) -> float:
+def flexibility_rate(trace: Trace | list[TraceRow]) -> float:
     """Share of task-pending time with the commanded fraction at collaborative level or above."""
-    pending = [r for r in trace if r.pending]
-    if not pending:
+    trace = as_trace(trace)
+    pending = trace.mask("pending", True)
+    n_pending = int(np.count_nonzero(pending))
+    if not n_pending:
         return 1.0
-    productive = sum(1 for r in pending if r.fraction >= COLLABORATIVE_FRACTION - _FRACTION_TOL)
-    return productive / len(pending)
+    fraction = trace.column("fraction")[pending]
+    productive = int(np.count_nonzero(fraction >= COLLABORATIVE_FRACTION - _FRACTION_TOL))
+    return productive / n_pending
 
 
-def oee(trace: list[TraceRow], events: list[Event], ideal_cycle: float) -> float:
+def oee(trace: Trace | list[TraceRow], events: list[Event], ideal_cycle: float) -> float:
     """Availability x performance x quality (quality = 1.0 in simulation).
 
     Availability counts e-stop rows and detected deadlock windows as downtime
@@ -98,17 +105,21 @@ def oee(trace: list[TraceRow], events: list[Event], ideal_cycle: float) -> float
     if ideal_cycle is None or not math.isfinite(ideal_cycle) or ideal_cycle <= 0:
         raise KpiError("ideal_cycle_time must be a positive finite value")
     actual = cycle_time(events)
-    pending = [r for r in trace if r.pending]
-    if not pending:
+    trace = as_trace(trace)
+    pending = trace.mask("pending", True)
+    n_pending = int(np.count_nonzero(pending))
+    if not n_pending:
         return 0.0
     dt = trace[1].t - trace[0].t if len(trace) > 1 else 0.0
-    planned = len(pending) * dt
+    planned = n_pending * dt
     downtime = sum(
         float(dict(p.split("=") for p in e.payload.split(";"))["duration"])
         for e in events
         if e.kind == EventKind.DEADLOCK
     )
-    downtime += sum(dt for r in pending if r.mode == ModeKind.ESTOP)
+    # dt added once per pending e-stop row, in row order, as a per-row sum would
+    estop_rows = int(np.count_nonzero(pending & trace.mask("mode", ModeKind.ESTOP)))
+    downtime += sum(itertools.repeat(dt, estop_rows))
     availability = max(0.0, min(1.0, (planned - downtime) / planned)) if planned > 0 else 0.0
     performance = min(1.0, ideal_cycle / actual)
     quality = 1.0

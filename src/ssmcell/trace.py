@@ -1,0 +1,221 @@
+"""The per-tick trace: one schema table, a row type made from it, and columnar storage.
+
+``SCHEMA`` is the only description of the trace.  ``TraceRow`` is built from
+it, ``Trace`` stores its float fields in one 2-D block and its enum and flag
+fields as small integer codes, and ``tracefile`` reads and writes the CSV
+columns it names.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+from typing import NamedTuple
+
+import numpy as np
+
+from .control import CommandSource, ModeKind
+from .zones import Zone
+
+
+class Codes(NamedTuple):
+    """The values a coded field can hold, in code order, and the CSV text of each."""
+
+    values: tuple
+    texts: tuple[str, ...]
+
+
+class Field(NamedTuple):
+    """One TraceRow field and the CSV columns it occupies."""
+
+    name: str
+    default: object = dataclasses.MISSING  # MISSING: the field is required
+    headers: tuple[str, ...] = ()  # CSV headers of a vector field; () for a scalar
+    codes: Codes | None = None  # enum and flag fields; None for a float field
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        return self.headers or (self.name,)
+
+
+ZONES = Codes(tuple(Zone), tuple(z.name.lower() for z in Zone))
+MODES = Codes(tuple(ModeKind), tuple(m.value for m in ModeKind))
+SOURCES = Codes(tuple(CommandSource), tuple(s.value for s in CommandSource))
+FLAGS = Codes((False, True), ("0", "1"))
+
+# Fields in CSV column order.
+SCHEMA = (
+    Field("t"),
+    Field("q", headers=tuple(f"q{i + 1}" for i in range(6))),
+    Field("qdot", headers=tuple(f"qd{i + 1}" for i in range(6))),
+    Field("tcp", headers=("tcp_x", "tcp_y", "tcp_z")),
+    Field("tcp_speed", 0.0),
+    Field("human_x", math.nan),
+    Field("human_y", math.nan),
+    Field("human_speed", 0.0),
+    Field("occ_left", Zone.NORMAL, codes=ZONES),
+    Field("occ_right", Zone.NORMAL, codes=ZONES),
+    Field("d_i", math.inf),
+    Field("dyn_msd", 0.0),
+    Field("mode", ModeKind.FULL, codes=MODES),
+    Field("fraction", 0.0),
+    Field("v_cap", 0.0),
+    Field("v_task", 0.0),
+    Field("source", CommandSource.PRIMARY_LOOP, codes=SOURCES),
+    Field("damped", False, codes=FLAGS),
+    Field("pending", True, codes=FLAGS),
+    Field("lyap", 0.0),
+)
+
+
+def _field_type(f: Field):
+    if f.codes is not None:
+        return type(f.codes.values[0])
+    return np.ndarray if f.headers else float
+
+
+TraceRow = dataclasses.make_dataclass(
+    "TraceRow",
+    [
+        (f.name, _field_type(f), dataclasses.field(default=f.default, repr=not f.headers))
+        for f in SCHEMA
+    ],
+    frozen=True,
+)
+TraceRow.__module__ = __name__
+TraceRow.__doc__ = "One control tick; the fields are those of SCHEMA, in its order."
+
+
+class Slot(NamedTuple):
+    """Where a field lives in a Trace: a slice of the float block or one code column."""
+
+    field: Field
+    index: int | slice  # float block column(s), or code column
+    code_of: dict | None  # value -> code, for coded fields
+
+
+def _slots() -> dict[str, Slot]:
+    slots, n_floats, n_codes = {}, 0, 0
+    for f in SCHEMA:
+        if f.codes is not None:
+            code_of = {value: code for code, value in enumerate(f.codes.values)}
+            slots[f.name] = Slot(f, n_codes, code_of)
+            n_codes += 1
+        elif f.headers:
+            slots[f.name] = Slot(f, slice(n_floats, n_floats + len(f.headers)), None)
+            n_floats += len(f.headers)
+        else:
+            slots[f.name] = Slot(f, n_floats, None)
+            n_floats += 1
+    return slots
+
+
+SLOTS = _slots()
+N_FLOATS = sum(len(f.columns) for f in SCHEMA if f.codes is None)
+N_CODES = sum(1 for f in SCHEMA if f.codes is not None)
+ITER_ROWS = 4096  # rows converted to Python values at a time while iterating
+
+# Per-field plans for writing a row and for reading one back, in schema order.
+_FLOAT_FIELDS = tuple((f.name, bool(f.headers)) for f in SCHEMA if f.codes is None)
+_CODED_FIELDS = tuple((f.name, SLOTS[f.name].code_of) for f in SCHEMA if f.codes is not None)
+_ROW_PLAN = tuple(
+    (SLOTS[f.name].index, bool(f.headers), None if f.codes is None else f.codes.values)
+    for f in SCHEMA
+)
+
+
+def _rows(floats: np.ndarray, codes: np.ndarray):
+    """TraceRow objects for a block of rows.
+
+    The vector fields are views into one copy of ``floats``, so no row
+    aliases the trace it came from.
+    """
+    block = floats.copy()
+    for k, (row, row_codes) in enumerate(zip(block.tolist(), codes.tolist())):
+        args = []
+        for index, vector, values in _ROW_PLAN:
+            if values is not None:
+                args.append(values[row_codes[index]])
+            else:
+                args.append(block[k, index] if vector else row[index])
+        yield TraceRow(*args)
+
+
+class Trace:
+    """A run's trace as columns: float fields in one (rows, N_FLOATS) block, the
+    enum and flag fields as int8 codes in one (rows, N_CODES) block.
+
+    Indexing with an int gives a TraceRow, slicing gives a Trace of views, and
+    iteration yields TraceRow objects.  Consumers read whole columns instead.
+    """
+
+    __slots__ = ("floats", "codes")
+
+    def __init__(self, floats: np.ndarray, codes: np.ndarray):
+        if floats.shape != (len(floats), N_FLOATS) or codes.shape != (len(floats), N_CODES):
+            raise ValueError("trace blocks do not match the schema")
+        self.floats = floats
+        self.codes = codes
+
+    @classmethod
+    def empty(cls, rows: int) -> Trace:
+        """Room for ``rows`` ticks, to be filled with ``record``."""
+        return cls(np.empty((rows, N_FLOATS)), np.empty((rows, N_CODES), dtype=np.int8))
+
+    @classmethod
+    def from_rows(cls, rows) -> Trace:
+        trace = cls.empty(len(rows))
+        for i, row in enumerate(rows):
+            trace.record(i, **vars(row))
+        return trace
+
+    def record(self, i: int, **values):
+        """Write row i; every schema field must be given."""
+        floats = []
+        for name, vector in _FLOAT_FIELDS:
+            if vector:
+                floats.extend(values[name].tolist())
+            else:
+                floats.append(values[name])
+        self.floats[i] = floats
+        self.codes[i] = [code_of[values[name]] for name, code_of in _CODED_FIELDS]
+
+    def __len__(self) -> int:
+        return len(self.floats)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return Trace(self.floats[key], self.codes[key])
+        i = range(len(self))[key]  # raises IndexError; negative counts from the end
+        return next(_rows(self.floats[i : i + 1], self.codes[i : i + 1]))
+
+    def __iter__(self):
+        for a in range(0, len(self), ITER_ROWS):
+            yield from _rows(self.floats[a : a + ITER_ROWS], self.codes[a : a + ITER_ROWS])
+
+    def __repr__(self) -> str:
+        return f"Trace({len(self)} rows)"
+
+    def column(self, name: str) -> np.ndarray:
+        """A field's column (a view): floats, (rows, width) floats for a vector
+        field, or int8 codes for a coded field."""
+        slot = SLOTS[name]
+        block = self.floats if slot.code_of is None else self.codes
+        return block[:, slot.index]
+
+    def values(self, name: str) -> list:
+        """A field's values as a list of Python floats or enum members."""
+        slot = SLOTS[name]
+        if slot.code_of is None:
+            return self.column(name).tolist()
+        return list(map(slot.field.codes.values.__getitem__, self.column(name).tolist()))
+
+    def mask(self, name: str, *values) -> np.ndarray:
+        """Rows whose coded field holds any of ``values``."""
+        code_of = SLOTS[name].code_of
+        return np.isin(self.column(name), [code_of[v] for v in values])
+
+
+def as_trace(trace) -> Trace:
+    """A Trace as is; a list of TraceRow converted once."""
+    return trace if isinstance(trace, Trace) else Trace.from_rows(trace)

@@ -85,3 +85,37 @@ def tiny_scenario(**overrides):
     fields = dict(task=task, duration=duration, name="tiny")
     fields.update(overrides)
     return dataclasses.replace(base, **fields)
+
+
+def oracle_deadlocks(rows, stall_threshold):
+    """Row-by-row deadlock windows: (start, end) of every pending standstill or
+    e-stop stretch longer than the threshold."""
+    from ssmcell.control import ModeKind
+
+    rows = list(rows)
+    dt = rows[1].t - rows[0].t if len(rows) > 1 else 0.0
+    out, start = [], None
+    for row in rows + [None]:
+        if row is not None and row.pending and row.mode in (ModeKind.STANDSTILL, ModeKind.ESTOP):
+            start = row.t if start is None else start
+            continue
+        end = row.t if row is not None else rows[-1].t + dt
+        if start is not None and end - start > stall_threshold:
+            out.append((start, end))
+        start = None
+    return out
+
+
+def oracle_profile_intervals(rows):
+    """Row-by-row (start, end, zone) stretches of the worse quadrant occupancy."""
+    rows = list(rows)
+    dt = rows[1].t - rows[0].t if len(rows) > 1 else 0.0
+    out = []
+    current, t0 = max(rows[0].occ_left, rows[0].occ_right), rows[0].t
+    for row in rows[1:]:
+        zone = max(row.occ_left, row.occ_right)
+        if zone != current:
+            out.append((t0, row.t, current))
+            current, t0 = zone, row.t
+    out.append((t0, rows[-1].t + dt, current))
+    return out

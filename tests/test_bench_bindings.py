@@ -4,6 +4,7 @@ perfbench/tracer.py patches ssmcell functions and methods by name.  A rename
 or deletion there would otherwise surface only in a traced benchmark run.
 """
 
+import inspect
 import sys
 from pathlib import Path
 
@@ -18,3 +19,12 @@ def test_every_traced_name_resolves_to_a_callable():
     found = tracer.bindings()
     assert len(found) >= len(tracer.TARGETS)
     assert all(callable(obj) for obj in found.values())
+
+
+def test_tracefile_call_contract():
+    # The tracer's byte counters read write_trace's second argument and
+    # read_trace's first, by position or as ``path``.
+    from ssmcell import tracefile
+
+    assert list(inspect.signature(tracefile.write_trace).parameters)[:2] == ["trace", "path"]
+    assert list(inspect.signature(tracefile.read_trace).parameters)[:1] == ["path"]

@@ -177,6 +177,26 @@ class TestCheckStability:
         assert code == EXIT_CHECK_FAILED
         assert "stability_verdict = fail" in out
 
+    @pytest.mark.parametrize(
+        "column, text",
+        [("damped", "2"), ("pending", "-1"), ("occ_left", "Warning"), ("t", "nan"), ("t", "1_0")],
+    )
+    def test_unwritable_value_is_a_validation_error(
+        self, column, text, tiny_file, tmp_path, capsys
+    ):
+        from ssmcell.tracefile import TRACE_COLUMNS
+
+        out_dir = tmp_path / "out"
+        main(["sim", "run", str(tiny_file), "--out", str(out_dir)])
+        lines = (out_dir / "trace.csv").read_text().splitlines()
+        fields = lines[-1].split(",")
+        fields[TRACE_COLUMNS.index(column)] = text
+        bad = tmp_path / "bad_trace.csv"
+        bad.write_text("\n".join(lines[:-1] + [",".join(fields)]) + "\n", encoding="utf-8")
+        code = main(["check", "stability", str(bad)])
+        assert code == EXIT_VALIDATION
+        assert f"{bad}:{len(lines)}:" in capsys.readouterr().err
+
 
 class TestBenchmarkCommand:
     def test_benchmark_writes_reports(self, tmp_path, capsys):

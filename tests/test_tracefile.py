@@ -1,9 +1,15 @@
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
-from ssmcell.engine import Event, EventKind, run
+from ssmcell import tracefile
+from ssmcell.engine import Event, EventKind, TraceRow, run
+from ssmcell.scenario import SimMode
 from ssmcell.tracefile import (
+    TRACE_COLUMNS,
     TraceFileError,
     emit_profile_data,
     read_events,
@@ -12,7 +18,7 @@ from ssmcell.tracefile import (
     write_events,
     write_trace,
 )
-from helpers import tiny_scenario
+from helpers import bundled, tiny_scenario
 
 
 @pytest.fixture(scope="module")
@@ -96,3 +102,165 @@ class TestProfileData:
         path = tmp_path / "profile.csv"
         emit_profile_data([], path)
         assert path.read_text() == "t_s,commanded_speed_m_s\n"
+
+
+# sha256 of the trace lines (each followed by a line feed) and of the profile
+# file for 3 s proposed-mode runs, as written by the row-by-row writer that
+# the columnar one replaced.
+GOLDEN = {
+    "approach_retreat": (
+        "8d649968093451a2e3cfa38baab4e73adc6117288eb10010b6a706cb3e6df873",
+        "a2d6271ad6f5c11448bd9efe85efa5c89f5daf6a423684986b352775d30adb23",
+    ),
+    "sorting_benchmark": (
+        "9e35920354db2cab1aa118b9e9310588f1539e085f87b9acf4b0dc2ee39ebd29",
+        "eaf814fd77a0c5099a3872470ea4c8166a1e592c51af6fb7176af7d6c2b6db49",
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(GOLDEN))
+def golden_run(request):
+    scenario = dataclasses.replace(bundled(request.param), duration=3.0)
+    return request.param, run(scenario.with_mode(SimMode.PROPOSED))
+
+
+def edge_rows():
+    """Rows whose floats sit at the formatter's edges: signed zeros next to each
+    other, NaN, infinities and subnormals."""
+    specials = [0.0, -0.0, -0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -5e-324]
+    rows = []
+    for i, x in enumerate(specials):
+        qdot = np.array([x, -0.0, 2.2250738585072014e-308, 1e-320, x, 0.1 + 0.2])
+        rows.append(
+            TraceRow(
+                t=i * 0.002,
+                q=np.full(6, x),
+                qdot=qdot,
+                tcp=np.array([x, 0.0, -0.0]),
+                d_i=x,
+                fraction=abs(x) if x == x else 0.0,
+                lyap=x,
+            )
+        )
+    return rows
+
+
+class TestGoldenBytes:
+    def test_trace_and_profile_digests(self, golden_run, tmp_path):
+        name, result = golden_run
+        h = hashlib.sha256()
+        for line in trace_lines(result.trace):
+            h.update(line.encode("utf-8") + b"\n")
+        profile = tmp_path / "profile.csv"
+        emit_profile_data(result.trace, profile)
+        assert (h.hexdigest(), hashlib.sha256(profile.read_bytes()).hexdigest()) == GOLDEN[name]
+
+    def test_write_read_write_identical(self, golden_run, tmp_path):
+        _, result = golden_run
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_trace(result.trace, first, {"scenario": "golden", "rows": len(result.trace)})
+        back = read_trace(first)
+        write_trace(back, second, {"scenario": "golden", "rows": len(back)})
+        assert first.read_bytes() == second.read_bytes()
+        assert np.array_equal(back.floats.view(np.int64), result.trace.floats.view(np.int64))
+        assert np.array_equal(back.codes, result.trace.codes)
+
+    def test_row_list_and_columns_write_the_same_bytes(self, golden_run):
+        _, result = golden_run
+        assert list(trace_lines(list(result.trace))) == list(trace_lines(result.trace))
+
+    def test_edge_values_round_trip(self, tmp_path):
+        rows = edge_rows()
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_trace(rows, first)
+        lines = first.read_text(encoding="utf-8").splitlines()
+        # one repr per value, so signed zeros stay apart inside a run
+        expected = [",".join(repr(float(x)) for x in r.q) for r in rows]
+        assert [",".join(line.split(",")[1:7]) for line in lines[1:]] == expected
+        back = read_trace(first)
+        for a, b in zip(rows, back):
+            for name in ("q", "qdot", "tcp"):
+                bits_a, bits_b = getattr(a, name).view(np.int64), getattr(b, name).view(np.int64)
+                assert np.array_equal(bits_a, bits_b)
+            assert repr(a.d_i) == repr(b.d_i) and repr(a.lyap) == repr(b.lyap)
+        write_trace(back, second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_chunk_boundaries_do_not_change_bytes(self, golden_run, tmp_path, monkeypatch):
+        _, result = golden_run
+        whole = list(trace_lines(result.trace))
+        monkeypatch.setattr(tracefile, "CHUNK_ROWS", 7)
+        assert list(trace_lines(result.trace)) == whole
+        path = tmp_path / "t.csv"
+        write_trace(result.trace, path)
+        assert np.array_equal(read_trace(path).floats, result.trace.floats, equal_nan=True)
+
+
+# (column, text the writer never writes there)
+PROBES = {
+    "damped_2": ("damped", "2"),
+    "pending_negative": ("pending", "-1"),
+    "zone_case": ("occ_left", "Warning"),
+    "t_nan": ("t", "nan"),
+    "t_underscore": ("t", "1_0"),
+}
+
+
+class TestReaderFailsClosed:
+    ROWS = 300
+    CHUNK = 64  # several chunks, so a bad line can sit inside one
+
+    @pytest.fixture(scope="class")
+    def lines(self):
+        result = run(tiny_scenario(duration=self.ROWS * 0.002))
+        return list(trace_lines(result.trace, {"scenario": "tiny", "rows": self.ROWS}))
+
+    def write_probe(self, lines, path, probe, index, trailing_newline):
+        column, text = PROBES[probe]
+        lines = list(lines)
+        fields = lines[index].split(",")
+        fields[TRACE_COLUMNS.index(column)] = text
+        lines[index] = ",".join(fields)
+        path.write_text("\n".join(lines) + ("\n" if trailing_newline else ""), encoding="utf-8")
+
+    @pytest.mark.parametrize("probe", sorted(PROBES))
+    def test_probe_mid_chunk_names_its_line(self, probe, lines, tmp_path, monkeypatch):
+        monkeypatch.setattr(tracefile, "CHUNK_ROWS", self.CHUNK)
+        path = tmp_path / "bad.csv"
+        index = 3 + 2 * self.CHUNK + 10  # two metadata lines and the header come first
+        self.write_probe(lines, path, probe, index, trailing_newline=True)
+        with pytest.raises(TraceFileError) as exc:
+            read_trace(path)
+        assert f"{path}:{index + 1}:" in str(exc.value)
+
+    @pytest.mark.parametrize("probe", sorted(PROBES))
+    def test_probe_on_last_line_without_newline(self, probe, lines, tmp_path, monkeypatch):
+        monkeypatch.setattr(tracefile, "CHUNK_ROWS", self.CHUNK)
+        path = tmp_path / "bad.csv"
+        self.write_probe(lines, path, probe, len(lines) - 1, trailing_newline=False)
+        with pytest.raises(TraceFileError) as exc:
+            read_trace(path)
+        assert f"{path}:{len(lines)}:" in str(exc.value)
+
+    def test_unprobed_file_without_final_newline_reads(self, lines, tmp_path, monkeypatch):
+        monkeypatch.setattr(tracefile, "CHUNK_ROWS", self.CHUNK)
+        path = tmp_path / "ok.csv"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        assert len(read_trace(path)) == self.ROWS
+
+    @pytest.mark.parametrize("text", ["+0.002", "2e-3", " 0.002", "0.0020", "NaN"])
+    def test_float_spellings_the_writer_never_uses(self, text, lines, tmp_path):
+        path = tmp_path / "bad.csv"
+        fields = lines[4].split(",")
+        fields[TRACE_COLUMNS.index("d_i")] = text
+        path.write_text("\n".join(lines[:4] + [",".join(fields)] + lines[5:]) + "\n")
+        with pytest.raises(TraceFileError, match=f"{path}:5:"):
+            read_trace(path)
+
+    def test_short_line_in_chunk_names_its_line(self, lines, tmp_path):
+        path = tmp_path / "bad.csv"
+        broken = lines[:10] + [lines[10].rsplit(",", 1)[0]] + lines[11:]
+        path.write_text("\n".join(broken) + "\n", encoding="utf-8")
+        with pytest.raises(TraceFileError, match=f"{path}:11: wrong field count"):
+            read_trace(path)
