@@ -7,15 +7,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import bridge as bridge_mod
 from . import kpi as kpi_mod
 from .engine import detect_deadlock, ideal_cycle_time, lyapunov_samples, run, run_benchmark
-from .scenario import ScenarioError, SimMode, parse_scenario
+from .scenario import LayoutConfig, ScenarioError, SimMode, parse_scenario
 from .scenarios import bundled_scenario_path
-from .separation import SeparationInputs, compute_msd_dynamic, separation_terms
+from .separation import SeparationError, SeparationInputs, compute_msd_dynamic, separation_terms
 from .stability import StabilityError, evaluate_trace
 from .tracefile import (
     TraceFileError,
@@ -31,6 +31,21 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 EXIT_CHECK_FAILED = 3
 NOISE_AMPLITUDE = 0.005  # m, +-5 mm uniform when enabled
+# The workspace arguments of build_zone_layout, in its order; `zones compute` takes them as flags.
+_ZONE_LAYOUT_FIELDS = fields(LayoutConfig)[:3]
+
+
+def _add_field_flags(parser, field_list, required: bool = False):
+    """A float flag per dataclass field, --name-with-dashes, defaulting to the field's default."""
+    for f in field_list:
+        default = None if required else f.default
+        parser.add_argument(
+            "--" + f.name.replace("_", "-"), type=float, required=required, default=default
+        )
+
+
+def _field_values(field_list, args) -> dict:
+    return {f.name: getattr(args, f.name) for f in field_list}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,25 +74,15 @@ def _build_parser() -> argparse.ArgumentParser:
     zones = top.add_parser("zones", help="zone layout tools")
     zones_sub = zones.add_subparsers(dest="zones_command", required=True)
     zc = zones_sub.add_parser("compute", help="compute the static MSD and zone layout")
-    zc.add_argument("--approach-speed", type=float, default=1.6, help="m/s")
-    zc.add_argument("--stop-time", type=float, default=0.5, help="s")
-    zc.add_argument("--intrusion", type=float, default=0.85, help="m")
-    zc.add_argument("--uncertainty", type=float, default=0.1, help="m")
-    zc.add_argument("--workspace-length", type=float, default=None, help="m; omit for MSD only")
-    zc.add_argument("--workspace-width", type=float, default=0.9, help="m")
-    zc.add_argument("--quadrant-half-width", type=float, default=0.425, help="m")
+    _add_field_flags(zc, fields(SafetyParams))
+    _add_field_flags(zc, _ZONE_LAYOUT_FIELDS)
+    zc.set_defaults(workspace_length=None)  # omitted: print the MSD only
     zc.add_argument("--out", default=None, help="write the layout export to this file")
 
     msd = top.add_parser("msd", help="separation distance calculators")
     msd_sub = msd.add_subparsers(dest="msd_command", required=True)
     md = msd_sub.add_parser("dynamic", help="dynamic MSD from the seven inputs")
-    md.add_argument("--human-speed", type=float, required=True, help="m/s")
-    md.add_argument("--robot-speed", type=float, required=True, help="m/s")
-    md.add_argument("--robot-reaction-time", type=float, required=True, help="s")
-    md.add_argument("--perception-response-time", type=float, required=True, help="s")
-    md.add_argument("--intrusion", type=float, required=True, help="m")
-    md.add_argument("--robot-uncertainty", type=float, required=True, help="m")
-    md.add_argument("--human-uncertainty", type=float, required=True, help="m")
+    _add_field_flags(md, fields(SeparationInputs), required=True)
 
     check = top.add_parser("check", help="post-run verifications")
     check_sub = check.add_subparsers(dest="check_command", required=True)
@@ -170,18 +175,10 @@ def _cmd_sim_benchmark(args) -> int:
 
 
 def _cmd_zones_compute(args) -> int:
-    params = SafetyParams(
-        approach_speed=args.approach_speed,
-        stop_time=args.stop_time,
-        intrusion=args.intrusion,
-        uncertainty=args.uncertainty,
-    )
-    msd = compute_msd_static(params)
+    msd = compute_msd_static(SafetyParams(**_field_values(fields(SafetyParams), args)))
     print(f"static_msd_m = {msd:.6f}")
     if args.workspace_length is not None:
-        layout = build_zone_layout(
-            msd, args.workspace_length, args.workspace_width, args.quadrant_half_width
-        )
+        layout = build_zone_layout(msd, **_field_values(_ZONE_LAYOUT_FIELDS, args))
         text = export_layout(layout)
         if args.out:
             Path(args.out).write_text(text, encoding="utf-8")
@@ -192,15 +189,7 @@ def _cmd_zones_compute(args) -> int:
 
 
 def _cmd_msd_dynamic(args) -> int:
-    inputs = SeparationInputs(
-        human_speed=args.human_speed,
-        robot_speed=args.robot_speed,
-        robot_reaction_time=args.robot_reaction_time,
-        perception_response_time=args.perception_response_time,
-        intrusion=args.intrusion,
-        robot_uncertainty=args.robot_uncertainty,
-        human_uncertainty=args.human_uncertainty,
-    )
+    inputs = SeparationInputs(**_field_values(fields(SeparationInputs), args))
     s_h, s_r, s_s = separation_terms(inputs)
     print(f"human_travel_m = {s_h:.6f}")
     print(f"robot_travel_m = {s_r:.6f}")
@@ -241,7 +230,14 @@ def main(argv=None) -> int:
         if args.command == "check" and args.check_command == "stability":
             return _cmd_check_stability(args)
         parser.error("unknown command")
-    except (ScenarioError, ZoneError, TraceFileError, StabilityError, FileNotFoundError) as exc:
+    except (
+        ScenarioError,
+        ZoneError,
+        SeparationError,
+        TraceFileError,
+        StabilityError,
+        FileNotFoundError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # runtime failures keep a distinct exit code for CI

@@ -70,15 +70,27 @@ MODE_ESTOP = SpeedMode(ModeKind.ESTOP, 0.0)
 
 
 @dataclass(frozen=True)
+class GainsConfig:
+    """The scalar gains a scenario's [gains] section sets; Gains.diagonal expands them."""
+
+    kp: float = 20.0
+    kd: float = 2.0
+    task_gain: float = 1.0
+    k0: float = 0.05
+    ks_floor: float = 0.3
+    accel_limit: float = 2.0  # fraction/s slew bound on the commanded fraction
+
+
+@dataclass(frozen=True)
 class Gains:
     """Controller gains; kp/kd/task_gain are positive-definite diagonal 6x6."""
 
     kp: np.ndarray = field(repr=False)
     kd: np.ndarray = field(repr=False)
     task_gain: np.ndarray = field(repr=False)
-    k0: float = 0.05
-    ks_floor: float = 0.3
-    accel_limit: float = 2.0  # fraction/s slew bound on the commanded fraction
+    k0: float
+    ks_floor: float
+    accel_limit: float
 
     def __post_init__(self):
         for name in ("kp", "kd", "task_gain"):
@@ -95,21 +107,16 @@ class Gains:
             raise ControlError("accel_limit must be positive")
 
     @staticmethod
-    def diagonal(
-        kp: float = 20.0,
-        kd: float = 2.0,
-        task_gain: float = 1.0,
-        k0: float = 0.05,
-        ks_floor: float = 0.3,
-        accel_limit: float = 2.0,
-    ) -> "Gains":
+    def diagonal(**scalars: float) -> "Gains":
+        """Gains with kp, kd and task_gain on the diagonal; omitted scalars take GainsConfig's."""
+        c = GainsConfig(**scalars)
         return Gains(
-            kp=np.eye(6) * kp,
-            kd=np.eye(6) * kd,
-            task_gain=np.eye(6) * task_gain,
-            k0=k0,
-            ks_floor=ks_floor,
-            accel_limit=accel_limit,
+            kp=np.eye(6) * c.kp,
+            kd=np.eye(6) * c.kd,
+            task_gain=np.eye(6) * c.task_gain,
+            k0=c.k0,
+            ks_floor=c.ks_floor,
+            accel_limit=c.accel_limit,
         )
 
 
@@ -208,7 +215,6 @@ class Controller:
         self.separation = separation
         self.config = config or ControllerConfig()
         self.fraction = 0.0
-        self.mode = MODE_STANDSTILL
         self._occ: dict[Quadrant, Zone] = {Quadrant.LEFT: Zone.NORMAL, Quadrant.RIGHT: Zone.NORMAL}
         self._occ_t = -math.inf
         self._d_i = math.inf
@@ -216,7 +222,6 @@ class Controller:
         self._skel_t = -math.inf
         self._gate = ViolationGate()
         self._estop_latched = False
-        self._e_prev = np.zeros(6)
         self._held: tuple[SpeedMode, CommandSource] | None = None
         self._held_skel_t = -math.inf
         # Constant pieces of the per-tick resolution.
@@ -233,14 +238,6 @@ class Controller:
     @property
     def occupancy(self) -> dict[Quadrant, Zone]:
         return dict(self._occ)
-
-    @property
-    def held_distance(self) -> float:
-        return self._d_i
-
-    @property
-    def tracking_error(self) -> np.ndarray:
-        return self._e_prev.copy()
 
     def offer_scan(self, t: float, occupancy: dict[Quadrant, Zone]):
         if t >= self._occ_t:  # latest wins; stale duplicates dropped
@@ -350,7 +347,6 @@ class Controller:
             step_max = self.gains.accel_limit * dt
             delta = mode.fraction - self.fraction
             self.fraction += math.copysign(min(abs(delta), step_max), delta) if delta else 0.0
-        self.mode = mode
 
         if J is None:
             J = jacobian(self.model, q)
@@ -360,7 +356,6 @@ class Controller:
         )
         qdot_raw, damped = self._resolve_rates(q, v6, J)
         e = np.asarray(joint_reference, dtype=float) - q
-        self._e_prev = e
         # PD law applied semi-implicitly against the velocity plant: with the
         # reference advancing at the task rates, de/dt = -u, so
         # u = Kp e + Kd de/dt collapses to (I + Kd) u = Kp e.  This keeps the

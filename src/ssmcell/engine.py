@@ -58,15 +58,7 @@ def lyapunov_samples(trace: Trace) -> list[LyapunovSample]:
 
 
 def build_gains(scenario: Scenario) -> Gains:
-    gc = scenario.gains_config
-    return Gains.diagonal(
-        kp=gc.kp,
-        kd=gc.kd,
-        task_gain=gc.task_gain,
-        k0=gc.k0,
-        ks_floor=gc.ks_floor,
-        accel_limit=gc.accel_limit,
-    )
+    return Gains.diagonal(**vars(scenario.gains_config))
 
 
 def build_model(scenario: Scenario) -> RobotModel:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -128,13 +128,6 @@ class HumanState:
             raise PerceptionError("walk_speed must be >= 0")
         if self.footprint_radius <= 0:
             raise PerceptionError("footprint_radius must be positive")
-
-    def moved_to(self, ground, heading: float | None = None) -> "HumanState":
-        return replace(
-            self,
-            ground=np.asarray(ground, dtype=float),
-            heading=self.heading if heading is None else heading,
-        )
 
 
 @dataclass(frozen=True)

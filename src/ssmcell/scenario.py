@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+import re
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Callable, get_type_hints
 
+from .control import CONTROL_PERIOD, NOMINAL_SPEED, Gains, GainsConfig
 from .perception import DEFAULT_FOOTPRINT_RADIUS, DEFAULT_STATURE, HumanState, Posture
 from .separation import SeparationInputs
 from .zones import (
@@ -37,13 +40,21 @@ class Entry:
     line: int
 
 
-def parse_sections(source) -> dict[str, list[Entry]]:
+class Section(list):
+    """The entries of one '[name]' section; line is where its first header stands."""
+
+    def __init__(self, line: int):
+        super().__init__()
+        self.line = line
+
+
+def parse_sections(source) -> dict[str, Section]:
     """Parse '[section]' / 'key = value' text; '#' starts a comment."""
     if isinstance(source, (str, Path)) and "\n" not in str(source):
         text = Path(source).read_text(encoding="utf-8")
     else:
         text = str(source)
-    sections: dict[str, list[Entry]] = {}
+    sections: dict[str, Section] = {}
     current = None
     errors = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -52,7 +63,7 @@ def parse_sections(source) -> dict[str, list[Entry]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
-            sections.setdefault(current, [])
+            sections.setdefault(current, Section(lineno))
             continue
         if "=" not in line:
             errors.append(f"line {lineno}: expected 'key = value', got {line!r}")
@@ -162,16 +173,6 @@ class LayoutConfig:
 
 
 @dataclass(frozen=True)
-class GainsConfig:
-    kp: float = 20.0
-    kd: float = 2.0
-    task_gain: float = 1.0
-    k0: float = 0.05
-    ks_floor: float = 0.3
-    accel_limit: float = 2.0
-
-
-@dataclass(frozen=True)
 class ScannerPose:
     x: float
     y: float
@@ -180,25 +181,26 @@ class ScannerPose:
 
 @dataclass(frozen=True)
 class Scenario:
-    name: str
-    mode: SimMode
-    duration: float
-    seed: int
-    humans: tuple[HumanScript, ...]
-    task: RobotTask
-    q0: tuple[float, float, float, float, float, float]
-    scanners: tuple[ScannerPose, ...]
+    name: str = "unnamed"
+    mode: SimMode = SimMode.PROPOSED
+    duration: float = 0.0
+    seed: int = 0
+    humans: tuple[HumanScript, ...] = ()
+    task: RobotTask = RobotTask(steps=())
+    q0: tuple[float, float, float, float, float, float] = (0.0,) * 6
+    scanners: tuple[ScannerPose, ...] = ()
     safety: SafetyParams = SafetyParams()
     separation: SeparationInputs = SeparationInputs()
     layout_config: LayoutConfig = LayoutConfig()
     gains_config: GainsConfig = GainsConfig()
-    control_period: float = 0.002
-    nominal_speed: float = 1.0
+    control_period: float = CONTROL_PERIOD
+    nominal_speed: float = NOMINAL_SPEED
     robot_model: str = "default"
     sequential: bool = False
     noise: float = 0.0
     parallelism: float = 1.0
-    stall_threshold: float = 5.0
+    # inf never flags a deadlock, so it is the one scalar allowed to be infinite
+    stall_threshold: float = field(default=5.0, metadata={"allow_inf": True})
 
     def build_layout(self) -> ZoneLayout:
         lc = self.layout_config
@@ -219,14 +221,21 @@ class Scenario:
 
 def _validate_scenario(sc: Scenario) -> list[str]:
     errors = []
-    if sc.duration <= 0:
-        errors.append("scenario: duration must be positive")
-    if sc.control_period <= 0:
-        errors.append("scenario: control_period must be positive")
+    for name in ("duration", "control_period", "nominal_speed", "parallelism", "stall_threshold"):
+        if getattr(sc, name) <= 0:
+            errors.append(f"scenario: {name} must be positive")
+    if sc.noise < 0:
+        errors.append("scenario: noise must be >= 0")
+    if sc.seed < 0:
+        errors.append("scenario: seed must be >= 0")
     for h, script in enumerate(sc.humans):
         if not script.waypoints:
             errors.append(f"human {h}: no waypoints")
             continue
+        try:
+            script.state_at(script.waypoints[0].t)
+        except ValueError as exc:
+            errors.append(f"human {h}: {exc}")
         for i in range(1, len(script.waypoints)):
             if script.waypoints[i].t <= script.waypoints[i - 1].t:
                 errors.append(
@@ -246,170 +255,207 @@ def _validate_scenario(sc: Scenario) -> list[str]:
         sc.build_layout()
     except ValueError as exc:
         errors.append(f"layout: {exc}")
+    try:
+        Gains.diagonal(**vars(sc.gains_config))
+    except ValueError as exc:
+        errors.append(f"gains: {exc}")
     return errors
 
 
 _POSTURES = {p.value: p for p in Posture}
 _MODES = {m.value: m for m in SimMode}
+_BOOLS = dict.fromkeys(("true", "1", "yes", "on"), True)
+_BOOLS.update(dict.fromkeys(("false", "0", "no", "off"), False))
 
 
-def _floats(entry: Entry, n: int, errors: list, what: str) -> list[float] | None:
-    parts = entry.value.split()
-    if len(parts) != n:
-        errors.append(f"line {entry.line}: {what} needs {n} values, got {len(parts)}")
-        return None
-    try:
-        return [float(p) for p in parts]
-    except ValueError:
-        errors.append(f"line {entry.line}: {what} has a non-numeric value")
-        return None
+def _six_floats(text: str) -> tuple[float, ...]:
+    values = tuple(map(float, text.split()))
+    if len(values) != 6:
+        raise ValueError(text)
+    return values
 
 
-class _SectionReader:
-    def __init__(self, entries: list[Entry], section: str, errors: list):
-        self.map = {}
-        self.section = section
-        self.errors = errors
-        for e in entries:
-            self.map.setdefault(e.key, []).append(e)
+@dataclass(frozen=True)
+class _Codec:
+    """Text form of one field type; error names a value parse rejects ({key}, {text})."""
 
-    def scalar(self, key, cast=float, default=None):
-        if key not in self.map:
-            if default is None:
-                self.errors.append(f"[{self.section}]: missing required key '{key}'")
-            return default
-        e = self.map[key][-1]
+    parse: Callable[[str], object]
+    format: Callable[[object], str]
+    error: str
+
+
+_CODECS = {
+    float: _Codec(float, repr, "cannot parse '{key}' as float"),
+    int: _Codec(int, str, "cannot parse '{key}' as int"),
+    str: _Codec(str, str, ""),
+    bool: _Codec(
+        lambda text: _BOOLS[text.lower()],
+        lambda value: "true" if value else "false",
+        "cannot parse '{key}' as bool (true/false, 1/0, yes/no, on/off)",
+    ),
+    SimMode: _Codec(SimMode, lambda mode: mode.value, "unknown {key} '{text}'"),
+    tuple[float, float, float, float, float, float]: _Codec(
+        _six_floats, lambda values: " ".join(map(repr, values)), "{key} needs 6 numbers"
+    ),
+}
+
+
+@dataclass(frozen=True)
+class _Key:
+    """A scalar 'key = value' line and the dataclass field it fills."""
+
+    key: str
+    attr: str
+    codec: _Codec
+    allow_inf: bool
+
+    def read(self, e: Entry, errors: list):
+        """The value of an entry, or None with the reason appended to errors."""
         try:
-            if cast is bool:
-                return e.value.strip().lower() in ("1", "true", "yes", "on")
-            return cast(e.value)
-        except ValueError:
-            self.errors.append(f"line {e.line}: cannot parse '{key}' as {cast.__name__}")
-            return default
+            value = self.codec.parse(e.value)
+        except (ValueError, KeyError):
+            errors.append(f"line {e.line}: " + self.codec.error.format(key=self.key, text=e.value))
+            return None
+        numbers = value if isinstance(value, tuple) else (value,)
+        finite = all(math.isfinite(v) for v in numbers if isinstance(v, float))
+        if not finite and not (self.allow_inf and value == math.inf):
+            errors.append(f"line {e.line}: '{self.key}' must be finite, got {e.value}")
+            return None
+        return value
 
-    def rows(self, key) -> list[Entry]:
-        return self.map.get(key, [])
+
+@dataclass(frozen=True)
+class _Section:
+    """A section's scalar keys, in the order they are written, and its repeatable row key."""
+
+    cls: type
+    keys: dict[str, _Key]
+    row: str | None = None
 
 
-def parse_scenario(source) -> Scenario:
-    """Parse and fully validate a scenario file; raises ScenarioError with all problems."""
-    sections = parse_sections(source)
-    errors: list[str] = []
+def _section(cls, skip=(), names=None, row=None) -> _Section:
+    """A section whose keys are cls's fields of a type with a codec, less skip.
 
-    def reader(name) -> _SectionReader:
-        return _SectionReader(sections.get(name, []), name, errors)
+    names maps key to field where the two differ; it then lists every key.
+    """
+    hints = get_type_hints(cls)
+    by_name = {f.name: f for f in fields(cls)}
+    if names is None:
+        names = {f: f for f in by_name if f not in skip and hints[f] in _CODECS}
+    keys = {
+        key: _Key(key, f, _CODECS[hints[f]], by_name[f].metadata.get("allow_inf", False))
+        for key, f in names.items()
+    }
+    return _Section(cls, keys, row)
 
-    sc = reader("scenario")
-    if "scenario" not in sections:
-        raise ScenarioError(["missing [scenario] section"])
-    name = sc.scalar("name", str, "unnamed")
-    mode_text = sc.scalar("mode", str, "proposed")
-    mode = _MODES.get(mode_text)
-    if mode is None:
-        errors.append(f"[scenario]: unknown mode '{mode_text}'")
-        mode = SimMode.PROPOSED
-    duration = sc.scalar("duration", float, 0.0)
-    seed = sc.scalar("seed", int, 0)
-    control_period = sc.scalar("control_period", float, 0.002)
-    nominal_speed = sc.scalar("nominal_speed", float, 1.0)
-    sequential = sc.scalar("sequential", bool, False)
-    noise = sc.scalar("noise", float, 0.0)
-    parallelism = sc.scalar("parallelism", float, 1.0)
-    stall_threshold = sc.scalar("stall_threshold", float, 5.0)
 
-    sa = reader("safety")
-    safety = SafetyParams(
-        approach_speed=sa.scalar("approach_speed", float, 1.6),
-        stop_time=sa.scalar("stop_time", float, 0.5),
-        intrusion=sa.scalar("intrusion", float, 0.85),
-        uncertainty=sa.scalar("uncertainty", float, 0.1),
-    )
-    se = reader("separation")
-    separation = SeparationInputs(
-        robot_reaction_time=se.scalar("robot_reaction_time", float, 0.1),
-        perception_response_time=se.scalar("perception_response_time", float, 0.064),
-        intrusion=se.scalar("intrusion", float, 0.2),
-        robot_uncertainty=se.scalar("robot_uncertainty", float, 0.05),
-        human_uncertainty=se.scalar("human_uncertainty", float, 0.05),
-    )
-    la = reader("layout")
-    layout_config = LayoutConfig(
-        workspace_length=la.scalar("workspace_length", float, 1.5),
-        workspace_width=la.scalar("workspace_width", float, 0.9),
-        quadrant_half_width=la.scalar("quadrant_half_width", float, DEFAULT_QUADRANT_HALF_WIDTH),
-        danger_margin=la.scalar("danger_margin", float, DANGER_MARGIN),
-        laser_mount_height=la.scalar("laser_mount_height", float, DEFAULT_LASER_MOUNT_HEIGHT),
-        height_min=la.scalar("height_min", float, DEFAULT_HEIGHT_BAND[0]),
-        height_max=la.scalar("height_max", float, DEFAULT_HEIGHT_BAND[1]),
-        scale_floor_distance=la.scalar(
-            "scale_floor_distance", float, DEFAULT_SCALE_FLOOR_DISTANCE
-        ),
-    )
-    ga = reader("gains")
-    gains_config = GainsConfig(
-        kp=ga.scalar("kp", float, 20.0),
-        kd=ga.scalar("kd", float, 2.0),
-        task_gain=ga.scalar("task_gain", float, 1.0),
-        k0=ga.scalar("k0", float, 0.05),
-        ks_floor=ga.scalar("ks_floor", float, 0.3),
-        accel_limit=ga.scalar("accel_limit", float, 2.0),
-    )
+_ROBOT_KEYS = {"model": "robot_model", "q0": "q0"}
+_SECTIONS = {
+    "scenario": _section(Scenario, skip=_ROBOT_KEYS.values()),
+    "safety": _section(SafetyParams),
+    "separation": _section(SeparationInputs, skip=("human_speed", "robot_speed")),
+    "layout": _section(LayoutConfig),
+    "gains": _section(GainsConfig),
+    "robot": _section(Scenario, names=_ROBOT_KEYS),
+    "scanners": _Section(ScannerPose, {}, "scanner"),
+    "human": _section(HumanScript, row="waypoint"),  # also human2, human3, ...
+    "task": _section(RobotTask, row="step"),
+}
+# The Scenario field that holds the dataclass of each of these sections.
+_PARTS = {
+    "safety": "safety",
+    "separation": "separation",
+    "layout": "layout_config",
+    "gains": "gains_config",
+}
+_HUMAN = re.compile(r"human(\d*)")
 
-    ro = reader("robot")
-    robot_model = ro.scalar("model", str, "default")
-    q0_rows = ro.rows("q0")
-    q0 = (0.0,) * 6
-    if q0_rows:
-        vals = _floats(q0_rows[-1], 6, errors, "q0")
-        if vals:
-            q0 = tuple(vals)
 
+def _kind(section: str) -> str | None:
+    """The _SECTIONS entry that describes a section name, or None for an unknown one."""
+    if _HUMAN.fullmatch(section):
+        return "human"
+    return section if section in _SECTIONS else None
+
+
+def _read_section(name: str, entries, errors: list) -> tuple[dict, list[Entry]]:
+    """The field values a section sets, and its rows in file order."""
+    spec = _SECTIONS[_kind(name)]
+    values, rows, lines = {}, [], {}
+    for e in entries:
+        k = spec.keys.get(e.key)
+        if e.key == spec.row:
+            rows.append(e)
+        elif k is None:
+            errors.append(f"line {e.line}: unknown key '{e.key}' in [{name}]")
+        elif e.key in lines:
+            errors.append(f"line {e.line}: '{e.key}' already set on line {lines[e.key]}")
+        else:
+            lines[e.key] = e.line
+            value = k.read(e, errors)
+            if value is not None:
+                values[k.attr] = value
+    return values, rows
+
+
+def _build(name: str, values: dict, errors: list):
+    """The section's dataclass from the values read, or its defaults if they are out of range."""
+    cls = _SECTIONS[name].cls
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        errors.append(f"[{name}]: {exc}")
+        return cls()
+
+
+def _numbers(e: Entry, texts, what: str, errors: list) -> list[float] | None:
+    try:
+        values = [float(t) for t in texts]
+    except ValueError:
+        errors.append(f"line {e.line}: {what} has a non-numeric value")
+        return None
+    if not all(map(math.isfinite, values)):
+        errors.append(f"line {e.line}: {what} has a non-finite value")
+        return None
+    return values
+
+
+def _scanners(rows: list[Entry], errors: list) -> tuple[ScannerPose, ...]:
     scanners = []
-    for e in reader("scanners").rows("scanner"):
-        vals = _floats(e, 3, errors, "scanner")
-        if vals:
-            scanners.append(ScannerPose(*vals))
+    for e in rows:
+        parts = e.value.split()
+        if len(parts) != 3:
+            errors.append(f"line {e.line}: scanner needs 3 values, got {len(parts)}")
+        elif xyh := _numbers(e, parts, "scanner", errors):
+            scanners.append(ScannerPose(*xyh))
+    return tuple(scanners)
 
-    humans = []
-    for sec_name in sorted(s for s in sections if s.startswith("human")):
-        hr = _SectionReader(sections[sec_name], sec_name, errors)
-        waypoints = []
-        for idx, e in enumerate(hr.rows("waypoint")):
-            parts = e.value.split()
-            if len(parts) != 4:
-                errors.append(f"line {e.line}: waypoint {idx} needs 't x y posture'")
-                continue
-            try:
-                t, x, y = float(parts[0]), float(parts[1]), float(parts[2])
-            except ValueError:
-                errors.append(f"line {e.line}: waypoint {idx} has a non-numeric value")
-                continue
-            posture = _POSTURES.get(parts[3].lower())
-            if posture is None:
-                errors.append(f"line {e.line}: waypoint {idx} unknown posture '{parts[3]}'")
-                continue
-            waypoints.append(HumanWaypoint(t, x, y, posture))
-        humans.append(
-            HumanScript(
-                waypoints=tuple(waypoints),
-                footprint_radius=hr.scalar("footprint_radius", float, DEFAULT_FOOTPRINT_RADIUS),
-                stature=hr.scalar("stature", float, DEFAULT_STATURE),
-            )
-        )
 
+def _waypoints(rows: list[Entry], errors: list) -> tuple[HumanWaypoint, ...]:
+    waypoints = []
+    for idx, e in enumerate(rows):
+        parts = e.value.split()
+        if len(parts) != 4:
+            errors.append(f"line {e.line}: waypoint {idx} needs 't x y posture'")
+            continue
+        txy = _numbers(e, parts[:3], f"waypoint {idx}", errors)
+        posture = _POSTURES.get(parts[3].lower())
+        if posture is None:
+            errors.append(f"line {e.line}: waypoint {idx} unknown posture '{parts[3]}'")
+        elif txy:
+            waypoints.append(HumanWaypoint(*txy, posture))
+    return tuple(waypoints)
+
+
+def _steps(rows: list[Entry], errors: list) -> tuple[TaskStep, ...]:
     steps = []
-    ta = reader("task")
-    cycles = ta.scalar("cycles", int, 1)
-    for idx, e in enumerate(ta.rows("step")):
+    for idx, e in enumerate(rows):
         parts = e.value.split()
         if len(parts) not in (5, 6):
             errors.append(f"line {e.line}: step {idx} needs 'name x y z dwell [modes]'")
             continue
-        try:
-            target = (float(parts[1]), float(parts[2]), float(parts[3]))
-            dwell = float(parts[4])
-        except ValueError:
-            errors.append(f"line {e.line}: step {idx} has a non-numeric value")
+        numbers = _numbers(e, parts[1:5], f"step {idx}", errors)
+        if numbers is None:
             continue
         modes: tuple[str, ...] = ()
         if len(parts) == 6:
@@ -418,109 +464,70 @@ def parse_scenario(source) -> Scenario:
             if unknown:
                 errors.append(f"line {e.line}: step {idx} unknown modes {unknown}")
                 continue
-        steps.append(TaskStep(name=parts[0], target=target, dwell=dwell, modes=modes))
+        steps.append(TaskStep(parts[0], tuple(numbers[:3]), numbers[3], modes))
+    return tuple(steps)
 
-    scenario = Scenario(
-        name=name,
-        mode=mode,
-        duration=duration,
-        seed=seed,
-        humans=tuple(humans),
-        task=RobotTask(steps=tuple(steps), cycles=cycles),
-        q0=q0,
-        scanners=tuple(scanners),
-        safety=safety,
-        separation=separation,
-        layout_config=layout_config,
-        gains_config=gains_config,
-        control_period=control_period,
-        nominal_speed=nominal_speed,
-        robot_model=robot_model,
-        sequential=sequential,
-        noise=noise,
-        parallelism=parallelism,
-        stall_threshold=stall_threshold,
-    )
+
+def parse_scenario(source) -> Scenario:
+    """Parse and fully validate a scenario file; raises ScenarioError with all problems."""
+    sections = parse_sections(source)
+    if "scenario" not in sections:
+        raise ScenarioError(["missing [scenario] section"])
+    errors = [
+        f"line {entries.line}: unknown section [{name}]"
+        for name, entries in sections.items()
+        if _kind(name) is None
+    ]
+
+    def read(name) -> tuple[dict, list[Entry]]:
+        return _read_section(name, sections.get(name, ()), errors)
+
+    values = {**read("scenario")[0], **read("robot")[0]}
+    for name, holder in _PARTS.items():
+        values[holder] = _build(name, read(name)[0], errors)
+    values["scanners"] = _scanners(read("scanners")[1], errors)
+    humans = []
+    for name in sorted((s for s in sections if _kind(s) == "human"), key=_human_order):
+        scalars, rows = read(name)
+        humans.append(HumanScript(waypoints=_waypoints(rows, errors), **scalars))
+    values["humans"] = tuple(humans)
+    scalars, rows = read("task")
+    values["task"] = RobotTask(steps=_steps(rows, errors), **scalars)
+
+    scenario = Scenario(**values)
     errors.extend(_validate_scenario(scenario))
     if errors:
         raise ScenarioError(errors)
     return scenario
 
 
+def _human_order(section: str) -> tuple[int, str]:
+    """[human] first, then [human2], [human3], ... by number, so human10 follows human9."""
+    return int(_HUMAN.fullmatch(section).group(1) or 1), section
+
+
+def _section_text(title: str, obj, rows=()) -> str:
+    spec = _SECTIONS[_kind(title)]
+    lines = [f"[{title}]"]
+    lines.extend(f"{k.key} = {k.codec.format(getattr(obj, k.attr))}" for k in spec.keys.values())
+    lines.extend(f"{spec.row} = {row}" for row in rows)
+    return "\n".join(lines)
+
+
 def serialize_scenario(sc: Scenario) -> str:
     """Canonical text form; parse(serialize(sc)) == sc."""
-    out = []
-
-    def kv(key, value):
-        if isinstance(value, float):
-            value = repr(value)
-        out.append(f"{key} = {value}")
-
-    out.append("[scenario]")
-    kv("name", sc.name)
-    kv("mode", sc.mode.value)
-    kv("duration", sc.duration)
-    kv("seed", sc.seed)
-    kv("control_period", sc.control_period)
-    kv("nominal_speed", sc.nominal_speed)
-    kv("sequential", "true" if sc.sequential else "false")
-    kv("noise", sc.noise)
-    kv("parallelism", sc.parallelism)
-    kv("stall_threshold", sc.stall_threshold)
-    out.append("")
-    out.append("[safety]")
-    kv("approach_speed", sc.safety.approach_speed)
-    kv("stop_time", sc.safety.stop_time)
-    kv("intrusion", sc.safety.intrusion)
-    kv("uncertainty", sc.safety.uncertainty)
-    out.append("")
-    out.append("[separation]")
-    kv("robot_reaction_time", sc.separation.robot_reaction_time)
-    kv("perception_response_time", sc.separation.perception_response_time)
-    kv("intrusion", sc.separation.intrusion)
-    kv("robot_uncertainty", sc.separation.robot_uncertainty)
-    kv("human_uncertainty", sc.separation.human_uncertainty)
-    out.append("")
-    out.append("[layout]")
-    lc = sc.layout_config
-    kv("workspace_length", lc.workspace_length)
-    kv("workspace_width", lc.workspace_width)
-    kv("quadrant_half_width", lc.quadrant_half_width)
-    kv("danger_margin", lc.danger_margin)
-    kv("laser_mount_height", lc.laser_mount_height)
-    kv("height_min", lc.height_min)
-    kv("height_max", lc.height_max)
-    kv("scale_floor_distance", lc.scale_floor_distance)
-    out.append("")
-    out.append("[gains]")
-    gc = sc.gains_config
-    kv("kp", gc.kp)
-    kv("kd", gc.kd)
-    kv("task_gain", gc.task_gain)
-    kv("k0", gc.k0)
-    kv("ks_floor", gc.ks_floor)
-    kv("accel_limit", gc.accel_limit)
-    out.append("")
-    out.append("[robot]")
-    kv("model", sc.robot_model)
-    kv("q0", " ".join(repr(v) for v in sc.q0))
-    out.append("")
-    out.append("[scanners]")
-    for s in sc.scanners:
-        kv("scanner", f"{s.x!r} {s.y!r} {s.heading!r}")
+    blocks = [_section_text("scenario", sc)]
+    blocks.extend(_section_text(name, getattr(sc, holder)) for name, holder in _PARTS.items())
+    blocks.append(_section_text("robot", sc))
+    blocks.append(
+        _section_text("scanners", sc, [f"{s.x!r} {s.y!r} {s.heading!r}" for s in sc.scanners])
+    )
     for i, human in enumerate(sc.humans):
-        out.append("")
-        out.append("[human]" if i == 0 else f"[human{i + 1}]")
-        kv("footprint_radius", human.footprint_radius)
-        kv("stature", human.stature)
-        for w in human.waypoints:
-            kv("waypoint", f"{w.t!r} {w.x!r} {w.y!r} {w.posture.value}")
-    out.append("")
-    out.append("[task]")
-    kv("cycles", sc.task.cycles)
+        rows = [f"{w.t!r} {w.x!r} {w.y!r} {w.posture.value}" for w in human.waypoints]
+        blocks.append(_section_text("human" if i == 0 else f"human{i + 1}", human, rows))
+    steps = []
     for s in sc.task.steps:
         row = f"{s.name} {s.target[0]!r} {s.target[1]!r} {s.target[2]!r} {s.dwell!r}"
-        if s.modes:
-            row += " " + ",".join(s.modes)
-        kv("step", row)
-    return "\n".join(out) + "\n"
+        steps.append(row + (" " + ",".join(s.modes) if s.modes else ""))
+    blocks.append(_section_text("task", sc.task, steps))
+    return "\n\n".join(blocks) + "\n"

@@ -106,21 +106,26 @@ def write_trace(trace: Trace | list[TraceRow], path, metadata: dict | None = Non
             f.write("\n".join(lines) + "\n")
 
 
+def _check_number(cell: str, header: str, path, lineno: int, time: bool) -> float:
+    """The value of a number field; TraceFileError unless it is written as the writer would."""
+    try:
+        value = float(cell)
+    except ValueError as exc:
+        raise TraceFileError(f"{path}:{lineno}: {header}: {exc}") from exc
+    if repr(value) != cell:
+        raise TraceFileError(f"{path}:{lineno}: {header}: {cell!r} is not written as {value!r}")
+    if time and not math.isfinite(value):
+        raise TraceFileError(f"{path}:{lineno}: {header}: time must be finite, got {cell}")
+    return value
+
+
 def _check_line(line: str, path, lineno: int):
     """Raise TraceFileError for the first field of one line the writer would not write."""
     for cell, (header, f, j, k) in zip(line.rstrip("\n").split(","), _CSV):
-        if k is not None:
-            if cell not in _LOOKUP[f.name]:
-                raise TraceFileError(f"{path}:{lineno}: {header}: unknown value {cell!r}")
-            continue
-        try:
-            value = float(cell)
-        except ValueError as exc:
-            raise TraceFileError(f"{path}:{lineno}: {header}: {exc}") from exc
-        if repr(value) != cell:
-            raise TraceFileError(f"{path}:{lineno}: {header}: {cell!r} is not written as {value!r}")
-        if j == _T and not math.isfinite(value):
-            raise TraceFileError(f"{path}:{lineno}: {header}: time must be finite, got {cell}")
+        if k is None:
+            _check_number(cell, header, path, lineno, time=j == _T)
+        elif cell not in _LOOKUP[f.name]:
+            raise TraceFileError(f"{path}:{lineno}: {header}: unknown value {cell!r}")
 
 
 def _parse_chunk(lines: list[str], path, first_lineno: int) -> tuple[np.ndarray, np.ndarray]:
@@ -191,18 +196,20 @@ def write_events(events: list[Event], path):
 
 
 def read_events(path) -> list[Event]:
+    """Read an events file; anything write_events would not write raises TraceFileError."""
     events = []
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != "t,kind,payload":
         raise TraceFileError(f"{path}: missing events header")
     for lineno, line in enumerate(lines[1:], 2):
         if not line:
-            continue
+            raise TraceFileError(f"{path}:{lineno}: blank line")
         parts = line.split(",", 2)
         if len(parts) != 3:
             raise TraceFileError(f"{path}:{lineno}: wrong field count")
+        t = _check_number(parts[0], "t", path, lineno, time=True)
         try:
-            events.append(Event(t=float(parts[0]), kind=EventKind(parts[1]), payload=parts[2]))
+            events.append(Event(t=t, kind=EventKind(parts[1]), payload=parts[2]))
         except ValueError as exc:
             raise TraceFileError(f"{path}:{lineno}: {exc}") from exc
     return events

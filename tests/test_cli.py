@@ -134,6 +134,25 @@ class TestSimRun:
         bad.write_text("[scenario]\nname = x\n", encoding="utf-8")
         assert main(["sim", "run", str(bad)]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("kd = 2.0", "kd = -1.0", "kd diagonal must be positive"),
+            ("ks_floor = 0.3", "ks_floor = 2.0", "ks_floor must lie in (0, 1]"),
+            ("nominal_speed = 1.0", "nominal_speed = 0.0", "nominal_speed must be positive"),
+        ],
+    )
+    def test_out_of_range_value_fails_at_parse(
+        self, old, new, message, tiny_file, tmp_path, capsys
+    ):
+        text = tiny_file.read_text(encoding="utf-8")
+        assert old in text
+        bad = tmp_path / "bad.scn"
+        bad.write_text(text.replace(old, new), encoding="utf-8")
+        assert main(["sim", "run", str(bad), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bundled_scenario_accepted(self, tmp_path):
         # parse-only guard: the bundled file is a valid CLI input
         from ssmcell.scenario import parse_scenario

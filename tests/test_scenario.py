@@ -1,8 +1,12 @@
+import dataclasses
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 
+from ssmcell.cli import EXIT_VALIDATION, main
 from ssmcell.perception import Posture
 from ssmcell.scenario import (
     HumanScript,
@@ -70,6 +74,78 @@ class TestBundledScenarios:
             # serialized forms match byte for byte too
             assert serialize_scenario(again) == serialize_scenario(scenario)
 
+    def test_serialized_bytes_are_pinned(self):
+        for name, digest in SERIALIZED_SHA256.items():
+            text = serialize_scenario(bundled(name))
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    def test_every_key_round_trips(self):
+        scenario = every_key_scenario()
+        holders = (scenario, scenario.safety, scenario.separation, scenario.layout_config)
+        holders += (scenario.gains_config, scenario.humans[0], scenario.task)
+        for obj in holders:
+            for f in dataclasses.fields(obj):
+                if f.default is dataclasses.MISSING or f.name in ("human_speed", "robot_speed"):
+                    continue  # no key in the file
+                assert getattr(obj, f.name) != f.default, (type(obj).__name__, f.name)
+        again = parse_scenario(serialize_scenario(scenario))
+        assert again == scenario
+        assert serialize_scenario(again) == serialize_scenario(scenario)
+
+
+# sha256 of serialize_scenario for the bundled files, recorded before the
+# section keys were read from the dataclass fields.
+SERIALIZED_SHA256 = {
+    "approach_retreat": "4849842c34ef9e6b98eed0f3432f3e0cab97f26bb7fd17ad6d38bd1eee40f6ed",
+    "sorting_benchmark": "dc6e688bf22c171caf77dc0b11196eba387a6462caa501b898fe4a83adad2cd2",
+}
+
+
+def every_key_scenario():
+    """approach_retreat with every scalar key of every section off its default."""
+    sc = bundled("approach_retreat")
+    replace = dataclasses.replace
+    human = replace(sc.humans[0], footprint_radius=0.25, stature=1.8)
+    return replace(
+        sc,
+        name="every_key",
+        mode=SimMode.TRADITIONAL,
+        duration=40.0,
+        seed=5,
+        control_period=0.004,
+        nominal_speed=0.8,
+        robot_model=str(bundled_scenario_path("approach_retreat").parent / "default_arm.cfg"),
+        sequential=True,
+        noise=0.002,
+        parallelism=2.0,
+        stall_threshold=math.inf,
+        humans=(human, replace(human, stature=1.6)),
+        task=replace(sc.task, cycles=2),
+        safety=replace(sc.safety, approach_speed=1.5, stop_time=0.2),
+        separation=replace(
+            sc.separation,
+            robot_reaction_time=0.12,
+            perception_response_time=0.07,
+            intrusion=0.1,
+            robot_uncertainty=0.03,
+            human_uncertainty=0.04,
+        ),
+        layout_config=replace(
+            sc.layout_config,
+            workspace_length=1.6,
+            workspace_width=0.95,
+            quadrant_half_width=0.43,
+            danger_margin=0.12,
+            laser_mount_height=0.35,
+            height_min=0.05,
+            height_max=1.9,
+            scale_floor_distance=0.32,
+        ),
+        gains_config=replace(
+            sc.gains_config, kp=25.0, kd=3.0, task_gain=1.2, k0=0.04, ks_floor=0.25, accel_limit=2.5
+        ),
+    )
+
 
 def assert_starts_at_first_target(scenario):
     from ssmcell.engine import build_model
@@ -123,6 +199,80 @@ class TestValidation:
         )
         with pytest.raises(ScenarioError):
             parse_scenario(text)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("kp = 20.0", "kpp = 30"),
+            ("[gains]", "[gain]"),
+            ("sequential = false", "sequential = treu"),
+            ("kp = 20.0", "kp = 20.0\nkp = 30.0"),
+            ("model = default", "model = default\nmodel = other.cfg"),
+            ("duration = 34.0", "duration = nan"),
+            ("duration = 34.0", "duration = inf"),
+            ("kp = 20.0", "kp = nan"),
+            ("kp = 20.0", "kp = -inf"),
+            ("approach_speed = 1.6", "approach_speed = nan"),
+            ("stall_threshold = 5.0", "stall_threshold = nan"),
+            ("stall_threshold = 5.0", "stall_threshold = -inf"),
+            ("q0 = -0.708626272", "q0 = nan"),
+            ("scanner = 0.0 -0.45", "scanner = inf -0.45"),
+            ("waypoint = 2.0 2.3 -0.32 standing", "waypoint = 2.0 nan -0.32 standing"),
+            ("step = sort_b 0.15 -0.35 0.3 1.5", "step = sort_b 0.15 -0.35 0.3 inf"),
+        ],
+    )
+    def test_probe_fails_closed_naming_its_line(self, old, new, tmp_path):
+        text = serialize_scenario(bundled("approach_retreat"))
+        assert old in text
+        text = text.replace(old, new, 1)
+        last = new.splitlines()[-1]
+        line = next(i for i, t in enumerate(text.splitlines(), 1) if t.startswith(last))
+        with pytest.raises(ScenarioError, match=f"line {line}: "):
+            parse_scenario(text)
+        path = tmp_path / "probe.scn"
+        path.write_text(text, encoding="utf-8")
+        assert main(["sim", "run", str(path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("noise = 0.0", "noise = -0.001", "noise must be >= 0"),
+            ("parallelism = 1.0", "parallelism = 0.0", "parallelism must be positive"),
+            ("stall_threshold = 5.0", "stall_threshold = 0.0", "stall_threshold must be positive"),
+            ("kd = 2.0", "kd = -1.0", "kd diagonal must be positive"),
+            ("intrusion = 0.06", "intrusion = -0.06", "intrusion must be >= 0"),
+            ("seed = 17", "seed = -1", "seed must be >= 0"),
+            ("footprint_radius = 0.3", "footprint_radius = 0.0", "footprint_radius must be"),
+        ],
+    )
+    def test_out_of_range_value_rejected(self, old, new, message):
+        text = serialize_scenario(bundled("approach_retreat")).replace(old, new)
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("true", True), ("On", True), ("1", True), ("yes", True)]
+        + [("false", False), ("OFF", False), ("0", False), ("no", False)],
+    )
+    def test_bool_spellings(self, text, value):
+        scenario_text = serialize_scenario(bundled("approach_retreat"))
+        scenario_text = scenario_text.replace("sequential = false", f"sequential = {text}")
+        assert parse_scenario(scenario_text).sequential is value
+
+    def test_infinite_stall_threshold_means_never(self):
+        text = serialize_scenario(bundled("approach_retreat"))
+        scenario = parse_scenario(text.replace("stall_threshold = 5.0", "stall_threshold = inf"))
+        assert scenario.stall_threshold == math.inf
+        assert parse_scenario(serialize_scenario(scenario)) == scenario
+
+    def test_human_sections_keep_their_number_order(self):
+        sc = bundled("approach_retreat")
+        humans = tuple(
+            dataclasses.replace(sc.humans[0], stature=1.5 + 0.01 * i) for i in range(11)
+        )
+        sc = dataclasses.replace(sc, humans=humans)
+        assert parse_scenario(serialize_scenario(sc)).humans == humans
 
 
 class TestHumanScript:

@@ -79,6 +79,26 @@ class TestEvents:
         with pytest.raises(TraceFileError):
             read_events(path)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "1_0,cycle_done,cycle=0",
+            "",
+            " NaN,zone_enter,zone=warning;human=0",
+            "nan,zone_enter,zone=warning;human=0",
+            "inf,cycle_done,cycle=0",
+            "+1.0,cycle_done,cycle=0",
+            "2e-3,cycle_done,cycle=0",
+            "1.0,cycle_finished,cycle=0",
+            "1.0,cycle_done",
+        ],
+    )
+    def test_what_the_writer_never_writes_names_its_line(self, line, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text(f"t,kind,payload\n0.5,cycle_done,cycle=0\n{line}\n", encoding="utf-8")
+        with pytest.raises(TraceFileError, match="events.csv:3: "):
+            read_events(path)
+
 
 class TestProfileData:
     def test_speeds_match_rows(self, short_result, tmp_path):
