@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 validation error, 2 runtime error, 3 check failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 from . import bridge as bridge_mod
 from . import kpi as kpi_mod
 from .engine import detect_deadlock, ideal_cycle_time, lyapunov_samples, run, run_benchmark
-from .scenario import LayoutConfig, ScenarioError, SimMode, parse_scenario
+from .scenario import LayoutConfig, ScenarioError, SimMode, parse_scenario, validate_scenario
 from .scenarios import bundled_scenario_path
 from .separation import SeparationError, SeparationInputs, compute_msd_dynamic, separation_terms
 from .stability import StabilityError, evaluate_trace
@@ -44,8 +45,17 @@ def _add_field_flags(parser, field_list, required: bool = False):
         )
 
 
+class FlagError(ValueError):
+    """A command-line value outside the flag's domain."""
+
+
 def _field_values(field_list, args) -> dict:
-    return {f.name: getattr(args, f.name) for f in field_list}
+    """The values of field flags; FlagError names the first that is NaN or infinite."""
+    values = {f.name: getattr(args, f.name) for f in field_list}
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise FlagError(f"--{name.replace('_', '-')} must be finite, got {value}")
+    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,10 +111,15 @@ def _resolve_scenario(path: str, seed: int | None, noise: bool):
         else:
             raise FileNotFoundError(f"no scenario file or bundled scenario named {path!r}")
     scenario = parse_scenario(str(candidate))
-    if seed is not None:
-        scenario = replace(scenario, seed=seed)
+    overrides = {"seed": seed} if seed is not None else {}
     if noise:
-        scenario = replace(scenario, noise=NOISE_AMPLITUDE)
+        overrides["noise"] = NOISE_AMPLITUDE
+    # The file is valid, so a problem found after an override is the flag's.
+    for name, value in overrides.items():
+        scenario = replace(scenario, **{name: value})
+        errors = validate_scenario(scenario)
+        if errors:
+            raise ScenarioError([f"--{name}: {e}" for e in errors])
     return scenario
 
 
@@ -175,10 +190,12 @@ def _cmd_sim_benchmark(args) -> int:
 
 
 def _cmd_zones_compute(args) -> int:
-    msd = compute_msd_static(SafetyParams(**_field_values(fields(SafetyParams), args)))
+    safety = _field_values(fields(SafetyParams), args)
+    workspace = _field_values(_ZONE_LAYOUT_FIELDS, args)
+    msd = compute_msd_static(SafetyParams(**safety))
     print(f"static_msd_m = {msd:.6f}")
     if args.workspace_length is not None:
-        layout = build_zone_layout(msd, **_field_values(_ZONE_LAYOUT_FIELDS, args))
+        layout = build_zone_layout(msd, **workspace)
         text = export_layout(layout)
         if args.out:
             Path(args.out).write_text(text, encoding="utf-8")
@@ -231,6 +248,7 @@ def main(argv=None) -> int:
             return _cmd_check_stability(args)
         parser.error("unknown command")
     except (
+        FlagError,
         ScenarioError,
         ZoneError,
         SeparationError,

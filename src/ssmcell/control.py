@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,7 @@ COLLABORATIVE_FRACTION = 0.5
 CONTROL_PERIOD = 0.002  # s
 STALE_PERIODS = 3.0  # sensor silence tolerated, in units of that sensor's period
 _TIME_TOL = 1e-9
+_SCALARS = struct.Struct("3d")  # exact bits of tcp_speed, fraction and dt in a step key
 
 
 class ControlError(ValueError):
@@ -133,6 +135,19 @@ class SpeedCommand:
     source: CommandSource = CommandSource.PRIMARY_LOOP
     damped: bool = False
 
+    def at(self, t: float) -> "SpeedCommand":
+        """This command at time t, with rate arrays of its own."""
+        return SpeedCommand(
+            t,
+            self.mode,
+            self.fraction,
+            self.v_cartesian,
+            self.qdot_cmd.copy(),
+            self.qdot_task.copy(),
+            self.source,
+            self.damped,
+        )
+
 
 def primary_speed_select(occupancy: dict[Quadrant, Zone], robot_quadrant: Quadrant) -> SpeedMode:
     """Zone/quadrant arbitration of the laser loop.
@@ -224,6 +239,12 @@ class Controller:
         self._estop_latched = False
         self._held: tuple[SpeedMode, CommandSource] | None = None
         self._held_skel_t = -math.inf
+        # Bumped by every message and e-stop call that changes what a step
+        # reads; a message that only renews a timestamp is seen by _stale.
+        self._revision = 0
+        # The key of the last full step, its command and the gate state it left.
+        self._last: tuple[tuple, SpeedCommand, bool] | None = None
+        self.repeated = False  # whether the last step reused the one before
         # Constant pieces of the per-tick resolution.
         self._pd_matrix = np.linalg.solve(np.eye(6) + self.gains.kd, self.gains.kp)
         limits = np.asarray(model.joint_limits, dtype=float)
@@ -241,20 +262,28 @@ class Controller:
 
     def offer_scan(self, t: float, occupancy: dict[Quadrant, Zone]):
         if t >= self._occ_t:  # latest wins; stale duplicates dropped
-            self._occ = dict(occupancy)
+            if occupancy != self._occ:
+                self._occ = dict(occupancy)
+                self._revision += 1
             self._occ_t = t
 
     def offer_skeleton(self, t: float, d_i: float, human_speed: float = 0.0):
         if t >= self._skel_t:
-            self._d_i = d_i
-            self._human_speed = human_speed
+            # In sequential mode every frame re-arbitrates, so a frame is news
+            # even when its contents repeat the last one's.
+            if (d_i, human_speed) != (self._d_i, self._human_speed) or self.config.sequential:
+                self._d_i = d_i
+                self._human_speed = human_speed
+                self._revision += 1
             self._skel_t = t
 
     def engage_estop(self):
         self._estop_latched = True
+        self._revision += 1
 
     def reset_estop(self):
         self._estop_latched = False
+        self._revision += 1
 
     def _stale(self, t: float) -> bool:
         return (
@@ -324,12 +353,51 @@ class Controller:
         dt: float | None = None,
         J: Jacobian | None = None,
     ) -> SpeedCommand:
+        """One control tick.
+
+        A tick whose inputs are bit-identical to those of the last fully
+        evaluated tick gets that tick's command with the new t.  The inputs
+        are: the contents of the sensor messages (and, in sequential mode,
+        the arrival of a skeleton frame), the e-stop latch, the watchdog
+        verdict, the robot quadrant, tcp_speed, the fraction before the slew,
+        dt, the gate state, and the bytes of the task direction, joint
+        reference, q and J.
+        """
         dt = self.config.control_period if dt is None else dt
+        stale = self._stale(t)
+        key = (
+            self._revision,
+            self._estop_latched,
+            stale,
+            robot_quadrant,
+            self._gate.tripped,
+            _SCALARS.pack(tcp_speed, self.fraction, dt),
+            np.asarray(task_direction, dtype=float).tobytes(),
+            np.asarray(joint_reference, dtype=float).tobytes(),
+            np.asarray(q, dtype=float).tobytes(),
+            None if J is None else J.matrix.tobytes(),
+        )
+        last = self._last
+        self.repeated = last is not None and key == last[0]
+        if self.repeated:
+            # The full step would leave the state it left last time.
+            _, command, self._gate.tripped = last
+            self.fraction = command.fraction
+        else:
+            command = self._evaluate(
+                t, robot_quadrant, task_direction, joint_reference, q, tcp_speed, dt, J, stale
+            )
+            self._last = (key, command, self._gate.tripped)
+        return command.at(t)
+
+    def _evaluate(
+        self, t, robot_quadrant, task_direction, joint_reference, q, tcp_speed, dt, J, stale
+    ) -> SpeedCommand:
         estop_now = False
         if self._estop_latched:
             mode, source = MODE_ESTOP, CommandSource.ESTOP
             estop_now = True
-        elif self._stale(t):
+        elif stale:
             mode, source = MODE_STANDSTILL, CommandSource.ESTOP
             estop_now = True
         elif self.config.sequential:

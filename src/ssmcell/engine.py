@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,9 @@ from .zones import Quadrant, Zone, ZoneLayout, classify_footprint
 
 ARRIVAL_TOL = 0.003  # m, TCP-to-target distance that counts as arrived
 _GRID_EPS = 1e-9
+_ROW_FLOATS = struct.Struct("3d")  # exact bits of d_i, v_task and lyap
+_NO_MOTION = np.zeros(3)  # the task direction of a tick without task motion
+_NO_MOTION.flags.writeable = False
 
 
 class EventKind(enum.Enum):
@@ -122,14 +126,14 @@ class _TaskTracker:
     def advance(self, t: float, tcp: np.ndarray, fraction: float, dt: float) -> np.ndarray:
         """Commanded task direction for this tick (unit vector, shortened on arrival)."""
         if not self.pending:
-            return np.zeros(3)
+            return _NO_MOTION
         cycle, step = self.plan[self.idx]
         if not self.dwelling:
             delta = np.asarray(step.target) - tcp
             dist = float(np.linalg.norm(delta))
             if dist > ARRIVAL_TOL:
                 if fraction <= 0.0:
-                    return np.zeros(3)
+                    return _NO_MOTION
                 # Never overshoot: cap the commanded speed at dist/dt.
                 scale = min(1.0, dist / (fraction * self.nominal_speed * dt))
                 return delta / dist * scale
@@ -143,7 +147,7 @@ class _TaskTracker:
                 self.events.append((t, EventKind.CYCLE_DONE, f"cycle={cycle}"))
             self.idx += 1
             self.dwelling = False
-        return np.zeros(3)
+        return _NO_MOTION
 
 
 def run(scenario: Scenario, bridge=None) -> SimResult:
@@ -195,18 +199,32 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
     last_scan_tick = -1
     last_skel_tick = -1
     seq = 0
-    # Most ticks are dwell or standstill ticks that leave q bit-for-bit
-    # unchanged.  Kinematics, landmarks, the human distance and the energy
-    # value are recomputed only when their inputs change, which yields the
-    # same floats as recomputing them every tick.
+    # A tick is quiescent when its inputs are bit-identical to the last
+    # tick's: the scan and skeleton messages carry what they carried before,
+    # the tracked human holds still (state_at returns the same object while a
+    # script holds), and the controller repeats its last command, which it
+    # does only while its messages, q, the reference, the task direction, the
+    # fraction and the gate are unchanged.  A repeated command leaves q and
+    # the reference as they are, and a quiescent tick whose distance, pending
+    # flag, task speed and energy match the last row copies that row with the
+    # new t.  Every stage also reuses its last result while its own inputs are
+    # unchanged: kinematics while q is, a human's zone while its state is, a
+    # noiseless scan while the footprints are, the human distance while the
+    # pose and the TCP are.  Reused values are the floats a full evaluation
+    # gives, so the trace is byte-identical.
+    humans: list = [None] * len(scenario.humans)
     q_key = None
-    pose_key = None
+    scan_key = None  # footprints at the last noiseless scan
+    skel_human = skel_tcp = None  # what the last skeleton distance was measured from
+    pose_human = None  # the state the landmarks were built from
     d_tcp = None  # the tcp array that d_human was measured from
     energy_key = None
+    row_human = row_key = None  # what a repeated row must match
+    repeated = False
 
     for i in range(n_ticks):
         t = i * dt
-        humans = [script.state_at(t) for script in scenario.humans]
+        prev_humans, humans = humans, [script.state_at(t) for script in scenario.humans]
         q_bytes = q.tobytes()
         if q_bytes != q_key:
             q_key = q_bytes
@@ -227,14 +245,24 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
                 occ = {Quadrant.LEFT: Zone.NORMAL, Quadrant.RIGHT: Zone.NORMAL}
             else:
                 at_scan = [s.state_at(t_scan) for s in scenario.humans]
-                entries = []
-                for mount in mounts:
-                    scan = simulate_scan(mount, at_scan, t_scan, rng=rng, noise=scenario.noise)
-                    entries.extend(perception.scan_to_occupancy(scan, mount, layout))
-                occ = perception.merge_occupancy(entries)
-                if quadrant_blind:
-                    worst = max(occ.values())
-                    occ = {Quadrant.LEFT: worst, Quadrant.RIGHT: worst}
+                # Without noise a scan draws nothing from rng, and its hits
+                # depend only on the footprints: while they repeat, the last
+                # occupancy stands.
+                footprints = None
+                if not scenario.noise:
+                    footprints = [
+                        (h.ground.tobytes(), h.footprint_radius, h.stature) for h in at_scan
+                    ]
+                if footprints is None or footprints != scan_key:
+                    scan_key = footprints
+                    entries = []
+                    for mount in mounts:
+                        scan = simulate_scan(mount, at_scan, t_scan, rng=rng, noise=scenario.noise)
+                        entries.extend(perception.scan_to_occupancy(scan, mount, layout))
+                    occ = perception.merge_occupancy(entries)
+                    if quadrant_blind:
+                        worst = max(occ.values())
+                        occ = {Quadrant.LEFT: worst, Quadrant.RIGHT: worst}
             controller.offer_scan(t_scan, occ)
         skel_tick = int(math.floor(t / skeleton_period + _GRID_EPS))
         if skel_tick > last_skel_tick:
@@ -244,12 +272,16 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
                 controller.offer_skeleton(t_skel, math.inf, 0.0)
             else:
                 tracked = scenario.humans[0].state_at(t_skel)
-                frame = perception.skeleton_sample(tracked, t_skel)
-                d_i, _ = min_distance_tcp(frame, tcp)
+                if tracked is not skel_human or tcp is not skel_tcp:
+                    skel_human, skel_tcp = tracked, tcp
+                    frame = perception.skeleton_sample(tracked, t_skel)
+                    d_i, _ = min_distance_tcp(frame, tcp)
                 controller.offer_skeleton(t_skel, d_i, tracked.walk_speed)
 
         # Ground-truth zone occupancy drives the event log (nested enters/exits).
         for h, human in enumerate(humans):
+            if human is prev_humans[h]:
+                continue
             zone = classify_footprint(layout, human.ground, human.footprint_radius).zone
             if zone > prev_zone[h]:
                 for level in range(prev_zone[h] + 1, zone + 1):
@@ -264,12 +296,11 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
             prev_zone[h] = zone
 
         d_true = math.inf
-        if humans:
-            h0 = humans[0]
-            pose = (h0.ground.tobytes(), h0.heading, h0.posture, h0.stature)
-            if pose != pose_key:
-                pose_key = pose
-                landmarks = pose_landmarks(h0)
+        human0 = humans[0] if humans else None
+        if human0 is not None:
+            if human0 is not pose_human:
+                pose_human = human0
+                landmarks = pose_landmarks(human0)
                 d_tcp = None
             if tcp is not d_tcp:
                 d_tcp = tcp
@@ -307,47 +338,61 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
         prev_mode = command.mode.kind
         prev_source = command.source
 
-        e = q_ref - q
-        edot = (e - e_prev) / dt if i else np.zeros(6)
-        e_prev = e
-        energy_bytes = e.tobytes() + edot.tobytes()
-        if energy_bytes != energy_key:
-            energy_key = energy_bytes
-            lyap = lyapunov_value(e, edot, gains)
-        human0 = humans[0] if humans else None
-        msd_now = msd_at_speeds(
-            scenario.separation, human0.walk_speed if human0 else 0.0, tcp_speed
-        )
-        trace.record(
-            i,
-            t=t,
-            q=q,
-            qdot=command.qdot_cmd,
-            tcp=tcp,
-            tcp_speed=tcp_speed,
-            human_x=float(human0.ground[0]) if human0 else math.nan,
-            human_y=float(human0.ground[1]) if human0 else math.nan,
-            human_speed=human0.walk_speed if human0 else 0.0,
-            occ_left=controller.occupancy[Quadrant.LEFT],
-            occ_right=controller.occupancy[Quadrant.RIGHT],
-            d_i=d_true,
-            dyn_msd=msd_now,
-            mode=command.mode.kind,
-            fraction=command.fraction,
-            v_cap=command.v_cartesian,
-            v_task=float(np.linalg.norm(task_dir)) * command.fraction * scenario.nominal_speed,
-            source=command.source,
-            damped=command.damped,
-            pending=tracker.pending,
-            lyap=lyap,
-        )
+        # A repeated command means q and q_ref equal the last tick's, so e does
+        # and edot is zero; after two in a row the energy value is unchanged.
+        if not (repeated and controller.repeated):
+            e = q_ref - q
+            edot = (e - e_prev) / dt if i else np.zeros(6)
+            e_prev = e
+            energy_bytes = e.tobytes() + edot.tobytes()
+            if energy_bytes != energy_key:
+                energy_key = energy_bytes
+                lyap = lyapunov_value(e, edot, gains)
+        repeated = controller.repeated
+        speed = 0.0 if task_dir is _NO_MOTION else float(np.linalg.norm(task_dir))
+        v_task = speed * command.fraction * scenario.nominal_speed
+        pending = tracker.pending
+        key = (pending, _ROW_FLOATS.pack(d_true, v_task, lyap))
+        if repeated and tcp is prev_tcp and human0 is row_human and key == row_key:
+            trace.repeat(i, t)  # msd_now, too, is the last row's
+        else:
+            row_human, row_key = human0, key
+            msd_now = msd_at_speeds(
+                scenario.separation, human0.walk_speed if human0 else 0.0, tcp_speed
+            )
+            trace.record(
+                i,
+                t=t,
+                q=q,
+                qdot=command.qdot_cmd,
+                tcp=tcp,
+                tcp_speed=tcp_speed,
+                human_x=float(human0.ground[0]) if human0 else math.nan,
+                human_y=float(human0.ground[1]) if human0 else math.nan,
+                human_speed=human0.walk_speed if human0 else 0.0,
+                occ_left=controller.occupancy[Quadrant.LEFT],
+                occ_right=controller.occupancy[Quadrant.RIGHT],
+                d_i=d_true,
+                dyn_msd=msd_now,
+                mode=command.mode.kind,
+                fraction=command.fraction,
+                v_cap=command.v_cartesian,
+                v_task=v_task,
+                source=command.source,
+                damped=command.damped,
+                pending=pending,
+                lyap=lyap,
+            )
         if bridge is not None:
             bridge.publish(seq, t, command.mode.kind.value, command.fraction, d_true, msd_now)
             seq += 1
 
-        # Semi-implicit integration: rates from the state at t applied over [t, t+dt].
-        q = q + command.qdot_cmd * dt
-        q_ref = q_ref + command.qdot_task * dt
+        # Semi-implicit integration: rates from the state at t applied over
+        # [t, t+dt].  A repeated command repeats the last tick's step, which
+        # left q and q_ref bit-for-bit as they were.
+        if not repeated:
+            q = q + command.qdot_cmd * dt
+            q_ref = q_ref + command.qdot_task * dt
         prev_tcp = tcp
 
     return SimResult(scenario=scenario, layout=layout, trace=trace, events=events)

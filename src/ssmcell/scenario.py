@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import re
 from dataclasses import dataclass, field, fields, replace
@@ -19,6 +20,7 @@ from .zones import (
     DEFAULT_QUADRANT_HALF_WIDTH,
     DEFAULT_SCALE_FLOOR_DISTANCE,
     SafetyParams,
+    ZoneError,
     ZoneLayout,
     build_zone_layout,
     compute_msd_static,
@@ -101,6 +103,33 @@ class HumanScript:
     stature: float = DEFAULT_STATURE
 
     def state_at(self, t: float) -> HumanState:
+        """The scripted state at t; while the script holds still, the same object."""
+        for start, end, state in self._holds:
+            if start < t < end:
+                return state
+        return self._interpolate(t)
+
+    @functools.cached_property
+    def _holds(self) -> tuple[tuple[float, float, HumanState], ...]:
+        """(start, end, state) of each open interval in which the script holds
+        still: a segment between two waypoints at one spot, and after the last
+        waypoint.  Every t inside such an interval interpolates to the same
+        floats, so the state is built once, from the midpoint, and its ground
+        array is read-only.  A script whose times do not increase has none."""
+        wps = self.waypoints
+        pairs = list(zip(wps, wps[1:]))
+        if any(a.t >= b.t for a, b in pairs):
+            return ()
+        spans = [(a.t, b.t) for a, b in pairs if (a.x, a.y) == (b.x, b.y)]
+        spans.append((wps[-1].t, math.inf))
+        holds = []
+        for start, end in spans:
+            state = self._interpolate(end if end == math.inf else (start + end) / 2)
+            state.ground.flags.writeable = False
+            holds.append((start, end, state))
+        return tuple(holds)
+
+    def _interpolate(self, t: float) -> HumanState:
         wps = self.waypoints
         if t <= wps[0].t:
             return self._make(wps[0].x, wps[0].y, math.pi, 0.0, wps[0].posture)
@@ -171,6 +200,13 @@ class LayoutConfig:
     height_max: float = DEFAULT_HEIGHT_BAND[1]
     scale_floor_distance: float = DEFAULT_SCALE_FLOOR_DISTANCE
 
+    def __post_init__(self):
+        for name in ("danger_margin", "laser_mount_height"):
+            if getattr(self, name) < 0:
+                raise ZoneError(f"{name} must be >= 0")
+        if self.height_max < self.height_min:
+            raise ZoneError("height_max must be >= height_min")
+
 
 @dataclass(frozen=True)
 class ScannerPose:
@@ -219,7 +255,8 @@ class Scenario:
         return replace(self, mode=mode)
 
 
-def _validate_scenario(sc: Scenario) -> list[str]:
+def validate_scenario(sc: Scenario) -> list[str]:
+    """Every range and consistency problem of a scenario, as messages."""
     errors = []
     for name in ("duration", "control_period", "nominal_speed", "parallelism", "stall_threshold"):
         if getattr(sc, name) <= 0:
@@ -398,13 +435,19 @@ def _read_section(name: str, entries, errors: list) -> tuple[dict, list[Entry]]:
     return values, rows
 
 
-def _build(name: str, values: dict, errors: list):
-    """The section's dataclass from the values read, or its defaults if they are out of range."""
+def _build(name: str, values: dict, section: Section, errors: list):
+    """The section's dataclass from the values read, or its defaults if they are out of range.
+
+    A range error is reported at the line of the first key its message names,
+    or at the section header if every key it names was left at its default.
+    """
     cls = _SECTIONS[name].cls
     try:
         return cls(**values)
     except ValueError as exc:
-        errors.append(f"[{name}]: {exc}")
+        named = set(str(exc).split())
+        line = next((e.line for e in section if e.key in named), section.line)
+        errors.append(f"line {line}: [{name}]: {exc}")
         return cls()
 
 
@@ -484,7 +527,8 @@ def parse_scenario(source) -> Scenario:
 
     values = {**read("scenario")[0], **read("robot")[0]}
     for name, holder in _PARTS.items():
-        values[holder] = _build(name, read(name)[0], errors)
+        section = sections.get(name, Section(0))
+        values[holder] = _build(name, read(name)[0], section, errors)
     values["scanners"] = _scanners(read("scanners")[1], errors)
     humans = []
     for name in sorted((s for s in sections if _kind(s) == "human"), key=_human_order):
@@ -495,7 +539,7 @@ def parse_scenario(source) -> Scenario:
     values["task"] = RobotTask(steps=_steps(rows, errors), **scalars)
 
     scenario = Scenario(**values)
-    errors.extend(_validate_scenario(scenario))
+    errors.extend(validate_scenario(scenario))
     if errors:
         raise ScenarioError(errors)
     return scenario

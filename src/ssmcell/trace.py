@@ -113,6 +113,7 @@ def _slots() -> dict[str, Slot]:
 SLOTS = _slots()
 N_FLOATS = sum(len(f.columns) for f in SCHEMA if f.codes is None)
 N_CODES = sum(1 for f in SCHEMA if f.codes is not None)
+_T = SLOTS["t"].index
 ITER_ROWS = 4096  # rows converted to Python values at a time while iterating
 
 # Per-field plans for writing a row and for reading one back, in schema order.
@@ -179,6 +180,12 @@ class Trace:
                 floats.append(values[name])
         self.floats[i] = floats
         self.codes[i] = [code_of[values[name]] for name, code_of in _CODED_FIELDS]
+
+    def repeat(self, i: int, t: float):
+        """Write row i as a copy of row i - 1 with time t."""
+        self.floats[i] = self.floats[i - 1]
+        self.floats[i, _T] = t
+        self.codes[i] = self.codes[i - 1]
 
     def __len__(self) -> int:
         return len(self.floats)

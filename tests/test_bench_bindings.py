@@ -28,3 +28,24 @@ def test_tracefile_call_contract():
 
     assert list(inspect.signature(tracefile.write_trace).parameters)[:2] == ["trace", "path"]
     assert list(inspect.signature(tracefile.read_trace).parameters)[:1] == ["path"]
+
+
+def test_controller_step_is_the_tick_clock(monkeypatch):
+    # The tracer's engine.tick.* metrics time the gaps between Controller.step
+    # returns, so engine.run must call it once per tick, in tick order, also
+    # on the ticks that repeat the last command.
+    from ssmcell.control import Controller
+    from ssmcell.engine import run
+    from helpers import tiny_scenario
+
+    times = []
+    step = Controller.step
+
+    def counted(self, t, **kwargs):
+        times.append(t)
+        return step(self, t, **kwargs)
+
+    monkeypatch.setattr(Controller, "step", counted)
+    result = run(tiny_scenario(duration=1.0))
+    assert times == result.trace.values("t")
+    assert len(times) == round(1.0 / result.scenario.control_period)

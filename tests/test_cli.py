@@ -108,6 +108,47 @@ class TestZonesCompute:
         assert code == EXIT_VALIDATION
 
 
+MSD_FLAGS = {
+    "--human-speed": "1.6",
+    "--robot-speed": "1.0",
+    "--robot-reaction-time": "0.1",
+    "--perception-response-time": "0.064",
+    "--intrusion": "0.2",
+    "--robot-uncertainty": "0.05",
+    "--human-uncertainty": "0.05",
+}
+ZONE_FLAGS = (
+    "--approach-speed",
+    "--stop-time",
+    "--intrusion",
+    "--uncertainty",
+    "--workspace-length",
+    "--workspace-width",
+    "--quadrant-half-width",
+)
+
+
+class TestNonFiniteFlags:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ZONE_FLAGS)
+    def test_zones_compute(self, flag, value, capsys):
+        code = main(["zones", "compute", "--workspace-length", "1.5", f"{flag}={value}"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert f"{flag} must be finite, got {value}" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", sorted(MSD_FLAGS))
+    def test_msd_dynamic(self, flag, value, capsys):
+        args = [f"{name}={value if name == flag else given}" for name, given in MSD_FLAGS.items()]
+        code = main(["msd", "dynamic", *args])
+        out, err = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert f"{flag} must be finite, got {value}" in err
+        assert out == ""
+
+
 class TestSimRun:
     def test_writes_outputs(self, tiny_file, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -125,6 +166,14 @@ class TestSimRun:
         assert code == EXIT_OK
         head = (out_dir / "trace.csv").read_text().splitlines()[:8]
         assert any("seed=99" in line for line in head)
+
+    @pytest.mark.parametrize("command", ["run", "benchmark"])
+    def test_seed_override_is_validated_before_running(self, command, tiny_file, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code = main(["sim", command, str(tiny_file), "--out", str(out_dir), "--seed", "-1"])
+        assert code == EXIT_VALIDATION
+        assert "--seed: scenario: seed must be >= 0" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_missing_scenario_file(self, tmp_path):
         assert main(["sim", "run", str(tmp_path / "absent.scn")]) == EXIT_VALIDATION

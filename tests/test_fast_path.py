@@ -1,0 +1,373 @@
+"""Exactness of the quiescent-tick fast path.
+
+Ticks whose inputs repeat the last tick's reuse the last tick's results: the
+held human state, the last merged occupancy, the last controller command and
+the last trace row.  The path has no off switch, so the digests below were
+recorded with the engine that evaluated every tick in full.
+"""
+
+import dataclasses
+import hashlib
+import math
+import struct
+
+import numpy as np
+import pytest
+
+from ssmcell.control import Controller, ControllerConfig, Gains, ModeKind
+from ssmcell.engine import run
+from ssmcell.kinematics import RobotModel
+from ssmcell.perception import Posture
+from ssmcell.scenario import HumanScript, HumanWaypoint, SimMode
+from ssmcell.separation import SeparationInputs
+from ssmcell.tracefile import trace_lines, write_events
+from ssmcell.zones import Quadrant, Zone, build_zone_layout
+from helpers import bundled, tiny_scenario
+
+
+# A walk in, a hold from 0.9 s to 2.1 s, a walk across the split line and a
+# hold to the end.  0.9 s and 2.1 s are multiples of 0.3 s, so the hold starts
+# and ends on a scan tick (30 ms) and on a skeleton tick (1/30 s).
+GRID_HOLD = HumanScript(
+    waypoints=(
+        HumanWaypoint(0.0, 2.0, 0.3, Posture.STANDING),
+        HumanWaypoint(0.9, 0.9, 0.3, Posture.STANDING),
+        HumanWaypoint(2.1, 0.9, 0.3, Posture.REACHING),
+        HumanWaypoint(3.0, 0.6, -0.1, Posture.STANDING),
+        HumanWaypoint(3.6, 0.6, -0.1, Posture.STANDING),
+    )
+)
+
+# An operator reaching toward the robot's side, close enough that the
+# skeleton loop slows the robot while it moves.
+CLOSE_HOLD = HumanScript(
+    waypoints=(
+        HumanWaypoint(0.0, 0.75, -0.25, Posture.REACHING),
+        HumanWaypoint(3.6, 0.75, -0.25, Posture.REACHING),
+    ),
+    footprint_radius=0.2,
+)
+
+# Each variant runs the GRID_HOLD walk, except "parked", which keeps the
+# tiny scenario's operator parked in the right quadrant for the whole run,
+# and "close_hold".
+VARIANTS = {
+    "parked": dict(),
+    "close_hold": dict(humans=(CLOSE_HOLD,)),
+    "noise0": dict(humans=(GRID_HOLD,)),
+    "noise_seeded": dict(humans=(GRID_HOLD,), noise=0.005, seed=17),
+    "sequential": dict(humans=(GRID_HOLD,), sequential=True),
+    "traditional": dict(humans=(GRID_HOLD,), mode=SimMode.TRADITIONAL),
+    "autonomous": dict(humans=(GRID_HOLD,), mode=SimMode.AUTONOMOUS),
+}
+
+# sha256 of the trace lines (each followed by a line feed) and of events.csv
+# for 4 s runs of each variant, recorded with every tick evaluated in full.
+GOLDEN = {
+    "close_hold": (
+        "132a3dab59e61299536bb531c57a8e1085b1980b67ce41f98e2e12e4147f7faa",
+        "4f86e75dfc36b580c5509968b375c6a28fa5fae5fb6a13edf99a6a9de838da0c",
+    ),
+    "autonomous": (
+        "45c113ae6e907f46a1bc303186b2178de55fd218fb69a4b528ddd4ac2707bad5",
+        "cd3b81bb2cdb71eec09aaeba64289a7474e28ac0f5f84b3c11bdb0e6f26276f2",
+    ),
+    "noise0": (
+        "08f85cb43834a6f512c7ca24cb21a1bfef1b2b0c438ceb30c8746563b3d34472",
+        "3bbea5bb32fd6a7bc92dd809a66a5cbfc12037bdd7a43101ce24e210e8ad87a3",
+    ),
+    "noise_seeded": (
+        "7a60ddcdf942057637d9ed921e78132962e3be0e9b5c136578194ddacf950148",
+        "3bbea5bb32fd6a7bc92dd809a66a5cbfc12037bdd7a43101ce24e210e8ad87a3",
+    ),
+    "parked": (
+        "8b57b761a6d7153eaf080f63e9ebe948e09f50f80a9bdae927b791c6fe8d00ef",
+        "ff900ae6895344c5b31ad8b3087a6b05f66aac794dea313a751b4237e3633037",
+    ),
+    "sequential": (
+        "0c05283c01b37cc5d561af9b79fb26539b6b55af3c7f21b35b3687f85ce01fce",
+        "471c1a9acfde771e8631462659843d47294ea5c4f865087939423df6f1f00c06",
+    ),
+    "traditional": (
+        "8abc8ad92bfa3c3ee608cd9e88b5e3c97aac7aa73b9ea24ea210a9ff68a2fe49",
+        "d74f6fecfac829e0f1ce1f37f839cbc80f55698da246bc439c72ecd124d2cfe9",
+    ),
+}
+
+
+def variant(name):
+    return tiny_scenario(duration=4.0, **{"mode": SimMode.PROPOSED, **VARIANTS[name]})
+
+
+def digests(result, tmp_path):
+    h = hashlib.sha256()
+    for line in trace_lines(result.trace):
+        h.update(line.encode("utf-8") + b"\n")
+    events = tmp_path / "events.csv"
+    write_events(result.events, events)
+    return h.hexdigest(), hashlib.sha256(events.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_golden_trace_and_events(name, tmp_path):
+    assert digests(run(variant(name)), tmp_path) == GOLDEN[name]
+
+
+def state_fields(state):
+    """Every field of a HumanState, floats as their exact bits."""
+    floats = struct.pack(
+        "4d", state.heading, state.walk_speed, state.footprint_radius, state.stature
+    )
+    return state.ground.tobytes(), floats, state.posture
+
+
+HOLDING_SCRIPTS = [
+    GRID_HOLD,
+    bundled("sorting_benchmark").humans[0],
+    bundled("approach_retreat").humans[0],
+    # A hold from the first waypoint, on signed zeros, then a posture switch.
+    HumanScript(
+        waypoints=(
+            HumanWaypoint(0.0, -0.0, 0.0, Posture.STANDING),
+            HumanWaypoint(1.0, -0.0, 0.0, Posture.REACHING),
+            HumanWaypoint(2.0, 0.5, -0.0, Posture.REACHING),
+            HumanWaypoint(2.5, 0.5, -0.0, Posture.STANDING),
+            HumanWaypoint(3.0, 0.5, 0.4, Posture.STANDING),  # a walk along y alone
+        ),
+        footprint_radius=0.25,
+        stature=1.6,
+    ),
+]
+
+
+@pytest.mark.parametrize("script", HOLDING_SCRIPTS, ids=lambda s: f"{len(s.waypoints)}wp")
+def test_state_at_matches_uncached_interpolation(script):
+    times = {-1.0, script.end_time + 3.0}
+    for w in script.waypoints:
+        times.update((w.t, math.nextafter(w.t, -math.inf), math.nextafter(w.t, math.inf)))
+    for a, b in zip(script.waypoints, script.waypoints[1:]):
+        times.add((a.t + b.t) / 2)
+    # Decreasing, then increasing, on one script; each against a fresh copy's
+    # first answer and against the interpolation the holds stand in for.
+    for t in sorted(times, reverse=True) + sorted(times):
+        got = state_fields(script.state_at(t))
+        assert got == state_fields(dataclasses.replace(script).state_at(t)), t
+        assert got == state_fields(script._interpolate(t)), t
+
+
+def test_held_state_is_shared_and_read_only():
+    a, b = GRID_HOLD.state_at(1.0), GRID_HOLD.state_at(2.0)
+    assert a is b
+    with pytest.raises(ValueError):
+        a.ground[0] = 0.0
+    assert GRID_HOLD.state_at(0.5) is not GRID_HOLD.state_at(0.5)  # walking
+
+
+MODEL = RobotModel()
+LAYOUT = build_zone_layout(0.45, 1.5, 0.9, 0.425)
+GAINS = Gains.diagonal()
+# Dynamic minimum at rest: 0.06 + 0.02 + 0.02 = 0.10 m.
+SEPARATION = SeparationInputs(
+    robot_reaction_time=0.1,
+    perception_response_time=0.064,
+    intrusion=0.06,
+    robot_uncertainty=0.02,
+    human_uncertainty=0.02,
+)
+REGULAR_Q = np.array([0.4, -1.1, 0.9, 0.6, -0.7, 0.3])
+DT = 0.002
+
+
+def occ(left=Zone.NORMAL, right=Zone.NORMAL):
+    return {Quadrant.LEFT: left, Quadrant.RIGHT: right}
+
+
+def tick(ctrl, i, **inputs):
+    """One step at rest off the reference, so the PD term gives nonzero rates;
+    inputs replace these."""
+    given = dict(
+        robot_quadrant=Quadrant.LEFT,
+        task_direction=np.array([0.6, 0.0, -0.8]),
+        joint_reference=REGULAR_Q + 1e-3,
+        q=REGULAR_Q,
+        tcp_speed=0.0,
+        dt=DT,
+    )
+    return ctrl.step(i * DT, **{**given, **inputs})
+
+
+def command_fields(cmd):
+    return (
+        cmd.t,
+        cmd.mode,
+        cmd.fraction,
+        cmd.v_cartesian,
+        cmd.source,
+        cmd.damped,
+        cmd.qdot_cmd.tobytes(),
+        cmd.qdot_task.tobytes(),
+    )
+
+
+def settle(ctrl, i):
+    """Step from tick i until the command repeats; the next tick's index."""
+    for i in range(i, i + 100):
+        tick(ctrl, i)
+        if ctrl.repeated:
+            return i + 1
+    pytest.fail("the command never repeated")
+
+
+def fresh(fraction, scan=occ(), d_i=math.inf):
+    """A controller that never stepped, holding the given state."""
+    ctrl = Controller(MODEL, LAYOUT, GAINS, SEPARATION)
+    ctrl.fraction = fraction
+    ctrl.offer_scan(0.0, scan)
+    ctrl.offer_skeleton(0.0, d_i)
+    return ctrl
+
+
+def primed(scan=occ(), d_i=math.inf, fraction=1.0):
+    """A controller with one scan and one skeleton frame at t = 0 whose
+    fraction has settled, so that it repeats its command; and the next tick."""
+    ctrl = fresh(fraction, scan, d_i)
+    return ctrl, settle(ctrl, 0)
+
+
+def assert_same_next(ctrl, twin, i, before, **kwargs):
+    """The next command of ctrl equals twin's and differs from the one before."""
+    cmd = tick(ctrl, i, **kwargs)
+    assert not ctrl.repeated
+    assert command_fields(cmd) == command_fields(tick(twin, i, **kwargs))
+    assert command_fields(cmd)[1:] != command_fields(before)[1:]
+    assert ctrl.fraction == twin.fraction
+    return cmd
+
+
+class TestControllerCache:
+    def test_scan_replaced_at_the_same_time(self):
+        ctrl, i = primed()
+        before = tick(ctrl, i)
+        ctrl.offer_scan(0.0, occ(left=Zone.DANGER))
+        assert_same_next(ctrl, fresh(ctrl.fraction, scan=occ(left=Zone.DANGER)), i + 1, before)
+
+    def test_skeleton_replaced_at_the_same_time(self):
+        ctrl, i = primed()
+        before = tick(ctrl, i)
+        ctrl.offer_skeleton(0.0, 0.4)
+        assert_same_next(ctrl, fresh(ctrl.fraction, d_i=0.4), i + 1, before)
+
+    def test_estop_engage_and_reset(self):
+        ctrl, i = primed()
+        before = tick(ctrl, i)
+        ctrl.engage_estop()
+        twin = fresh(ctrl.fraction)
+        twin.engage_estop()
+        stopped = assert_same_next(ctrl, twin, i + 1, before)
+        assert stopped.mode.kind == ModeKind.ESTOP
+        i = settle(ctrl, i + 2)
+        ctrl.reset_estop()
+        assert_same_next(ctrl, fresh(ctrl.fraction), i, stopped)
+
+    def test_gate_trip(self):
+        # Inside the hysteresis band above the dynamic minimum at rest; a fast
+        # TCP raises the minimum past the distance, and the gate then holds
+        # at rest.  The fraction starts at the skeleton floor.
+        d_i = 0.11
+        ctrl, i = primed(d_i=d_i, fraction=GAINS.ks_floor)
+        before = tick(ctrl, i)
+        assert before.mode.kind == ModeKind.REDUCED
+        twin = fresh(ctrl.fraction, d_i=d_i)
+        tripped = assert_same_next(ctrl, twin, i + 1, before, tcp_speed=0.5)
+        assert tripped.mode.kind == ModeKind.STANDSTILL
+        held = assert_same_next(ctrl, twin, i + 2, before)
+        assert held.mode.kind == ModeKind.STANDSTILL
+
+    def test_external_fraction_write(self):
+        ctrl, i = primed()
+        before = tick(ctrl, i)
+        ctrl.fraction = 0.25
+        assert_same_next(ctrl, fresh(0.25), i + 1, before)
+
+    def test_rewrite_to_the_last_fraction_repeats_its_slew(self):
+        ctrl, i = primed()
+        ctrl.fraction = 0.5
+        first = tick(ctrl, i)
+        assert first.fraction == 0.5 + GAINS.accel_limit * DT
+        ctrl.fraction = 0.5  # the same key as the last full step
+        again = tick(ctrl, i + 1)
+        assert ctrl.repeated
+        assert command_fields(again)[1:] == command_fields(first)[1:]
+        assert ctrl.fraction == first.fraction
+
+    @pytest.mark.parametrize(
+        "inputs",
+        [
+            dict(robot_quadrant=Quadrant.RIGHT),
+            dict(task_direction=np.array([0.0, 1.0, 0.0])),
+            dict(joint_reference=REGULAR_Q),
+            dict(q=REGULAR_Q + 1e-3),
+            dict(tcp_speed=2.0),
+        ],
+        ids=lambda inputs: next(iter(inputs)),
+    )
+    def test_each_step_input_changed_alone(self, inputs):
+        # Danger on the right holds the robot on the left at collaborative
+        # speed; the human is beyond the skeleton ramp but within reach of the
+        # gate's minimum at a fast TCP.
+        scene = dict(scan=occ(right=Zone.DANGER), d_i=0.5)
+        ctrl, i = primed(fraction=0.5, **scene)
+        before = tick(ctrl, i)
+        assert before.mode.kind == ModeKind.COLLABORATIVE
+        assert_same_next(ctrl, fresh(ctrl.fraction, **scene), i + 1, before, **inputs)
+
+    def test_messages_that_repeat_their_contents_keep_the_command(self):
+        ctrl, i = primed(scan=occ(right=Zone.WARNING), fraction=0.5)
+        before = tick(ctrl, i)
+        assert before.mode.kind == ModeKind.COLLABORATIVE
+        ctrl.offer_scan((i + 1) * DT, occ(right=Zone.WARNING))
+        ctrl.offer_skeleton((i + 1) * DT, math.inf)
+        again = tick(ctrl, i + 1)
+        assert ctrl.repeated
+        assert command_fields(again)[1:] == command_fields(before)[1:]
+
+    def test_sequential_frame_with_same_contents_rearbitrates(self):
+        # Danger on the left: standstill while the robot is on the left.  The
+        # mode is held while it crosses to the right; the next skeleton frame
+        # arbitrates again, for the right side, although it repeats the last.
+        def controller():
+            ctrl = Controller(MODEL, LAYOUT, GAINS, SEPARATION, ControllerConfig(sequential=True))
+            ctrl.offer_scan(0.0, occ(left=Zone.DANGER))
+            ctrl.offer_skeleton(0.0, math.inf)
+            return ctrl
+
+        def right(ctrl, i):
+            return ctrl.step(
+                i * DT,
+                robot_quadrant=Quadrant.RIGHT,
+                task_direction=np.zeros(3),
+                joint_reference=REGULAR_Q,
+                q=REGULAR_Q,
+                dt=DT,
+            )
+
+        ctrl = controller()
+        assert tick(ctrl, 0).mode.kind == ModeKind.STANDSTILL
+        right(ctrl, 1)
+        held = right(ctrl, 2)
+        assert ctrl.repeated and held.mode.kind == ModeKind.STANDSTILL
+        ctrl.offer_skeleton(3 * DT, math.inf)
+        cmd = right(ctrl, 3)
+        assert not ctrl.repeated and cmd.mode.kind == ModeKind.COLLABORATIVE
+        twin = controller()
+        twin.fraction = held.fraction
+        assert command_fields(cmd) == command_fields(right(twin, 3))
+
+    def test_repeated_commands_own_their_arrays(self):
+        ctrl, i = primed()
+        a = tick(ctrl, i)
+        a.qdot_cmd[:] = 99.0
+        a.qdot_task[:] = 99.0
+        b = tick(ctrl, i + 1)
+        assert ctrl.repeated
+        assert not np.any(b.qdot_cmd == 99.0) and not np.any(b.qdot_task == 99.0)

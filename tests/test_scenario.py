@@ -219,6 +219,10 @@ class TestValidation:
             ("scanner = 0.0 -0.45", "scanner = inf -0.45"),
             ("waypoint = 2.0 2.3 -0.32 standing", "waypoint = 2.0 nan -0.32 standing"),
             ("step = sort_b 0.15 -0.35 0.3 1.5", "step = sort_b 0.15 -0.35 0.3 inf"),
+            ("danger_margin = 0.1", "danger_margin = -1.0"),
+            ("height_min = 0.0", "height_min = 3.0"),
+            ("laser_mount_height = 0.4", "laser_mount_height = -0.4"),
+            ("intrusion = 0.04", "intrusion = -0.04"),
         ],
     )
     def test_probe_fails_closed_naming_its_line(self, old, new, tmp_path):
