@@ -26,9 +26,7 @@ from .kinematics import (
     Jacobian,
     KinematicsError,
     LinkRow,
-    Pose,
     RobotModel,
-    forward_kinematics,
     jacobian,
     load_robot_model,
     null_space_projector,

@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import socket
 import threading
-import time
 from collections import deque
-
-from .tracefile import read_trace
 
 SEND_TIMEOUT = 5.0  # s, a client stuck longer than this is dropped
 DEFAULT_CLIENT_BUFFER = 4096  # queued records per client before it is dropped
@@ -203,59 +200,3 @@ def serve(
     """Start a live bridge; pass the handle to engine.run(scenario, bridge=...)."""
     return SpeedBridge(bind_address, decimation, client_buffer)
 
-
-class ReplayHandle:
-    def __init__(self, bridge: SpeedBridge, thread: threading.Thread):
-        self.bridge = bridge
-        self.thread = thread
-        self.address = bridge.address
-
-    def wait(self, timeout: float | None = None):
-        self.thread.join(timeout)
-
-    def close(self):
-        self.bridge.close(flush=False)
-
-
-def replay(
-    trace_path,
-    bind_address: tuple[str, int] = ("127.0.0.1", 0),
-    speed_factor: float = 1.0,
-    *,
-    wait_for_client: bool = False,
-) -> ReplayHandle:
-    """Stream a recorded trace at real time x speed_factor (inf = no pacing).
-
-    The trace is parsed up front; malformed rows abort the replay with the
-    offending row index before any record is sent.
-    """
-    if speed_factor <= 0:
-        raise BridgeError("speed_factor must be positive")
-    trace = read_trace(trace_path)
-    records = zip(
-        trace.values("t"),
-        [mode.value for mode in trace.values("mode")],
-        trace.values("fraction"),
-        trace.values("d_i"),
-        trace.values("dyn_msd"),
-    )
-    bridge = SpeedBridge(bind_address, decimation=1)
-
-    def feeder():
-        if wait_for_client:
-            deadline = time.monotonic() + 10.0
-            while bridge.client_count() == 0 and time.monotonic() < deadline:
-                time.sleep(0.005)
-        prev_t = None
-        for i, (t, mode, fraction, d_i, dyn_msd) in enumerate(records):
-            if prev_t is not None and speed_factor != float("inf"):
-                gap = (t - prev_t) / speed_factor
-                if gap > 0:
-                    time.sleep(gap)
-            prev_t = t
-            bridge.publish(i, t, mode, fraction, d_i, dyn_msd)
-        bridge.close(flush=True)
-
-    thread = threading.Thread(target=feeder, daemon=True)
-    thread.start()
-    return ReplayHandle(bridge, thread)

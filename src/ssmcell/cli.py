@@ -49,6 +49,13 @@ class FlagError(ValueError):
     """A command-line value outside the flag's domain."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error, such as a flag value of the wrong type, as a FlagError."""
+
+    def error(self, message):
+        raise FlagError(f"{self.prog}: {message}")
+
+
 def _field_values(field_list, args) -> dict:
     """The values of field flags; FlagError names the first that is NaN or infinite."""
     values = {f.name: getattr(args, f.name) for f in field_list}
@@ -59,7 +66,7 @@ def _field_values(field_list, args) -> dict:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ssmcell",
         description="Deterministic speed-and-separation-monitored cell simulator",
     )
@@ -234,8 +241,8 @@ def _cmd_check_stability(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "sim" and args.sim_command == "run":
             return _cmd_sim_run(args)
         if args.command == "sim" and args.sim_command == "benchmark":

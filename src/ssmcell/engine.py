@@ -10,14 +10,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import perception
-from .control import CommandSource, Controller, ControllerConfig, Gains, ModeKind
-from .kinematics import FrameChain, Jacobian, RobotModel, load_robot_model, tcp_position
+from .control import CommandSource, Controller, ControllerConfig, ModeKind
+from .kinematics import FrameChain, Jacobian, tcp_position
 from .perception import ScannerMount, min_distance_tcp, pose_landmarks, simulate_scan
-from .scenario import Scenario, SimMode, TaskStep
+from .scenario import Scenario, SimMode, TaskStep, build_gains, build_model
 from .separation import msd_at_speeds
 from .stability import LyapunovSample, lyapunov_value
-from .trace import Trace, TraceRow, as_trace
-from .zones import Quadrant, Zone, ZoneLayout, classify_footprint
+from .trace import Trace
+from .zones import Quadrant, Zone, ZoneLayout, classify_footprint, quadrant_of
 
 ARRIVAL_TOL = 0.003  # m, TCP-to-target distance that counts as arrived
 _GRID_EPS = 1e-9
@@ -59,16 +59,6 @@ def lyapunov_samples(trace: Trace) -> list[LyapunovSample]:
     return list(
         map(LyapunovSample, trace.values("t"), trace.values("lyap"), trace.values("mode"))
     )
-
-
-def build_gains(scenario: Scenario) -> Gains:
-    return Gains.diagonal(**vars(scenario.gains_config))
-
-
-def build_model(scenario: Scenario) -> RobotModel:
-    if scenario.robot_model == "default":
-        return RobotModel()
-    return load_robot_model(scenario.robot_model)
 
 
 def build_scanner_mounts(scenario: Scenario, layout: ZoneLayout) -> tuple[ScannerMount, ...]:
@@ -307,9 +297,6 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
                 d_human = float(np.min(np.linalg.norm(landmarks - tcp, axis=1)))
             d_true = d_human
 
-        robot_quadrant = (
-            Quadrant.LEFT if tcp[1] < 0 else Quadrant.RIGHT if tcp[1] > 0 else Quadrant.BOTH
-        )
         task_dir = tracker.advance(t, tcp, controller.fraction, dt)
         for te, kind, payload in tracker.events:
             events.append(Event(te, kind, payload))
@@ -317,7 +304,7 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
 
         command = controller.step(
             t,
-            robot_quadrant=robot_quadrant,
+            robot_quadrant=quadrant_of(tcp[1]),
             task_direction=task_dir,
             joint_reference=q_ref,
             q=q,
@@ -398,11 +385,8 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
     return SimResult(scenario=scenario, layout=layout, trace=trace, events=events)
 
 
-def detect_deadlock(
-    trace: Trace | list[TraceRow], events: list[Event], stall_threshold: float = 5.0
-) -> list[Event]:
+def detect_deadlock(trace: Trace, events: list[Event], stall_threshold: float = 5.0) -> list[Event]:
     """Deadlock events: standstill with pending task steps for longer than the threshold."""
-    trace = as_trace(trace)
     if not len(trace) or math.isinf(stall_threshold):
         return []
     times = trace.values("t")

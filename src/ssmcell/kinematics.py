@@ -92,19 +92,6 @@ class RobotModel:
 
 
 @dataclass(frozen=True)
-class Pose:
-    """TCP position (m) and orientation as a unit quaternion (w, x, y, z)."""
-
-    position: np.ndarray
-    orientation: np.ndarray
-
-    def __post_init__(self):
-        n = float(np.linalg.norm(self.orientation))
-        if abs(n - 1.0) > 1e-9:
-            raise KinematicsError(f"quaternion norm {n} not unit")
-
-
-@dataclass(frozen=True)
 class Jacobian:
     """Geometric Jacobian mapping joint rates to (linear m/s, angular rad/s)."""
 
@@ -119,9 +106,9 @@ class Jacobian:
 
 
 class FrameChain:
-    """Hand-rolled cumulative frames for the hot path: origins, z axes, final rotation."""
+    """Hand-rolled cumulative frames for the hot path: joint origins and z axes."""
 
-    __slots__ = ("origins", "z_axes", "rotation")
+    __slots__ = ("origins", "z_axes")
 
     def __init__(self, model: RobotModel, q):
         cos, sin = math.cos, math.sin
@@ -160,9 +147,6 @@ class FrameChain:
             z_axes.append((r02, r12, r22))
         self.origins = origins
         self.z_axes = z_axes
-        self.rotation = np.array(
-            [[r00, r01, r02], [r10, r11, r12], [r20, r21, r22]]
-        )
 
     @property
     def tcp(self) -> np.ndarray:
@@ -184,46 +168,8 @@ class FrameChain:
         return J
 
 
-def _rotation_to_quaternion(R: np.ndarray) -> np.ndarray:
-    # Shepperd's method, numerically safe for all rotation matrices.
-    tr = R[0, 0] + R[1, 1] + R[2, 2]
-    if tr > 0:
-        s = math.sqrt(tr + 1.0) * 2.0
-        w = 0.25 * s
-        x = (R[2, 1] - R[1, 2]) / s
-        y = (R[0, 2] - R[2, 0]) / s
-        z = (R[1, 0] - R[0, 1]) / s
-    elif R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2]:
-        s = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-        w = (R[2, 1] - R[1, 2]) / s
-        x = 0.25 * s
-        y = (R[0, 1] + R[1, 0]) / s
-        z = (R[0, 2] + R[2, 0]) / s
-    elif R[1, 1] >= R[2, 2]:
-        s = math.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
-        w = (R[0, 2] - R[2, 0]) / s
-        x = (R[0, 1] + R[1, 0]) / s
-        y = 0.25 * s
-        z = (R[1, 2] + R[2, 1]) / s
-    else:
-        s = math.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
-        w = (R[1, 0] - R[0, 1]) / s
-        x = (R[0, 2] + R[2, 0]) / s
-        y = (R[1, 2] + R[2, 1]) / s
-        z = 0.25 * s
-    qv = np.array([w, x, y, z])
-    return qv / np.linalg.norm(qv)
-
-
-def forward_kinematics(model: RobotModel, q) -> Pose:
-    """TCP pose in the base frame for joint vector q (q must respect the limits)."""
-    q = model.check_joint_vector(q)
-    chain = FrameChain(model, q)
-    return Pose(position=chain.tcp, orientation=_rotation_to_quaternion(chain.rotation))
-
-
 def tcp_position(model: RobotModel, q) -> np.ndarray:
-    """Position-only forward kinematics without the limit check (hot path)."""
+    """TCP position in the base frame for joint vector q; the limits are not checked."""
     return FrameChain(model, q).tcp
 
 
@@ -251,6 +197,13 @@ def null_space_projector(J: Jacobian | np.ndarray) -> np.ndarray:
     return np.eye(m.shape[1]) - pseudo_inverse(m) @ m
 
 
+def _numbers(path, text: str, count: int, what: str) -> tuple[float, ...]:
+    values = tuple(float(x) for x in text.split())
+    if len(values) != count:
+        raise KinematicsError(f"{path}: a {what} row needs {count} numbers, got {len(values)}")
+    return values
+
+
 def load_robot_model(path) -> RobotModel:
     """Parse a robot model file: sectioned key/value text with 6 link rows."""
     from .scenario import parse_sections  # local import to avoid a cycle
@@ -259,11 +212,11 @@ def load_robot_model(path) -> RobotModel:
     rows = [e.value for e in sections.get("links", []) if e.key == "link"]
     if len(rows) != 6:
         raise KinematicsError(f"{path}: expected 6 link rows, found {len(rows)}")
-    link_parameters = tuple(LinkRow(*[float(x) for x in r.split()]) for r in rows)
+    link_parameters = tuple(LinkRow(*_numbers(path, r, 4, "link")) for r in rows)
     limit_rows = [e.value for e in sections.get("limits", []) if e.key == "joint"]
     if len(limit_rows) != 6:
         raise KinematicsError(f"{path}: expected 6 joint limit rows")
-    joint_limits = tuple(tuple(float(x) for x in r.split()) for r in limit_rows)
+    joint_limits = tuple(_numbers(path, r, 2, "joint") for r in limit_rows)
     speed_rows = [e.value for e in sections.get("speeds", []) if e.key == "max"]
     if len(speed_rows) != 1:
         raise KinematicsError(f"{path}: expected one 'max' row in [speeds]")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .control import COLLABORATIVE_FRACTION, ModeKind
 from .engine import Event, EventKind, SimResult, detect_deadlock, ideal_cycle_time
-from .trace import Trace, TraceRow, as_trace
+from .trace import Trace
 
 _FRACTION_TOL = 1e-12
 # An intrusion is paired with the first command change inside this window;
@@ -64,7 +64,7 @@ def cycle_time(events: list[Event]) -> float:
     return sum(spans) / len(spans)
 
 
-def reaction_time(trace: Trace | list[TraceRow], events: list[Event]) -> float | None:
+def reaction_time(trace: Trace, events: list[Event]) -> float | None:
     """Mean latency from a zone intrusion to the first resulting command change.
 
     Returns None when the run had no intrusions (undefined metric).
@@ -83,9 +83,8 @@ def reaction_time(trace: Trace | list[TraceRow], events: list[Event]) -> float |
     return sum(deltas) / len(deltas)
 
 
-def flexibility_rate(trace: Trace | list[TraceRow]) -> float:
+def flexibility_rate(trace: Trace) -> float:
     """Share of task-pending time with the commanded fraction at collaborative level or above."""
-    trace = as_trace(trace)
     pending = trace.mask("pending", True)
     n_pending = int(np.count_nonzero(pending))
     if not n_pending:
@@ -95,7 +94,7 @@ def flexibility_rate(trace: Trace | list[TraceRow]) -> float:
     return productive / n_pending
 
 
-def oee(trace: Trace | list[TraceRow], events: list[Event], ideal_cycle: float) -> float:
+def oee(trace: Trace, events: list[Event], ideal_cycle: float) -> float:
     """Availability x performance x quality (quality = 1.0 in simulation).
 
     Availability counts e-stop rows and detected deadlock windows as downtime
@@ -105,7 +104,6 @@ def oee(trace: Trace | list[TraceRow], events: list[Event], ideal_cycle: float) 
     if ideal_cycle is None or not math.isfinite(ideal_cycle) or ideal_cycle <= 0:
         raise KpiError("ideal_cycle_time must be a positive finite value")
     actual = cycle_time(events)
-    trace = as_trace(trace)
     pending = trace.mask("pending", True)
     n_pending = int(np.count_nonzero(pending))
     if not n_pending:

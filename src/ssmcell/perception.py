@@ -111,9 +111,12 @@ _HANDTIP = 0.18 / DEFAULT_STATURE
 _THUMB = 0.07 / DEFAULT_STATURE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HumanState:
-    """Scripted human: ground position (m), heading (rad), speed, size, posture."""
+    """Scripted human: ground position (m), heading (rad), speed, size, posture.
+
+    States compare and hash by identity: an array field has no single truth value.
+    """
 
     ground: np.ndarray
     heading: float = math.pi
@@ -128,6 +131,8 @@ class HumanState:
             raise PerceptionError("walk_speed must be >= 0")
         if self.footprint_radius <= 0:
             raise PerceptionError("footprint_radius must be positive")
+        if self.stature <= 0:
+            raise PerceptionError("stature must be positive")
 
 
 @dataclass(frozen=True)
@@ -247,7 +252,7 @@ def scan_to_occupancy(
     points[:, 1] = mount.y + r * sin_a[hit]
     points[:, 2] = mount.plane_height
     x, y = points[:, 0], points[:, 1]
-    # Same tests, in the same order, as classify_point.
+    # The tests of quadrant_of and classify_point, in their order, on arrays.
     quadrant = np.where(y > 0, 1, np.where(y < 0, 0, 2))
     zone = np.zeros(len(r), dtype=int)
     if layout.height_band[0] <= mount.plane_height <= layout.height_band[1]:

@@ -8,9 +8,10 @@ import math
 import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, get_type_hints
+from typing import Callable, NamedTuple, get_type_hints
 
 from .control import CONTROL_PERIOD, NOMINAL_SPEED, Gains, GainsConfig
+from .kinematics import RobotModel, load_robot_model
 from .perception import DEFAULT_FOOTPRINT_RADIUS, DEFAULT_STATURE, HumanState, Posture
 from .separation import SeparationInputs
 from .zones import (
@@ -255,48 +256,96 @@ class Scenario:
         return replace(self, mode=mode)
 
 
-def validate_scenario(sc: Scenario) -> list[str]:
-    """Every range and consistency problem of a scenario, as messages."""
-    errors = []
+def build_model(scenario: Scenario) -> RobotModel:
+    if scenario.robot_model == "default":
+        return RobotModel()
+    return load_robot_model(scenario.robot_model)
+
+
+def build_gains(scenario: Scenario) -> Gains:
+    return Gains.diagonal(**vars(scenario.gains_config))
+
+
+class _Problem(NamedTuple):
+    """A range or consistency problem, and the entry of a scenario file that states it."""
+
+    message: str
+    section: str  # a _SECTIONS name
+    key: str | None = None  # the entry's key or row key; None: the first key the message names
+    row: int = 0  # which of the section's entries with that key
+    human: int = 0  # which [human] section, for section "human"
+
+
+def _problems(sc: Scenario) -> list[_Problem]:
+    problems = []
     for name in ("duration", "control_period", "nominal_speed", "parallelism", "stall_threshold"):
         if getattr(sc, name) <= 0:
-            errors.append(f"scenario: {name} must be positive")
+            problems.append(_Problem(f"scenario: {name} must be positive", "scenario", name))
     if sc.noise < 0:
-        errors.append("scenario: noise must be >= 0")
+        problems.append(_Problem("scenario: noise must be >= 0", "scenario", "noise"))
     if sc.seed < 0:
-        errors.append("scenario: seed must be >= 0")
+        problems.append(_Problem("scenario: seed must be >= 0", "scenario", "seed"))
     for h, script in enumerate(sc.humans):
         if not script.waypoints:
-            errors.append(f"human {h}: no waypoints")
+            problems.append(_Problem(f"human {h}: no waypoints", "human", human=h))
             continue
         try:
             script.state_at(script.waypoints[0].t)
         except ValueError as exc:
-            errors.append(f"human {h}: {exc}")
+            problems.append(_Problem(f"human {h}: {exc}", "human", human=h))
         for i in range(1, len(script.waypoints)):
             if script.waypoints[i].t <= script.waypoints[i - 1].t:
-                errors.append(
+                message = (
                     f"human {h}: waypoint {i} timestamp {script.waypoints[i].t} "
                     f"not after waypoint {i - 1}"
                 )
+                problems.append(_Problem(message, "human", "waypoint", i, h))
         if script.end_time > sc.duration:
-            errors.append(
-                f"human {h}: script ends at {script.end_time}s after the "
-                f"{sc.duration}s run"
-            )
+            message = f"human {h}: script ends at {script.end_time}s after the {sc.duration}s run"
+            problems.append(_Problem(message, "human", "waypoint", len(script.waypoints) - 1, h))
     if not sc.task.steps:
-        errors.append("task: no steps")
+        problems.append(_Problem("task: no steps", "task"))
     if sc.task.cycles < 1:
-        errors.append("task: cycles must be >= 1")
+        problems.append(_Problem("task: cycles must be >= 1", "task", "cycles"))
     try:
         sc.build_layout()
     except ValueError as exc:
-        errors.append(f"layout: {exc}")
+        problems.append(_Problem(f"layout: {exc}", "layout"))
     try:
-        Gains.diagonal(**vars(sc.gains_config))
+        build_gains(sc)
     except ValueError as exc:
-        errors.append(f"gains: {exc}")
-    return errors
+        problems.append(_Problem(f"gains: {exc}", "gains"))
+    try:
+        model = build_model(sc)
+    except (OSError, ValueError) as exc:
+        problems.append(_Problem(f"robot: model: {exc}", "robot", "model"))
+        return problems
+    try:
+        model.check_joint_vector(sc.q0)
+    except ValueError as exc:
+        problems.append(_Problem(f"robot: q0: {exc}", "robot", "q0"))
+    for i, step in enumerate(sc.task.steps):
+        distance = math.hypot(*step.target)
+        if distance > model.reach:
+            message = (
+                f"task: step {i} '{step.name}' target is {distance:.3f} m from the base, "
+                f"beyond the {model.reach} m reach"
+            )
+            problems.append(_Problem(message, "task", "step", i))
+    return problems
+
+
+def validate_scenario(sc: Scenario) -> list[str]:
+    """Every range and consistency problem of a scenario, as messages."""
+    return [p.message for p in _problems(sc)]
+
+
+def _line_of(section: Section, message: str, key: str | None = None, row: int = 0) -> int:
+    """The line of the row-th entry with key (with no key, of the first entry whose
+    key the message names); the section's own line if there is no such entry."""
+    named = {key} if key is not None else set(message.split())
+    lines = [e.line for e in section if e.key in named]
+    return lines[row] if row < len(lines) else section.line
 
 
 _POSTURES = {p.value: p for p in Posture}
@@ -445,9 +494,7 @@ def _build(name: str, values: dict, section: Section, errors: list):
     try:
         return cls(**values)
     except ValueError as exc:
-        named = set(str(exc).split())
-        line = next((e.line for e in section if e.key in named), section.line)
-        errors.append(f"line {line}: [{name}]: {exc}")
+        errors.append(f"line {_line_of(section, str(exc))}: [{name}]: {exc}")
         return cls()
 
 
@@ -531,7 +578,8 @@ def parse_scenario(source) -> Scenario:
         values[holder] = _build(name, read(name)[0], section, errors)
     values["scanners"] = _scanners(read("scanners")[1], errors)
     humans = []
-    for name in sorted((s for s in sections if _kind(s) == "human"), key=_human_order):
+    human_sections = sorted((s for s in sections if _kind(s) == "human"), key=_human_order)
+    for name in human_sections:
         scalars, rows = read(name)
         humans.append(HumanScript(waypoints=_waypoints(rows, errors), **scalars))
     values["humans"] = tuple(humans)
@@ -539,7 +587,12 @@ def parse_scenario(source) -> Scenario:
     values["task"] = RobotTask(steps=_steps(rows, errors), **scalars)
 
     scenario = Scenario(**values)
-    errors.extend(validate_scenario(scenario))
+    for p in _problems(scenario):
+        section = sections.get(human_sections[p.human] if p.section == "human" else p.section)
+        if section is None:
+            errors.append(p.message)
+        else:
+            errors.append(f"line {_line_of(section, p.message, p.key, p.row)}: {p.message}")
     if errors:
         raise ScenarioError(errors)
     return scenario

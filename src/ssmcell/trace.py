@@ -221,8 +221,3 @@ class Trace:
         """Rows whose coded field holds any of ``values``."""
         code_of = SLOTS[name].code_of
         return np.isin(self.column(name), [code_of[v] for v in values])
-
-
-def as_trace(trace) -> Trace:
-    """A Trace as is; a list of TraceRow converted once."""
-    return trace if isinstance(trace, Trace) else Trace.from_rows(trace)

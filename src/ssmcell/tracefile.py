@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import Event, EventKind
-from .trace import N_CODES, N_FLOATS, SCHEMA, SLOTS, ZONES, Trace, TraceRow, as_trace
+from .trace import N_CODES, N_FLOATS, SCHEMA, SLOTS, ZONES, Trace
 
 TRACE_COLUMNS = tuple(column for f in SCHEMA for column in f.columns)
 CHUNK_ROWS = 4096  # rows formatted or parsed at a time; bounds memory on long traces
@@ -89,18 +89,18 @@ def _row_lines(trace: Trace):
         yield list(map(",".join, zip(*columns)))
 
 
-def _line_blocks(trace: Trace | list[TraceRow], metadata: dict | None):
+def _line_blocks(trace: Trace, metadata: dict | None):
     """Every line of a trace file, in lists: metadata and header, then row chunks."""
     yield [f"# {k}={v}" for k, v in (metadata or {}).items()] + [",".join(TRACE_COLUMNS)]
-    yield from _row_lines(as_trace(trace))
+    yield from _row_lines(trace)
 
 
-def trace_lines(trace: Trace | list[TraceRow], metadata: dict | None = None):
+def trace_lines(trace: Trace, metadata: dict | None = None):
     for lines in _line_blocks(trace, metadata):
         yield from lines
 
 
-def write_trace(trace: Trace | list[TraceRow], path, metadata: dict | None = None):
+def write_trace(trace: Trace, path, metadata: dict | None = None):
     with open(path, "w", encoding="utf-8") as f:
         for lines in _line_blocks(trace, metadata):
             f.write("\n".join(lines) + "\n")
@@ -215,9 +215,8 @@ def read_events(path) -> list[Event]:
     return events
 
 
-def emit_profile_data(trace: Trace | list[TraceRow], path):
+def emit_profile_data(trace: Trace, path):
     """Two-column commanded-speed series plus zone-interval annotations for plotting."""
-    trace = as_trace(trace)
     with open(path, "w", encoding="utf-8") as f:
         f.write("t_s,commanded_speed_m_s\n")
         for a in range(0, len(trace), CHUNK_ROWS):

@@ -186,7 +186,8 @@ def build_zone_layout(
     return layout
 
 
-def _quadrant_of(y: float) -> Quadrant:
+def quadrant_of(y: float) -> Quadrant:
+    """The side of the split line y = 0 that a point lies on; BOTH on the line, and for NaN."""
     if y > 0:
         return Quadrant.RIGHT
     if y < 0:
@@ -198,7 +199,7 @@ def classify_point(layout: ZoneLayout, p) -> ZoneLabel:
     """Innermost zone containing the ground projection of p within the height band."""
     x, y = float(p[0]), float(p[1])
     z = float(p[2]) if len(p) > 2 else layout.height_band[0]
-    quadrant = _quadrant_of(y)
+    quadrant = quadrant_of(y)
     if not layout.height_band[0] <= z <= layout.height_band[1]:
         return ZoneLabel(Zone.NORMAL, quadrant)
     if layout.danger_extent.contains(x, y):
@@ -222,7 +223,7 @@ def classify_footprint(layout: ZoneLayout, center, radius: float) -> ZoneLabel:
         zone = Zone.WARNING
     else:
         zone = Zone.NORMAL
-    quadrant = Quadrant.BOTH if abs(cy) <= radius else _quadrant_of(cy)
+    quadrant = Quadrant.BOTH if abs(cy) <= radius else quadrant_of(cy)
     return ZoneLabel(zone, quadrant)
 
 

@@ -1,9 +1,12 @@
-"""The names the benchmark's tracer wraps must exist in the package.
+"""The names the benchmark's tracer wraps and its jobs call must exist in the package.
 
-perfbench/tracer.py patches ssmcell functions and methods by name.  A rename
-or deletion there would otherwise surface only in a traced benchmark run.
+perfbench/tracer.py patches ssmcell functions and methods by name, and
+perfbench/job.py calls ssmcell as ``m.<module>.<name>``.  A rename or deletion
+there would otherwise surface only in a benchmark run.
 """
 
+import ast
+import importlib
 import inspect
 import sys
 from pathlib import Path
@@ -19,6 +22,26 @@ def test_every_traced_name_resolves_to_a_callable():
     found = tracer.bindings()
     assert len(found) >= len(tracer.TARGETS)
     assert all(callable(obj) for obj in found.values())
+
+
+def test_every_job_call_resolves():
+    # job.py reaches the package only through its Package argument, named m.
+    tree = ast.parse((PERFBENCH / "job.py").read_text(encoding="utf-8"))
+    used = {
+        (node.value.attr, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Attribute)
+        and isinstance(node.value.value, ast.Name)
+        and node.value.value.id == "m"
+    }
+    assert ("engine", "run") in used and len(used) > 10
+    missing = [
+        f"{module}.{name}"
+        for module, name in sorted(used)
+        if not hasattr(importlib.import_module(f"ssmcell.{module}"), name)
+    ]
+    assert missing == []
 
 
 def test_tracefile_call_contract():

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from ssmcell.bridge import BridgeError, format_record, replay, serve
+from ssmcell.bridge import BridgeError, format_record, serve
 from ssmcell.engine import run
 from ssmcell.tracefile import write_trace
 from helpers import tiny_scenario
@@ -58,6 +58,21 @@ class TestLiveBridge:
         b.close()
         assert data_a == data_b
         assert data_a.count(b"\n") == 50
+
+    def test_empty_stream_clean_end(self):
+        bridge = serve(decimation=1)
+        try:
+            client = connect(bridge.address)
+            deadline = time.monotonic() + 5
+            while bridge.client_count() < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            bridge.close()
+        client.settimeout(5.0)  # a missing end of stream raises instead of passing
+        try:
+            assert client.recv(65536) == b""
+        finally:
+            client.close()
 
     def test_mid_run_join_no_replay(self):
         bridge = serve(decimation=1)
@@ -128,68 +143,6 @@ class TestLiveBridge:
                 assert late.recv(65536) == b""
             finally:
                 late.close()
-
-
-@pytest.fixture(scope="module")
-def trace_file(tmp_path_factory):
-    result = run(tiny_scenario(duration=1.0))
-    path = tmp_path_factory.mktemp("replay") / "trace.csv"
-    write_trace(result.trace, path)
-    return path, len(result.trace)
-
-
-class TestReplay:
-    def test_fast_replay_contiguous(self, trace_file):
-        path, n_rows = trace_file
-        handle = replay(path, speed_factor=float("inf"), wait_for_client=True)
-        client = connect(handle.address)
-        data = recv_all(client)
-        client.close()
-        handle.wait(5.0)
-        lines = data.decode().splitlines()
-        assert len(lines) == n_rows
-        seqs = [int(l.split()[0]) for l in lines]
-        assert seqs == list(range(n_rows))
-
-    def test_empty_trace_clean_end(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        write_trace([], path)
-        handle = replay(path, speed_factor=float("inf"), wait_for_client=True)
-        client = connect(handle.address)
-        data = recv_all(client, timeout=12.0)
-        client.close()
-        handle.wait(5.0)
-        assert data == b""
-
-    def test_paced_replay_times_rows(self, trace_file):
-        path, _ = trace_file
-        # 1 s of trace at 50x real time: should take ~20 ms of wall time, allow slack
-        handle = replay(path, speed_factor=50.0, wait_for_client=True)
-        client = connect(handle.address)
-        t0 = time.monotonic()
-        data = recv_all(client, timeout=15.0)
-        elapsed = time.monotonic() - t0
-        client.close()
-        handle.wait(5.0)
-        assert data.count(b"\n") == 500
-        assert elapsed < 10.0
-
-    def test_malformed_trace_aborts_with_row(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        result = run(tiny_scenario(duration=0.1))
-        write_trace(result.trace, path)
-        lines = path.read_text().splitlines()
-        lines[3] = "garbage," + lines[3]
-        path.write_text("\n".join(lines) + "\n")
-        from ssmcell.tracefile import TraceFileError
-
-        with pytest.raises(TraceFileError) as exc:
-            replay(path, speed_factor=float("inf"))
-        assert ":4:" in str(exc.value) or "wrong field count" in str(exc.value)
-
-    def test_invalid_speed_factor(self, trace_file):
-        with pytest.raises(BridgeError):
-            replay(trace_file[0], speed_factor=0.0)
 
 
 class TestBridgeDoesNotPerturbSimulation:

@@ -4,6 +4,7 @@ import pytest
 from ssmcell.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_VALIDATION, main
 from ssmcell.scenario import serialize_scenario
 from ssmcell.scenarios import bundled_scenario_path
+from ssmcell.trace import Trace
 from ssmcell.tracefile import read_trace, write_trace
 from helpers import tiny_scenario
 
@@ -149,6 +150,22 @@ class TestNonFiniteFlags:
         assert out == ""
 
 
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["zones", "compute", "--approach-speed", "abc"], "--approach-speed"),
+        (["sim", "run", "approach_retreat", "--seed", "x"], "--seed"),
+        (["zones", "compute", "--stop-time", "-inf"], "--stop-time"),
+    ],
+)
+def test_flag_usage_error_exits_1_naming_the_flag(args, flag, tmp_path, capsys):
+    code = main([*args, "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert f"argument {flag}: " in err
+    assert out == ""
+
+
 class TestSimRun:
     def test_writes_outputs(self, tiny_file, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -239,7 +256,7 @@ class TestCheckStability:
             v = 1.0 + 0.5 * np.sin(i / 5.0)  # injected oscillating energy
             doctored.append(dataclasses.replace(r, lyap=v))
         bad = tmp_path / "bad_trace.csv"
-        write_trace(doctored, bad)
+        write_trace(Trace.from_rows(doctored), bad)
         code = main(["check", "stability", str(bad)])
         out = capsys.readouterr().out
         assert code == EXIT_CHECK_FAILED

@@ -12,7 +12,6 @@ from ssmcell.kinematics import (
     KinematicsError,
     LinkRow,
     RobotModel,
-    forward_kinematics,
     jacobian,
     load_robot_model,
     null_space_projector,
@@ -21,45 +20,30 @@ from ssmcell.kinematics import (
 )
 
 
-def quaternion_to_matrix(quat):
-    w, x, y, z = quat
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-
-
 ZERO_MODEL = RobotModel(link_parameters=tuple(LinkRow(0.0, 0.0, 0.0, 0.0) for _ in range(6)))
 
 
 class TestForwardKinematics:
     def test_identity_chain(self):
-        pose = forward_kinematics(ZERO_MODEL, np.zeros(6))
-        assert np.allclose(pose.position, 0.0)
-        assert np.allclose(pose.orientation, [1.0, 0.0, 0.0, 0.0])
+        assert np.allclose(tcp_position(ZERO_MODEL, np.zeros(6)), 0.0)
 
     def test_fully_stretched_reaches_published_reach(self):
         model = RobotModel()
-        pose = forward_kinematics(model, np.zeros(6))
-        assert abs(np.linalg.norm(pose.position) - model.reach) < 1e-9
-        assert abs(np.linalg.norm(pose.position) - 0.850) < 1e-9
+        position = tcp_position(model, np.zeros(6))
+        assert abs(np.linalg.norm(position) - model.reach) < 1e-9
+        assert abs(np.linalg.norm(position) - 0.850) < 1e-9
 
     def test_matches_transform_chain_oracle(self):
         model = RobotModel()
         rng = np.random.default_rng(42)
         for _ in range(20):
             q = rng.uniform(-3.0, 3.0, 6)
-            pose = forward_kinematics(model, q)
             T = oracle_transform_chain(model, q)
-            assert np.max(np.abs(pose.position - T[:3, 3])) < 1e-9
-            assert np.max(np.abs(quaternion_to_matrix(pose.orientation) - T[:3, :3])) < 1e-9
+            assert np.max(np.abs(tcp_position(model, q) - T[:3, 3])) < 1e-9
 
     def test_out_of_limit_rejected(self):
         with pytest.raises(JointLimitError):
-            forward_kinematics(RobotModel(), np.array([7.0, 0, 0, 0, 0, 0]))
+            RobotModel().check_joint_vector(np.array([7.0, 0, 0, 0, 0, 0]))
 
     def test_tcp_never_exceeds_reach(self):
         model = RobotModel()
@@ -173,6 +157,15 @@ class TestModel:
         model = load_robot_model(str(default_robot_model_path()))
         assert model == RobotModel()
 
+    def test_short_link_row_rejected(self, tmp_path):
+        from ssmcell.scenarios import default_robot_model_path
+
+        text = default_robot_model_path().read_text(encoding="utf-8")
+        path = tmp_path / "arm.cfg"
+        path.write_text(text.replace("link = 0.0 0.0 0.425 0.0", "link = 0.0 0.425 0.0"))
+        with pytest.raises(KinematicsError, match="a link row needs 4 numbers, got 3"):
+            load_robot_model(str(path))
+
     def test_frame_chain_matches_oracle(self):
         model = RobotModel()
         rng = np.random.default_rng(5)
@@ -180,4 +173,3 @@ class TestModel:
         chain = FrameChain(model, q)
         T = oracle_transform_chain(model, q)
         assert np.max(np.abs(chain.tcp - T[:3, 3])) < 1e-12
-        assert np.max(np.abs(chain.rotation - T[:3, :3])) < 1e-12

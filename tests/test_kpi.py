@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ssmcell.control import ModeKind
-from ssmcell.engine import Event, EventKind, TraceRow
+from ssmcell.engine import Event, EventKind
 from ssmcell.kpi import (
     IncompleteRunError,
     KpiError,
@@ -13,6 +13,7 @@ from ssmcell.kpi import (
     oee,
     reaction_time,
 )
+from ssmcell.trace import Trace, TraceRow
 
 
 def row(t, fraction=1.0, mode=ModeKind.FULL, pending=True):
@@ -30,6 +31,13 @@ def row(t, fraction=1.0, mode=ModeKind.FULL, pending=True):
 
 def rows(n, dt=0.1, **kwargs):
     return [row(i * dt, **kwargs) for i in range(n)]
+
+
+def make_trace(n, dt=0.1, **kwargs):
+    return Trace.from_rows(rows(n, dt, **kwargs))
+
+
+NO_ROWS = Trace.from_rows([])
 
 
 class TestCycleTime:
@@ -55,10 +63,10 @@ class TestReactionTime:
             Event(10.000, EventKind.ZONE_ENTER, "zone=warning;human=0"),
             Event(10.004, EventKind.MODE_SWITCH, "mode=collaborative;fraction=0.5"),
         ]
-        assert reaction_time([], events) == pytest.approx(0.004)
+        assert reaction_time(NO_ROWS, events) == pytest.approx(0.004)
 
     def test_zero_intrusions_undefined(self):
-        assert reaction_time([], []) is None
+        assert reaction_time(NO_ROWS, []) is None
 
     def test_unanswered_intrusion_skipped(self):
         events = [
@@ -66,7 +74,7 @@ class TestReactionTime:
             Event(30.0, EventKind.MODE_SWITCH, "mode=full;fraction=1.0"),
         ]
         # the only switch is far outside the attribution window
-        assert reaction_time([], events) is None
+        assert reaction_time(NO_ROWS, events) is None
 
     def test_mean_over_answered_intrusions(self):
         events = [
@@ -75,38 +83,39 @@ class TestReactionTime:
             Event(8.0, EventKind.ZONE_ENTER, "zone=danger;human=0"),
             Event(8.030, EventKind.MODE_SWITCH, "mode=standstill;fraction=0.0"),
         ]
-        assert reaction_time([], events) == pytest.approx(0.020)
+        assert reaction_time(NO_ROWS, events) == pytest.approx(0.020)
 
 
 class TestFlexibilityRate:
     def test_no_intrusions_full_rate(self):
-        assert flexibility_rate(rows(100, fraction=1.0)) == 1.0
+        assert flexibility_rate(make_trace(100, fraction=1.0)) == 1.0
 
     def test_half_time_standstill(self):
-        trace = rows(50, fraction=1.0) + [
-            row(5.0 + i * 0.1, fraction=0.0, mode=ModeKind.STANDSTILL) for i in range(50)
-        ]
+        trace = Trace.from_rows(
+            rows(50, fraction=1.0)
+            + [row(5.0 + i * 0.1, fraction=0.0, mode=ModeKind.STANDSTILL) for i in range(50)]
+        )
         assert flexibility_rate(trace) == 0.5
 
     def test_only_pending_rows_count(self):
-        trace = rows(10, fraction=0.0, pending=False) + rows(10, fraction=1.0)
+        trace = Trace.from_rows(rows(10, fraction=0.0, pending=False) + rows(10, fraction=1.0))
         assert flexibility_rate(trace) == 1.0
 
     def test_collaborative_counts_as_productive(self):
-        assert flexibility_rate(rows(10, fraction=0.5, mode=ModeKind.COLLABORATIVE)) == 1.0
+        assert flexibility_rate(make_trace(10, fraction=0.5, mode=ModeKind.COLLABORATIVE)) == 1.0
 
     def test_reduced_below_half_not_productive(self):
-        assert flexibility_rate(rows(10, fraction=0.3, mode=ModeKind.REDUCED)) == 0.0
+        assert flexibility_rate(make_trace(10, fraction=0.3, mode=ModeKind.REDUCED)) == 0.0
 
 
 class TestOee:
     def test_perfect_run(self):
-        trace = rows(100, dt=1.0)
+        trace = make_trace(100, dt=1.0)
         events = [Event(100.0, EventKind.CYCLE_DONE, "cycle=0")]
         assert oee(trace, events, ideal_cycle=100.0) == pytest.approx(1.0)
 
     def test_availability_times_performance(self):
-        trace = rows(100, dt=1.0)
+        trace = make_trace(100, dt=1.0)
         events = [
             Event(100.0, EventKind.CYCLE_DONE, "cycle=0"),
             Event(10.0, EventKind.DEADLOCK, "duration=10.0"),
@@ -116,20 +125,20 @@ class TestOee:
 
     def test_missing_ideal_rejected(self):
         with pytest.raises(KpiError):
-            oee(rows(10), [Event(1.0, EventKind.CYCLE_DONE, "cycle=0")], None)
+            oee(make_trace(10), [Event(1.0, EventKind.CYCLE_DONE, "cycle=0")], None)
 
     def test_performance_capped_at_one(self):
-        trace = rows(100, dt=1.0)
+        trace = make_trace(100, dt=1.0)
         events = [Event(50.0, EventKind.CYCLE_DONE, "cycle=0")]
         assert oee(trace, events, ideal_cycle=500.0) == pytest.approx(1.0)
 
 
 class TestOrderCanonical:
     def test_metrics_invariant_to_row_order(self):
-        trace = rows(40, fraction=1.0) + [
+        in_order = rows(40, fraction=1.0) + [
             row(4.0 + i * 0.1, fraction=0.0, mode=ModeKind.STANDSTILL) for i in range(20)
         ]
-        shuffled = trace[::-1]
+        trace, shuffled = Trace.from_rows(in_order), Trace.from_rows(in_order[::-1])
         assert flexibility_rate(shuffled) == flexibility_rate(trace)
         events = [
             Event(3.0, EventKind.CYCLE_DONE, "cycle=0"),

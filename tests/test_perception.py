@@ -40,6 +40,22 @@ def forward_mount(**kwargs):
     return ScannerMount(**defaults)
 
 
+class TestHumanState:
+    def test_distinct_states_compare_unequal_without_raising(self):
+        a, b = HumanState((0.0, 1.0)), HumanState((0.0, 1.0))
+        assert a != b
+        assert a == a
+
+    def test_state_is_a_dict_key(self):
+        a, b = HumanState((0.0, 1.0)), HumanState((0.0, 1.0))
+        assert {a: "a", b: "b"}[b] == "b"
+
+    @pytest.mark.parametrize("stature", [0.0, -1.7])
+    def test_stature_must_be_positive(self, stature):
+        with pytest.raises(PerceptionError, match="stature"):
+            HumanState((0.0, 1.0), stature=stature)
+
+
 class TestSimulateScan:
     def test_empty_scene_all_sentinel(self):
         mount = forward_mount()

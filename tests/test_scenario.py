@@ -223,6 +223,11 @@ class TestValidation:
             ("height_min = 0.0", "height_min = 3.0"),
             ("laser_mount_height = 0.4", "laser_mount_height = -0.4"),
             ("intrusion = 0.04", "intrusion = -0.04"),
+            ("q0 = -0.708626272", "q0 = 9.0"),
+            ("step = sort_a 0.35", "step = sort_a 5.0"),
+            ("step = sort_d 0.45", "step = sort_d -4.5"),
+            ("stature = 1.7", "stature = -1.7"),
+            ("model = default", "model = no_such_model.cfg"),
         ],
     )
     def test_probe_fails_closed_naming_its_line(self, old, new, tmp_path):
@@ -247,6 +252,7 @@ class TestValidation:
             ("intrusion = 0.06", "intrusion = -0.06", "intrusion must be >= 0"),
             ("seed = 17", "seed = -1", "seed must be >= 0"),
             ("footprint_radius = 0.3", "footprint_radius = 0.0", "footprint_radius must be"),
+            ("stature = 1.7", "stature = 0.0", "stature must be positive"),
         ],
     )
     def test_out_of_range_value_rejected(self, old, new, message):
@@ -263,6 +269,14 @@ class TestValidation:
         scenario_text = serialize_scenario(bundled("approach_retreat"))
         scenario_text = scenario_text.replace("sequential = false", f"sequential = {text}")
         assert parse_scenario(scenario_text).sequential is value
+
+    def test_second_human_problem_names_its_line(self):
+        sc = bundled("approach_retreat")
+        bad = dataclasses.replace(sc.humans[0], stature=-1.0)
+        text = serialize_scenario(dataclasses.replace(sc, humans=(sc.humans[0], bad)))
+        line = text.splitlines().index("stature = -1.0") + 1
+        with pytest.raises(ScenarioError, match=f"line {line}: human 1: stature must be positive"):
+            parse_scenario(text)
 
     def test_infinite_stall_threshold_means_never(self):
         text = serialize_scenario(bundled("approach_retreat"))

@@ -16,6 +16,7 @@ from ssmcell.zones import (
     classify_point,
     compute_msd_static,
     export_layout,
+    quadrant_of,
 )
 
 LAYOUT = build_zone_layout(0.5, 1.5, 0.9, 0.425)
@@ -98,6 +99,15 @@ class TestClassifyPoint:
         pts = rng.uniform([-0.5, -1.0, -0.5], [2.5, 1.0, 2.5], size=(10_000, 3))
         for p in pts:
             assert classify_point(LAYOUT, p).zone == oracle_rect_member(LAYOUT, *p)
+
+
+@pytest.mark.parametrize(
+    "y, quadrant",
+    [(-0.1, Quadrant.LEFT), (0.1, Quadrant.RIGHT), (0.0, Quadrant.BOTH), (-0.0, Quadrant.BOTH)]
+    + [(math.nan, Quadrant.BOTH), (np.float64(-1e-300), Quadrant.LEFT)],
+)
+def test_quadrant_of(y, quadrant):
+    assert quadrant_of(y) is quadrant
 
 
 class TestClassifyFootprint:
