@@ -26,7 +26,7 @@ COLLABORATIVE_FRACTION = 0.5
 CONTROL_PERIOD = 0.002  # s
 STALE_PERIODS = 3.0  # sensor silence tolerated, in units of that sensor's period
 _TIME_TOL = 1e-9
-_SCALARS = struct.Struct("3d")  # exact bits of tcp_speed, fraction and dt in a step key
+_SCALARS = struct.Struct("4d")  # exact bits of d_i, human_speed, tcp_speed and fraction
 
 
 class ControlError(ValueError):
@@ -239,9 +239,6 @@ class Controller:
         self._estop_latched = False
         self._held: tuple[SpeedMode, CommandSource] | None = None
         self._held_skel_t = -math.inf
-        # Bumped by every message and e-stop call that changes what a step
-        # reads; a message that only renews a timestamp is seen by _stale.
-        self._revision = 0
         # The key of the last full step, its command and the gate state it left.
         self._last: tuple[tuple, SpeedCommand, bool] | None = None
         self.repeated = False  # whether the last step reused the one before
@@ -250,11 +247,6 @@ class Controller:
         limits = np.asarray(model.joint_limits, dtype=float)
         self._joint_mid = 0.5 * (limits[:, 0] + limits[:, 1])
         self._joint_range_sq = (limits[:, 1] - limits[:, 0]) ** 2
-        # Last factorisation and rates of _resolve_rates, keyed by the bytes of their inputs.
-        self._svd_key: bytes | None = None
-        self._svd: tuple | None = None
-        self._rates_key: bytes | None = None
-        self._rates: np.ndarray | None = None
 
     @property
     def occupancy(self) -> dict[Quadrant, Zone]:
@@ -262,28 +254,20 @@ class Controller:
 
     def offer_scan(self, t: float, occupancy: dict[Quadrant, Zone]):
         if t >= self._occ_t:  # latest wins; stale duplicates dropped
-            if occupancy != self._occ:
-                self._occ = dict(occupancy)
-                self._revision += 1
+            self._occ = dict(occupancy)
             self._occ_t = t
 
     def offer_skeleton(self, t: float, d_i: float, human_speed: float = 0.0):
         if t >= self._skel_t:
-            # In sequential mode every frame re-arbitrates, so a frame is news
-            # even when its contents repeat the last one's.
-            if (d_i, human_speed) != (self._d_i, self._human_speed) or self.config.sequential:
-                self._d_i = d_i
-                self._human_speed = human_speed
-                self._revision += 1
+            self._d_i = d_i
+            self._human_speed = human_speed
             self._skel_t = t
 
     def engage_estop(self):
         self._estop_latched = True
-        self._revision += 1
 
     def reset_estop(self):
         self._estop_latched = False
-        self._revision += 1
 
     def _stale(self, t: float) -> bool:
         return (
@@ -313,33 +297,22 @@ class Controller:
         the damped least-squares factors s / (s^2 + DEFAULT_DAMPING^2)
         (Chiaverini 1997); the projector always uses the exact inverse.
 
-        The factorisation is reused while the Jacobian matrix is bit-for-bit the
-        one of the previous call, and the rates while q and v6 are too.  Both
-        are exact: the same inputs give the same floats.
+        The factorisation is the Jacobian's own (``Jacobian.svd``), computed
+        once per Jacobian object; the factors and the rates are recomputed on
+        every call.
         """
-        Jm = J.matrix
-        key = Jm.tobytes()
-        if key != self._svd_key:
-            U, s, Vt = np.linalg.svd(Jm)
-            damped = s[-1] < SINGULARITY_THRESHOLD
-            exact_factors = np.where(s > RANK_TOL * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
-            if damped:
-                task_factors = s / (s * s + DEFAULT_DAMPING * DEFAULT_DAMPING)
-            else:
-                task_factors = exact_factors
-            self._svd_key = key
-            self._svd = (U, Vt, damped, task_factors, exact_factors)
-            self._rates_key = None
-        U, Vt, damped, task_factors, exact_factors = self._svd
-        rates_key = np.asarray(q, dtype=float).tobytes() + v6.tobytes()
-        if rates_key != self._rates_key:
-            base = Vt.T @ (task_factors * (U.T @ (self.gains.task_gain @ v6)))
-            qdot0 = self.gains.k0 * (-2.0 * (q - self._joint_mid) / self._joint_range_sq)
-            # N qdot0 = qdot0 - J^+ (J qdot0) without forming the projector.
-            null_term = qdot0 - Vt.T @ (exact_factors * (U.T @ (Jm @ qdot0)))
-            self._rates_key = rates_key
-            self._rates = base + null_term
-        return self._rates.copy(), damped
+        U, s, Vt = J.svd
+        damped = s[-1] < SINGULARITY_THRESHOLD
+        exact_factors = np.where(s > RANK_TOL * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
+        if damped:
+            task_factors = s / (s * s + DEFAULT_DAMPING * DEFAULT_DAMPING)
+        else:
+            task_factors = exact_factors
+        base = Vt.T @ (task_factors * (U.T @ (self.gains.task_gain @ v6)))
+        qdot0 = self.gains.k0 * (-2.0 * (q - self._joint_mid) / self._joint_range_sq)
+        # N qdot0 = qdot0 - J^+ (J qdot0) without forming the projector.
+        null_term = qdot0 - Vt.T @ (exact_factors * (U.T @ (J.matrix @ qdot0)))
+        return base + null_term, damped
 
     def step(
         self,
@@ -350,28 +323,30 @@ class Controller:
         joint_reference,
         q: np.ndarray,
         tcp_speed: float = 0.0,
-        dt: float | None = None,
         J: Jacobian | None = None,
     ) -> SpeedCommand:
-        """One control tick.
+        """One control tick of one control period.
 
-        A tick whose inputs are bit-identical to those of the last fully
-        evaluated tick gets that tick's command with the new t.  The inputs
-        are: the contents of the sensor messages (and, in sequential mode,
-        the arrival of a skeleton frame), the e-stop latch, the watchdog
-        verdict, the robot quadrant, tcp_speed, the fraction before the slew,
-        dt, the gate state, and the bytes of the task direction, joint
-        reference, q and J.
+        The tick is keyed on everything the full evaluation reads: the
+        contents of the held sensor messages (both quadrant zones, d_i and the
+        human speed, and in sequential mode the time of the last skeleton
+        frame, because each frame re-arbitrates), the e-stop latch, the
+        watchdog verdict, the robot quadrant, the gate state, the exact bits
+        of tcp_speed and of the fraction before the slew, and the bytes of the
+        task direction, joint reference, q and J.  A tick whose key equals
+        that of the last fully evaluated tick gets that tick's command with
+        the new t; this is the controller's only memo.
         """
-        dt = self.config.control_period if dt is None else dt
         stale = self._stale(t)
         key = (
-            self._revision,
+            self._occ.get(Quadrant.LEFT, Zone.NORMAL),
+            self._occ.get(Quadrant.RIGHT, Zone.NORMAL),
+            self._skel_t if self.config.sequential else None,
             self._estop_latched,
             stale,
             robot_quadrant,
             self._gate.tripped,
-            _SCALARS.pack(tcp_speed, self.fraction, dt),
+            _SCALARS.pack(self._d_i, self._human_speed, tcp_speed, self.fraction),
             np.asarray(task_direction, dtype=float).tobytes(),
             np.asarray(joint_reference, dtype=float).tobytes(),
             np.asarray(q, dtype=float).tobytes(),
@@ -385,13 +360,13 @@ class Controller:
             self.fraction = command.fraction
         else:
             command = self._evaluate(
-                t, robot_quadrant, task_direction, joint_reference, q, tcp_speed, dt, J, stale
+                t, robot_quadrant, task_direction, joint_reference, q, tcp_speed, J, stale
             )
             self._last = (key, command, self._gate.tripped)
         return command.at(t)
 
     def _evaluate(
-        self, t, robot_quadrant, task_direction, joint_reference, q, tcp_speed, dt, J, stale
+        self, t, robot_quadrant, task_direction, joint_reference, q, tcp_speed, J, stale
     ) -> SpeedCommand:
         estop_now = False
         if self._estop_latched:
@@ -412,7 +387,7 @@ class Controller:
         if estop_now:
             self.fraction = 0.0  # e-stop engagement is exempt from the slew bound
         else:
-            step_max = self.gains.accel_limit * dt
+            step_max = self.gains.accel_limit * self.config.control_period
             delta = mode.fraction - self.fraction
             self.fraction += math.copysign(min(abs(delta), step_max), delta) if delta else 0.0
 

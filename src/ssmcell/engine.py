@@ -101,13 +101,13 @@ class _TaskTracker:
     positive, so a stalled robot accrues pending time instead of progress.
     """
 
-    def __init__(self, plan: list[tuple[int, TaskStep]], nominal_speed: float):
+    def __init__(self, plan: list[tuple[int, TaskStep]], nominal_speed: float, events: list):
         self.plan = plan
         self.nominal_speed = nominal_speed
         self.idx = 0
         self.dwelling = False
         self.dwell_left = 0.0
-        self.events: list[tuple[float, EventKind, str]] = []
+        self.events = events  # the run's event log, appended to as steps finish
 
     @property
     def pending(self) -> bool:
@@ -132,9 +132,10 @@ class _TaskTracker:
         if fraction > 0.0:
             self.dwell_left -= dt
         if self.dwell_left <= 1e-12:
-            self.events.append((t, EventKind.TASK_STEP_DONE, f"step={step.name};cycle={cycle}"))
+            done = f"step={step.name};cycle={cycle}"
+            self.events.append(Event(t, EventKind.TASK_STEP_DONE, done))
             if self.idx + 1 >= len(self.plan) or self.plan[self.idx + 1][0] != cycle:
-                self.events.append((t, EventKind.CYCLE_DONE, f"cycle={cycle}"))
+                self.events.append(Event(t, EventKind.CYCLE_DONE, f"cycle={cycle}"))
             self.idx += 1
             self.dwelling = False
         return _NO_MOTION
@@ -172,7 +173,8 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
         ),
     )
     controller.fraction = 1.0  # cold start at nominal speed; arbitration pulls it down
-    tracker = _TaskTracker(_expand_plan(scenario), scenario.nominal_speed)
+    events: list[Event] = []
+    tracker = _TaskTracker(_expand_plan(scenario), scenario.nominal_speed, events)
 
     q = np.asarray(scenario.q0, dtype=float)
     q_ref = q.copy()
@@ -185,7 +187,6 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
     quadrant_blind = scenario.mode == SimMode.TRADITIONAL
 
     trace = Trace.empty(n_ticks)
-    events: list[Event] = []
     last_scan_tick = -1
     last_skel_tick = -1
     seq = 0
@@ -298,9 +299,6 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
             d_true = d_human
 
         task_dir = tracker.advance(t, tcp, controller.fraction, dt)
-        for te, kind, payload in tracker.events:
-            events.append(Event(te, kind, payload))
-        tracker.events.clear()
 
         command = controller.step(
             t,
@@ -309,7 +307,6 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
             joint_reference=q_ref,
             q=q,
             tcp_speed=tcp_speed,
-            dt=dt,
             J=J,
         )
         if prev_mode is not None and command.mode.kind != prev_mode:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -103,6 +104,11 @@ class Jacobian:
             raise KinematicsError(f"Jacobian must be 6x6, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise KinematicsError("Jacobian has non-finite entries")
+
+    @functools.cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(U, s, Vt) of the full SVD of the matrix, computed once per Jacobian."""
+        return np.linalg.svd(self.matrix)
 
 
 class FrameChain:

@@ -12,6 +12,7 @@ import numpy as np
 from .zones import Quadrant, Zone, ZoneLabel, ZoneLayout
 
 SKELETON_RATE = 30.0  # Hz
+SCAN_PERIOD = 0.030  # s, one laser scan
 DEFAULT_STATURE = 1.70  # m, head landmark height when standing
 DEFAULT_FOOTPRINT_RADIUS = 0.30  # m
 REACH_EXTENSION = 0.80  # m, shoulder-to-wrist span of a fully extended arm
@@ -146,7 +147,7 @@ class ScannerMount:
     fov: float = 4.8  # rad
     angular_resolution: float = 0.0087  # rad, ~0.5 deg
     max_range: float = 5.5  # m
-    scan_period: float = 0.030  # s
+    scan_period: float = SCAN_PERIOD
 
     def __post_init__(self):
         if not 0 < self.fov <= 2 * math.pi:

@@ -12,7 +12,13 @@ from typing import Callable, NamedTuple, get_type_hints
 
 from .control import CONTROL_PERIOD, NOMINAL_SPEED, Gains, GainsConfig
 from .kinematics import RobotModel, load_robot_model
-from .perception import DEFAULT_FOOTPRINT_RADIUS, DEFAULT_STATURE, HumanState, Posture
+from .perception import (
+    DEFAULT_FOOTPRINT_RADIUS,
+    DEFAULT_STATURE,
+    SCAN_PERIOD,
+    HumanState,
+    Posture,
+)
 from .separation import SeparationInputs
 from .zones import (
     DANGER_MARGIN,
@@ -274,6 +280,7 @@ class _Problem(NamedTuple):
     key: str | None = None  # the entry's key or row key; None: the first key the message names
     row: int = 0  # which of the section's entries with that key
     human: int = 0  # which [human] section, for section "human"
+    cause: str | None = None  # a _SECTIONS name whose line the message ends with
 
 
 def _problems(sc: Scenario) -> list[_Problem]:
@@ -281,6 +288,12 @@ def _problems(sc: Scenario) -> list[_Problem]:
     for name in ("duration", "control_period", "nominal_speed", "parallelism", "stall_threshold"):
         if getattr(sc, name) <= 0:
             problems.append(_Problem(f"scenario: {name} must be positive", "scenario", name))
+    if sc.control_period > SCAN_PERIOD:
+        message = (
+            f"scenario: control_period {sc.control_period!r} s is longer than the "
+            f"{SCAN_PERIOD} s laser scan period"
+        )
+        problems.append(_Problem(message, "scenario", "control_period"))
     if sc.noise < 0:
         problems.append(_Problem("scenario: noise must be >= 0", "scenario", "noise"))
     if sc.seed < 0:
@@ -310,7 +323,9 @@ def _problems(sc: Scenario) -> list[_Problem]:
     try:
         sc.build_layout()
     except ValueError as exc:
-        problems.append(_Problem(f"layout: {exc}", "layout"))
+        msd = compute_msd_static(sc.safety)
+        message = f"layout: {exc}; static MSD {msd:.3f} m from [safety]"
+        problems.append(_Problem(message, "layout", cause="safety"))
     try:
         build_gains(sc)
     except ValueError as exc:
@@ -592,7 +607,10 @@ def parse_scenario(source) -> Scenario:
         if section is None:
             errors.append(p.message)
         else:
-            errors.append(f"line {_line_of(section, p.message, p.key, p.row)}: {p.message}")
+            message = p.message
+            if p.cause in sections:
+                message += f" at line {sections[p.cause].line}"
+            errors.append(f"line {_line_of(section, p.message, p.key, p.row)}: {message}")
     if errors:
         raise ScenarioError(errors)
     return scenario

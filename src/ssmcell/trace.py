@@ -8,6 +8,7 @@ columns it names.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 from typing import NamedTuple
@@ -68,21 +69,12 @@ SCHEMA = (
 )
 
 
-def _field_type(f: Field):
-    if f.codes is not None:
-        return type(f.codes.values[0])
-    return np.ndarray if f.headers else float
-
-
-TraceRow = dataclasses.make_dataclass(
+TraceRow = collections.namedtuple(
     "TraceRow",
-    [
-        (f.name, _field_type(f), dataclasses.field(default=f.default, repr=not f.headers))
-        for f in SCHEMA
-    ],
-    frozen=True,
+    [f.name for f in SCHEMA],
+    defaults=[f.default for f in SCHEMA if f.default is not dataclasses.MISSING],
+    module=__name__,
 )
-TraceRow.__module__ = __name__
 TraceRow.__doc__ = "One control tick; the fields are those of SCHEMA, in its order."
 
 
@@ -167,7 +159,7 @@ class Trace:
     def from_rows(cls, rows) -> Trace:
         trace = cls.empty(len(rows))
         for i, row in enumerate(rows):
-            trace.record(i, **vars(row))
+            trace.record(i, **row._asdict())
         return trace
 
     def record(self, i: int, **values):

@@ -352,19 +352,34 @@ def test_criterion_9_bridge_protocol():
     deadline = time.monotonic() + 5
     while bridge.client_count() < 1 and time.monotonic() < deadline:
         time.sleep(0.005)
-    # late client joins after ~the first quarter of the run
-    reference = run(scenario, bridge=bridge)
-    late = socket.create_connection(bridge.address, timeout=5.0)
+    # the late client joins mid-run, at the first quarter of the ticks
+    join_tick = round(scenario.duration / scenario.control_period) // 4
+    publish = bridge.publish
+    joined = []
+
+    def publish_joining_late(seq, *record):
+        if seq == join_tick:
+            joined.append(socket.create_connection(bridge.address, timeout=5.0))
+            deadline = time.monotonic() + 5
+            while bridge.client_count() < 2 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert bridge.client_count() == 2
+        publish(seq, *record)
+
+    bridge.publish = publish_joining_late
+    run(scenario, bridge=bridge)
     bridge.close()
+    (late,) = joined
     stream_early = capture(early).decode().splitlines()
     stream_late = capture(late).decode().splitlines()
     early.close()
     late.close()
-    assert stream_early
-    if stream_late:  # identical modulo the join point
-        join_seq = stream_late[0].split()[0]
-        idx = next(i for i, l in enumerate(stream_early) if l.split()[0] == join_seq)
-        assert stream_early[idx:] == stream_late
+    assert stream_early and stream_late
+    # identical modulo the join point, with nothing from before it replayed
+    join_seq = stream_late[0].split()[0]
+    idx = next(i for i, l in enumerate(stream_early) if l.split()[0] == join_seq)
+    assert idx > 0
+    assert stream_early[idx:] == stream_late
 
     # slow client: never reads, small buffer; the simulation trace is unharmed
     slow_bridge = serve(decimation=1, client_buffer=16)

@@ -251,10 +251,8 @@ class TestCheckStability:
         rows = read_trace(out_dir / "trace.csv")
         doctored = []
         for i, r in enumerate(rows):
-            import dataclasses
-
             v = 1.0 + 0.5 * np.sin(i / 5.0)  # injected oscillating energy
-            doctored.append(dataclasses.replace(r, lyap=v))
+            doctored.append(r._replace(lyap=v))
         bad = tmp_path / "bad_trace.csv"
         write_trace(Trace.from_rows(doctored), bad)
         code = main(["check", "stability", str(bad)])

@@ -191,7 +191,6 @@ def tick(ctrl, i, **inputs):
         joint_reference=REGULAR_Q + 1e-3,
         q=REGULAR_Q,
         tcp_speed=0.0,
-        dt=DT,
     )
     return ctrl.step(i * DT, **{**given, **inputs})
 
@@ -218,12 +217,12 @@ def settle(ctrl, i):
     pytest.fail("the command never repeated")
 
 
-def fresh(fraction, scan=occ(), d_i=math.inf):
+def fresh(fraction, scan=occ(), d_i=math.inf, human_speed=0.0):
     """A controller that never stepped, holding the given state."""
     ctrl = Controller(MODEL, LAYOUT, GAINS, SEPARATION)
     ctrl.fraction = fraction
     ctrl.offer_scan(0.0, scan)
-    ctrl.offer_skeleton(0.0, d_i)
+    ctrl.offer_skeleton(0.0, d_i, human_speed)
     return ctrl
 
 
@@ -282,6 +281,18 @@ class TestControllerCache:
         assert tripped.mode.kind == ModeKind.STANDSTILL
         held = assert_same_next(ctrl, twin, i + 2, before)
         assert held.mode.kind == ModeKind.STANDSTILL
+
+    def test_skeleton_frame_changing_only_the_human_speed(self):
+        # The same distance as the gate test, at rest: a walking human raises
+        # the dynamic minimum past it, so the frame trips the gate.
+        d_i = 0.11
+        ctrl, i = primed(d_i=d_i, fraction=GAINS.ks_floor)
+        before = tick(ctrl, i)
+        assert before.mode.kind == ModeKind.REDUCED
+        ctrl.offer_skeleton(0.0, d_i, 1.6)
+        twin = fresh(ctrl.fraction, d_i=d_i, human_speed=1.6)
+        tripped = assert_same_next(ctrl, twin, i + 1, before)
+        assert tripped.mode.kind == ModeKind.STANDSTILL
 
     def test_external_fraction_write(self):
         ctrl, i = primed()
@@ -348,7 +359,6 @@ class TestControllerCache:
                 task_direction=np.zeros(3),
                 joint_reference=REGULAR_Q,
                 q=REGULAR_Q,
-                dt=DT,
             )
 
         ctrl = controller()

@@ -189,9 +189,14 @@ class TestValidation:
         text = serialize_scenario(bundled("approach_retreat")).replace(
             "stop_time = 0.25", "stop_time = 2.5"
         )
+        lines = text.splitlines()
+        layout, safety = lines.index("[layout]") + 1, lines.index("[safety]") + 1
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(text)
-        assert "layout" in str(exc.value)
+        assert exc.value.errors == [
+            f"line {layout}: layout: infeasible layout: warning boundary 4.900 m does not fit "
+            f"inside the 1.500 m workspace; static MSD 4.050 m from [safety] at line {safety}"
+        ]
 
     def test_script_longer_than_run_rejected(self):
         text = serialize_scenario(bundled("approach_retreat")).replace(
@@ -228,6 +233,9 @@ class TestValidation:
             ("step = sort_d 0.45", "step = sort_d -4.5"),
             ("stature = 1.7", "stature = -1.7"),
             ("model = default", "model = no_such_model.cfg"),
+            ("control_period = 0.002", "control_period = 40"),
+            ("control_period = 0.002", "control_period = 100"),
+            ("control_period = 0.002", "control_period = 0.5"),
         ],
     )
     def test_probe_fails_closed_naming_its_line(self, old, new, tmp_path):

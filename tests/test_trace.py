@@ -38,7 +38,7 @@ class TestSchema:
     def test_one_table_names_every_column(self):
         assert TRACE_COLUMNS[:3] == ("t", "q1", "q2")
         assert len(TRACE_COLUMNS) == 32
-        assert [f.name for f in dataclasses.fields(TraceRow)] == [f.name for f in SCHEMA]
+        assert list(TraceRow._fields) == [f.name for f in SCHEMA]
 
     def test_row_defaults(self):
         row = TraceRow(t=0.0, q=np.zeros(6), qdot=np.zeros(6), tcp=np.zeros(3))
@@ -68,7 +68,7 @@ class TestRowAccess:
 
     def test_from_rows_rebuilds_the_columns(self, stalled_result):
         trace = stalled_result.trace
-        back = Trace.from_rows([dataclasses.replace(r) for r in trace])
+        back = Trace.from_rows([r._replace() for r in trace])
         assert np.array_equal(back.floats.view(np.int64), trace.floats.view(np.int64))
         assert np.array_equal(back.codes, trace.codes)
 
@@ -98,7 +98,7 @@ class TestColumnarConsumersMatchRowLoops:
 
     def test_deadlock_running_to_the_end(self, stalled_result):
         rows = list(stalled_result.trace)
-        tail = [dataclasses.replace(r, mode=ModeKind.ESTOP) for r in rows[-3000:]]
+        tail = [r._replace(mode=ModeKind.ESTOP) for r in rows[-3000:]]
         stalled = rows[:-3000] + tail
         found = detect_deadlock(Trace.from_rows(stalled), [], 1.0)
         expected = oracle_deadlocks(stalled, 1.0)
@@ -111,7 +111,7 @@ class TestColumnarConsumersMatchRowLoops:
         rows = list(stalled_result.trace)
         # some pending e-stop rows, so availability loses e-stop time too
         rows = [
-            dataclasses.replace(r, mode=ModeKind.ESTOP) if 100 <= i < 137 else r
+            r._replace(mode=ModeKind.ESTOP) if 100 <= i < 137 else r
             for i, r in enumerate(rows)
         ]
         trace = Trace.from_rows(rows)
