@@ -12,7 +12,7 @@ import numpy as np
 from . import perception
 from .control import CommandSource, Controller, ControllerConfig, ModeKind
 from .kinematics import FrameChain, Jacobian, tcp_position
-from .perception import ScannerMount, min_distance_tcp, pose_landmarks, simulate_scan
+from .perception import ScannerMount, min_distance_tcp, pose_landmarks
 from .scenario import Scenario, SimMode, TaskStep, build_gains, build_model
 from .separation import msd_at_speeds
 from .stability import LyapunovSample, lyapunov_value
@@ -186,8 +186,31 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
     ignore_humans = scenario.mode == SimMode.AUTONOMOUS
     quadrant_blind = scenario.mode == SimMode.TRADITIONAL
 
+    # The laser pipeline is open-loop: a scan's occupancy depends on the human
+    # script, the mounts, the layout, the mode and rng, never on q or the
+    # controller.  So every scan is cast before the first tick.  The scanner
+    # fires on its own grid: scan j is taken at scan_times[j], and tick
+    # scan_starts[j] is the first tick at or after it (the last entry,
+    # n_ticks, is never reached).
+    scan_grid = np.floor(np.arange(n_ticks) * dt / scan_period + _GRID_EPS)
+    scan_ticks, scan_starts = np.unique(scan_grid, return_index=True)
+    scan_times = (scan_ticks * scan_period).tolist()
+    scan_starts = scan_starts.tolist() + [n_ticks]
+    if ignore_humans or not scenario.humans:
+        occupancy = [{Quadrant.LEFT: Zone.NORMAL, Quadrant.RIGHT: Zone.NORMAL}] * len(scan_times)
+    else:
+        occupancy = perception.scan_occupancies(
+            mounts,
+            [tuple(s.state_at(t) for s in scenario.humans) for t in scan_times],
+            scan_times,
+            layout,
+            rng=rng,
+            noise=scenario.noise,
+            quadrant_blind=quadrant_blind,
+        )
+
     trace = Trace.empty(n_ticks)
-    last_scan_tick = -1
+    n_scans = 0
     last_skel_tick = -1
     seq = 0
     # A tick is quiescent when its inputs are bit-identical to the last
@@ -199,13 +222,11 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
     # the reference as they are, and a quiescent tick whose distance, pending
     # flag, task speed and energy match the last row copies that row with the
     # new t.  Every stage also reuses its last result while its own inputs are
-    # unchanged: kinematics while q is, a human's zone while its state is, a
-    # noiseless scan while the footprints are, the human distance while the
-    # pose and the TCP are.  Reused values are the floats a full evaluation
-    # gives, so the trace is byte-identical.
+    # unchanged: kinematics while q is, a human's zone while its state is, the
+    # human distance while the pose and the TCP are.  Reused values are the
+    # floats a full evaluation gives, so the trace is byte-identical.
     humans: list = [None] * len(scenario.humans)
     q_key = None
-    scan_key = None  # footprints at the last noiseless scan
     skel_human = skel_tcp = None  # what the last skeleton distance was measured from
     pose_human = None  # the state the landmarks were built from
     d_tcp = None  # the tcp array that d_human was measured from
@@ -228,33 +249,9 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
             tcp_speed = float(np.linalg.norm(tcp - prev_tcp)) / dt
 
         # Sensors fire on their own grids; the controller holds the last message.
-        scan_tick = int(math.floor(t / scan_period + _GRID_EPS))
-        if scan_tick > last_scan_tick:
-            last_scan_tick = scan_tick
-            t_scan = scan_tick * scan_period
-            if ignore_humans or not scenario.humans:
-                occ = {Quadrant.LEFT: Zone.NORMAL, Quadrant.RIGHT: Zone.NORMAL}
-            else:
-                at_scan = [s.state_at(t_scan) for s in scenario.humans]
-                # Without noise a scan draws nothing from rng, and its hits
-                # depend only on the footprints: while they repeat, the last
-                # occupancy stands.
-                footprints = None
-                if not scenario.noise:
-                    footprints = [
-                        (h.ground.tobytes(), h.footprint_radius, h.stature) for h in at_scan
-                    ]
-                if footprints is None or footprints != scan_key:
-                    scan_key = footprints
-                    entries = []
-                    for mount in mounts:
-                        scan = simulate_scan(mount, at_scan, t_scan, rng=rng, noise=scenario.noise)
-                        entries.extend(perception.scan_to_occupancy(scan, mount, layout))
-                    occ = perception.merge_occupancy(entries)
-                    if quadrant_blind:
-                        worst = max(occ.values())
-                        occ = {Quadrant.LEFT: worst, Quadrant.RIGHT: worst}
-            controller.offer_scan(t_scan, occ)
+        if i == scan_starts[n_scans]:
+            controller.offer_scan(scan_times[n_scans], occupancy[n_scans])
+            n_scans += 1
         skel_tick = int(math.floor(t / skeleton_period + _GRID_EPS))
         if skel_tick > last_skel_tick:
             last_skel_tick = skel_tick

@@ -9,10 +9,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .zones import Quadrant, Zone, ZoneLabel, ZoneLayout
+from .zones import Quadrant, Zone, ZoneLayout
 
 SKELETON_RATE = 30.0  # Hz
 SCAN_PERIOD = 0.030  # s, one laser scan
+SCAN_CHUNK = 64  # scans that scan_occupancies casts together
 DEFAULT_STATURE = 1.70  # m, head landmark height when standing
 DEFAULT_FOOTPRINT_RADIUS = 0.30  # m
 REACH_EXTENSION = 0.80  # m, shoulder-to-wrist span of a fully extended arm
@@ -168,8 +169,11 @@ class ScannerMount:
 
 @dataclass(frozen=True)
 class LaserScan:
-    t: float
-    ranges: np.ndarray = field(repr=False)
+    """k scans by every ray of a mount set: ``ranges[j]`` holds scan j, taken at
+    ``t[j]``, with the mounts' rays in mount order."""
+
+    t: np.ndarray  # (k,) s
+    ranges: np.ndarray = field(repr=False)  # (k, n_rays) m; max_range where nothing was hit
 
 
 @dataclass(frozen=True)
@@ -188,106 +192,208 @@ def _check_grid(t: float, period: float, what: str):
         raise PerceptionError(f"{what} time {t} is not aligned to the {period} s grid")
 
 
+@dataclass(frozen=True)
+class _Rays:
+    """Every ray of a mount set, in mount order, with what the cast and the hit
+    points read of it."""
+
+    mount: np.ndarray  # (n,) index of each ray's mount
+    origin: np.ndarray  # (n_mounts, 2) mount x, y
+    x: np.ndarray  # (n,) the ray's mount x
+    y: np.ndarray  # (n,) the ray's mount y
+    ux: np.ndarray  # (n,) np.cos of the ray angle, for the cast
+    uy: np.ndarray  # (n,) np.sin
+    cos_a: np.ndarray  # (n,) math.cos of the ray angle, for the hit points
+    sin_a: np.ndarray  # (n,) math.sin
+    max_range: np.ndarray  # (n,)
+    plane_height: np.ndarray  # (n,)
+
+
+@lru_cache(maxsize=16)
+def _rays(mounts: tuple[ScannerMount, ...]) -> _Rays:
+    # The cast keeps np.cos/np.sin of each mount's angles, and the hit points
+    # math.cos/math.sin, so that a point carries the floats of one ray computed
+    # alone; the two may differ in the last bit.
+    angles = [mount.ray_angles() for mount in mounts]
+    every = np.concatenate(angles).tolist()
+    mount = np.repeat(np.arange(len(mounts)), [len(a) for a in angles])
+
+    def per_ray(name):
+        return np.array([getattr(m, name) for m in mounts], dtype=float)[mount]
+
+    return _Rays(
+        mount=mount,
+        origin=np.array([(m.x, m.y) for m in mounts], dtype=float),
+        x=per_ray("x"),
+        y=per_ray("y"),
+        ux=np.concatenate([np.cos(a) for a in angles]),
+        uy=np.concatenate([np.sin(a) for a in angles]),
+        cos_a=np.array([math.cos(a) for a in every]),
+        sin_a=np.array([math.sin(a) for a in every]),
+        max_range=per_ray("max_range"),
+        plane_height=per_ray("plane_height"),
+    )
+
+
 def simulate_scan(
-    mount: ScannerMount,
-    humans: list[HumanState],
-    t: float,
+    mounts,
+    scenes,
+    times,
     *,
     rng: np.random.Generator | None = None,
     noise: float = 0.0,
 ) -> LaserScan:
-    """Cast one scan against the human footprint discs; nearest hit wins per ray.
+    """Cast one scan per scene by every ray of the mounts against the human
+    footprint discs; the nearest hit wins per ray.
 
-    Rays that hit nothing report the max_range sentinel.  Optional uniform
-    range noise of +-noise metres is applied to true hits only.
+    ``scenes[j]`` holds the humans of the scan taken at ``times[j]``; every scene
+    holds as many humans.  Rays that hit nothing report the max_range sentinel.
+    Optional uniform range noise of +-noise metres is applied to true hits
+    only, as one (k, n_rays) draw from rng: the values, in the order, of one
+    draw per scan and mount.
     """
-    _check_grid(t, mount.scan_period, "scan")
-    angles = mount.ray_angles()
-    ranges = np.full(angles.shape, mount.max_range)
-    origin = np.array([mount.x, mount.y])
-    ux = np.cos(angles)
-    uy = np.sin(angles)
-    for human in humans:
-        if not 0.0 <= mount.plane_height <= human.stature:
-            continue
-        oc = human.ground - origin
-        r = human.footprint_radius
-        b = ux * oc[0] + uy * oc[1]  # projection of center onto each ray
-        c = float(oc @ oc) - r * r
-        disc = b * b - c
+    mounts = tuple(mounts)
+    times = np.asarray(times, dtype=float)
+    for mount in mounts:
+        for t in times.tolist():
+            _check_grid(t, mount.scan_period, "scan")
+    if len({len(scene) for scene in scenes}) > 1:
+        raise PerceptionError("scenes of one batch must hold as many humans")
+    rays = _rays(mounts)
+    ranges = np.repeat(rays.max_range[None, :], len(scenes), axis=0)
+    for h in range(len(scenes[0]) if len(scenes) else 0):
+        humans = [scene[h] for scene in scenes]
+        stature = np.array([human.stature for human in humans])
+        radius = np.array([human.footprint_radius for human in humans])
+        oc = np.array([human.ground for human in humans])[:, None, :] - rays.origin
+        # |oc|^2 stays one 1-D dot per scan and mount: BLAS may fuse its
+        # multiply-add, which an elementwise form of it would not.
+        oc_sq = np.array([float(v @ v) for v in oc.reshape(-1, 2)]).reshape(oc.shape[:2])
+        c = oc_sq - (radius * radius)[:, None]
+        # The arithmetic of one ray at a time, in place on (k, n) arrays.
+        b = oc[:, rays.mount, 0] * rays.ux  # projection of center onto each ray
+        b += oc[:, rays.mount, 1] * rays.uy
+        disc = b * b
+        disc -= c[:, rays.mount]
         mask = disc >= 0.0
-        if not mask.any():
-            continue
-        sq = np.sqrt(np.where(mask, disc, 0.0))
-        t1 = b - sq
-        t2 = b + sq
-        hit = np.where(t1 > 1e-12, t1, t2)
-        valid = mask & (hit > 1e-12) & (hit < mount.max_range)
-        ranges = np.where(valid & (hit < ranges), hit, ranges)
+        disc[~mask] = 0.0
+        sq = np.sqrt(disc, out=disc)
+        hit = b + sq  # the far root, unless the near one lies ahead
+        near = np.subtract(b, sq, out=b)
+        np.copyto(hit, near, where=near > 1e-12)
+        in_plane = (0.0 <= rays.plane_height) & (rays.plane_height <= stature[:, None])
+        valid = mask & in_plane & (hit > 1e-12) & (hit < rays.max_range) & (hit < ranges)
+        np.copyto(ranges, hit, where=valid)
     if noise > 0.0:
         if rng is None:
             raise PerceptionError("noise requested without an rng")
-        jitter = rng.uniform(-noise, noise, ranges.shape)
-        hits = ranges < mount.max_range
-        ranges = np.where(hits, np.clip(ranges + jitter, 1e-6, mount.max_range), ranges)
-    return LaserScan(t=t, ranges=ranges)
+        noisy = rng.uniform(-noise, noise, ranges.shape)
+        noisy += ranges
+        np.clip(noisy, 1e-6, rays.max_range, out=noisy)
+        np.copyto(ranges, noisy, where=ranges < rays.max_range)
+    return LaserScan(t=times, ranges=ranges)
 
 
-def scan_to_occupancy(
-    scan: LaserScan, mount: ScannerMount, layout: ZoneLayout
-) -> list[tuple[ZoneLabel, np.ndarray]]:
-    """Convert scan hits to base-frame points and classify each into a zone.
+# The quadrant codes of ScanHits.quadrant, in code order.
+QUADRANT_CODES = (Quadrant.LEFT, Quadrant.RIGHT, Quadrant.BOTH)
 
-    All hits of the scan are classified at once; each label equals
-    ``classify_point(layout, p)`` for its point p.
+
+@dataclass(frozen=True)
+class ScanHits:
+    """The scans' hits as base-frame points, each classified into a zone and a
+    side of the split line.  Arrays are (k, n_rays), like the scan's ranges.
+    ``len()`` is the number of hits."""
+
+    hit: np.ndarray  # bool; a NaN range counts as a hit
+    x: np.ndarray  # m, base frame; the point's z is its mount's plane height
+    y: np.ndarray
+    zone: np.ndarray  # int8 Zone of the point, NORMAL off hits
+    quadrant: np.ndarray  # int8 index into QUADRANT_CODES
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.hit))
+
+
+def scan_to_occupancy(scan: LaserScan, mounts, layout: ZoneLayout) -> ScanHits:
+    """Convert the scans' hits to base-frame points and classify each into a zone.
+
+    Each hit's zone and quadrant equal ``classify_point(layout, p)`` for its point p.
     """
-    cos_a, sin_a = _ray_directions(mount)
-    if cos_a.shape != scan.ranges.shape:
+    rays = _rays(tuple(mounts))
+    r = scan.ranges
+    if r.shape[-1:] != rays.x.shape:
         raise PerceptionError("scan does not match mount geometry")
-    hit = ~(scan.ranges >= mount.max_range)  # no-return sentinel; NaN counts as a hit
-    r = scan.ranges[hit]
-    if not len(r):
-        return []
-    points = np.empty((len(r), 3))
-    points[:, 0] = mount.x + r * cos_a[hit]
-    points[:, 1] = mount.y + r * sin_a[hit]
-    points[:, 2] = mount.plane_height
-    x, y = points[:, 0], points[:, 1]
+    hit = ~(r >= rays.max_range)  # no-return sentinel; NaN counts as a hit
+    x = r * rays.cos_a
+    x += rays.x
+    y = r * rays.sin_a
+    y += rays.y
     # The tests of quadrant_of and classify_point, in their order, on arrays.
-    quadrant = np.where(y > 0, 1, np.where(y < 0, 0, 2))
-    zone = np.zeros(len(r), dtype=int)
-    if layout.height_band[0] <= mount.plane_height <= layout.height_band[1]:
-        for level in (Zone.WARNING, Zone.DANGER):  # danger overrides warning
-            rect = layout.extent(level)
-            inside = (rect.x_min <= x) & (x <= rect.x_max) & (rect.y_min <= y) & (y <= rect.y_max)
-            zone[inside] = level
-    return [(_LABELS[z][q], p) for z, q, p in zip(zone.tolist(), quadrant.tolist(), points)]
+    quadrant = np.full(r.shape, 2, dtype=np.int8)
+    quadrant[y > 0] = 1
+    quadrant[y < 0] = 0
+    zone = np.zeros(r.shape, dtype=np.int8)
+    low, high = layout.height_band
+    banded = hit & (low <= rays.plane_height) & (rays.plane_height <= high)
+    for level in (Zone.WARNING, Zone.DANGER):  # danger overrides warning
+        rect = layout.extent(level)
+        inside = (rect.x_min <= x) & (x <= rect.x_max) & (rect.y_min <= y) & (y <= rect.y_max)
+        zone[inside & banded] = level
+    return ScanHits(hit=hit, x=x, y=y, zone=zone, quadrant=quadrant)
 
 
-_QUADRANT_ORDER = (Quadrant.LEFT, Quadrant.RIGHT, Quadrant.BOTH)
-_LABELS = tuple(tuple(ZoneLabel(zone, q) for q in _QUADRANT_ORDER) for zone in Zone)
+def merge_occupancy(hits: ScanHits, *, quadrant_blind: bool = False) -> np.ndarray:
+    """Per-quadrant max severity of each scan over all its rays: (k, 2) zones,
+    LEFT then RIGHT.
+
+    A hit on the split line counts on both sides.  A quadrant-blind merge gives
+    each side the worse of the two.
+    """
+    left = np.where(hits.quadrant == 1, 0, hits.zone).max(axis=-1)  # LEFT or BOTH
+    right = np.where(hits.quadrant == 0, 0, hits.zone).max(axis=-1)  # RIGHT or BOTH
+    merged = np.stack((left, right), axis=-1)
+    if quadrant_blind:
+        merged[:] = merged.max(axis=-1, keepdims=True)
+    return merged
 
 
-@lru_cache(maxsize=16)
-def _ray_directions(mount: ScannerMount) -> tuple[np.ndarray, np.ndarray]:
-    # Per-ray cosines and sines from math.cos/math.sin, so that hit points
-    # carry the same floats as a point computed from one ray alone.
-    angles = mount.ray_angles()
-    return (
-        np.array([math.cos(a) for a in angles.tolist()]),
-        np.array([math.sin(a) for a in angles.tolist()]),
-    )
+def scan_occupancies(
+    mounts,
+    scenes,
+    times,
+    layout: ZoneLayout,
+    *,
+    rng: np.random.Generator | None = None,
+    noise: float = 0.0,
+    quadrant_blind: bool = False,
+) -> list[dict[Quadrant, Zone]]:
+    """The merged occupancy of each scan; ``scenes[j]`` holds the humans of the
+    scan taken at ``times[j]``.
 
-
-def merge_occupancy(entries) -> dict[Quadrant, Zone]:
-    """Per-quadrant max severity over any number of scanners' hit lists."""
-    left = right = Zone.NORMAL
-    for label, _ in entries:
-        if label.quadrant is not Quadrant.RIGHT and label.zone > left:  # LEFT or BOTH
-            left = label.zone
-        if label.quadrant is not Quadrant.LEFT and label.zone > right:  # RIGHT or BOTH
-            right = label.zone
-    return {Quadrant.LEFT: left, Quadrant.RIGHT: right}
+    Scans are cast SCAN_CHUNK at a time, in order, so that noise draws what
+    casting them one by one would.  Without noise a scan is cast only when one
+    of its states is not the very object the scan before saw, and a scan that
+    is not cast takes the occupancy of the last one that was.
+    """
+    times = np.asarray(times, dtype=float)
+    fresh = np.ones(len(scenes), dtype=bool)
+    if not noise > 0.0:
+        fresh[1:] = [
+            any(a is not b for a, b in zip(scene, before))
+            for before, scene in zip(scenes, scenes[1:])
+        ]
+    cast = np.flatnonzero(fresh)
+    merged = np.empty((len(cast), 2), dtype=np.int8)
+    for start in range(0, len(cast), SCAN_CHUNK):
+        chunk = cast[start : start + SCAN_CHUNK]
+        scan = simulate_scan(mounts, [scenes[j] for j in chunk], times[chunk], rng=rng, noise=noise)
+        hits = scan_to_occupancy(scan, mounts, layout)
+        merged[start : start + len(chunk)] = merge_occupancy(hits, quadrant_blind=quadrant_blind)
+        del scan, hits  # a chunk's arrays are not held while the next one is cast
+    return [
+        {Quadrant.LEFT: Zone(left), Quadrant.RIGHT: Zone(right)}
+        for left, right in merged[np.cumsum(fresh) - 1].tolist()
+    ]
 
 
 def _rotate_about_axis(v: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
@@ -355,16 +461,19 @@ def pose_landmarks(human: HumanState) -> np.ndarray:
     if human.posture == Posture.REACHING:
         left = world[_INDEX["shoulder_left"]]
         right = world[_INDEX["shoulder_right"]]
-        side = "left" if np.linalg.norm(left) <= np.linalg.norm(right) else "right"
+        # math.sqrt(v @ v) is np.linalg.norm(v) of a 3-vector without its overhead.
+        side = "left" if math.sqrt(left @ left) <= math.sqrt(right @ right) else "right"
         shoulder = world[_INDEX[f"shoulder_{side}"]]
-        direction = -shoulder / np.linalg.norm(shoulder)  # toward the base origin
+        direction = -shoulder / math.sqrt(shoulder @ shoulder)  # toward the base origin
         world[_INDEX[f"elbow_{side}"]] = shoulder + _UPPER_ARM * s * direction
         wrist = shoulder + (_UPPER_ARM + _FOREARM) * s * direction
         world[_INDEX[f"wrist_{side}"]] = wrist
         world[_INDEX[f"hand_{side}"]] = wrist + _HAND * s * direction
         world[_INDEX[f"handtip_{side}"]] = wrist + _HANDTIP * s * direction
-        perp = np.cross(direction, np.array([0.0, 0.0, 1.0]))
-        n = np.linalg.norm(perp)
+        # direction x (0, 0, 1), with the products np.cross forms.
+        dx, dy, dz = direction.tolist()
+        perp = np.array([dy * 1.0 - dz * 0.0, dz * 0.0 - dx * 1.0, dx * 0.0 - dy * 0.0])
+        n = math.sqrt(perp @ perp)
         perp = np.array([1.0, 0.0, 0.0]) if n < 1e-9 else perp / n
         world[_INDEX[f"thumb_{side}"]] = wrist + _THUMB * s * perp
     elif human.posture == Posture.LEANING:

@@ -34,6 +34,12 @@ from .zones import (
 )
 
 
+# The most ticks (control periods) one run may have.  engine.run sizes its trace
+# from the tick count before the first tick: 2e6 rows of 26 float64 columns are
+# about 0.43 GB.
+MAX_TICKS = 2_000_000
+
+
 class ScenarioError(ValueError):
     """Validation failure(s) with line/field context."""
 
@@ -294,6 +300,16 @@ def _problems(sc: Scenario) -> list[_Problem]:
             f"{SCAN_PERIOD} s laser scan period"
         )
         problems.append(_Problem(message, "scenario", "control_period"))
+    if sc.duration > 0 and sc.control_period > 0:
+        ticks = sc.duration / sc.control_period
+        if not (math.isfinite(ticks) and round(ticks) <= MAX_TICKS):
+            message = (
+                f"scenario: a {sc.duration!r} s run at control_period {sc.control_period!r} s "
+                f"is {ticks:.6g} ticks, more than the {MAX_TICKS} a run may have"
+            )
+            # The duration is at fault when it is too long even at the default period.
+            culprit = "duration" if sc.duration / CONTROL_PERIOD > MAX_TICKS else "control_period"
+            problems.append(_Problem(message, "scenario", culprit))
     if sc.noise < 0:
         problems.append(_Problem("scenario: noise must be >= 0", "scenario", "noise"))
     if sc.seed < 0:

@@ -72,3 +72,30 @@ def test_controller_step_is_the_tick_clock(monkeypatch):
     result = run(tiny_scenario(duration=1.0))
     assert times == result.trace.values("t")
     assert len(times) == round(1.0 / result.scenario.control_period)
+
+
+def test_traced_run_matches_untraced_and_counts_the_scan_layers():
+    # The tracer's perception hooks read len(result.ranges) of simulate_scan and
+    # len(result) of scan_to_occupancy; engine.run must reach all three scan
+    # layers through those names, and a traced run must record the same trace.
+    import hashlib
+
+    from ssmcell import engine
+    from ssmcell.tracefile import trace_lines
+    from helpers import tiny_scenario
+
+    def digest(result):
+        return hashlib.sha256("\n".join(trace_lines(result.trace)).encode()).hexdigest()
+
+    scenario = tiny_scenario(duration=1.0, noise=0.005, seed=17)
+    untraced = digest(engine.run(scenario))
+    tr = tracer.Tracer("guard")
+    with tr.installed():
+        traced = digest(engine.run(scenario))
+    assert traced == untraced
+    layers = tr.layer_totals()
+    for layer in ("perception.scan", "perception.classify", "perception.merge"):
+        assert layers[layer]["calls"] > 0, layer
+    counters = tr.counter_totals()
+    assert counters["perception.rays"] > 0
+    assert counters["perception.hits"] > 0

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ssmcell.control import ModeKind
+from ssmcell import perception
+from ssmcell.control import Controller, ModeKind
 from ssmcell.engine import (
     Event,
     EventKind,
@@ -22,7 +23,7 @@ from ssmcell.scenario import (
     TaskStep,
 )
 from helpers import bundled, tiny_scenario
-from ssmcell.zones import Zone
+from ssmcell.zones import Quadrant, Zone
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +40,25 @@ class TestBasicContracts:
         assert {r.fraction for r in result.trace} == {1.0}
         safety = {EventKind.ZONE_ENTER, EventKind.ZONE_EXIT, EventKind.MODE_SWITCH, EventKind.ESTOP}
         assert [e for e in result.events if e.kind in safety] == []
+
+    @pytest.mark.parametrize("overrides", [dict(humans=()), dict(mode=SimMode.AUTONOMOUS)])
+    def test_nothing_to_see_offers_normal_scans_without_casting(self, overrides, monkeypatch):
+        offered = []
+        offer = Controller.offer_scan
+
+        def record(self, t, occupancy):
+            offered.append((t, dict(occupancy)))
+            offer(self, t, occupancy)
+
+        def no_cast(*args, **kwargs):
+            raise AssertionError("cast a scan with no human to see")
+
+        monkeypatch.setattr(Controller, "offer_scan", record)
+        monkeypatch.setattr(perception, "simulate_scan", no_cast)
+        run(tiny_scenario(duration=1.0, noise=0.005, seed=3, **overrides))
+        normal = {Quadrant.LEFT: Zone.NORMAL, Quadrant.RIGHT: Zone.NORMAL}
+        # Ticks 0 .. 0.998 s take the scans at 0, 0.03, ..., 0.99 s.
+        assert offered == [(j * perception.SCAN_PERIOD, normal) for j in range(34)]
 
     def test_trace_row_count_exact(self):
         scenario = tiny_scenario(duration=7.0)

@@ -1,12 +1,19 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssmcell.perception import (
     BONES,
     LANDMARK_NAMES,
     HumanState,
+    QUADRANT_CODES,
+    SCAN_CHUNK,
+    SCAN_PERIOD,
+    ScanHits,
     PerceptionError,
     Posture,
     ScannerMount,
@@ -15,6 +22,7 @@ from ssmcell.perception import (
     merge_occupancy,
     min_distance_tcp,
     pose_landmarks,
+    scan_occupancies,
     scan_to_occupancy,
     simulate_scan,
     skeleton_sample,
@@ -56,45 +64,62 @@ class TestHumanState:
             HumanState((0.0, 1.0), stature=stature)
 
 
+def cast(mount, humans, t=0.0, **kwargs):
+    """One scan by one mount: the k = 1 case of the batch."""
+    return simulate_scan((mount,), [humans], [t], **kwargs)
+
+
 class TestSimulateScan:
     def test_empty_scene_all_sentinel(self):
         mount = forward_mount()
-        scan = simulate_scan(mount, [], 0.0)
-        assert scan.ranges.shape == (mount.n_rays,)
+        scan = cast(mount, [])
+        assert scan.ranges.shape == (1, mount.n_rays)
         assert np.all(scan.ranges == mount.max_range)
 
     def test_disc_dead_ahead(self):
         mount = forward_mount()
-        scan = simulate_scan(mount, [human_at(1.0, 0.0)], 0.0)
+        scan = cast(mount, [human_at(1.0, 0.0)])
         center_ray = int(np.argmin(np.abs(mount.ray_angles() - 0.0)))
         # circle of radius 0.3 centered 1 m ahead: nearest intersection at 0.7 m
-        assert scan.ranges[center_ray] == pytest.approx(0.7, abs=1e-9)
+        assert scan.ranges[0, center_ray] == pytest.approx(0.7, abs=1e-9)
 
     def test_occlusion_nearest_wins(self):
         mount = forward_mount()
         near = human_at(1.0, 0.0)
         far = human_at(2.0, 0.0)
-        scan = simulate_scan(mount, [far, near], 0.0)
+        scan = cast(mount, [far, near])
         center_ray = int(np.argmin(np.abs(mount.ray_angles())))
-        assert scan.ranges[center_ray] == pytest.approx(0.7, abs=1e-9)
+        assert scan.ranges[0, center_ray] == pytest.approx(0.7, abs=1e-9)
+
+    def test_mount_inside_a_footprint_sees_its_far_edge(self):
+        mount = forward_mount()
+        scan = cast(mount, [human_at(0.1, 0.0)])
+        center_ray = int(np.argmin(np.abs(mount.ray_angles())))
+        assert scan.ranges[0, center_ray] == pytest.approx(0.4, abs=1e-9)
+
+    def test_human_below_the_scan_plane_is_not_seen(self):
+        mount = forward_mount(plane_height=0.4)
+        short = HumanState(ground=(1.0, 0.0), stature=0.3)
+        assert np.all(cast(mount, [short]).ranges == mount.max_range)
+        assert not np.all(cast(mount, [human_at(1.0, 0.0)]).ranges == mount.max_range)
 
     def test_off_grid_time_rejected(self):
         with pytest.raises(PerceptionError):
-            simulate_scan(forward_mount(), [], 0.0171)
+            cast(forward_mount(), [], 0.0171)
 
     def test_noise_is_seeded_and_bounded(self):
         mount = forward_mount()
         humans = [human_at(1.0, 0.0)]
-        a = simulate_scan(mount, humans, 0.0, rng=np.random.default_rng(4), noise=0.005)
-        b = simulate_scan(mount, humans, 0.0, rng=np.random.default_rng(4), noise=0.005)
-        clean = simulate_scan(mount, humans, 0.0)
+        a = cast(mount, humans, rng=np.random.default_rng(4), noise=0.005)
+        b = cast(mount, humans, rng=np.random.default_rng(4), noise=0.005)
+        clean = cast(mount, humans)
         assert np.array_equal(a.ranges, b.ranges)
         hits = clean.ranges < mount.max_range
         assert np.max(np.abs(a.ranges[hits] - clean.ranges[hits])) <= 0.005
 
     def test_noise_without_rng_rejected(self):
         with pytest.raises(PerceptionError):
-            simulate_scan(forward_mount(), [], 0.0, noise=0.005)
+            cast(forward_mount(), [], noise=0.005)
 
     def test_ray_count_formula(self):
         mount = forward_mount(fov=4.8, angular_resolution=0.0087)
@@ -103,68 +128,241 @@ class TestSimulateScan:
     def test_bit_determinism_without_noise(self):
         mount = forward_mount()
         humans = [human_at(1.2, 0.1)]
-        a = simulate_scan(mount, humans, 0.03)
-        b = simulate_scan(mount, humans, 0.03)
+        a = cast(mount, humans, 0.03)
+        b = cast(mount, humans, 0.03)
         assert np.array_equal(a.ranges, b.ranges)
 
 
 class TestScanToOccupancy:
     def test_all_sentinel_empty(self):
         mount = forward_mount()
-        scan = simulate_scan(mount, [], 0.0)
-        assert scan_to_occupancy(scan, mount, LAYOUT) == []
+        hits = scan_to_occupancy(cast(mount, []), (mount,), LAYOUT)
+        assert len(hits) == 0
+        assert merge_occupancy(hits).tolist() == [[Zone.NORMAL, Zone.NORMAL]]
 
     def test_hit_in_danger_zone(self):
         mount = forward_mount(x=0.0, y=-0.45, heading=0.2915)
-        scan = simulate_scan(mount, [human_at(0.45, -0.25)], 0.0)
-        entries = scan_to_occupancy(scan, mount, LAYOUT)
-        assert entries
-        assert any(label.zone == Zone.DANGER for label, _ in entries)
+        hits = scan_to_occupancy(cast(mount, [human_at(0.45, -0.25)]), (mount,), LAYOUT)
+        assert len(hits)
+        assert (hits.zone[hits.hit] == Zone.DANGER).any()
 
     def test_two_scanner_merge_is_max(self):
         mounts = BUNDLED_MOUNTS
         humans = [human_at(0.9, -0.3)]
-        entries = []
-        per_scanner = []
-        for mount in mounts:
-            e = scan_to_occupancy(simulate_scan(mount, humans, 0.0), mount, LAYOUT)
-            per_scanner.append(merge_occupancy(e))
-            entries.extend(e)
-        merged = merge_occupancy(entries)
-        for quadrant in (Quadrant.LEFT, Quadrant.RIGHT):
-            assert merged[quadrant] == max(p[quadrant] for p in per_scanner)
+        per_scanner = [
+            merge_occupancy(scan_to_occupancy(cast(mount, humans), (mount,), LAYOUT))[0]
+            for mount in mounts
+        ]
+        scan = simulate_scan(mounts, [humans], [0.0])
+        merged = merge_occupancy(scan_to_occupancy(scan, mounts, LAYOUT))[0]
+        assert merged.tolist() == np.max(per_scanner, axis=0).tolist()
+        assert max(merged) > Zone.NORMAL
 
     def test_labels_match_pointwise_classification(self):
         humans = [human_at(0.15, -0.2), human_at(1.1, 0.3)]
         rng = np.random.default_rng(12)
         seen = set()
         for mount in default_scanner_mounts(LAYOUT):
-            scan = simulate_scan(mount, humans, 0.0, rng=rng, noise=0.005)
-            entries = scan_to_occupancy(scan, mount, LAYOUT)
-            hits = scan.ranges < mount.max_range
-            assert len(entries) == int(hits.sum()) > 0
-            for (label, p), a, r in zip(entries, mount.ray_angles()[hits], scan.ranges[hits]):
+            scan = cast(mount, humans, rng=rng, noise=0.005)
+            hits = scan_to_occupancy(scan, (mount,), LAYOUT)
+            ranges = scan.ranges[0]
+            hit = ranges < mount.max_range
+            assert hits.hit[0].tolist() == hit.tolist()
+            assert len(hits) == int(hit.sum()) > 0
+            for i, a, r in zip(np.flatnonzero(hit), mount.ray_angles()[hit], ranges[hit]):
                 x, y = mount.x + r * math.cos(a), mount.y + r * math.sin(a)
-                assert np.array_equal(p, [x, y, mount.plane_height])
-                assert label == classify_point(LAYOUT, p)
+                assert (hits.x[0, i], hits.y[0, i]) == (x, y)
+                label = classify_point(LAYOUT, (x, y, mount.plane_height))
+                assert label.zone == hits.zone[0, i]
+                assert label.quadrant == QUADRANT_CODES[hits.quadrant[0, i]]
                 seen.add((label.zone, label.quadrant))
+            assert not hits.zone[0, ~hit].any()
         zones = {zone for zone, _ in seen}
         quadrants = {quadrant for _, quadrant in seen}
         assert {Zone.DANGER, Zone.WARNING} <= zones
         assert {Quadrant.LEFT, Quadrant.RIGHT} <= quadrants
 
+    def test_hit_on_the_split_line_is_in_both_quadrants(self):
+        mount = forward_mount(fov=2.0, angular_resolution=0.25)  # ray 4 lies on y = 0
+        hits = scan_to_occupancy(cast(mount, [human_at(0.45, 0.0, radius=0.2)]), (mount,), LAYOUT)
+        assert hits.hit[0, 4] and hits.y[0, 4] == 0.0
+        label = classify_point(LAYOUT, (hits.x[0, 4], hits.y[0, 4], mount.plane_height))
+        assert label.quadrant is Quadrant.BOTH is QUADRANT_CODES[hits.quadrant[0, 4]]
+        assert label.zone == hits.zone[0, 4] == Zone.DANGER
+
+    @pytest.mark.parametrize(
+        "quadrants, expected",
+        [
+            ((Quadrant.BOTH, Quadrant.RIGHT, Quadrant.LEFT), [Zone.DANGER, Zone.DANGER]),
+            ((Quadrant.LEFT, Quadrant.RIGHT, Quadrant.BOTH), [Zone.DANGER, Zone.WARNING]),
+            ((Quadrant.RIGHT, Quadrant.LEFT, Quadrant.LEFT), [Zone.WARNING, Zone.DANGER]),
+        ],
+    )
+    def test_merge_takes_each_side_maximum(self, quadrants, expected):
+        # Three hits of one scan: danger, warning and normal, on the given sides.
+        hits = ScanHits(
+            hit=np.ones((1, 3), dtype=bool),
+            x=np.zeros((1, 3)),
+            y=np.zeros((1, 3)),
+            zone=np.array([[Zone.DANGER, Zone.WARNING, Zone.NORMAL]], dtype=np.int8),
+            quadrant=np.array([[QUADRANT_CODES.index(q) for q in quadrants]], dtype=np.int8),
+        )
+        assert merge_occupancy(hits).tolist() == [expected]
+        assert merge_occupancy(hits, quadrant_blind=True).tolist() == [[max(expected)] * 2]
+
     def test_mount_mismatch_rejected(self):
         mount = forward_mount()
-        scan = simulate_scan(mount, [], 0.0)
+        scan = cast(mount, [])
         other = forward_mount(angular_resolution=0.02)
         with pytest.raises(PerceptionError):
-            scan_to_occupancy(scan, other, LAYOUT)
+            scan_to_occupancy(scan, (other,), LAYOUT)
+
+
+# Mounts of differing ray counts, plane heights and placements to draw from.
+MOUNT_POOL = (
+    *BUNDLED_MOUNTS,
+    *default_scanner_mounts(LAYOUT),
+    forward_mount(x=0.0, y=-0.45, heading=0.2915, plane_height=0.3),
+)
+
+STATES = st.builds(
+    lambda x, y, radius, stature: HumanState(
+        ground=(x, y), footprint_radius=radius, stature=stature
+    ),
+    x=st.floats(-0.5, 2.5),
+    y=st.floats(-1.5, 1.5),
+    radius=st.floats(0.1, 0.5),
+    stature=st.floats(0.35, 2.1),  # some below a 0.4 m scan plane
+)
+
+
+@st.composite
+def scan_runs(draw):
+    """Mounts, and scenes whose states repeat as objects, as a held script's do."""
+    n_humans = draw(st.integers(0, 2))
+    n_scans = draw(st.sampled_from((1, SCAN_CHUNK - 1, SCAN_CHUNK + 1, 2 * SCAN_CHUNK + 7)))
+    mounts = draw(st.lists(st.sampled_from(MOUNT_POOL), min_size=1, max_size=3, unique=True))
+    poses = [draw(st.lists(STATES, min_size=3, max_size=3)) for _ in range(n_humans)]
+    picks = draw(
+        st.lists(
+            st.lists(st.integers(0, 2), min_size=n_humans, max_size=n_humans),
+            min_size=n_scans,
+            max_size=n_scans,
+        )
+    )
+    scenes = [tuple(poses[h][i] for h, i in enumerate(pick)) for pick in picks]
+    return tuple(mounts), scenes
+
+
+def scan_by_scan(mounts, scenes, times, rng, noise, blind):
+    """The reference: each scan by each mount on its own, merged per scan."""
+    out = []
+    for scene, t in zip(scenes, times):
+        lanes = [
+            merge_occupancy(
+                scan_to_occupancy(
+                    simulate_scan((mount,), [scene], [t], rng=rng, noise=noise), (mount,), LAYOUT
+                )
+            )[0]
+            for mount in mounts
+        ]
+        left, right = np.max(lanes, axis=0).tolist()
+        if blind:
+            left = right = max(left, right)
+        out.append({Quadrant.LEFT: Zone(left), Quadrant.RIGHT: Zone(right)})
+    return out
+
+
+def reference_ranges(mount, humans, rng=None, noise=0.0):
+    """One scan by one mount, cast disc by disc on 1-D arrays: the per-scan
+    arithmetic the batch must reproduce bit for bit."""
+    angles = mount.ray_angles()
+    ranges = np.full(angles.shape, mount.max_range)
+    origin = np.array([mount.x, mount.y])
+    ux, uy = np.cos(angles), np.sin(angles)
+    for human in humans:
+        if not 0.0 <= mount.plane_height <= human.stature:
+            continue
+        oc = human.ground - origin
+        r = human.footprint_radius
+        b = ux * oc[0] + uy * oc[1]
+        c = float(oc @ oc) - r * r
+        disc = b * b - c
+        mask = disc >= 0.0
+        sq = np.sqrt(np.where(mask, disc, 0.0))
+        t1, t2 = b - sq, b + sq
+        hit = np.where(t1 > 1e-12, t1, t2)
+        valid = mask & (hit > 1e-12) & (hit < mount.max_range)
+        ranges = np.where(valid & (hit < ranges), hit, ranges)
+    if noise > 0.0:
+        jitter = rng.uniform(-noise, noise, ranges.shape)
+        hits = ranges < mount.max_range
+        ranges = np.where(hits, np.clip(ranges + jitter, 1e-6, mount.max_range), ranges)
+    return ranges
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(run=scan_runs(), noise=st.sampled_from((0.0, 0.005)), seed=st.integers(0, 2**32 - 1))
+def test_batched_cast_equals_the_reference_bit_for_bit(run, noise, seed):
+    mounts, scenes = run
+    times = [j * SCAN_PERIOD for j in range(len(scenes))]
+    batch_rng, scan_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    batched = simulate_scan(mounts, scenes, times, rng=batch_rng, noise=noise).ranges
+    expected = [
+        np.concatenate([reference_ranges(m, scene, scan_rng, noise) for m in mounts])
+        for scene in scenes
+    ]
+    assert batched.tobytes() == np.array(expected).tobytes()
+    assert batch_rng.bit_generator.state == scan_rng.bit_generator.state
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    run=scan_runs(),
+    noise=st.sampled_from((0.0, 0.005, 0.05)),
+    blind=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_occupancies_equal_scan_by_scan(run, noise, blind, seed):
+    mounts, scenes = run
+    times = [j * SCAN_PERIOD for j in range(len(scenes))]
+    batch_rng, scan_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    batched = scan_occupancies(
+        mounts, scenes, times, LAYOUT, rng=batch_rng, noise=noise, quadrant_blind=blind
+    )
+    assert batched == scan_by_scan(mounts, scenes, times, scan_rng, noise, blind)
+    # Both drew the same values, so the generator goes on alike.
+    assert batch_rng.bit_generator.state == scan_rng.bit_generator.state
+    assert batch_rng.random() == scan_rng.random()
 
 
 class TestSkeleton:
     def test_standing_head_height(self):
         frame = skeleton_sample(human_at(0.0, 0.0), 0.0)
         assert frame.landmark("head")[2] == pytest.approx(1.7, abs=1e-12)
+
+    def test_reaching_landmarks_keep_their_floats(self):
+        # sha256 of the landmark bytes of seeded REACHING states, some on an
+        # axis (x or y exactly 0.0, or both); the arm's float operations must
+        # not change.
+        rng = np.random.default_rng(2024)
+        digest = hashlib.sha256()
+        for i in range(500):
+            x, y = rng.uniform(-3.0, 3.0, 2).tolist()
+            if i % 5 == 1:
+                x = 0.0
+            if i % 7 == 2:
+                y = 0.0
+            human = HumanState(
+                ground=(x, y),
+                heading=float(rng.uniform(-math.pi, math.pi)),
+                stature=float(rng.uniform(1.2, 2.1)),
+                posture=Posture.REACHING,
+            )
+            digest.update(pose_landmarks(human).tobytes())
+        assert digest.hexdigest() == (
+            "ab29acf7fdf831e7ffa86ffe80a612e088e433c409b55561f3d889004504793c"
+        )
 
     def test_exactly_32_landmarks(self):
         frame = skeleton_sample(human_at(1.0, 0.5), 0.0)
@@ -277,10 +475,6 @@ class TestMounts:
         # a disc in the warning band is seen by at least one scanner of each pair
         for mounts in (default_scanner_mounts(LAYOUT), BUNDLED_MOUNTS):
             humans = [human_at(1.0, 0.0)]
-            entries = []
-            for mount in mounts:
-                entries.extend(
-                    scan_to_occupancy(simulate_scan(mount, humans, 0.0), mount, LAYOUT)
-                )
-            merged = merge_occupancy(entries)
-            assert max(merged.values()) >= Zone.WARNING
+            scan = simulate_scan(mounts, [humans], [0.0])
+            merged = merge_occupancy(scan_to_occupancy(scan, mounts, LAYOUT))
+            assert merged.max() >= Zone.WARNING

@@ -236,6 +236,10 @@ class TestValidation:
             ("control_period = 0.002", "control_period = 40"),
             ("control_period = 0.002", "control_period = 100"),
             ("control_period = 0.002", "control_period = 0.5"),
+            ("control_period = 0.002", "control_period = 1e-9"),
+            ("control_period = 0.002", "control_period = 1e-300"),
+            ("control_period = 0.002", "control_period = 5e-324"),
+            ("duration = 34.0", "duration = 1e12"),
         ],
     )
     def test_probe_fails_closed_naming_its_line(self, old, new, tmp_path):
