@@ -65,6 +65,23 @@ def _field_values(field_list, args) -> dict:
     return values
 
 
+def _input_file(path: Path, what: str) -> Path:
+    """path, which must not name a directory; a missing file is left to the reader."""
+    if path.is_dir():
+        raise FlagError(f"{what} {str(path)!r} is a directory, not a file")
+    return path
+
+
+def _bridge_address(text: str) -> tuple[str, int]:
+    """(host, port) of a --bridge HOST:PORT value; the host defaults to 127.0.0.1."""
+    host, _, port = text.rpartition(":")
+    if not (port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise FlagError(
+            f"argument --bridge: expected HOST:PORT with a port from 0 to 65535, got {text!r}"
+        )
+    return host or "127.0.0.1", int(port)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ssmcell",
@@ -110,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_scenario(path: str, seed: int | None, noise: bool):
-    candidate = Path(path)
+    candidate = _input_file(Path(path), "scenario")
     if not candidate.exists():
         bundled = bundled_scenario_path(path)
         if bundled.is_file():
@@ -152,11 +169,13 @@ def _write_run_outputs(out_dir: Path, result, label: str = "") -> Path:
 
 
 def _cmd_sim_run(args) -> int:
+    if args.decimation < 1:
+        raise FlagError(f"argument --decimation: must be >= 1, got {args.decimation}")
+    address = _bridge_address(args.bridge) if args.bridge else None
     scenario = _resolve_scenario(args.scenario, args.seed, args.noise)
     service = None
-    if args.bridge:
-        host, _, port = args.bridge.rpartition(":")
-        service = bridge_mod.serve((host or "127.0.0.1", int(port)), args.decimation)
+    if address is not None:
+        service = bridge_mod.serve(address, args.decimation)
         print(f"bridge listening on {service.address[0]}:{service.address[1]}")
     try:
         result = run(scenario, bridge=service)
@@ -223,7 +242,10 @@ def _cmd_msd_dynamic(args) -> int:
 
 
 def _cmd_check_stability(args) -> int:
-    report = evaluate_trace(lyapunov_samples(read_trace(args.trace)), eps=args.eps)
+    if args.eps is not None and not (math.isfinite(args.eps) and args.eps >= 0.0):
+        raise FlagError(f"argument --eps: must be finite and >= 0, got {args.eps}")
+    trace = read_trace(_input_file(Path(args.trace), "trace"))
+    report = evaluate_trace(lyapunov_samples(trace), eps=args.eps)
     for seg in report.segments:
         print(
             f"segment {seg.t_start:.3f}-{seg.t_end:.3f}s mode={seg.mode.value} "

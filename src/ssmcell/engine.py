@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 import struct
@@ -21,6 +22,7 @@ from .zones import Quadrant, Zone, ZoneLayout, classify_footprint, quadrant_of
 
 ARRIVAL_TOL = 0.003  # m, TCP-to-target distance that counts as arrived
 _GRID_EPS = 1e-9
+_DWELL_DONE = 1e-12  # s, dwell time left at which a step is done
 _ROW_FLOATS = struct.Struct("3d")  # exact bits of d_i, v_task and lyap
 _NO_MOTION = np.zeros(3)  # the task direction of a tick without task motion
 _NO_MOTION.flags.writeable = False
@@ -107,6 +109,7 @@ class _TaskTracker:
         self.idx = 0
         self.dwelling = False
         self.dwell_left = 0.0
+        self.done_at = -math.inf  # the time of the tick that last finished a step
         self.events = events  # the run's event log, appended to as steps finish
 
     @property
@@ -131,14 +134,135 @@ class _TaskTracker:
             self.dwell_left = step.dwell
         if fraction > 0.0:
             self.dwell_left -= dt
-        if self.dwell_left <= 1e-12:
+        if self.dwell_left <= _DWELL_DONE:
             done = f"step={step.name};cycle={cycle}"
             self.events.append(Event(t, EventKind.TASK_STEP_DONE, done))
             if self.idx + 1 >= len(self.plan) or self.plan[self.idx + 1][0] != cycle:
                 self.events.append(Event(t, EventKind.CYCLE_DONE, f"cycle={cycle}"))
             self.idx += 1
             self.dwelling = False
+            self.done_at = t
         return _NO_MOTION
+
+    def quiet_ticks(self, t: float, fraction: float, dt: float, limit: int) -> int:
+        """How many ticks after the tick at t, at most limit, advance would
+        pass with the TCP and the fraction held, returning what it returned at
+        t and changing nothing but the dwell countdown.
+
+        Zero after a tick that finished a step, for the next tick heads for
+        the next target.  Otherwise all of them, unless the robot dwells at a
+        positive fraction: then the countdown runs the float sequence advance
+        runs, and the tick at which it ends is not counted.
+        """
+        if self.done_at == t:
+            return 0
+        if not (self.dwelling and fraction > 0.0):
+            return limit
+        left = self.dwell_left
+        for n in range(limit):
+            left -= dt
+            if left <= _DWELL_DONE:
+                return n
+        return limit
+
+    def wait(self, ticks: int, fraction: float, dt: float):
+        """Advance over ticks that quiet_ticks counted: only the countdown moves."""
+        if self.dwelling and fraction > 0.0:
+            for _ in range(ticks):
+                self.dwell_left -= dt
+
+
+def _sensor_grid(tick_times: np.ndarray, period: float) -> tuple[list[float], list[int]]:
+    """A sensor firing every period: the time of each message, and the first
+    tick at or after it, followed by the tick count (a tick never reached)."""
+    grid = np.floor(tick_times / period + _GRID_EPS)
+    numbers, starts = np.unique(grid, return_index=True)
+    return (numbers * period).tolist(), starts.tolist() + [len(tick_times)]
+
+
+class _Messages:
+    """The scanner's and the skeleton camera's messages, handed to the
+    controller in tick order at the first tick at or after each is taken.
+
+    Every scan's occupancy is known before the first tick; a skeleton frame's
+    distance is measured when it is offered, from the tracked human's state at
+    the frame time and the TCP of that tick, and is reused while both are the
+    objects it was measured from.
+    """
+
+    def __init__(self, controller, scans, occupancy, frames, tracked):
+        self.controller = controller
+        self.scan_times, self.scan_starts = scans
+        self.occupancy = occupancy
+        self.frame_times, self.frame_starts = frames
+        self.tracked = tracked  # the script the skeleton follows; None when it sees no one
+        self.n_scans = self.n_frames = 0
+        self.skel_human = self.skel_tcp = None  # what d_i was measured from
+        self.d_i = math.inf
+        # The scans whose occupancy differs from the scan before, ascending.
+        self.scan_changes = [
+            j for j in range(1, len(occupancy)) if occupancy[j] != occupancy[j - 1]
+        ]
+
+    def offer_until(self, stop: int, tcp: np.ndarray):
+        """Offer every message due before tick stop; at one tick, the scan first."""
+        controller = self.controller
+        while True:
+            scan_tick = self.scan_starts[self.n_scans]
+            frame_tick = self.frame_starts[self.n_frames]
+            if scan_tick <= frame_tick:
+                if scan_tick >= stop:
+                    return
+                controller.offer_scan(self.scan_times[self.n_scans], self.occupancy[self.n_scans])
+                self.n_scans += 1
+                continue
+            if frame_tick >= stop:
+                return
+            t_skel = self.frame_times[self.n_frames]
+            self.n_frames += 1
+            if self.tracked is None:
+                controller.offer_skeleton(t_skel, math.inf, 0.0)
+                continue
+            human = self.tracked.state_at(t_skel)
+            if human is not self.skel_human or tcp is not self.skel_tcp:
+                self.skel_human, self.skel_tcp = human, tcp
+                frame = perception.skeleton_sample(human, t_skel)
+                self.d_i, _ = min_distance_tcp(frame, tcp)
+            controller.offer_skeleton(t_skel, self.d_i, human.walk_speed)
+
+    def quiet_until(self, tcp: np.ndarray) -> int:
+        """The tick of the first message that can differ from the one the
+        controller holds: a scan of other occupancy, or a skeleton frame whose
+        human state or TCP is not what the held distance was measured from.
+        In sequential mode every frame re-arbitrates, so it is the next frame."""
+        j = bisect.bisect_left(self.scan_changes, self.n_scans)
+        scan = self.scan_changes[j] if j < len(self.scan_changes) else len(self.scan_times)
+        if self.controller.config.sequential or (
+            self.tracked is not None and tcp is not self.skel_tcp
+        ):
+            frame = self.n_frames
+        elif self.tracked is not None:
+            end = self.tracked.hold_end(self.frame_times[self.n_frames - 1])
+            frame = bisect.bisect_left(self.frame_times, end, self.n_frames)
+        else:
+            frame = len(self.frame_times)
+        # Past the last message, the start lists hold the tick count.
+        return min(self.scan_starts[scan], self.frame_starts[frame])
+
+
+def _quiet_until(i, t, scripts, tick_times, messages, tracker, tcp, dt) -> int:
+    """The first tick after tick i, which repeated the row before it, whose
+    inputs can differ from tick i's: the earliest of the first tick at or
+    after the end of any human's hold, the first scan and the first skeleton
+    frame that can differ from the held one (_Messages.quiet_until), the tick
+    at which the dwell countdown ends, and the tick count.  Messages keep
+    arriving on their grids inside the span, so the watchdog verdict cannot
+    change there.
+    """
+    end = min((script.hold_end(t) for script in scripts), default=math.inf)
+    stop = max(i + 1, min(int(np.searchsorted(tick_times, end)), messages.quiet_until(tcp)))
+    fraction = messages.controller.fraction
+    return i + 1 + tracker.quiet_ticks(t, fraction, dt, stop - i - 1)
 
 
 def run(scenario: Scenario, bridge=None) -> SimResult:
@@ -183,20 +307,16 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
     prev_mode: ModeKind | None = None
     prev_source: CommandSource | None = None
     prev_zone = [Zone.NORMAL for _ in scenario.humans]
-    ignore_humans = scenario.mode == SimMode.AUTONOMOUS
+    ignore_humans = scenario.mode == SimMode.AUTONOMOUS or not scenario.humans
     quadrant_blind = scenario.mode == SimMode.TRADITIONAL
 
     # The laser pipeline is open-loop: a scan's occupancy depends on the human
     # script, the mounts, the layout, the mode and rng, never on q or the
-    # controller.  So every scan is cast before the first tick.  The scanner
-    # fires on its own grid: scan j is taken at scan_times[j], and tick
-    # scan_starts[j] is the first tick at or after it (the last entry,
-    # n_ticks, is never reached).
-    scan_grid = np.floor(np.arange(n_ticks) * dt / scan_period + _GRID_EPS)
-    scan_ticks, scan_starts = np.unique(scan_grid, return_index=True)
-    scan_times = (scan_ticks * scan_period).tolist()
-    scan_starts = scan_starts.tolist() + [n_ticks]
-    if ignore_humans or not scenario.humans:
+    # controller.  So every scan is cast before the first tick.
+    tick_times = np.arange(n_ticks) * dt  # the products t = i * dt of the loop
+    scans = _sensor_grid(tick_times, scan_period)
+    scan_times = scans[0]
+    if ignore_humans:
         occupancy = [{Quadrant.LEFT: Zone.NORMAL, Quadrant.RIGHT: Zone.NORMAL}] * len(scan_times)
     else:
         occupancy = perception.scan_occupancies(
@@ -208,10 +328,15 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
             noise=scenario.noise,
             quadrant_blind=quadrant_blind,
         )
+    messages = _Messages(
+        controller,
+        scans,
+        occupancy,
+        _sensor_grid(tick_times, skeleton_period),
+        None if ignore_humans else scenario.humans[0],
+    )
 
     trace = Trace.empty(n_ticks)
-    n_scans = 0
-    last_skel_tick = -1
     seq = 0
     # A tick is quiescent when its inputs are bit-identical to the last
     # tick's: the scan and skeleton messages carry what they carried before,
@@ -225,16 +350,28 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
     # unchanged: kinematics while q is, a human's zone while its state is, the
     # human distance while the pose and the TCP are.  Reused values are the
     # floats a full evaluation gives, so the trace is byte-identical.
+    #
+    # A tick that copies the last row starts a span of such ticks, which ends
+    # at the first tick whose inputs can differ (_quiet_until), the earliest
+    # of five: the end of any human's hold, a scan of other occupancy than
+    # the held one, a skeleton frame whose human state or TCP is not what the
+    # held distance was measured from (any frame in sequential mode), the end
+    # of the dwell countdown, and the end of the run.  The span's rows are
+    # copied in one step; its scans and skeleton frames are still offered to
+    # the controller in tick order, the dwell countdown still runs, and the
+    # bridge still gets a message per tick.  Only the step and the per-tick
+    # bookkeeping are skipped.  Every other tick is evaluated alone, as the
+    # span of length one.
     humans: list = [None] * len(scenario.humans)
     q_key = None
-    skel_human = skel_tcp = None  # what the last skeleton distance was measured from
     pose_human = None  # the state the landmarks were built from
     d_tcp = None  # the tcp array that d_human was measured from
     energy_key = None
     row_human = row_key = None  # what a repeated row must match
     repeated = False
 
-    for i in range(n_ticks):
+    i = 0
+    while i < n_ticks:
         t = i * dt
         prev_humans, humans = humans, [script.state_at(t) for script in scenario.humans]
         q_bytes = q.tobytes()
@@ -249,22 +386,7 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
             tcp_speed = float(np.linalg.norm(tcp - prev_tcp)) / dt
 
         # Sensors fire on their own grids; the controller holds the last message.
-        if i == scan_starts[n_scans]:
-            controller.offer_scan(scan_times[n_scans], occupancy[n_scans])
-            n_scans += 1
-        skel_tick = int(math.floor(t / skeleton_period + _GRID_EPS))
-        if skel_tick > last_skel_tick:
-            last_skel_tick = skel_tick
-            t_skel = skel_tick * skeleton_period
-            if ignore_humans or not scenario.humans:
-                controller.offer_skeleton(t_skel, math.inf, 0.0)
-            else:
-                tracked = scenario.humans[0].state_at(t_skel)
-                if tracked is not skel_human or tcp is not skel_tcp:
-                    skel_human, skel_tcp = tracked, tcp
-                    frame = perception.skeleton_sample(tracked, t_skel)
-                    d_i, _ = min_distance_tcp(frame, tcp)
-                controller.offer_skeleton(t_skel, d_i, tracked.walk_speed)
+        messages.offer_until(i + 1, tcp)
 
         # Ground-truth zone occupancy drives the event log (nested enters/exits).
         for h, human in enumerate(humans):
@@ -334,8 +456,10 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
         v_task = speed * command.fraction * scenario.nominal_speed
         pending = tracker.pending
         key = (pending, _ROW_FLOATS.pack(d_true, v_task, lyap))
+        stop = i + 1
         if repeated and tcp is prev_tcp and human0 is row_human and key == row_key:
-            trace.repeat(i, t)  # msd_now, too, is the last row's
+            stop = _quiet_until(i, t, scenario.humans, tick_times, messages, tracker, tcp, dt)
+            trace.repeat(i, stop, dt)  # msd_now, too, is the last row's
         else:
             row_human, row_key = human0, key
             msd_now = msd_at_speeds(
@@ -365,8 +489,10 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
                 lyap=lyap,
             )
         if bridge is not None:
-            bridge.publish(seq, t, command.mode.kind.value, command.fraction, d_true, msd_now)
-            seq += 1
+            mode = command.mode.kind.value
+            for k in range(i, stop):
+                bridge.publish(seq, k * dt, mode, command.fraction, d_true, msd_now)
+                seq += 1
 
         # Semi-implicit integration: rates from the state at t applied over
         # [t, t+dt].  A repeated command repeats the last tick's step, which
@@ -375,6 +501,9 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
             q = q + command.qdot_cmd * dt
             q_ref = q_ref + command.qdot_task * dt
         prev_tcp = tcp
+        messages.offer_until(stop, tcp)
+        tracker.wait(stop - i - 1, controller.fraction, dt)
+        i = stop
 
     return SimResult(scenario=scenario, layout=layout, trace=trace, events=events)
 

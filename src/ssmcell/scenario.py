@@ -122,6 +122,15 @@ class HumanScript:
                 return state
         return self._interpolate(t)
 
+    def hold_end(self, t: float) -> float:
+        """The end of the hold containing t, before which state_at keeps
+        returning the state it returns at t; t itself when the script does not
+        hold still at t.  A hold is the open interval state_at tests."""
+        for start, end, _ in self._holds:
+            if start < t < end:
+                return end
+        return t
+
     @functools.cached_property
     def _holds(self) -> tuple[tuple[float, float, HumanState], ...]:
         """(start, end, state) of each open interval in which the script holds

@@ -173,11 +173,12 @@ class Trace:
         self.floats[i] = floats
         self.codes[i] = [code_of[values[name]] for name, code_of in _CODED_FIELDS]
 
-    def repeat(self, i: int, t: float):
-        """Write row i as a copy of row i - 1 with time t."""
-        self.floats[i] = self.floats[i - 1]
-        self.floats[i, _T] = t
-        self.codes[i] = self.codes[i - 1]
+    def repeat(self, start: int, stop: int, dt: float):
+        """Write rows start to stop - 1 as copies of row start - 1, row k with
+        time k * dt."""
+        self.floats[start:stop] = self.floats[start - 1]
+        self.floats[start:stop, _T] = np.arange(start, stop) * dt
+        self.codes[start:stop] = self.codes[start - 1]
 
     def __len__(self) -> int:
         return len(self.floats)

@@ -53,12 +53,16 @@ def test_tracefile_call_contract():
     assert list(inspect.signature(tracefile.read_trace).parameters)[:1] == ["path"]
 
 
-def test_controller_step_is_the_tick_clock(monkeypatch):
+def test_controller_step_runs_once_per_evaluated_tick(monkeypatch):
     # The tracer's engine.tick.* metrics time the gaps between Controller.step
-    # returns, so engine.run must call it once per tick, in tick order, also
-    # on the ticks that repeat the last command.
+    # returns.  engine.run calls it once per evaluated tick, in tick order, at
+    # that tick's t; the ticks between are those of a span that repeats the
+    # row before it, and get no step.
+    import numpy as np
+
     from ssmcell.control import Controller
     from ssmcell.engine import run
+    from ssmcell.trace import SLOTS
     from helpers import tiny_scenario
 
     times = []
@@ -69,9 +73,18 @@ def test_controller_step_is_the_tick_clock(monkeypatch):
         return step(self, t, **kwargs)
 
     monkeypatch.setattr(Controller, "step", counted)
-    result = run(tiny_scenario(duration=1.0))
-    assert times == result.trace.values("t")
-    assert len(times) == round(1.0 / result.scenario.control_period)
+    result = run(tiny_scenario(duration=4.0))
+    rows = result.trace.values("t")
+    assert len(rows) == round(4.0 / result.scenario.control_period)
+    assert times == sorted(set(times)) and times[0] == 0.0
+    row_of = {t: k for k, t in enumerate(rows)}
+    evaluated = [row_of[t] for t in times]  # raises unless each t is a row's
+    assert len(evaluated) < len(rows) / 2
+    skipped = np.setdiff1d(np.arange(len(rows)), evaluated)
+    bits = np.delete(result.trace.floats, SLOTS["t"].index, axis=1).view(np.int64)
+    assert np.array_equal(bits[skipped], bits[skipped - 1])
+    codes = result.trace.codes
+    assert np.array_equal(codes[skipped], codes[skipped - 1])
 
 
 def test_traced_run_matches_untraced_and_counts_the_scan_layers():

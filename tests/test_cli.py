@@ -156,6 +156,12 @@ class TestNonFiniteFlags:
         (["zones", "compute", "--approach-speed", "abc"], "--approach-speed"),
         (["sim", "run", "approach_retreat", "--seed", "x"], "--seed"),
         (["zones", "compute", "--stop-time", "-inf"], "--stop-time"),
+        (["sim", "run", "approach_retreat", "--bridge", "127.0.0.1:abc"], "--bridge"),
+        (["sim", "run", "approach_retreat", "--bridge", "127.0.0.1:99999"], "--bridge"),
+        (
+            ["sim", "run", "approach_retreat", "--bridge", "127.0.0.1:0", "--decimation", "0"],
+            "--decimation",
+        ),
     ],
 )
 def test_flag_usage_error_exits_1_naming_the_flag(args, flag, tmp_path, capsys):
@@ -163,6 +169,31 @@ def test_flag_usage_error_exits_1_naming_the_flag(args, flag, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == EXIT_VALIDATION
     assert f"argument {flag}: " in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300"])
+def test_stability_eps_must_be_finite_and_non_negative(value, tiny_file, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    main(["sim", "run", str(tiny_file), "--out", str(out_dir)])
+    capsys.readouterr()
+    code = main(["check", "stability", str(out_dir / "trace.csv"), f"--eps={value}"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert f"argument --eps: must be finite and >= 0, got {float(value)}" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["sim", "run"], ["sim", "benchmark"], ["check", "stability"]],
+    ids=lambda args: args[1],
+)
+def test_directory_as_input_file_exits_1_naming_it(args, tmp_path, capsys):
+    code = main([*args, str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert f"{str(tmp_path)!r} is a directory, not a file" in err
     assert out == ""
 
 

@@ -13,12 +13,15 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from ssmcell import engine
 from ssmcell.control import Controller, ControllerConfig, Gains, ModeKind
 from ssmcell.engine import run
 from ssmcell.kinematics import RobotModel
 from ssmcell.perception import Posture
-from ssmcell.scenario import HumanScript, HumanWaypoint, SimMode
+from ssmcell.scenario import HumanScript, HumanWaypoint, RobotTask, SimMode, TaskStep
 from ssmcell.separation import SeparationInputs
 from ssmcell.tracefile import trace_lines, write_events
 from ssmcell.zones import Quadrant, Zone, build_zone_layout
@@ -381,3 +384,228 @@ class TestControllerCache:
         b = tick(ctrl, i + 1)
         assert ctrl.repeated
         assert not np.any(b.qdot_cmd == 99.0) and not np.any(b.qdot_task == 99.0)
+
+
+# -- Spans of repeated ticks ---------------------------------------------------
+#
+# A tick that repeats the row before it starts a span that engine.run fills in
+# one step, up to the first tick whose inputs can differ (_quiet_until).  The
+# oracle is the same engine with that helper returning a span of one tick, so
+# every tick is evaluated alone.
+
+
+class Recorder:
+    """A bridge that keeps what it is sent."""
+
+    def __init__(self):
+        self.records = []
+
+    def publish(self, *record):
+        self.records.append(record)
+
+
+def observed(scenario, monkeypatch, one_tick):
+    """Trace lines, events, bridge records, offered messages and step times of a run."""
+    offers, steps = [], []
+    offer_scan, offer_skeleton, step = (
+        Controller.offer_scan,
+        Controller.offer_skeleton,
+        Controller.step,
+    )
+
+    def scan(self, t, occupancy):
+        offers.append(("scan", t, occupancy[Quadrant.LEFT], occupancy[Quadrant.RIGHT]))
+        return offer_scan(self, t, occupancy)
+
+    def skeleton(self, t, d_i, human_speed=0.0):
+        offers.append(("skeleton", t, d_i, human_speed))
+        return offer_skeleton(self, t, d_i, human_speed)
+
+    def counted(self, t, **kwargs):
+        steps.append(t)
+        return step(self, t, **kwargs)
+
+    bridge = Recorder()
+    with monkeypatch.context() as m:
+        if one_tick:
+            m.setattr(engine, "_quiet_until", lambda i, *args: i + 1)
+        m.setattr(Controller, "offer_scan", scan)
+        m.setattr(Controller, "offer_skeleton", skeleton)
+        m.setattr(Controller, "step", counted)
+        result = engine.run(scenario, bridge=bridge)
+    events = [(e.t, e.kind, e.payload) for e in result.events]
+    return list(trace_lines(result.trace)), events, bridge.records, offers, steps
+
+
+def assert_spans_exact(scenario, monkeypatch):
+    """The run equals its tick-by-tick oracle; the number of evaluated ticks of each."""
+    *spanned, spanned_steps = observed(scenario, monkeypatch, one_tick=False)
+    *oracle, oracle_steps = observed(scenario, monkeypatch, one_tick=True)
+    for name, got, want in zip(("trace", "events", "bridge", "offers"), spanned, oracle):
+        if got != want:
+            k = next((k for k, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
+            if k is None:
+                pytest.fail(f"{name}: {len(got)} items, the oracle has {len(want)}")
+            pytest.fail(f"{name}, item {k}: {got[k]!r}, the oracle has {want[k]!r}")
+    assert set(spanned_steps) <= set(oracle_steps)
+    return len(spanned_steps), len(oracle_steps)
+
+
+# The operator the skeleton tracks: walks up and reaches toward the robot's
+# side within the skeleton ramp, then stands up in place and stays.  The
+# reach starts at 0.5336 s, between the skeleton frame at 16/30 s and the
+# next tick (0.534 s), and ends on a tick that no scan or frame falls on.
+OPERATOR = HumanScript(
+    waypoints=(
+        HumanWaypoint(0.0, 1.5, -0.25, Posture.STANDING),
+        HumanWaypoint(0.5336, 0.75, -0.25, Posture.REACHING),
+        HumanWaypoint(1101 * DT, 0.75, -0.25, Posture.STANDING),
+    ),
+    footprint_radius=0.2,
+)
+# A second operator who waits, then walks into the robot's side of the danger
+# zone while it dwells at sort_a, so the countdown stalls, and leaves.
+STALL = HumanScript(
+    waypoints=(
+        HumanWaypoint(0.0, 2.0, -0.3, Posture.STANDING),
+        HumanWaypoint(0.6, 2.0, -0.3, Posture.STANDING),
+        HumanWaypoint(0.85, 0.62, -0.3, Posture.STANDING),
+        HumanWaypoint(1.3, 0.62, -0.3, Posture.REACHING),
+        HumanWaypoint(1.7, 2.0, -0.2, Posture.STANDING),
+    )
+)
+# sort_a is the start pose; the last step targets the spot the one before
+# ends at, so it is reached on the tick that finishes that step.
+SPAN_TASK = RobotTask(
+    steps=(
+        TaskStep("sort_a", (0.35, -0.30, 0.25), 1.5),
+        TaskStep("sort_b", (0.20, -0.35, 0.30), 0.25),
+        TaskStep("again", (0.20, -0.35, 0.30), 0.0),
+    ),
+    cycles=2,
+)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.005])
+@pytest.mark.parametrize("sequential", [False, True])
+@pytest.mark.parametrize("mode", list(SimMode), ids=lambda m: m.value)
+def test_spans_match_tick_by_tick(mode, sequential, noise, monkeypatch):
+    scenario = tiny_scenario(
+        duration=3.0,
+        humans=(OPERATOR, STALL),
+        task=SPAN_TASK,
+        mode=mode,
+        sequential=sequential,
+        noise=noise,
+        seed=17,
+    )
+    spanned, oracle = assert_spans_exact(scenario, monkeypatch)
+    assert oracle == 1500 and spanned < oracle * 0.9, spanned
+
+
+def test_stall_during_a_dwell_delays_the_step():
+    # The case the span cases above cover: the 1.5 s dwell at sort_a, which
+    # starts at tick 0, stops counting while the operator in the robot's
+    # danger zone holds the fraction at 0, and resumes after.
+    scenario = tiny_scenario(duration=3.0, humans=(OPERATOR, STALL), task=SPAN_TASK)
+    result = engine.run(scenario)
+    done = next(e.t for e in result.events if e.payload == "step=sort_a;cycle=0")
+    t = result.trace.column("t")
+    stalled = int(np.count_nonzero((result.trace.column("fraction") == 0.0) & (t < done)))
+    assert stalled > 100
+    assert done == pytest.approx(1.5 - DT + stalled * DT, abs=2 * DT)
+
+
+POSITIONS = st.tuples(st.floats(0.3, 2.2), st.floats(-0.6, 0.6))
+
+
+@st.composite
+def waypoint_times(draw, after):
+    """A time off the scan and skeleton grids, after ``after``; half of them
+    on a tick, as the product k * DT the engine forms."""
+    t = after + draw(st.floats(0.05, 0.9))
+    return round(t / DT) * DT if draw(st.booleans()) else t
+
+
+@st.composite
+def human_scripts(draw, duration):
+    """Walks and holds whose waypoint times lie off the scan and skeleton grids."""
+    t = draw(waypoint_times(-0.05))
+    x, y = draw(POSITIONS)
+    waypoints = [HumanWaypoint(t, x, y, draw(st.sampled_from(Posture)))]
+    for _ in range(draw(st.integers(0, 5))):
+        t = draw(waypoint_times(t))
+        if t >= duration:
+            break
+        if draw(st.booleans()):
+            x, y = draw(POSITIONS)
+        waypoints.append(HumanWaypoint(t, x, y, draw(st.sampled_from(Posture))))
+    return HumanScript(waypoints=tuple(waypoints))
+
+
+TARGETS = ((0.35, -0.30, 0.25), (0.20, -0.35, 0.30), (0.45, -0.28, 0.35))
+
+
+@st.composite
+def span_scenarios(draw):
+    duration = 2.5
+    steps = draw(
+        st.lists(
+            st.builds(
+                TaskStep,
+                name=st.just("step"),
+                target=st.sampled_from(TARGETS),
+                dwell=st.sampled_from((0.0, 0.037, 0.25, 0.6)),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return tiny_scenario(
+        duration=duration,
+        humans=tuple(draw(st.lists(human_scripts(duration), max_size=2))),
+        task=RobotTask(steps=tuple(steps), cycles=draw(st.integers(1, 2))),
+        mode=draw(st.sampled_from(SimMode)),
+        sequential=draw(st.booleans()),
+        noise=draw(st.sampled_from((0.0, 0.005))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(scenario=span_scenarios())
+def test_generated_spans_match_tick_by_tick(scenario, monkeypatch):
+    assert_spans_exact(scenario, monkeypatch)
+
+
+class TestHoldEnd:
+    SCRIPT = HumanScript(
+        waypoints=(
+            HumanWaypoint(0.5, 1.0, 0.2, Posture.STANDING),
+            HumanWaypoint(1.0, 1.0, 0.2, Posture.REACHING),
+            HumanWaypoint(2.0, 0.6, 0.2, Posture.STANDING),
+        )
+    )
+
+    def test_inside_a_hold(self):
+        assert self.SCRIPT.hold_end(0.7) == 1.0
+        assert self.SCRIPT.hold_end(math.nextafter(1.0, 0.0)) == 1.0
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0], ids=["start", "end", "last_waypoint"])
+    def test_at_an_edge_the_script_does_not_hold(self, t):
+        assert self.SCRIPT.hold_end(t) == t
+        assert self.SCRIPT.state_at(t) is not self.SCRIPT.state_at(t)
+
+    def test_while_walking_and_before_the_first_waypoint(self):
+        assert self.SCRIPT.hold_end(1.5) == 1.5
+        assert self.SCRIPT.hold_end(0.1) == 0.1
+
+    def test_after_the_last_waypoint(self):
+        assert self.SCRIPT.hold_end(2.5) == math.inf
+        assert self.SCRIPT.state_at(2.5) is self.SCRIPT.state_at(1e9)
