@@ -28,7 +28,6 @@ from .kinematics import (
     LinkRow,
     RobotModel,
     jacobian,
-    load_robot_model,
     null_space_projector,
     pseudo_inverse,
 )

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -254,8 +255,11 @@ def _cmd_check_stability(args) -> int:
         )
     verdict = "pass" if report.all_converged else "fail"
     print(f"stability_verdict = {verdict} (eps={report.eps:.3e})")
-    meta = Path(args.trace).parent / "meta.txt"
-    if meta.exists():
+    # The verdict goes to the trace's own meta file, if the trace has one.
+    trace_path = Path(args.trace)
+    named = re.fullmatch(r"trace(_.+)?\.csv", trace_path.name)
+    meta = trace_path.with_name(f"meta{named[1] or ''}.txt") if named else None
+    if meta is not None and meta.is_file():
         with meta.open("a", encoding="utf-8") as f:
             f.write(f"stability_verdict={verdict}\n")
     return EXIT_OK if report.all_converged else EXIT_CHECK_FAILED

@@ -337,7 +337,6 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
     )
 
     trace = Trace.empty(n_ticks)
-    seq = 0
     # A tick is quiescent when its inputs are bit-identical to the last
     # tick's: the scan and skeleton messages carry what they carried before,
     # the tracked human holds still (state_at returns the same object while a
@@ -491,8 +490,7 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
         if bridge is not None:
             mode = command.mode.kind.value
             for k in range(i, stop):
-                bridge.publish(seq, k * dt, mode, command.fraction, d_true, msd_now)
-                seq += 1
+                bridge.publish(k, k * dt, mode, command.fraction, d_true, msd_now)
 
         # Semi-implicit integration: rates from the state at t applied over
         # [t, t+dt].  A repeated command repeats the last tick's step, which

@@ -201,38 +201,3 @@ def null_space_projector(J: Jacobian | np.ndarray) -> np.ndarray:
     """N = I - J^+ J; maps joint rates into motions invisible at the TCP."""
     m = J.matrix if isinstance(J, Jacobian) else np.asarray(J, dtype=float)
     return np.eye(m.shape[1]) - pseudo_inverse(m) @ m
-
-
-def _numbers(path, text: str, count: int, what: str) -> tuple[float, ...]:
-    values = tuple(float(x) for x in text.split())
-    if len(values) != count:
-        raise KinematicsError(f"{path}: a {what} row needs {count} numbers, got {len(values)}")
-    return values
-
-
-def load_robot_model(path) -> RobotModel:
-    """Parse a robot model file: sectioned key/value text with 6 link rows."""
-    from .scenario import parse_sections  # local import to avoid a cycle
-
-    sections = parse_sections(path)
-    rows = [e.value for e in sections.get("links", []) if e.key == "link"]
-    if len(rows) != 6:
-        raise KinematicsError(f"{path}: expected 6 link rows, found {len(rows)}")
-    link_parameters = tuple(LinkRow(*_numbers(path, r, 4, "link")) for r in rows)
-    limit_rows = [e.value for e in sections.get("limits", []) if e.key == "joint"]
-    if len(limit_rows) != 6:
-        raise KinematicsError(f"{path}: expected 6 joint limit rows")
-    joint_limits = tuple(_numbers(path, r, 2, "joint") for r in limit_rows)
-    speed_rows = [e.value for e in sections.get("speeds", []) if e.key == "max"]
-    if len(speed_rows) != 1:
-        raise KinematicsError(f"{path}: expected one 'max' row in [speeds]")
-    max_joint_speed = tuple(float(x) for x in speed_rows[0].split())
-    reach_rows = [e.value for e in sections.get("reach", []) if e.key == "reach"]
-    if len(reach_rows) != 1:
-        raise KinematicsError(f"{path}: expected one 'reach' row in [reach]")
-    return RobotModel(
-        link_parameters=link_parameters,
-        joint_limits=joint_limits,
-        max_joint_speed=max_joint_speed,
-        reach=float(reach_rows[0]),
-    )

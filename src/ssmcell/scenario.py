@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, get_type_hints
 
 from .control import CONTROL_PERIOD, NOMINAL_SPEED, Gains, GainsConfig
-from .kinematics import RobotModel, load_robot_model
+from .kinematics import RobotModel
 from .perception import (
     DEFAULT_FOOTPRINT_RADIUS,
     DEFAULT_STATURE,
@@ -134,19 +134,23 @@ class HumanScript:
     @functools.cached_property
     def _holds(self) -> tuple[tuple[float, float, HumanState], ...]:
         """(start, end, state) of each open interval in which the script holds
-        still: a segment between two waypoints at one spot, and after the last
-        waypoint.  Every t inside such an interval interpolates to the same
-        floats, so the state is built once, from the midpoint, and its ground
-        array is read-only.  A script whose times do not increase has none."""
+        still: before the first waypoint, a segment between two waypoints at
+        one spot, and after the last waypoint.  Every t inside such an
+        interval interpolates to the same floats, so the state is built once,
+        from the midpoint, or from the end where the interval is unbounded,
+        and its ground array is read-only.  A script whose times do not
+        increase has none."""
         wps = self.waypoints
         pairs = list(zip(wps, wps[1:]))
         if any(a.t >= b.t for a, b in pairs):
             return ()
-        spans = [(a.t, b.t) for a, b in pairs if (a.x, a.y) == (b.x, b.y)]
+        spans = [(-math.inf, wps[0].t)]
+        spans += [(a.t, b.t) for a, b in pairs if (a.x, a.y) == (b.x, b.y)]
         spans.append((wps[-1].t, math.inf))
         holds = []
         for start, end in spans:
-            state = self._interpolate(end if end == math.inf else (start + end) / 2)
+            unbounded = math.isinf(start) or math.isinf(end)
+            state = self._interpolate(end if unbounded else (start + end) / 2)
             state.ground.flags.writeable = False
             holds.append((start, end, state))
         return tuple(holds)
@@ -253,7 +257,6 @@ class Scenario:
     gains_config: GainsConfig = GainsConfig()
     control_period: float = CONTROL_PERIOD
     nominal_speed: float = NOMINAL_SPEED
-    robot_model: str = "default"
     sequential: bool = False
     noise: float = 0.0
     parallelism: float = 1.0
@@ -278,9 +281,8 @@ class Scenario:
 
 
 def build_model(scenario: Scenario) -> RobotModel:
-    if scenario.robot_model == "default":
-        return RobotModel()
-    return load_robot_model(scenario.robot_model)
+    """The arm every scenario runs: the one RobotModel()."""
+    return RobotModel()
 
 
 def build_gains(scenario: Scenario) -> Gains:
@@ -355,11 +357,7 @@ def _problems(sc: Scenario) -> list[_Problem]:
         build_gains(sc)
     except ValueError as exc:
         problems.append(_Problem(f"gains: {exc}", "gains"))
-    try:
-        model = build_model(sc)
-    except (OSError, ValueError) as exc:
-        problems.append(_Problem(f"robot: model: {exc}", "robot", "model"))
-        return problems
+    model = build_model(sc)
     try:
         model.check_joint_vector(sc.q0)
     except ValueError as exc:
@@ -475,7 +473,7 @@ def _section(cls, skip=(), names=None, row=None) -> _Section:
     return _Section(cls, keys, row)
 
 
-_ROBOT_KEYS = {"model": "robot_model", "q0": "q0"}
+_ROBOT_KEYS = {"q0": "q0"}
 _SECTIONS = {
     "scenario": _section(Scenario, skip=_ROBOT_KEYS.values()),
     "safety": _section(SafetyParams),

@@ -1,4 +1,4 @@
-"""Bundled data files: the demonstration scenarios and the default robot model.
+"""Bundled data files: the demonstration scenarios.
 
 The ``.scn`` files under ``data/`` are the only definition of the bundled scenarios.
 """
@@ -11,7 +11,3 @@ from importlib import resources
 def bundled_scenario_path(name: str):
     """Filesystem path of a bundled scenario file shipped with the package."""
     return resources.files("ssmcell").joinpath("data", f"{name}.scn")
-
-
-def default_robot_model_path():
-    return resources.files("ssmcell").joinpath("data", "default_arm.cfg")

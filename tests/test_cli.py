@@ -276,6 +276,19 @@ class TestCheckStability:
         # verdict row is appended to the run metadata
         assert "stability_verdict=pass" in (out_dir / "meta.txt").read_text()
 
+    def test_verdict_goes_to_the_meta_file_of_the_trace_checked(self, tmp_path):
+        out_dir = tmp_path / "out"
+        assert main(["sim", "benchmark", "approach_retreat", "--out", str(out_dir)]) == EXIT_OK
+        assert main(["check", "stability", str(out_dir / "trace_proposed.csv")]) == EXIT_OK
+        assert "stability_verdict=pass" in (out_dir / "meta_proposed.txt").read_text()
+        assert not (out_dir / "meta.txt").exists()
+        assert main(["sim", "run", "approach_retreat", "--out", str(out_dir)]) == EXIT_OK
+        run_meta = (out_dir / "meta.txt").read_text()
+        assert main(["check", "stability", str(out_dir / "trace_traditional.csv")]) == EXIT_OK
+        assert "stability_verdict=pass" in (out_dir / "meta_traditional.txt").read_text()
+        assert (out_dir / "meta.txt").read_text() == run_meta
+        assert "stability_verdict" not in (out_dir / "meta_autonomous.txt").read_text()
+
     def test_fail_verdict_exit_code(self, tiny_file, tmp_path, capsys):
         out_dir = tmp_path / "out"
         main(["sim", "run", str(tiny_file), "--out", str(out_dir)])

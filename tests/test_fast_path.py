@@ -503,6 +503,18 @@ def test_spans_match_tick_by_tick(mode, sequential, noise, monkeypatch):
     assert oracle == 1500 and spanned < oracle * 0.9, spanned
 
 
+def test_script_that_starts_late_holds_still_until_it_starts(monkeypatch):
+    # STALL without its first waypoint starts at 0.6 s and stands where STALL
+    # stands until then, so it gives STALL's run, with the same ticks evaluated.
+    late = HumanScript(waypoints=STALL.waypoints[1:])
+    stall, late = (
+        tiny_scenario(duration=3.0, humans=(OPERATOR, h), task=SPAN_TASK, seed=17)
+        for h in (STALL, late)
+    )
+    assert_spans_exact(late, monkeypatch)
+    assert observed(late, monkeypatch, False) == observed(stall, monkeypatch, False)
+
+
 def test_stall_during_a_dwell_delays_the_step():
     # The case the span cases above cover: the 1.5 s dwell at sort_a, which
     # starts at tick 0, stops counting while the operator in the robot's
@@ -602,9 +614,15 @@ class TestHoldEnd:
         assert self.SCRIPT.hold_end(t) == t
         assert self.SCRIPT.state_at(t) is not self.SCRIPT.state_at(t)
 
-    def test_while_walking_and_before_the_first_waypoint(self):
+    def test_while_walking(self):
         assert self.SCRIPT.hold_end(1.5) == 1.5
-        assert self.SCRIPT.hold_end(0.1) == 0.1
+
+    def test_before_the_first_waypoint(self):
+        assert self.SCRIPT.hold_end(0.1) == 0.5
+        assert self.SCRIPT.hold_end(-1e9) == 0.5
+        state = self.SCRIPT.state_at(0.1)
+        assert state is self.SCRIPT.state_at(-1e9)
+        assert tuple(state.ground) == (1.0, 0.2) and state.walk_speed == 0.0
 
     def test_after_the_last_waypoint(self):
         assert self.SCRIPT.hold_end(2.5) == math.inf

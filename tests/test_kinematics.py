@@ -13,7 +13,6 @@ from ssmcell.kinematics import (
     LinkRow,
     RobotModel,
     jacobian,
-    load_robot_model,
     null_space_projector,
     pseudo_inverse,
     tcp_position,
@@ -162,21 +161,6 @@ class TestModel:
         clamped = model.clamp_joint_rates(qdot)
         assert abs(clamped[0]) <= model.max_joint_speed[0] + 1e-12
         assert np.allclose(clamped / np.linalg.norm(clamped), qdot / np.linalg.norm(qdot))
-
-    def test_model_file_round_trip(self):
-        from ssmcell.scenarios import default_robot_model_path
-
-        model = load_robot_model(str(default_robot_model_path()))
-        assert model == RobotModel()
-
-    def test_short_link_row_rejected(self, tmp_path):
-        from ssmcell.scenarios import default_robot_model_path
-
-        text = default_robot_model_path().read_text(encoding="utf-8")
-        path = tmp_path / "arm.cfg"
-        path.write_text(text.replace("link = 0.0 0.0 0.425 0.0", "link = 0.0 0.425 0.0"))
-        with pytest.raises(KinematicsError, match="a link row needs 4 numbers, got 3"):
-            load_robot_model(str(path))
 
     def test_frame_chain_matches_oracle(self):
         model = RobotModel()

@@ -93,11 +93,10 @@ class TestBundledScenarios:
         assert serialize_scenario(again) == serialize_scenario(scenario)
 
 
-# sha256 of serialize_scenario for the bundled files, recorded before the
-# section keys were read from the dataclass fields.
+# sha256 of serialize_scenario for the bundled files.
 SERIALIZED_SHA256 = {
-    "approach_retreat": "4849842c34ef9e6b98eed0f3432f3e0cab97f26bb7fd17ad6d38bd1eee40f6ed",
-    "sorting_benchmark": "dc6e688bf22c171caf77dc0b11196eba387a6462caa501b898fe4a83adad2cd2",
+    "approach_retreat": "b67aca2c535106b8e440a9460932a811010f2ebdf885bd4fb01c38e80172d4bd",
+    "sorting_benchmark": "5e7e2b28bc24ba048e9abad1ac3d0a8bab2c04ae47138fb7c926a6389cb8e088",
 }
 
 
@@ -114,7 +113,6 @@ def every_key_scenario():
         seed=5,
         control_period=0.004,
         nominal_speed=0.8,
-        robot_model=str(bundled_scenario_path("approach_retreat").parent / "default_arm.cfg"),
         sequential=True,
         noise=0.002,
         parallelism=2.0,
@@ -212,7 +210,7 @@ class TestValidation:
             ("[gains]", "[gain]"),
             ("sequential = false", "sequential = treu"),
             ("kp = 20.0", "kp = 20.0\nkp = 30.0"),
-            ("model = default", "model = default\nmodel = other.cfg"),
+            ("[robot]", "[robot]\nmodel = default"),
             ("duration = 34.0", "duration = nan"),
             ("duration = 34.0", "duration = inf"),
             ("kp = 20.0", "kp = nan"),
@@ -232,7 +230,7 @@ class TestValidation:
             ("step = sort_a 0.35", "step = sort_a 5.0"),
             ("step = sort_d 0.45", "step = sort_d -4.5"),
             ("stature = 1.7", "stature = -1.7"),
-            ("model = default", "model = no_such_model.cfg"),
+            ("[robot]", "[robot]\nmodel = arm.cfg"),
             ("control_period = 0.002", "control_period = 40"),
             ("control_period = 0.002", "control_period = 100"),
             ("control_period = 0.002", "control_period = 0.5"),
