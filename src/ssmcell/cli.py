@@ -193,15 +193,22 @@ def _cmd_sim_run(args) -> int:
 def _cmd_sim_benchmark(args) -> int:
     scenario = _resolve_scenario(args.scenario, args.seed, False)
     results = run_benchmark(scenario)
+    ideal = ideal_cycle_time(scenario)
+    # Every report is computed before the first file is written, so that a
+    # run too short for a KPI leaves no output behind.
+    reports = []
+    for mode, result in results.items():
+        try:
+            reports.append(kpi_mod.report(result, ideal_cycle=ideal))
+        except kpi_mod.IncompleteRunError as exc:
+            raise ScenarioError(
+                f"scenario: duration {scenario.duration!r} s is too short for a benchmark: "
+                f"the {mode.value} run completes no task cycle ({exc})"
+            ) from None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ideal = ideal_cycle_time(scenario)
-    reports = []
-    for mode in (SimMode.AUTONOMOUS, SimMode.TRADITIONAL, SimMode.PROPOSED):
-        result = results[mode]
+    for (mode, result), report in zip(results.items(), reports):
         _write_run_outputs(out_dir, result, label=mode.value)
-        report = kpi_mod.report(result, ideal_cycle=ideal)
-        reports.append(report)
         lines = [
             f"mode={report.mode_label}",
             f"cycle_time={report.cycle_time!r}",

@@ -269,6 +269,12 @@ class Controller:
     def reset_estop(self):
         self._estop_latched = False
 
+    def seed_fraction(self, t: float, robot_quadrant: Quadrant):
+        """Start at rest at the fraction the held messages arbitrate to at t, so
+        that a cold start has nothing to slew.  Arbitrating again at t with the
+        same messages, as the first step does, gives the same mode and gate state."""
+        self.fraction = self._arbitrate(t, robot_quadrant, 0.0)[0].fraction
+
     def _stale(self, t: float) -> bool:
         return (
             t - self._occ_t > STALE_PERIODS * self.config.scan_period + _TIME_TOL

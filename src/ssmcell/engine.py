@@ -13,17 +13,19 @@ import numpy as np
 from . import perception
 from .control import CommandSource, Controller, ControllerConfig, ModeKind
 from .kinematics import FrameChain, Jacobian, tcp_position
-from .perception import ScannerMount, min_distance_tcp, pose_landmarks
-from .scenario import Scenario, SimMode, TaskStep, build_gains, build_model
-from .separation import msd_at_speeds
+from .perception import ScannerMount, min_distance_tcp
+from .scenario import HumanTrack, Scenario, SimMode, TaskStep, build_gains, build_model
+from .separation import SeparationInputs, msd_at_speeds
 from .stability import LyapunovSample, lyapunov_value
 from .trace import Trace
-from .zones import Quadrant, Zone, ZoneLayout, classify_footprint, quadrant_of
+from .zones import Quadrant, Zone, ZoneLayout, footprint_zones, quadrant_of
 
 ARRIVAL_TOL = 0.003  # m, TCP-to-target distance that counts as arrived
 _GRID_EPS = 1e-9
 _DWELL_DONE = 1e-12  # s, dwell time left at which a step is done
-_ROW_FLOATS = struct.Struct("3d")  # exact bits of d_i, v_task and lyap
+_ROW_FLOATS = struct.Struct("2d")  # exact bits of v_task and lyap
+_HUMAN_COLUMNS = ("human_x", "human_y", "human_speed", "d_i", "dyn_msd")
+LANDMARK_CHUNK = 256  # ticks whose landmarks are built together
 _NO_MOTION = np.zeros(3)  # the task direction of a tick without task motion
 _NO_MOTION.flags.writeable = False
 
@@ -250,19 +252,69 @@ class _Messages:
         return min(self.scan_starts[scan], self.frame_starts[frame])
 
 
-def _quiet_until(i, t, scripts, tick_times, messages, tracker, tcp, dt) -> int:
-    """The first tick after tick i, which repeated the row before it, whose
-    inputs can differ from tick i's: the earliest of the first tick at or
-    after the end of any human's hold, the first scan and the first skeleton
-    frame that can differ from the held one (_Messages.quiet_until), the tick
-    at which the dwell countdown ends, and the tick count.  Messages keep
-    arriving on their grids inside the span, so the watchdog verdict cannot
-    change there.
+def _quiet_until(i, t, messages, tracker, tcp, dt) -> int:
+    """The first tick after tick i, which repeated the row before it but for
+    the human columns, whose inputs can differ from tick i's: the earliest of
+    the first scan and the first skeleton frame that can differ from the held
+    one (_Messages.quiet_until), the tick at which the dwell countdown ends,
+    and the tick count.  Messages keep arriving on their grids inside the
+    span, so the watchdog verdict cannot change there.
     """
-    end = min((script.hold_end(t) for script in scripts), default=math.inf)
-    stop = max(i + 1, min(int(np.searchsorted(tick_times, end)), messages.quiet_until(tcp)))
+    stop = max(i + 1, messages.quiet_until(tcp))
     fraction = messages.controller.fraction
     return i + 1 + tracker.quiet_ticks(t, fraction, dt, stop - i - 1)
+
+
+def _zone_events(tracks, layout: ZoneLayout, tick_times) -> tuple[list[int], list[Event]]:
+    """Every ZONE_ENTER and ZONE_EXIT of a run, ordered by tick and, within a
+    tick, by human, and the tick of each.  A human's footprint zone at each
+    tick is compared with its zone at the tick before, NORMAL before the
+    first; a change of several levels enters or leaves each level between."""
+    found = []
+    for h, track in enumerate(tracks):
+        zone = footprint_zones(layout, track.x, track.y, track.footprint_radius)
+        for k in np.flatnonzero(np.diff(zone, prepend=Zone.NORMAL)).tolist():
+            before, after = int(zone[k - 1]) if k else Zone.NORMAL, int(zone[k])
+            if after > before:
+                kind, levels = EventKind.ZONE_ENTER, range(before + 1, after + 1)
+            else:
+                kind, levels = EventKind.ZONE_EXIT, range(before, after, -1)
+            t = float(tick_times[k])
+            for level in levels:
+                found.append((k, Event(t, kind, f"zone={Zone(level).name.lower()};human={h}")))
+    found.sort(key=lambda item: item[0])  # stable: humans stay in order within a tick
+    return [k for k, _ in found], [event for _, event in found]
+
+
+def _human_columns(
+    track: HumanTrack | None,
+    start: int,
+    stop: int,
+    tcp: np.ndarray,
+    tcp_speed: float,
+    separation: SeparationInputs,
+) -> tuple[np.ndarray, ...]:
+    """The human columns of ticks start to stop - 1, in _HUMAN_COLUMNS order:
+    the tracked human's ground x and y and walk speed, the least distance
+    from its landmarks to tcp, and the dynamic minimum at its speed and
+    tcp_speed.  Without a human: NaN, NaN, 0, inf and the minimum at rest.
+
+    Each value is the float a tick evaluated alone gives: a tick's distance
+    is that of its own landmark rows, reduced as the per-tick
+    ``np.min(np.linalg.norm(landmarks - tcp, axis=1))``.
+    """
+    n = stop - start
+    if track is None:
+        x = y = np.full(n, math.nan)
+        speed, d_i = np.zeros(n), np.full(n, math.inf)
+    else:
+        x, y, speed = track.x[start:stop], track.y[start:stop], track.walk_speeds(start, stop)
+        d_i = np.empty(n)
+        for a in range(start, stop, LANDMARK_CHUNK):
+            b = min(a + LANDMARK_CHUNK, stop)
+            landmarks = track.landmarks(a, b)
+            d_i[a - start : b - start] = np.linalg.norm(landmarks - tcp, axis=-1).min(axis=-1)
+    return x, y, speed, d_i, msd_at_speeds(separation, speed, tcp_speed)
 
 
 def run(scenario: Scenario, bridge=None) -> SimResult:
@@ -296,7 +348,6 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
             sequential=scenario.sequential,
         ),
     )
-    controller.fraction = 1.0  # cold start at nominal speed; arbitration pulls it down
     events: list[Event] = []
     tracker = _TaskTracker(_expand_plan(scenario), scenario.nominal_speed, events)
 
@@ -306,7 +357,6 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
     prev_tcp: np.ndarray | None = None
     prev_mode: ModeKind | None = None
     prev_source: CommandSource | None = None
-    prev_zone = [Zone.NORMAL for _ in scenario.humans]
     ignore_humans = scenario.mode == SimMode.AUTONOMOUS or not scenario.humans
     quadrant_blind = scenario.mode == SimMode.TRADITIONAL
 
@@ -335,44 +385,58 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
         _sensor_grid(tick_times, skeleton_period),
         None if ignore_humans else scenario.humans[0],
     )
+    # The rest of the human side is open-loop as well: each human's state at
+    # every tick, its footprint zone and so the zone events, and the walk
+    # speed term of the dynamic minimum.  Only the distance to the TCP is not.
+    tracks = [script.track(tick_times) for script in scenario.humans]
+    zone_ticks, zone_events = _zone_events(tracks, layout, tick_times)
+    n_zone_events = 0
+    track0 = tracks[0] if tracks else None
 
     trace = Trace.empty(n_ticks)
-    # A tick is quiescent when its inputs are bit-identical to the last
-    # tick's: the scan and skeleton messages carry what they carried before,
-    # the tracked human holds still (state_at returns the same object while a
-    # script holds), and the controller repeats its last command, which it
-    # does only while its messages, q, the reference, the task direction, the
+    # A tick is quiescent when the controller's inputs are bit-identical to
+    # the last tick's: the scan and skeleton messages carry what they carried
+    # before, and the controller repeats its last command, which it does
+    # only while its messages, q, the reference, the task direction, the
     # fraction and the gate are unchanged.  A repeated command leaves q and
-    # the reference as they are, and a quiescent tick whose distance, pending
-    # flag, task speed and energy match the last row copies that row with the
-    # new t.  Every stage also reuses its last result while its own inputs are
-    # unchanged: kinematics while q is, a human's zone while its state is, the
-    # human distance while the pose and the TCP are.  Reused values are the
-    # floats a full evaluation gives, so the trace is byte-identical.
+    # the reference as they are, and a quiescent tick whose pending flag,
+    # task speed and energy match the last row copies that row with the new
+    # t and its own human columns.  Every stage also reuses its last result
+    # while its own inputs are unchanged: kinematics while q is.  Reused
+    # values are the floats a full evaluation gives, so the trace is
+    # byte-identical.
     #
-    # A tick that copies the last row starts a span of such ticks, which ends
-    # at the first tick whose inputs can differ (_quiet_until), the earliest
-    # of five: the end of any human's hold, a scan of other occupancy than
-    # the held one, a skeleton frame whose human state or TCP is not what the
-    # held distance was measured from (any frame in sequential mode), the end
-    # of the dwell countdown, and the end of the run.  The span's rows are
-    # copied in one step; its scans and skeleton frames are still offered to
-    # the controller in tick order, the dwell countdown still runs, and the
-    # bridge still gets a message per tick.  Only the step and the per-tick
-    # bookkeeping are skipped.  Every other tick is evaluated alone, as the
-    # span of length one.
-    humans: list = [None] * len(scenario.humans)
+    # The human side is not evaluated tick by tick: every human's state at
+    # every tick, its footprint zone and the zone events are arrays and a
+    # list built before the first tick (HumanScript.track, _zone_events), and
+    # a tick's human columns, the TCP distance among them, are filled from
+    # them (_human_columns).  So a walking operator does not make a tick
+    # differ; only a skeleton frame that reports the walk to the controller
+    # does.  A tick that copies the last row but for the human columns starts
+    # a span of such ticks, which ends at the first tick whose inputs can
+    # differ (_quiet_until), the earliest of four: a scan of other occupancy
+    # than the held one, a skeleton frame whose human state or TCP is not
+    # what the held distance was measured from (any frame in sequential
+    # mode), the end of the dwell countdown, and the end of the run.  The
+    # span's rows are copied in one step and their human columns filled from
+    # one landmark block per LANDMARK_CHUNK ticks; its scans and skeleton
+    # frames are still offered to the controller in tick order, its zone
+    # events logged in tick order, the dwell countdown still runs, and the
+    # bridge still gets a message per tick with that tick's distance and
+    # minimum.  Only the step and the per-tick bookkeeping are skipped.
+    # Every other tick is evaluated alone, as the span of length one.
     q_key = None
-    pose_human = None  # the state the landmarks were built from
-    d_tcp = None  # the tcp array that d_human was measured from
     energy_key = None
-    row_human = row_key = None  # what a repeated row must match
+    row_key = None  # what a repeated row must match
     repeated = False
 
     i = 0
     while i < n_ticks:
         t = i * dt
-        prev_humans, humans = humans, [script.state_at(t) for script in scenario.humans]
+        # The zone events of this tick, and of the span before it, come first.
+        j = bisect.bisect_right(zone_ticks, i, n_zone_events)
+        events.extend(zone_events[n_zone_events:j])
+        n_zone_events = j
         q_bytes = q.tobytes()
         if q_bytes != q_key:
             q_key = q_bytes
@@ -386,35 +450,8 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
 
         # Sensors fire on their own grids; the controller holds the last message.
         messages.offer_until(i + 1, tcp)
-
-        # Ground-truth zone occupancy drives the event log (nested enters/exits).
-        for h, human in enumerate(humans):
-            if human is prev_humans[h]:
-                continue
-            zone = classify_footprint(layout, human.ground, human.footprint_radius).zone
-            if zone > prev_zone[h]:
-                for level in range(prev_zone[h] + 1, zone + 1):
-                    events.append(
-                        Event(t, EventKind.ZONE_ENTER, f"zone={Zone(level).name.lower()};human={h}")
-                    )
-            elif zone < prev_zone[h]:
-                for level in range(prev_zone[h], zone, -1):
-                    events.append(
-                        Event(t, EventKind.ZONE_EXIT, f"zone={Zone(level).name.lower()};human={h}")
-                    )
-            prev_zone[h] = zone
-
-        d_true = math.inf
-        human0 = humans[0] if humans else None
-        if human0 is not None:
-            if human0 is not pose_human:
-                pose_human = human0
-                landmarks = pose_landmarks(human0)
-                d_tcp = None
-            if tcp is not d_tcp:
-                d_tcp = tcp
-                d_human = float(np.min(np.linalg.norm(landmarks - tcp, axis=1)))
-            d_true = d_human
+        if not i:  # a cold start at the fraction the first messages arbitrate to
+            controller.seed_fraction(t, quadrant_of(tcp[1]))
 
         task_dir = tracker.advance(t, tcp, controller.fraction, dt)
 
@@ -454,16 +491,17 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
         speed = 0.0 if task_dir is _NO_MOTION else float(np.linalg.norm(task_dir))
         v_task = speed * command.fraction * scenario.nominal_speed
         pending = tracker.pending
-        key = (pending, _ROW_FLOATS.pack(d_true, v_task, lyap))
-        stop = i + 1
-        if repeated and tcp is prev_tcp and human0 is row_human and key == row_key:
-            stop = _quiet_until(i, t, scenario.humans, tick_times, messages, tracker, tcp, dt)
-            trace.repeat(i, stop, dt)  # msd_now, too, is the last row's
+        key = (pending, _ROW_FLOATS.pack(v_task, lyap))
+        copies = repeated and tcp is prev_tcp and key == row_key
+        stop = _quiet_until(i, t, messages, tracker, tcp, dt) if copies else i + 1
+        human = _human_columns(track0, i, stop, tcp, tcp_speed, scenario.separation)
+        if copies:
+            trace.repeat(i, stop, dt)
+            for name, values in zip(_HUMAN_COLUMNS, human):
+                trace.column(name)[i:stop] = values
         else:
-            row_human, row_key = human0, key
-            msd_now = msd_at_speeds(
-                scenario.separation, human0.walk_speed if human0 else 0.0, tcp_speed
-            )
+            row_key = key
+            human_x, human_y, human_speed, d_i, dyn_msd = (float(v[0]) for v in human)
             trace.record(
                 i,
                 t=t,
@@ -471,13 +509,13 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
                 qdot=command.qdot_cmd,
                 tcp=tcp,
                 tcp_speed=tcp_speed,
-                human_x=float(human0.ground[0]) if human0 else math.nan,
-                human_y=float(human0.ground[1]) if human0 else math.nan,
-                human_speed=human0.walk_speed if human0 else 0.0,
+                human_x=human_x,
+                human_y=human_y,
+                human_speed=human_speed,
                 occ_left=controller.occupancy[Quadrant.LEFT],
                 occ_right=controller.occupancy[Quadrant.RIGHT],
-                d_i=d_true,
-                dyn_msd=msd_now,
+                d_i=d_i,
+                dyn_msd=dyn_msd,
                 mode=command.mode.kind,
                 fraction=command.fraction,
                 v_cap=command.v_cartesian,
@@ -489,8 +527,9 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
             )
         if bridge is not None:
             mode = command.mode.kind.value
-            for k in range(i, stop):
-                bridge.publish(k, k * dt, mode, command.fraction, d_true, msd_now)
+            ticks = range(i, stop)
+            for k, d_k, msd_k in zip(ticks, human[3].tolist(), human[4].tolist()):
+                bridge.publish(k, k * dt, mode, command.fraction, d_k, msd_k)
 
         # Semi-implicit integration: rates from the state at t applied over
         # [t, t+dt].  A repeated command repeats the last tick's step, which
@@ -503,6 +542,7 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
         tracker.wait(stop - i - 1, controller.fraction, dt)
         i = stop
 
+    events.extend(zone_events[n_zone_events:])
     return SimResult(scenario=scenario, layout=layout, trace=trace, events=events)
 
 

@@ -405,10 +405,6 @@ def _rotate_about_axis(v: np.ndarray, axis: np.ndarray, angle: float) -> np.ndar
     )
 
 
-def _standing_template(human: HumanState) -> np.ndarray:
-    return _template_for_stature(human.stature).copy()
-
-
 @lru_cache(maxsize=16)
 def _template_for_stature(s: float) -> np.ndarray:
     """Landmarks in body-local coordinates (x forward, y left, z up), metres."""
@@ -444,21 +440,40 @@ def _template_for_stature(s: float) -> np.ndarray:
     return pts
 
 
-def pose_landmarks(human: HumanState) -> np.ndarray:
-    """World-frame landmark array (32, 3) for the human's current state and posture.
+# The postures of landmark_block's posture codes, in code order.
+POSTURES = tuple(Posture)
+_STANDING = POSTURES.index(Posture.STANDING)
+
+
+def landmark_block(x, y, cos_h, sin_h, posture, stature: float) -> np.ndarray:
+    """World-frame landmark arrays (n, 32, 3) of n states of one stature.
+
+    x and y are the states' ground positions, cos_h and sin_h math.cos and
+    math.sin of their headings, posture their codes in POSTURES; all (n,).
+    Row k holds the floats pose_landmarks gives for state k: the standing
+    template is placed with the same elementwise operations, and each state
+    that is not standing is then bent on its own.
+    """
+    local = _template_for_stature(stature)
+    x, y = np.asarray(x, dtype=float)[:, None], np.asarray(y, dtype=float)[:, None]
+    ch, sh = np.asarray(cos_h, dtype=float)[:, None], np.asarray(sin_h, dtype=float)[:, None]
+    world = np.empty((len(x), N_LANDMARKS, 3))
+    world[:, :, 0] = x + ch * local[:, 0] - sh * local[:, 1]
+    world[:, :, 1] = y + sh * local[:, 0] + ch * local[:, 1]
+    world[:, :, 2] = local[:, 2]
+    posture = np.asarray(posture)
+    for k in np.flatnonzero(posture != _STANDING).tolist():
+        _bend(world[k], x[k, 0], y[k, 0], ch[k, 0], sh[k, 0], POSTURES[posture[k]], stature)
+    return world
+
+
+def _bend(world: np.ndarray, gx, gy, ch, sh, posture: Posture, s: float):
+    """Bend one state's placed standing landmarks (32, 3) into its posture, in place.
 
     REACHING extends the base-nearer arm toward the robot base; LEANING tilts
     the upper body toward the base.  Bone lengths are invariant to posture.
     """
-    local = _standing_template(human)
-    ch, sh = math.cos(human.heading), math.sin(human.heading)
-    world = np.empty_like(local)
-    world[:, 0] = human.ground[0] + ch * local[:, 0] - sh * local[:, 1]
-    world[:, 1] = human.ground[1] + sh * local[:, 0] + ch * local[:, 1]
-    world[:, 2] = local[:, 2]
-
-    s = human.stature
-    if human.posture == Posture.REACHING:
+    if posture == Posture.REACHING:
         left = world[_INDEX["shoulder_left"]]
         right = world[_INDEX["shoulder_right"]]
         # math.sqrt(v @ v) is np.linalg.norm(v) of a 3-vector without its overhead.
@@ -476,8 +491,8 @@ def pose_landmarks(human: HumanState) -> np.ndarray:
         n = math.sqrt(perp @ perp)
         perp = np.array([1.0, 0.0, 0.0]) if n < 1e-9 else perp / n
         world[_INDEX[f"thumb_{side}"]] = wrist + _THUMB * s * perp
-    elif human.posture == Posture.LEANING:
-        toward = -np.array([human.ground[0], human.ground[1], 0.0])
+    elif posture == Posture.LEANING:
+        toward = -np.array([gx, gy, 0.0])
         n = np.linalg.norm(toward)
         if n > 1e-9:
             toward /= n
@@ -512,9 +527,20 @@ def pose_landmarks(human: HumanState) -> np.ndarray:
                 world[_INDEX[f"hand_{side}"]] = wrist + _HAND * s * drop
                 world[_INDEX[f"handtip_{side}"]] = wrist + _HANDTIP * s * drop
                 sign = 1.0 if side == "left" else -1.0
-                inward = np.array([-math.sin(human.heading), math.cos(human.heading), 0.0])
+                inward = np.array([-sh, ch, 0.0])
                 world[_INDEX[f"thumb_{side}"]] = wrist - sign * _THUMB * s * inward
-    return world
+
+
+def pose_landmarks(human: HumanState) -> np.ndarray:
+    """World-frame landmark array (32, 3) for the human's current state and posture."""
+    return landmark_block(
+        human.ground[:1],
+        human.ground[1:],
+        [math.cos(human.heading)],
+        [math.sin(human.heading)],
+        [POSTURES.index(human.posture)],
+        human.stature,
+    )[0]
 
 
 def skeleton_sample(human: HumanState, t: float) -> SkeletonFrame:

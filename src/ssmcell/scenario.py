@@ -10,14 +10,18 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, get_type_hints
 
+import numpy as np
+
 from .control import CONTROL_PERIOD, NOMINAL_SPEED, Gains, GainsConfig
 from .kinematics import RobotModel
 from .perception import (
     DEFAULT_FOOTPRINT_RADIUS,
     DEFAULT_STATURE,
+    POSTURES,
     SCAN_PERIOD,
     HumanState,
     Posture,
+    landmark_block,
 )
 from .separation import SeparationInputs
 from .zones import (
@@ -107,6 +111,59 @@ class HumanWaypoint:
     posture: Posture = Posture.STANDING
 
 
+@dataclass(frozen=True, eq=False)
+class HumanTrack:
+    """A script's states at the ticks of a run, as arrays: at tick k, the floats
+    state_at gives at the tick's time.
+
+    The ticks fall into the pieces _interpolate tells apart: up to the first
+    waypoint, each segment between two waypoints, and after the last.  The
+    ground position is per tick; heading, walk speed and posture are per
+    piece, with math.cos and math.sin of each heading.  In a still piece,
+    the first and the last and each segment between two waypoints at one
+    spot, every tick has the same state, so it has one pose.
+    """
+
+    x: np.ndarray  # (ticks,) m
+    y: np.ndarray  # (ticks,) m
+    piece: np.ndarray  # (ticks,) the piece of each tick
+    heading: np.ndarray  # (pieces,) rad
+    cos_h: np.ndarray  # (pieces,)
+    sin_h: np.ndarray  # (pieces,)
+    walk_speed: np.ndarray  # (pieces,) m/s
+    posture: np.ndarray  # (pieces,) codes into perception.POSTURES
+    still: np.ndarray  # (pieces,) bool
+    footprint_radius: float
+    stature: float
+    _poses: dict = field(default_factory=dict, repr=False)  # still piece -> its pose
+
+    def walk_speeds(self, start: int, stop: int) -> np.ndarray:
+        return self.walk_speed[self.piece[start:stop]]
+
+    def landmarks(self, start: int, stop: int) -> np.ndarray:
+        """The landmarks (n, 32, 3) of ticks start to stop - 1: pose_landmarks
+        of each tick's state, bit for bit.  When all n ticks lie in one still
+        piece, its one pose (1, 32, 3) stands for them all."""
+        piece = self.piece[start:stop]
+        p = int(piece[0])
+        if self.still[p] and piece[-1] == p:
+            if p not in self._poses:
+                self._poses[p] = self._build(start, start + 1)
+            return self._poses[p]
+        return self._build(start, stop)
+
+    def _build(self, start: int, stop: int) -> np.ndarray:
+        piece = self.piece[start:stop]
+        return landmark_block(
+            self.x[start:stop],
+            self.y[start:stop],
+            self.cos_h[piece],
+            self.sin_h[piece],
+            self.posture[piece],
+            self.stature,
+        )
+
+
 @dataclass(frozen=True)
 class HumanScript:
     """Timed ground waypoints with piecewise-linear motion and posture switches."""
@@ -177,6 +234,58 @@ class HumanScript:
             heading = seg_heading
         last = wps[-1]
         return self._make(last.x, last.y, heading, 0.0, last.posture)
+
+    def track(self, times: np.ndarray) -> HumanTrack:
+        """The states at times, ascending, as a HumanTrack: _interpolate's
+        floats at each time, piece by piece.
+
+        A piece's heading, speed, posture and the cosine and sine of its
+        heading are computed once, with _interpolate's Python float
+        operations; a segment's ground positions are the same operations
+        elementwise on the times it holds.
+        """
+        wps = self.waypoints
+        first, last = wps[0], wps[-1]
+        # _interpolate takes the first segment whose end lies after t, which is
+        # the first at which the running maximum of the ends does.
+        ends = np.maximum.accumulate([w.t for w in wps[1:]]) if len(wps) > 1 else []
+        piece = (np.searchsorted(ends, times, side="right") + 1).astype(np.int32)
+        piece[times <= first.t] = 0
+        bounds = np.searchsorted(piece, np.arange(len(wps) + 2)).tolist()
+        x, y = np.empty(len(times)), np.empty(len(times))
+        x[: bounds[1]], y[: bounds[1]] = first.x, first.y
+        heading, speed, still = [math.pi], [0.0], [True]
+        for p, (a, b) in enumerate(zip(wps, wps[1:]), start=1):
+            dx, dy = b.x - a.x, b.y - a.y
+            seg_len = math.hypot(dx, dy)
+            still.append(seg_len == 0)
+            heading.append(math.atan2(dy, dx) if seg_len > 0 else heading[-1])
+            lo, hi = bounds[p], bounds[p + 1]
+            if lo == hi:  # no time falls in it: its speed is never read
+                speed.append(0.0)
+                continue
+            u = (times[lo:hi] - a.t) / (b.t - a.t)
+            x[lo:hi] = a.x + u * dx
+            y[lo:hi] = a.y + u * dy
+            speed.append(seg_len / (b.t - a.t))
+        x[bounds[-2] :], y[bounds[-2] :] = last.x, last.y
+        heading.append(heading[-1])
+        speed.append(0.0)
+        still.append(True)
+        postures = [first] + list(wps)  # a segment takes the posture of its start
+        return HumanTrack(
+            x=x,
+            y=y,
+            piece=piece,
+            heading=np.array(heading),
+            cos_h=np.array([math.cos(h) for h in heading]),
+            sin_h=np.array([math.sin(h) for h in heading]),
+            walk_speed=np.array(speed),
+            posture=np.array([POSTURES.index(w.posture) for w in postures], dtype=np.int8),
+            still=np.array(still),
+            footprint_radius=self.footprint_radius,
+            stature=self.stature,
+        )
 
     def _make(self, x, y, heading, speed, posture) -> HumanState:
         return HumanState(

@@ -73,8 +73,9 @@ def separation_terms(inputs: SeparationInputs) -> tuple[float, float, float]:
 def msd_at_speeds(inputs: SeparationInputs, human_speed: float, robot_speed: float) -> float:
     """``compute_msd_dynamic(inputs.with_speeds(human_speed, robot_speed))`` without the copy.
 
-    The speeds are not validated; the per-tick caller passes a scripted walk
-    speed and a vector norm, both >= 0 by construction.
+    The speeds are not validated; the per-tick caller passes scripted walk
+    speeds and a vector norm, all >= 0 by construction.  human_speed may be
+    an array: each element gets the float operations a scalar would.
     """
     s_h, s_r, s_s = _travel_terms(inputs, human_speed, robot_speed)
     return s_h + s_r + s_s + inputs.intrusion + inputs.robot_uncertainty + inputs.human_uncertainty

@@ -6,6 +6,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 DANGER_MARGIN = 0.100  # m, band added around the robot's working strip
 DEFAULT_QUADRANT_HALF_WIDTH = 0.425  # m, half the arm's kinematic reach
 DEFAULT_LASER_MOUNT_HEIGHT = 0.400  # m
@@ -13,6 +15,9 @@ DEFAULT_HEIGHT_BAND = (0.0, 2.0)  # m
 # Human-to-TCP distance at which the secondary speed scaling bottoms out.
 # Matches the irreducible protective terms of the dynamic separation formula.
 DEFAULT_SCALE_FLOOR_DISTANCE = 0.300  # m
+# Relative distance from a disc's radius within which np.hypot and math.hypot
+# might round to opposite sides of it; both are within one ulp.
+_HYPOT_SLACK = 1e-12
 
 
 class ZoneError(ValueError):
@@ -225,6 +230,29 @@ def classify_footprint(layout: ZoneLayout, center, radius: float) -> ZoneLabel:
         zone = Zone.NORMAL
     quadrant = Quadrant.BOTH if abs(cy) <= radius else quadrant_of(cy)
     return ZoneLabel(zone, quadrant)
+
+
+def footprint_zones(layout: ZoneLayout, x: np.ndarray, y: np.ndarray, radius: float) -> np.ndarray:
+    """``classify_footprint(layout, (x[k], y[k]), radius).zone`` of each k, as int8.
+
+    The distances to each rectangle are distance_to's operations elementwise,
+    with np.hypot for math.hypot; where the two could disagree about which
+    side of the radius a distance lies on, classify_footprint decides.
+    """
+    if radius <= 0:
+        raise ZoneError("radius must be positive")
+    zone = np.zeros(len(x), dtype=np.int8)
+    near = np.zeros(len(x), dtype=bool)
+    for level in (Zone.WARNING, Zone.DANGER):  # danger overrides warning
+        rect = layout.extent(level)
+        dx = np.maximum(np.maximum(rect.x_min - x, 0.0), x - rect.x_max)
+        dy = np.maximum(np.maximum(rect.y_min - y, 0.0), y - rect.y_max)
+        d = np.hypot(dx, dy)
+        zone[d <= radius] = level
+        near |= np.abs(d - radius) <= _HYPOT_SLACK * radius
+    for k in np.flatnonzero(near).tolist():
+        zone[k] = classify_footprint(layout, (x[k], y[k]), radius).zone
+    return zone
 
 
 def export_layout(layout: ZoneLayout) -> str:

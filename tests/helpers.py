@@ -4,11 +4,14 @@ import dataclasses
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from ssmcell.perception import Posture
 from ssmcell.scenario import HumanScript, HumanWaypoint, RobotTask, TaskStep, parse_scenario
 from ssmcell.scenarios import bundled_scenario_path
 from ssmcell.zones import Zone
+
+DT = 0.002  # s, the control period of the bundled and tiny scenarios
 
 
 def bundled(name):
@@ -119,3 +122,32 @@ def oracle_profile_intervals(rows):
             current, t0 = zone, row.t
     out.append((t0, rows[-1].t + dt, current))
     return out
+
+
+# Generated operators, shared by every property over generated scenarios.
+
+POSITIONS = st.tuples(st.floats(0.3, 2.2), st.floats(-0.6, 0.6))
+
+
+@st.composite
+def waypoint_times(draw, after):
+    """A time off the scan and skeleton grids, after ``after``; half of them
+    on a tick, as the product k * DT the engine forms."""
+    t = after + draw(st.floats(0.05, 0.9))
+    return round(t / DT) * DT if draw(st.booleans()) else t
+
+
+@st.composite
+def human_scripts(draw, duration):
+    """Walks and holds whose waypoint times lie off the scan and skeleton grids."""
+    t = draw(waypoint_times(-0.05))
+    x, y = draw(POSITIONS)
+    waypoints = [HumanWaypoint(t, x, y, draw(st.sampled_from(Posture)))]
+    for _ in range(draw(st.integers(0, 5))):
+        t = draw(waypoint_times(t))
+        if t >= duration:
+            break
+        if draw(st.booleans()):
+            x, y = draw(POSITIONS)
+        waypoints.append(HumanWaypoint(t, x, y, draw(st.sampled_from(Posture))))
+    return HumanScript(waypoints=tuple(waypoints))

@@ -11,6 +11,8 @@ import inspect
 import sys
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
@@ -53,15 +55,31 @@ def test_tracefile_call_contract():
     assert list(inspect.signature(tracefile.read_trace).parameters)[:1] == ["path"]
 
 
-def test_controller_step_runs_once_per_evaluated_tick(monkeypatch):
+def walking_operator():
+    """An operator who walks up to the robot's side, stands and walks away."""
+    from ssmcell.perception import Posture
+    from ssmcell.scenario import HumanScript, HumanWaypoint
+
+    return HumanScript(
+        waypoints=(
+            HumanWaypoint(0.0, 2.2, -0.3, Posture.STANDING),
+            HumanWaypoint(1.2, 0.9, -0.3, Posture.REACHING),
+            HumanWaypoint(2.2, 0.9, -0.3, Posture.STANDING),
+            HumanWaypoint(3.4, 2.2, 0.3, Posture.STANDING),
+        )
+    )
+
+
+@pytest.mark.parametrize("walking", [False, True], ids=["parked", "walking"])
+def test_controller_step_runs_once_per_evaluated_tick(walking, monkeypatch):
     # The tracer's engine.tick.* metrics time the gaps between Controller.step
     # returns.  engine.run calls it once per evaluated tick, in tick order, at
     # that tick's t; the ticks between are those of a span that repeats the
-    # row before it, and get no step.
+    # row before it but for t and the human columns, and get no step.
     import numpy as np
 
     from ssmcell.control import Controller
-    from ssmcell.engine import run
+    from ssmcell.engine import _HUMAN_COLUMNS, run
     from ssmcell.trace import SLOTS
     from helpers import tiny_scenario
 
@@ -73,7 +91,8 @@ def test_controller_step_runs_once_per_evaluated_tick(monkeypatch):
         return step(self, t, **kwargs)
 
     monkeypatch.setattr(Controller, "step", counted)
-    result = run(tiny_scenario(duration=4.0))
+    humans = {"humans": (walking_operator(),)} if walking else {}
+    result = run(tiny_scenario(duration=4.0, **humans))
     rows = result.trace.values("t")
     assert len(rows) == round(4.0 / result.scenario.control_period)
     assert times == sorted(set(times)) and times[0] == 0.0
@@ -81,10 +100,14 @@ def test_controller_step_runs_once_per_evaluated_tick(monkeypatch):
     evaluated = [row_of[t] for t in times]  # raises unless each t is a row's
     assert len(evaluated) < len(rows) / 2
     skipped = np.setdiff1d(np.arange(len(rows)), evaluated)
-    bits = np.delete(result.trace.floats, SLOTS["t"].index, axis=1).view(np.int64)
+    own = [SLOTS[name].index for name in ("t", *_HUMAN_COLUMNS)]
+    bits = np.delete(result.trace.floats, own, axis=1).view(np.int64)
     assert np.array_equal(bits[skipped], bits[skipped - 1])
     codes = result.trace.codes
     assert np.array_equal(codes[skipped], codes[skipped - 1])
+    if walking:  # spans run through the walks: unstepped rows move the operator
+        human_x = result.trace.column("human_x")
+        assert np.count_nonzero(human_x[skipped] != human_x[skipped - 1]) > 500
 
 
 def test_traced_run_matches_untraced_and_counts_the_scan_layers():

@@ -358,3 +358,17 @@ class TestBenchmarkCommand:
             assert (out_dir / f"trace_{mode}.csv").exists()
         assert (out_dir / "comparison.txt").exists()
         assert "cycle_time_s" in out
+
+    def test_run_too_short_for_a_cycle_exits_1_naming_duration_and_writes_nothing(
+        self, tiny_file, tmp_path, capsys
+    ):
+        # A valid 2 s scenario ends before any mode completes a task cycle,
+        # which the cycle-time KPI needs.
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code = main(["sim", "benchmark", str(tiny_file), "--out", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err.startswith("error: scenario: duration 2.0 s is too short"), err
+        assert "autonomous run completes no task cycle" in err
+        assert list(out_dir.iterdir()) == []

@@ -216,6 +216,23 @@ class TestSafetyInvariant:
             if row.v_task > 0:
                 assert row.d_i >= row.dyn_msd
 
+    @pytest.mark.parametrize("mode", [SimMode.TRADITIONAL, SimMode.PROPOSED], ids=lambda m: m.value)
+    def test_operator_in_the_danger_zone_from_the_start_stops_the_first_move(self, mode):
+        # The operator stands in the danger zone on the robot's side from
+        # t = 0, and the robot's first step is a move.  The run starts at the
+        # fraction tick 0 arbitrates to, so the robot never moves.
+        parked = HumanScript(
+            waypoints=(
+                HumanWaypoint(0.0, 0.62, -0.35, Posture.STANDING),
+                HumanWaypoint(1.0, 0.62, -0.35, Posture.STANDING),
+            )
+        )
+        task = RobotTask(steps=(TaskStep("sort_b", (0.20, -0.35, 0.30), 0.5),))
+        result = run(tiny_scenario(duration=1.0, humans=(parked,), task=task, mode=mode))
+        assert result.trace.values("occ_left")[0] == Zone.DANGER
+        assert set(result.trace.values("fraction")) == {0.0}
+        assert set(result.trace.values("v_task")) == {0.0}
+
     def test_null_space_term_invisible_at_tcp(self, approach_result):
         from ssmcell.control import Controller
         from ssmcell.engine import build_gains, build_model

@@ -18,14 +18,14 @@ from hypothesis import strategies as st
 
 from ssmcell import engine
 from ssmcell.control import Controller, ControllerConfig, Gains, ModeKind
-from ssmcell.engine import run
+from ssmcell.engine import EventKind, run
 from ssmcell.kinematics import RobotModel
-from ssmcell.perception import Posture
+from ssmcell.perception import POSTURES, Posture, pose_landmarks
 from ssmcell.scenario import HumanScript, HumanWaypoint, RobotTask, SimMode, TaskStep
-from ssmcell.separation import SeparationInputs
+from ssmcell.separation import SeparationInputs, msd_at_speeds
 from ssmcell.tracefile import trace_lines, write_events
-from ssmcell.zones import Quadrant, Zone, build_zone_layout
-from helpers import bundled, tiny_scenario
+from ssmcell.zones import Quadrant, Zone, build_zone_layout, classify_footprint
+from helpers import DT, bundled, human_scripts, tiny_scenario
 
 
 # A walk in, a hold from 0.9 s to 2.1 s, a walk across the split line and a
@@ -66,9 +66,13 @@ VARIANTS = {
 
 # sha256 of the trace lines (each followed by a line feed) and of events.csv
 # for 4 s runs of each variant, recorded with every tick evaluated in full.
+# The close_hold and parked operators slow the robot at t = 0, so their runs
+# start at the fraction that tick 0 arbitrates to (0.450... and 0.5); they
+# used to slew down from 1.0, which only the fraction and v_cap columns of
+# their first rows showed.
 GOLDEN = {
     "close_hold": (
-        "132a3dab59e61299536bb531c57a8e1085b1980b67ce41f98e2e12e4147f7faa",
+        "395ee0f799d9b0370917a4e7d57de8a0d26d1f1ae15ac567b8a15188ac66038b",
         "4f86e75dfc36b580c5509968b375c6a28fa5fae5fb6a13edf99a6a9de838da0c",
     ),
     "autonomous": (
@@ -84,7 +88,7 @@ GOLDEN = {
         "3bbea5bb32fd6a7bc92dd809a66a5cbfc12037bdd7a43101ce24e210e8ad87a3",
     ),
     "parked": (
-        "8b57b761a6d7153eaf080f63e9ebe948e09f50f80a9bdae927b791c6fe8d00ef",
+        "5796945b6c4a98eb842784658c7a4d88b9e45dbe96c18553c339cbf384e66c32",
         "ff900ae6895344c5b31ad8b3087a6b05f66aac794dea313a751b4237e3633037",
     ),
     "sequential": (
@@ -158,6 +162,44 @@ def test_state_at_matches_uncached_interpolation(script):
         assert got == state_fields(script._interpolate(t)), t
 
 
+# Scripts whose times do not increase, which only an unvalidated Scenario
+# holds: _interpolate takes the first segment whose end lies after t.
+UNORDERED_SCRIPTS = [
+    HumanScript(
+        waypoints=(
+            HumanWaypoint(0.2, 1.0, 0.2, Posture.REACHING),
+            HumanWaypoint(1.0, 0.6, 0.1, Posture.LEANING),
+            HumanWaypoint(1.0, 0.8, -0.3, Posture.STANDING),
+            HumanWaypoint(0.5, 0.9, 0.3, Posture.REACHING),
+            HumanWaypoint(2.0, 0.9, 0.3, Posture.STANDING),
+        )
+    ),
+    HumanScript(waypoints=(HumanWaypoint(0.7, 1.2, -0.2, Posture.STANDING),)),
+]
+
+
+@pytest.mark.parametrize(
+    "script", HOLDING_SCRIPTS + UNORDERED_SCRIPTS, ids=lambda s: f"{len(s.waypoints)}wp"
+)
+def test_track_matches_state_at_at_every_time(script):
+    times = {-1.0, 0.0, script.end_time + 3.0}
+    for w in script.waypoints:
+        times.update((w.t, math.nextafter(w.t, -math.inf), math.nextafter(w.t, math.inf)))
+    times = np.array(sorted(times | set((np.arange(1000) * 0.037).tolist())))
+    track = script.track(times)
+    landmarks = np.concatenate([track.landmarks(k, k + 1) for k in range(len(times))])
+    assert track.landmarks(0, len(times)).tobytes() == landmarks.tobytes()
+    for k, t in enumerate(times.tolist()):
+        state = script.state_at(t)
+        piece = track.piece[k]
+        got = struct.pack(
+            "4d", track.x[k], track.y[k], track.heading[piece], track.walk_speed[piece]
+        )
+        assert got == struct.pack("4d", *state.ground, state.heading, state.walk_speed), t
+        assert POSTURES[track.posture[piece]] == state.posture, t
+        assert landmarks[k].tobytes() == pose_landmarks(state).tobytes(), t
+
+
 def test_held_state_is_shared_and_read_only():
     a, b = GRID_HOLD.state_at(1.0), GRID_HOLD.state_at(2.0)
     assert a is b
@@ -178,7 +220,6 @@ SEPARATION = SeparationInputs(
     human_uncertainty=0.02,
 )
 REGULAR_Q = np.array([0.4, -1.1, 0.9, 0.6, -0.7, 0.3])
-DT = 0.002
 
 
 def occ(left=Zone.NORMAL, right=Zone.NORMAL):
@@ -503,6 +544,80 @@ def test_spans_match_tick_by_tick(mode, sequential, noise, monkeypatch):
     assert oracle == 1500 and spanned < oracle * 0.9, spanned
 
 
+# An operator who walks in through the warning zone into the danger zone on
+# the right, reaches, crosses the split line to the robot's side leaning,
+# and walks out, while the robot dwells at its start pose for the whole run.
+# A tick of the walks changes the human columns of the trace and, where a
+# skeleton frame reports it, what the controller holds.
+WALKER = HumanScript(
+    waypoints=(
+        HumanWaypoint(0.0, 2.2, 0.3, Posture.STANDING),
+        HumanWaypoint(0.8, 0.7, 0.3, Posture.STANDING),
+        HumanWaypoint(1.2, 0.7, 0.3, Posture.REACHING),
+        HumanWaypoint(1.7, 0.65, -0.3, Posture.LEANING),
+        HumanWaypoint(2.6, 2.2, -0.3, Posture.STANDING),
+    )
+)
+STAND_STILL = RobotTask(steps=(TaskStep("sort_a", (0.35, -0.30, 0.25), 4.0),))  # past the run
+# The evaluated ticks of each walking run when every walking tick was
+# evaluated alone, before spans could run through them.
+EVALUATED_WHEN_WALKS_WERE_STEPPED = {
+    ("autonomous", False): 1106,
+    ("autonomous", True): 1150,
+    ("traditional", False): 1206,
+    ("traditional", True): 1246,
+    ("proposed", False): 1108,
+    ("proposed", True): 1150,
+}
+
+
+@pytest.mark.parametrize("sequential", [False, True])
+@pytest.mark.parametrize("mode", list(SimMode), ids=lambda m: m.value)
+def test_spans_run_through_walks(mode, sequential, monkeypatch):
+    scenario = tiny_scenario(
+        duration=3.0, humans=(WALKER,), task=STAND_STILL, mode=mode, sequential=sequential
+    )
+    spanned, oracle = assert_spans_exact(scenario, monkeypatch)
+    assert oracle == 1500
+    assert spanned < EVALUATED_WHEN_WALKS_WERE_STEPPED[mode.value, sequential], spanned
+
+
+@pytest.mark.parametrize(
+    "mode, task",
+    [(SimMode.AUTONOMOUS, STAND_STILL), (SimMode.PROPOSED, SPAN_TASK)],
+    ids=["autonomous_still", "proposed_moving"],
+)
+def test_human_columns_and_zone_events_equal_a_tick_by_tick_evaluation(mode, task):
+    # What the tick loop computed for each tick before the human side was
+    # built ahead of it: the tracked human's state at the row's t, the
+    # least landmark distance to the row's TCP, the dynamic minimum at the
+    # row's speeds, and each human's footprint zone compared with the tick
+    # before.  The autonomous robot dwells for the whole run, so one span
+    # holds every walk and zone event to the end of the run.
+    scenario = tiny_scenario(duration=3.0, humans=(WALKER, STALL), task=task, mode=mode)
+    result = run(scenario)
+    trace = result.trace
+    tcp, tcp_speed = trace.column("tcp"), trace.values("tcp_speed")
+    want, events, zones = [], [], [Zone.NORMAL] * 2
+    for k, t in enumerate(trace.values("t")):
+        states = [script.state_at(t) for script in scenario.humans]
+        for h, state in enumerate(states):
+            zone = classify_footprint(result.layout, state.ground, state.footprint_radius).zone
+            kind = EventKind.ZONE_ENTER if zone > zones[h] else EventKind.ZONE_EXIT
+            levels = range(zones[h] + 1, zone + 1) if zone > zones[h] else range(zones[h], zone, -1)
+            events += [(t, kind, f"zone={Zone(z).name.lower()};human={h}") for z in levels]
+            zones[h] = zone
+        d_i = float(np.min(np.linalg.norm(pose_landmarks(states[0]) - tcp[k], axis=1)))
+        speed = states[0].walk_speed
+        dyn_msd = msd_at_speeds(scenario.separation, speed, tcp_speed[k])
+        want.append((*states[0].ground.tolist(), speed, d_i, dyn_msd))
+    got = np.column_stack([trace.column(name) for name in engine._HUMAN_COLUMNS])
+    assert got.tobytes() == np.array(want).tobytes()
+    zone_kinds = (EventKind.ZONE_ENTER, EventKind.ZONE_EXIT)
+    assert [(e.t, e.kind, e.payload) for e in result.events if e.kind in zone_kinds] == events
+    assert len(events) >= 8
+
+
 def test_script_that_starts_late_holds_still_until_it_starts(monkeypatch):
     # STALL without its first waypoint starts at 0.6 s and stands where STALL
     # stands until then, so it gives STALL's run, with the same ticks evaluated.
@@ -526,33 +641,6 @@ def test_stall_during_a_dwell_delays_the_step():
     stalled = int(np.count_nonzero((result.trace.column("fraction") == 0.0) & (t < done)))
     assert stalled > 100
     assert done == pytest.approx(1.5 - DT + stalled * DT, abs=2 * DT)
-
-
-POSITIONS = st.tuples(st.floats(0.3, 2.2), st.floats(-0.6, 0.6))
-
-
-@st.composite
-def waypoint_times(draw, after):
-    """A time off the scan and skeleton grids, after ``after``; half of them
-    on a tick, as the product k * DT the engine forms."""
-    t = after + draw(st.floats(0.05, 0.9))
-    return round(t / DT) * DT if draw(st.booleans()) else t
-
-
-@st.composite
-def human_scripts(draw, duration):
-    """Walks and holds whose waypoint times lie off the scan and skeleton grids."""
-    t = draw(waypoint_times(-0.05))
-    x, y = draw(POSITIONS)
-    waypoints = [HumanWaypoint(t, x, y, draw(st.sampled_from(Posture)))]
-    for _ in range(draw(st.integers(0, 5))):
-        t = draw(waypoint_times(t))
-        if t >= duration:
-            break
-        if draw(st.booleans()):
-            x, y = draw(POSITIONS)
-        waypoints.append(HumanWaypoint(t, x, y, draw(st.sampled_from(Posture))))
-    return HumanScript(waypoints=tuple(waypoints))
 
 
 TARGETS = ((0.35, -0.30, 0.25), (0.20, -0.35, 0.30), (0.45, -0.28, 0.35))

@@ -18,7 +18,9 @@ from ssmcell.perception import (
     Posture,
     ScannerMount,
     SkeletonFrame,
+    POSTURES,
     default_scanner_mounts,
+    landmark_block,
     merge_occupancy,
     min_distance_tcp,
     pose_landmarks,
@@ -363,6 +365,52 @@ class TestSkeleton:
         assert digest.hexdigest() == (
             "ab29acf7fdf831e7ffa86ffe80a612e088e433c409b55561f3d889004504793c"
         )
+
+    def test_landmark_blocks_equal_the_landmarks_of_each_state(self):
+        # sha256 of the landmark bytes of seeded standing, reaching and
+        # leaning states, some on an axis, in groups of one stature: built
+        # state by state with pose_landmarks, and as one block per stature.
+        # The hash was recorded with pose_landmarks before blocks existed.
+        rng = np.random.default_rng(12)
+        by_state, by_block = hashlib.sha256(), hashlib.sha256()
+        for stature in (1.2, 1.7, 1.85, 2.1):
+            rows = []
+            for i in range(150):
+                x, y = rng.uniform(-3.0, 3.0, 2).tolist()
+                if i % 5 == 1:
+                    x = 0.0
+                if i % 7 == 2:
+                    y = 0.0
+                rows.append((x, y, float(rng.uniform(-math.pi, math.pi)), POSTURES[i % 3]))
+            for x, y, heading, posture in rows:
+                human = HumanState(ground=(x, y), heading=heading, posture=posture, stature=stature)
+                by_state.update(pose_landmarks(human).tobytes())
+            x, y, heading, posture = zip(*rows)
+            block = landmark_block(
+                x,
+                y,
+                [math.cos(h) for h in heading],
+                [math.sin(h) for h in heading],
+                [POSTURES.index(p) for p in posture],
+                stature,
+            )
+            assert block.shape == (150, 32, 3)
+            by_block.update(block.tobytes())
+        pinned = "83c75102a9d4e7fb9dca27aed172046e82aa78c79970a9a1423ca52e4e3b7b17"
+        assert by_state.hexdigest() == pinned
+        assert by_block.hexdigest() == pinned
+
+    def test_block_distances_equal_the_distance_of_each_state(self):
+        # The batched reduction the engine fills a span's d_i with, against
+        # the per-state one, over random blocks and TCPs.
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            n = int(rng.integers(1, 41))
+            block = rng.uniform(-2.0, 2.0, (n, 32, 3))
+            tcp = rng.uniform(-0.6, 0.6, 3)
+            got = np.linalg.norm(block - tcp, axis=-1).min(axis=-1)
+            want = [float(np.min(np.linalg.norm(L - tcp, axis=1))) for L in block]
+            assert got.tobytes() == np.array(want).tobytes()
 
     def test_exactly_32_landmarks(self):
         frame = skeleton_sample(human_at(1.0, 0.5), 0.0)

@@ -16,6 +16,7 @@ from ssmcell.zones import (
     classify_point,
     compute_msd_static,
     export_layout,
+    footprint_zones,
     quadrant_of,
 )
 
@@ -145,6 +146,37 @@ class TestClassifyFootprint:
                 classify_footprint(LAYOUT, c, radius).zone
                 >= classify_point(LAYOUT, (c[0], c[1], 0.0)).zone
             )
+
+
+class TestFootprintZones:
+    def test_each_equals_classify_footprint(self):
+        # Random discs, and discs whose distance to an extent is exactly the
+        # radius or one ulp either side of it, where np.hypot and math.hypot
+        # could round apart.
+        rng = np.random.default_rng(41)
+        radius = 0.3
+        x = rng.uniform(-0.5, 2.2, 3000)
+        y = rng.uniform(-1.0, 1.0, 3000)
+        edges = []
+        for level in (Zone.WARNING, Zone.DANGER):
+            rect = LAYOUT.extent(level)
+            for ang in rng.uniform(-math.pi / 2, math.pi / 2, 200):
+                cx = rect.x_max + radius * math.cos(ang)
+                cy = min(max(radius * math.sin(ang), rect.y_min), rect.y_max)
+                for dx in (math.nextafter(cx, -1.0), cx, math.nextafter(cx, 3.0)):
+                    edges.append((dx, cy))
+            edges += [(rect.x_max + radius, 0.0), (1.0, rect.y_max + radius)]
+        x = np.concatenate([x, [e[0] for e in edges]])
+        y = np.concatenate([y, [e[1] for e in edges]])
+        got = footprint_zones(LAYOUT, x, y, radius)
+        assert got.dtype == np.int8
+        want = [classify_footprint(LAYOUT, (a, b), radius).zone for a, b in zip(x, y)]
+        assert got.tolist() == want
+        assert {Zone.NORMAL, Zone.WARNING, Zone.DANGER} <= set(want)
+
+    def test_radius_must_be_positive(self):
+        with pytest.raises(ZoneError):
+            footprint_zones(LAYOUT, np.zeros(1), np.zeros(1), 0.0)
 
 
 class TestMonotonicity:
