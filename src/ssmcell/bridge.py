@@ -4,6 +4,14 @@ Wire format: one record per line, ``seq t mode fraction min_distance
 dynamic_msd`` separated by single spaces, numbers with six decimal places,
 terminated by a line feed.  No handshake, no client-to-simulator path; the
 simulation never blocks on the bridge.
+
+Records arrive in tick order, in bursts of up to one output block or one
+span of repeated ticks: ``engine.run`` publishes the rows of a block, at
+least ``engine.LANDMARK_CHUNK`` ticks, at once.  A client's queue must hold
+a burst at the decimation it reads.  At decimation 1 on
+``approach_retreat`` the largest burst is 3,776 records, so a client that
+reads with the default buffer of 4,096 receives all 17,000, and one with a
+buffer of 1,024 or fewer is dropped.
 """
 
 from __future__ import annotations

@@ -176,7 +176,10 @@ def _cmd_sim_run(args) -> int:
     scenario = _resolve_scenario(args.scenario, args.seed, args.noise)
     service = None
     if address is not None:
-        service = bridge_mod.serve(address, args.decimation)
+        try:
+            service = bridge_mod.serve(address, args.decimation)
+        except bridge_mod.BridgeError as exc:
+            raise FlagError(f"argument --bridge: {exc}") from exc
         print(f"bridge listening on {service.address[0]}:{service.address[1]}")
     try:
         result = run(scenario, bridge=service)

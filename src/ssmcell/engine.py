@@ -17,7 +17,7 @@ from .perception import ScannerMount, min_distance_tcp
 from .scenario import HumanTrack, Scenario, SimMode, TaskStep, build_gains, build_model
 from .separation import SeparationInputs, msd_at_speeds
 from .stability import LyapunovSample, lyapunov_value
-from .trace import Trace
+from .trace import MODES, Trace
 from .zones import Quadrant, Zone, ZoneLayout, footprint_zones, quadrant_of
 
 ARRIVAL_TOL = 0.003  # m, TCP-to-target distance that counts as arrived
@@ -25,7 +25,8 @@ _GRID_EPS = 1e-9
 _DWELL_DONE = 1e-12  # s, dwell time left at which a step is done
 _ROW_FLOATS = struct.Struct("2d")  # exact bits of v_task and lyap
 _HUMAN_COLUMNS = ("human_x", "human_y", "human_speed", "d_i", "dyn_msd")
-LANDMARK_CHUNK = 256  # ticks whose landmarks are built together
+_UNFILLED = dict.fromkeys(_HUMAN_COLUMNS, math.nan)  # until the output stage fills them
+LANDMARK_CHUNK = 256  # ticks whose landmarks are built together, and of an output block
 _NO_MOTION = np.zeros(3)  # the task direction of a tick without task motion
 _NO_MOTION.flags.writeable = False
 
@@ -286,35 +287,42 @@ def _zone_events(tracks, layout: ZoneLayout, tick_times) -> tuple[list[int], lis
     return [k for k, _ in found], [event for _, event in found]
 
 
-def _human_columns(
-    track: HumanTrack | None,
+def _output_block(
+    trace: Trace,
     start: int,
     stop: int,
-    tcp: np.ndarray,
-    tcp_speed: float,
+    track: HumanTrack | None,
     separation: SeparationInputs,
-) -> tuple[np.ndarray, ...]:
-    """The human columns of ticks start to stop - 1, in _HUMAN_COLUMNS order:
-    the tracked human's ground x and y and walk speed, the least distance
-    from its landmarks to tcp, and the dynamic minimum at its speed and
-    tcp_speed.  Without a human: NaN, NaN, 0, inf and the minimum at rest.
-
-    Each value is the float a tick evaluated alone gives: a tick's distance
-    is that of its own landmark rows, reduced as the per-tick
-    ``np.min(np.linalg.norm(landmarks - tcp, axis=1))``.
+    bridge,
+    dt: float,
+):
+    """Fill the human columns of rows start to stop - 1, which the tick loop
+    wrote without them, then hand each row to the bridge in tick order.  In
+    _HUMAN_COLUMNS order: the tracked human's ground x and y and walk speed,
+    the least distance from its landmarks to the row's tcp, reduced as the
+    per-tick ``np.min(np.linalg.norm(landmarks - tcp, axis=1))``, and the
+    dynamic minimum at that speed and the row's tcp_speed.  Without a human:
+    NaN, NaN, 0, inf and the minimum at rest.
     """
-    n = stop - start
+    rows, n = trace[start:stop], stop - start
     if track is None:
         x = y = np.full(n, math.nan)
         speed, d_i = np.zeros(n), np.full(n, math.inf)
     else:
         x, y, speed = track.x[start:stop], track.y[start:stop], track.walk_speeds(start, stop)
-        d_i = np.empty(n)
-        for a in range(start, stop, LANDMARK_CHUNK):
-            b = min(a + LANDMARK_CHUNK, stop)
-            landmarks = track.landmarks(a, b)
-            d_i[a - start : b - start] = np.linalg.norm(landmarks - tcp, axis=-1).min(axis=-1)
-    return x, y, speed, d_i, msd_at_speeds(separation, speed, tcp_speed)
+        tcp, d_i = rows.column("tcp"), np.empty(n)
+        for a in range(0, n, LANDMARK_CHUNK):
+            b = min(a + LANDMARK_CHUNK, n)
+            landmarks = track.landmarks(start + a, start + b)
+            d_i[a:b] = np.linalg.norm(landmarks - tcp[a:b, None, :], axis=-1).min(axis=-1)
+    dyn_msd = msd_at_speeds(separation, speed, rows.column("tcp_speed"))
+    for name, values in zip(_HUMAN_COLUMNS, (x, y, speed, d_i, dyn_msd)):
+        rows.column(name)[:] = values
+    if bridge is not None:
+        modes = map(MODES.texts.__getitem__, rows.column("mode").tolist())  # ModeKind values
+        published = zip(modes, rows.values("fraction"), d_i.tolist(), dyn_msd.tolist())
+        for k, (mode, fraction, d_k, msd_k) in enumerate(published, start):
+            bridge.publish(k, k * dt, mode, fraction, d_k, msd_k)
 
 
 def run(scenario: Scenario, bridge=None) -> SimResult:
@@ -322,8 +330,8 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
 
     The robot integrates commanded joint rates semi-implicitly at the control
     period; sensors sample on their native grids with zero-order hold between
-    arrivals.  The optional bridge receives one message per tick and never
-    feeds anything back into the simulation.
+    arrivals.  The optional bridge receives one message per tick, in tick
+    order, and never feeds anything back into the simulation.
     """
     layout = scenario.build_layout()
     model = build_model(scenario)
@@ -407,28 +415,29 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
     # byte-identical.
     #
     # The human side is not evaluated tick by tick: every human's state at
-    # every tick, its footprint zone and the zone events are arrays and a
-    # list built before the first tick (HumanScript.track, _zone_events), and
-    # a tick's human columns, the TCP distance among them, are filled from
-    # them (_human_columns).  So a walking operator does not make a tick
-    # differ; only a skeleton frame that reports the walk to the controller
-    # does.  A tick that copies the last row but for the human columns starts
-    # a span of such ticks, which ends at the first tick whose inputs can
-    # differ (_quiet_until), the earliest of four: a scan of other occupancy
-    # than the held one, a skeleton frame whose human state or TCP is not
-    # what the held distance was measured from (any frame in sequential
-    # mode), the end of the dwell countdown, and the end of the run.  The
-    # span's rows are copied in one step and their human columns filled from
-    # one landmark block per LANDMARK_CHUNK ticks; its scans and skeleton
-    # frames are still offered to the controller in tick order, its zone
-    # events logged in tick order, the dwell countdown still runs, and the
-    # bridge still gets a message per tick with that tick's distance and
-    # minimum.  Only the step and the per-tick bookkeeping are skipped.
-    # Every other tick is evaluated alone, as the span of length one.
+    # every tick, its footprint zone and the zone events are arrays and a list
+    # built before the first tick (HumanScript.track, _zone_events).  So a
+    # walking operator does not make a tick differ; only a skeleton frame that
+    # reports the walk to the controller does.  A tick that copies the last row
+    # but for the human columns starts a span of such ticks, which ends at the
+    # first tick whose inputs can differ (_quiet_until), the earliest of four:
+    # a scan of other occupancy than the held one, a skeleton frame whose human
+    # state or TCP is not what the held distance was measured from (any frame
+    # in sequential mode), the end of the dwell countdown, and the end of the
+    # run.  The span's rows are copied in one step; its scans and skeleton
+    # frames are still offered to the controller in tick order, its zone events
+    # logged in tick order, and the dwell countdown still runs.  Only the step
+    # and the per-tick bookkeeping are skipped.  Every other tick is evaluated
+    # alone, as the span of length one.  The human columns and the bridge
+    # messages, outputs of the tracks and of the rows' own tcp, tcp_speed, mode
+    # and fraction, are made in blocks behind the loop (_output_block).  A
+    # repeated row's tcp_speed is the row before's, as the controller's key
+    # holds its bits, so each value is the float of the tick evaluated alone.
     q_key = None
     energy_key = None
     row_key = None  # what a repeated row must match
     repeated = False
+    filled = 0  # the rows before it have their human columns and are published
 
     i = 0
     while i < n_ticks:
@@ -494,14 +503,10 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
         key = (pending, _ROW_FLOATS.pack(v_task, lyap))
         copies = repeated and tcp is prev_tcp and key == row_key
         stop = _quiet_until(i, t, messages, tracker, tcp, dt) if copies else i + 1
-        human = _human_columns(track0, i, stop, tcp, tcp_speed, scenario.separation)
         if copies:
             trace.repeat(i, stop, dt)
-            for name, values in zip(_HUMAN_COLUMNS, human):
-                trace.column(name)[i:stop] = values
         else:
             row_key = key
-            human_x, human_y, human_speed, d_i, dyn_msd = (float(v[0]) for v in human)
             trace.record(
                 i,
                 t=t,
@@ -509,13 +514,8 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
                 qdot=command.qdot_cmd,
                 tcp=tcp,
                 tcp_speed=tcp_speed,
-                human_x=human_x,
-                human_y=human_y,
-                human_speed=human_speed,
                 occ_left=controller.occupancy[Quadrant.LEFT],
                 occ_right=controller.occupancy[Quadrant.RIGHT],
-                d_i=d_i,
-                dyn_msd=dyn_msd,
                 mode=command.mode.kind,
                 fraction=command.fraction,
                 v_cap=command.v_cartesian,
@@ -524,12 +524,8 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
                 damped=command.damped,
                 pending=pending,
                 lyap=lyap,
+                **_UNFILLED,
             )
-        if bridge is not None:
-            mode = command.mode.kind.value
-            ticks = range(i, stop)
-            for k, d_k, msd_k in zip(ticks, human[3].tolist(), human[4].tolist()):
-                bridge.publish(k, k * dt, mode, command.fraction, d_k, msd_k)
 
         # Semi-implicit integration: rates from the state at t applied over
         # [t, t+dt].  A repeated command repeats the last tick's step, which
@@ -541,6 +537,9 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
         messages.offer_until(stop, tcp)
         tracker.wait(stop - i - 1, controller.fraction, dt)
         i = stop
+        if i - filled >= LANDMARK_CHUNK or i == n_ticks:
+            _output_block(trace, filled, i, track0, scenario.separation, bridge, dt)
+            filled = i
 
     events.extend(zone_events[n_zone_events:])
     return SimResult(scenario=scenario, layout=layout, trace=trace, events=events)

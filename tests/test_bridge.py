@@ -1,3 +1,4 @@
+import itertools
 import socket
 import time
 
@@ -152,11 +153,23 @@ class TestBridgeDoesNotPerturbSimulation:
         bridge = serve(decimation=5)
         client = connect(bridge.address)
         try:
+            deadline = time.monotonic() + 5
+            while bridge.client_count() < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
             bridged = run(scenario, bridge=bridge)
         finally:
             bridge.close()
+        stream = recv_all(client)
         client.close()
         p1, p2 = tmp_path / "plain.csv", tmp_path / "bridged.csv"
         write_trace(plain.trace, p1)
         write_trace(bridged.trace, p2)
         assert p1.read_bytes() == p2.read_bytes()
+        # The stream is every fifth row of the trace, numbered from 0.
+        rows = itertools.islice(bridged.trace, 0, None, 5)
+        expected = b"".join(
+            format_record(seq, r.t, r.mode.value, r.fraction, r.d_i, r.dyn_msd)
+            for seq, r in enumerate(rows)
+        )
+        assert stream.count(b"\n") == 150
+        assert stream == expected

@@ -223,6 +223,21 @@ class TestSimRun:
         assert "--seed: scenario: seed must be >= 0" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_bridge_address_that_cannot_be_bound_exits_1_naming_the_flag(
+        self, tiny_file, tmp_path, capsys
+    ):
+        # 192.0.2.0/24 is TEST-NET-1, never a local address: bind fails at
+        # once and sends nothing.
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        args = ["sim", "run", str(tiny_file), "--bridge", "192.0.2.1:0", "--out", str(out_dir)]
+        code = main(args)
+        out, err = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert err.startswith("error: argument --bridge: cannot bind ('192.0.2.1', 0): "), err
+        assert out == ""
+        assert list(out_dir.iterdir()) == []
+
     def test_missing_scenario_file(self, tmp_path):
         assert main(["sim", "run", str(tmp_path / "absent.scn")]) == EXIT_VALIDATION
 

@@ -21,7 +21,14 @@ from ssmcell.control import Controller, ControllerConfig, Gains, ModeKind
 from ssmcell.engine import EventKind, run
 from ssmcell.kinematics import RobotModel
 from ssmcell.perception import POSTURES, Posture, pose_landmarks
-from ssmcell.scenario import HumanScript, HumanWaypoint, RobotTask, SimMode, TaskStep
+from ssmcell.scenario import (
+    HumanScript,
+    HumanWaypoint,
+    RobotTask,
+    SimMode,
+    TaskStep,
+    validate_scenario,
+)
 from ssmcell.separation import SeparationInputs, msd_at_speeds
 from ssmcell.tracefile import trace_lines, write_events
 from ssmcell.zones import Quadrant, Zone, build_zone_layout, classify_footprint
@@ -580,6 +587,44 @@ def test_spans_run_through_walks(mode, sequential, monkeypatch):
     spanned, oracle = assert_spans_exact(scenario, monkeypatch)
     assert oracle == 1500
     assert spanned < EVALUATED_WHEN_WALKS_WERE_STEPPED[mode.value, sequential], spanned
+
+
+# An operator who walks up reaching and crosses toward the robot's side
+# leaning by 0.5 s, then stands still, while the robot shuttles between two
+# targets: blocks of walking ticks and, in the longest run, a block of still
+# ones, each under a moving TCP.
+BLOCK_WALKER = HumanScript(
+    waypoints=(
+        HumanWaypoint(0.0, 1.2, 0.3, Posture.STANDING),
+        HumanWaypoint(0.3, 0.75, 0.3, Posture.REACHING),
+        HumanWaypoint(0.5, 0.7, 0.0, Posture.LEANING),
+    )
+)
+SHUTTLE = RobotTask(
+    steps=(
+        TaskStep("sort_b", (0.20, -0.35, 0.30), 0.05),
+        TaskStep("sort_a", (0.35, -0.30, 0.25), 0.05),
+    ),
+    cycles=4,
+)
+
+
+@pytest.mark.parametrize("ticks", [255, 256, 257, 513])
+def test_output_blocks_match_tick_by_tick(ticks, monkeypatch):
+    # The output stage fills the human columns and publishes in blocks of at
+    # least engine.LANDMARK_CHUNK rows and once at the end: runs that end
+    # just before, at and just after the first block, and one past two.
+    scenario = tiny_scenario(duration=ticks * DT, humans=(BLOCK_WALKER,), task=SHUTTLE)
+    assert validate_scenario(scenario) == []
+    assert_spans_exact(scenario, monkeypatch)
+    bridge = Recorder()
+    trace = run(scenario, bridge=bridge).trace
+    assert len(trace) == ticks
+    columns = ("t", "mode", "fraction", "d_i", "dyn_msd")
+    rows = zip(*(trace.values(name) for name in columns))
+    want = [(k, t, mode.value, *values) for k, (t, mode, *values) in enumerate(rows)]
+    assert bridge.records == want  # ticks 0 ... n - 1, each once, in order
+    assert len(set(trace.values("human_x"))) > 200  # the operator walks for 250 ticks
 
 
 @pytest.mark.parametrize(
