@@ -39,7 +39,6 @@ from .perception import (
     ScannerMount,
     SkeletonFrame,
     merge_occupancy,
-    min_distance_tcp,
     scan_to_occupancy,
     simulate_scan,
     skeleton_sample,

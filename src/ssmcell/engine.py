@@ -13,7 +13,7 @@ import numpy as np
 from . import perception
 from .control import CommandSource, Controller, ControllerConfig, ModeKind
 from .kinematics import FrameChain, Jacobian, tcp_position
-from .perception import ScannerMount, min_distance_tcp
+from .perception import ScannerMount
 from .scenario import HumanTrack, Scenario, SimMode, TaskStep, build_gains, build_model
 from .separation import SeparationInputs, msd_at_speeds
 from .stability import LyapunovSample, lyapunov_value
@@ -187,25 +187,36 @@ class _Messages:
     """The scanner's and the skeleton camera's messages, handed to the
     controller in tick order at the first tick at or after each is taken.
 
-    Every scan's occupancy is known before the first tick; a skeleton frame's
-    distance is measured when it is offered, from the tracked human's state at
-    the frame time and the TCP of that tick, and is reused while both are the
-    objects it was measured from.
+    Every scan's occupancy is known before the first tick, cast from the
+    humans' tracks at the scan times.  The skeleton camera reads the tracked
+    human's track at the frame times: a frame that lies in the still piece
+    of the frame before holds that frame's state.  A frame's distance is
+    measured when it is offered, from its landmarks and the TCP of that
+    tick, unless the frame holds the state of the frame before and the TCP
+    is the one of the last measurement (kinematics makes a new TCP only when
+    q changes): then the values repeat, and so does the distance.
     """
 
-    def __init__(self, controller, scans, occupancy, frames, tracked):
+    def __init__(self, controller, scans, occupancy, frames, track: HumanTrack | None):
         self.controller = controller
         self.scan_times, self.scan_starts = scans
         self.occupancy = occupancy
         self.frame_times, self.frame_starts = frames
-        self.tracked = tracked  # the script the skeleton follows; None when it sees no one
+        self.track = track  # the tracked human at the frame times; None when it sees no one
         self.n_scans = self.n_frames = 0
-        self.skel_human = self.skel_tcp = None  # what d_i was measured from
+        self.skel_tcp = None  # the TCP of the last measurement
         self.d_i = math.inf
         # The scans whose occupancy differs from the scan before, ascending.
         self.scan_changes = [
             j for j in range(1, len(occupancy)) if occupancy[j] != occupancy[j - 1]
         ]
+        # The frames whose state can differ from the frame before, ascending.
+        self.frame_changes = []
+        if track is not None:
+            piece, still = track.piece.tolist(), track.still[track.piece].tolist()
+            self.held = [False] + [s and p == q for s, p, q in zip(still[1:], piece[1:], piece)]
+            self.frame_changes = [j for j in range(1, len(piece)) if not self.held[j]]
+            self.walk_speed = track.walk_speeds(0, len(piece)).tolist()
 
     def offer_until(self, stop: int, tcp: np.ndarray):
         """Offer every message due before tick stop; at one tick, the scan first."""
@@ -221,36 +232,44 @@ class _Messages:
                 continue
             if frame_tick >= stop:
                 return
-            t_skel = self.frame_times[self.n_frames]
+            j = self.n_frames
             self.n_frames += 1
-            if self.tracked is None:
-                controller.offer_skeleton(t_skel, math.inf, 0.0)
+            if self.track is None:
+                controller.offer_skeleton(self.frame_times[j], math.inf, 0.0)
                 continue
-            human = self.tracked.state_at(t_skel)
-            if human is not self.skel_human or tcp is not self.skel_tcp:
-                self.skel_human, self.skel_tcp = human, tcp
-                frame = perception.skeleton_sample(human, t_skel)
-                self.d_i, _ = min_distance_tcp(frame, tcp)
-            controller.offer_skeleton(t_skel, self.d_i, human.walk_speed)
+            if not self.held[j] or tcp is not self.skel_tcp:
+                self.skel_tcp = tcp
+                self.d_i = float(_least_distance(self.track.landmarks(j, j + 1), tcp)[0])
+            controller.offer_skeleton(self.frame_times[j], self.d_i, self.walk_speed[j])
 
     def quiet_until(self, tcp: np.ndarray) -> int:
         """The tick of the first message that can differ from the one the
-        controller holds: a scan of other occupancy, or a skeleton frame whose
-        human state or TCP is not what the held distance was measured from.
-        In sequential mode every frame re-arbitrates, so it is the next frame."""
-        j = bisect.bisect_left(self.scan_changes, self.n_scans)
-        scan = self.scan_changes[j] if j < len(self.scan_changes) else len(self.scan_times)
+        controller holds: a scan of other occupancy, or a skeleton frame
+        whose state can differ from the frame before, or any frame once the
+        TCP is not the one of the last measurement.  In sequential mode
+        every frame re-arbitrates, so it is the next frame."""
         if self.controller.config.sequential or (
-            self.tracked is not None and tcp is not self.skel_tcp
+            self.track is not None and tcp is not self.skel_tcp
         ):
             frame = self.n_frames
-        elif self.tracked is not None:
-            end = self.tracked.hold_end(self.frame_times[self.n_frames - 1])
-            frame = bisect.bisect_left(self.frame_times, end, self.n_frames)
         else:
-            frame = len(self.frame_times)
+            frame = _next_change(self.frame_changes, self.n_frames, len(self.frame_times))
+        scan = _next_change(self.scan_changes, self.n_scans, len(self.scan_times))
         # Past the last message, the start lists hold the tick count.
         return min(self.scan_starts[scan], self.frame_starts[frame])
+
+
+def _next_change(changes: list[int], first: int, count: int) -> int:
+    """The first entry of changes, ascending message numbers, at or after
+    first; count when there is none."""
+    j = bisect.bisect_left(changes, first)
+    return changes[j] if j < len(changes) else count
+
+
+def _least_distance(landmarks: np.ndarray, tcp: np.ndarray) -> np.ndarray:
+    """The least distance from each tick's landmarks (..., 32, 3) to its TCP,
+    (..., 1, 3) or one TCP (3,) for all."""
+    return np.linalg.norm(landmarks - tcp, axis=-1).min(axis=-1)
 
 
 def _quiet_until(i, t, messages, tracker, tcp, dt) -> int:
@@ -313,8 +332,7 @@ def _output_block(
         tcp, d_i = rows.column("tcp"), np.empty(n)
         for a in range(0, n, LANDMARK_CHUNK):
             b = min(a + LANDMARK_CHUNK, n)
-            landmarks = track.landmarks(start + a, start + b)
-            d_i[a:b] = np.linalg.norm(landmarks - tcp[a:b, None, :], axis=-1).min(axis=-1)
+            d_i[a:b] = _least_distance(track.landmarks(start + a, start + b), tcp[a:b, None, :])
     dyn_msd = msd_at_speeds(separation, speed, rows.column("tcp_speed"))
     for name, values in zip(_HUMAN_COLUMNS, (x, y, speed, d_i, dyn_msd)):
         rows.column(name)[:] = values
@@ -368,34 +386,33 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
     ignore_humans = scenario.mode == SimMode.AUTONOMOUS or not scenario.humans
     quadrant_blind = scenario.mode == SimMode.TRADITIONAL
 
-    # The laser pipeline is open-loop: a scan's occupancy depends on the human
-    # script, the mounts, the layout, the mode and rng, never on q or the
-    # controller.  So every scan is cast before the first tick.
+    # The human side is open-loop.  Each human's track (HumanScript.track) at
+    # the scan times, the mounts, the layout, the mode and rng give every
+    # scan's occupancy, never q or the controller, so every scan is cast
+    # before the first tick.  Its track at the ticks gives each footprint zone
+    # and so the zone events, and the walk speed term of the dynamic minimum.
+    # Only the distance to the TCP is not open-loop.
     tick_times = np.arange(n_ticks) * dt  # the products t = i * dt of the loop
     scans = _sensor_grid(tick_times, scan_period)
+    frames = _sensor_grid(tick_times, skeleton_period)
     scan_times = scans[0]
     if ignore_humans:
         occupancy = [{Quadrant.LEFT: Zone.NORMAL, Quadrant.RIGHT: Zone.NORMAL}] * len(scan_times)
     else:
+        at_scans = [script.track(np.array(scan_times)) for script in scenario.humans]
         occupancy = perception.scan_occupancies(
             mounts,
-            [tuple(s.state_at(t) for s in scenario.humans) for t in scan_times],
+            np.array([(track.x, track.y) for track in at_scans]).transpose(2, 0, 1),
+            [script.footprint_radius for script in scenario.humans],
+            [script.stature for script in scenario.humans],
             scan_times,
             layout,
             rng=rng,
             noise=scenario.noise,
             quadrant_blind=quadrant_blind,
         )
-    messages = _Messages(
-        controller,
-        scans,
-        occupancy,
-        _sensor_grid(tick_times, skeleton_period),
-        None if ignore_humans else scenario.humans[0],
-    )
-    # The rest of the human side is open-loop as well: each human's state at
-    # every tick, its footprint zone and so the zone events, and the walk
-    # speed term of the dynamic minimum.  Only the distance to the TCP is not.
+    tracked = None if ignore_humans else scenario.humans[0].track(np.array(frames[0]))
+    messages = _Messages(controller, scans, occupancy, frames, tracked)
     tracks = [script.track(tick_times) for script in scenario.humans]
     zone_ticks, zone_events = _zone_events(tracks, layout, tick_times)
     n_zone_events = 0
@@ -416,23 +433,26 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
     #
     # The human side is not evaluated tick by tick: every human's state at
     # every tick, its footprint zone and the zone events are arrays and a list
-    # built before the first tick (HumanScript.track, _zone_events).  So a
-    # walking operator does not make a tick differ; only a skeleton frame that
-    # reports the walk to the controller does.  A tick that copies the last row
-    # but for the human columns starts a span of such ticks, which ends at the
+    # built before the first tick (HumanScript.track, _zone_events), and the
+    # scans and skeleton frames read tracks at their own grid times, each
+    # reusing a result while the values it reads repeat.  So a walking
+    # operator does not make a tick differ; only a skeleton frame that reports
+    # the walk to the controller does.  A tick that copies the last row but
+    # for the human columns starts a span of such ticks, which ends at the
     # first tick whose inputs can differ (_quiet_until), the earliest of four:
-    # a scan of other occupancy than the held one, a skeleton frame whose human
-    # state or TCP is not what the held distance was measured from (any frame
-    # in sequential mode), the end of the dwell countdown, and the end of the
-    # run.  The span's rows are copied in one step; its scans and skeleton
-    # frames are still offered to the controller in tick order, its zone events
-    # logged in tick order, and the dwell countdown still runs.  Only the step
-    # and the per-tick bookkeeping are skipped.  Every other tick is evaluated
-    # alone, as the span of length one.  The human columns and the bridge
-    # messages, outputs of the tracks and of the rows' own tcp, tcp_speed, mode
-    # and fraction, are made in blocks behind the loop (_output_block).  A
-    # repeated row's tcp_speed is the row before's, as the controller's key
-    # holds its bits, so each value is the float of the tick evaluated alone.
+    # a scan of other occupancy than the held one, a skeleton frame whose
+    # state can differ from the frame before's or whose TCP is not the one of
+    # the last measurement (any frame in sequential mode), the end of the
+    # dwell countdown, and the end of the run.  The span's rows are copied in
+    # one step; its scans and skeleton frames are still offered to the
+    # controller in tick order, its zone events logged in tick order, and the
+    # dwell countdown still runs.  Only the step and the per-tick bookkeeping
+    # are skipped.  Every other tick is evaluated alone, as the span of length
+    # one.  The human columns and the bridge messages, outputs of the tracks
+    # and of the rows' own tcp, tcp_speed, mode and fraction, are made in
+    # blocks behind the loop (_output_block).  A repeated row's tcp_speed is
+    # the row before's, as the controller's key holds its bits, so each value
+    # is the float of the tick evaluated alone.
     q_key = None
     energy_key = None
     row_key = None  # what a repeated row must match

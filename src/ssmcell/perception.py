@@ -237,17 +237,20 @@ def _rays(mounts: tuple[ScannerMount, ...]) -> _Rays:
 
 def simulate_scan(
     mounts,
-    scenes,
+    ground,
+    radius,
+    stature,
     times,
     *,
     rng: np.random.Generator | None = None,
     noise: float = 0.0,
 ) -> LaserScan:
-    """Cast one scan per scene by every ray of the mounts against the human
+    """Cast one scan per time by every ray of the mounts against the human
     footprint discs; the nearest hit wins per ray.
 
-    ``scenes[j]`` holds the humans of the scan taken at ``times[j]``; every scene
-    holds as many humans.  Rays that hit nothing report the max_range sentinel.
+    ``ground[j, h]`` is the x, y of human h in the scan taken at ``times[j]``,
+    a (k, humans, 2) array; ``radius[h]`` and ``stature[h]`` are its footprint
+    radius and stature.  Rays that hit nothing report the max_range sentinel.
     Optional uniform range noise of +-noise metres is applied to true hits
     only, as one (k, n_rays) draw from rng: the values, in the order, of one
     draw per scan and mount.
@@ -257,19 +260,18 @@ def simulate_scan(
     for mount in mounts:
         for t in times.tolist():
             _check_grid(t, mount.scan_period, "scan")
-    if len({len(scene) for scene in scenes}) > 1:
-        raise PerceptionError("scenes of one batch must hold as many humans")
+    ground = np.asarray(ground, dtype=float)
+    radius, stature = np.asarray(radius, dtype=float), np.asarray(stature, dtype=float)
+    if ground.shape != (len(times), len(radius), 2) or stature.shape != radius.shape:
+        raise PerceptionError("ground must be (scans, humans, 2), with a radius and stature each")
     rays = _rays(mounts)
-    ranges = np.repeat(rays.max_range[None, :], len(scenes), axis=0)
-    for h in range(len(scenes[0]) if len(scenes) else 0):
-        humans = [scene[h] for scene in scenes]
-        stature = np.array([human.stature for human in humans])
-        radius = np.array([human.footprint_radius for human in humans])
-        oc = np.array([human.ground for human in humans])[:, None, :] - rays.origin
+    ranges = np.repeat(rays.max_range[None, :], len(times), axis=0)
+    for h in range(len(radius)):
+        oc = ground[:, h, None, :] - rays.origin
         # |oc|^2 stays one 1-D dot per scan and mount: BLAS may fuse its
         # multiply-add, which an elementwise form of it would not.
         oc_sq = np.array([float(v @ v) for v in oc.reshape(-1, 2)]).reshape(oc.shape[:2])
-        c = oc_sq - (radius * radius)[:, None]
+        c = oc_sq - radius[h] * radius[h]
         # The arithmetic of one ray at a time, in place on (k, n) arrays.
         b = oc[:, rays.mount, 0] * rays.ux  # projection of center onto each ray
         b += oc[:, rays.mount, 1] * rays.uy
@@ -281,7 +283,7 @@ def simulate_scan(
         hit = b + sq  # the far root, unless the near one lies ahead
         near = np.subtract(b, sq, out=b)
         np.copyto(hit, near, where=near > 1e-12)
-        in_plane = (0.0 <= rays.plane_height) & (rays.plane_height <= stature[:, None])
+        in_plane = (0.0 <= rays.plane_height) & (rays.plane_height <= stature[h])
         valid = mask & in_plane & (hit > 1e-12) & (hit < rays.max_range) & (hit < ranges)
         np.copyto(ranges, hit, where=valid)
     if noise > 0.0:
@@ -359,7 +361,9 @@ def merge_occupancy(hits: ScanHits, *, quadrant_blind: bool = False) -> np.ndarr
 
 def scan_occupancies(
     mounts,
-    scenes,
+    ground,
+    radius,
+    stature,
     times,
     layout: ZoneLayout,
     *,
@@ -367,26 +371,26 @@ def scan_occupancies(
     noise: float = 0.0,
     quadrant_blind: bool = False,
 ) -> list[dict[Quadrant, Zone]]:
-    """The merged occupancy of each scan; ``scenes[j]`` holds the humans of the
-    scan taken at ``times[j]``.
+    """The merged occupancy of each scan; the arguments before layout are
+    simulate_scan's.
 
     Scans are cast SCAN_CHUNK at a time, in order, so that noise draws what
-    casting them one by one would.  Without noise a scan is cast only when one
-    of its states is not the very object the scan before saw, and a scan that
-    is not cast takes the occupancy of the last one that was.
+    casting them one by one would.  Without noise a scan is cast only when
+    some human's x or y differs from the scan before, and a scan that is not
+    cast takes the occupancy of the last one that was.
     """
     times = np.asarray(times, dtype=float)
-    fresh = np.ones(len(scenes), dtype=bool)
+    ground = np.asarray(ground, dtype=float)
+    fresh = np.ones(len(times), dtype=bool)
     if not noise > 0.0:
-        fresh[1:] = [
-            any(a is not b for a, b in zip(scene, before))
-            for before, scene in zip(scenes, scenes[1:])
-        ]
+        fresh[1:] = (ground[1:] != ground[:-1]).any(axis=(1, 2))
     cast = np.flatnonzero(fresh)
     merged = np.empty((len(cast), 2), dtype=np.int8)
     for start in range(0, len(cast), SCAN_CHUNK):
         chunk = cast[start : start + SCAN_CHUNK]
-        scan = simulate_scan(mounts, [scenes[j] for j in chunk], times[chunk], rng=rng, noise=noise)
+        scan = simulate_scan(
+            mounts, ground[chunk], radius, stature, times[chunk], rng=rng, noise=noise
+        )
         hits = scan_to_occupancy(scan, mounts, layout)
         merged[start : start + len(chunk)] = merge_occupancy(hits, quadrant_blind=quadrant_blind)
         del scan, hits  # a chunk's arrays are not held while the next one is cast
@@ -547,20 +551,6 @@ def skeleton_sample(human: HumanState, t: float) -> SkeletonFrame:
     """One tracker frame at time t; t must sit on the 30 Hz grid."""
     _check_grid(t, 1.0 / SKELETON_RATE, "skeleton")
     return SkeletonFrame(t=t, landmarks=pose_landmarks(human), confidence=np.ones(N_LANDMARKS))
-
-
-def min_distance_tcp(frame: SkeletonFrame, tcp) -> tuple[float, str]:
-    """Minimum landmark-to-TCP distance; ties resolve to the lowest landmark index.
-
-    Landmarks with zero confidence are ignored.
-    """
-    tcp = np.asarray(tcp, dtype=float)
-    d = np.linalg.norm(frame.landmarks - tcp, axis=1)
-    d = np.where(frame.confidence > 0.0, d, np.inf)
-    if not np.isfinite(d).any():
-        raise PerceptionError("no confident landmarks in frame")
-    i = int(np.argmin(d))
-    return float(d[i]), LANDMARK_NAMES[i]
 
 
 def default_scanner_mounts(layout: ZoneLayout) -> tuple[ScannerMount, ScannerMount]:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import re
 from dataclasses import dataclass, field, fields, replace
@@ -42,6 +41,9 @@ from .zones import (
 # from the tick count before the first tick: 2e6 rows of 26 float64 columns are
 # about 0.43 GB.
 MAX_TICKS = 2_000_000
+# The bound on the x and y of every waypoint and scanner: far beyond the 5.5 m
+# scanner range, and small enough that squared landmark distances stay finite.
+MAX_COORDINATE = 1000.0  # m
 
 
 class ScenarioError(ValueError):
@@ -116,7 +118,7 @@ class HumanTrack:
     """A script's states at the ticks of a run, as arrays: at tick k, the floats
     state_at gives at the tick's time.
 
-    The ticks fall into the pieces _interpolate tells apart: up to the first
+    The ticks fall into the pieces state_at tells apart: up to the first
     waypoint, each segment between two waypoints, and after the last.  The
     ground position is per tick; heading, walk speed and posture are per
     piece, with math.cos and math.sin of each heading.  In a still piece,
@@ -173,46 +175,7 @@ class HumanScript:
     stature: float = DEFAULT_STATURE
 
     def state_at(self, t: float) -> HumanState:
-        """The scripted state at t; while the script holds still, the same object."""
-        for start, end, state in self._holds:
-            if start < t < end:
-                return state
-        return self._interpolate(t)
-
-    def hold_end(self, t: float) -> float:
-        """The end of the hold containing t, before which state_at keeps
-        returning the state it returns at t; t itself when the script does not
-        hold still at t.  A hold is the open interval state_at tests."""
-        for start, end, _ in self._holds:
-            if start < t < end:
-                return end
-        return t
-
-    @functools.cached_property
-    def _holds(self) -> tuple[tuple[float, float, HumanState], ...]:
-        """(start, end, state) of each open interval in which the script holds
-        still: before the first waypoint, a segment between two waypoints at
-        one spot, and after the last waypoint.  Every t inside such an
-        interval interpolates to the same floats, so the state is built once,
-        from the midpoint, or from the end where the interval is unbounded,
-        and its ground array is read-only.  A script whose times do not
-        increase has none."""
-        wps = self.waypoints
-        pairs = list(zip(wps, wps[1:]))
-        if any(a.t >= b.t for a, b in pairs):
-            return ()
-        spans = [(-math.inf, wps[0].t)]
-        spans += [(a.t, b.t) for a, b in pairs if (a.x, a.y) == (b.x, b.y)]
-        spans.append((wps[-1].t, math.inf))
-        holds = []
-        for start, end in spans:
-            unbounded = math.isinf(start) or math.isinf(end)
-            state = self._interpolate(end if unbounded else (start + end) / 2)
-            state.ground.flags.writeable = False
-            holds.append((start, end, state))
-        return tuple(holds)
-
-    def _interpolate(self, t: float) -> HumanState:
+        """The scripted state at t: the scalar reference that track follows."""
         wps = self.waypoints
         if t <= wps[0].t:
             return self._make(wps[0].x, wps[0].y, math.pi, 0.0, wps[0].posture)
@@ -236,17 +199,17 @@ class HumanScript:
         return self._make(last.x, last.y, heading, 0.0, last.posture)
 
     def track(self, times: np.ndarray) -> HumanTrack:
-        """The states at times, ascending, as a HumanTrack: _interpolate's
+        """The states at times, ascending, as a HumanTrack: state_at's
         floats at each time, piece by piece.
 
         A piece's heading, speed, posture and the cosine and sine of its
-        heading are computed once, with _interpolate's Python float
+        heading are computed once, with state_at's Python float
         operations; a segment's ground positions are the same operations
         elementwise on the times it holds.
         """
         wps = self.waypoints
         first, last = wps[0], wps[-1]
-        # _interpolate takes the first segment whose end lies after t, which is
+        # state_at takes the first segment whose end lies after t, which is
         # the first at which the running maximum of the ends does.
         ends = np.maximum.accumulate([w.t for w in wps[1:]]) if len(wps) > 1 else []
         piece = (np.searchsorted(ends, times, side="right") + 1).astype(np.int32)
@@ -409,6 +372,13 @@ class _Problem(NamedTuple):
     cause: str | None = None  # a _SECTIONS name whose line the message ends with
 
 
+_BOUNDS = f"[-{MAX_COORDINATE:g}, {MAX_COORDINATE:g}] m"
+
+
+def _out_of_bounds(x: float, y: float) -> bool:
+    return not (abs(x) <= MAX_COORDINATE and abs(y) <= MAX_COORDINATE)
+
+
 def _problems(sc: Scenario) -> list[_Problem]:
     problems = []
     for name in ("duration", "control_period", "nominal_speed", "parallelism", "stall_threshold"):
@@ -449,9 +419,19 @@ def _problems(sc: Scenario) -> list[_Problem]:
                     f"not after waypoint {i - 1}"
                 )
                 problems.append(_Problem(message, "human", "waypoint", i, h))
+        for i, w in enumerate(script.waypoints):
+            if _out_of_bounds(w.x, w.y):
+                message = (
+                    f"human {h}: waypoint {i} x and y must lie in {_BOUNDS}, got {w.x!r} {w.y!r}"
+                )
+                problems.append(_Problem(message, "human", "waypoint", i, h))
         if script.end_time > sc.duration:
             message = f"human {h}: script ends at {script.end_time}s after the {sc.duration}s run"
             problems.append(_Problem(message, "human", "waypoint", len(script.waypoints) - 1, h))
+    for i, s in enumerate(sc.scanners):
+        if _out_of_bounds(s.x, s.y):
+            message = f"scanners: scanner {i} x and y must lie in {_BOUNDS}, got {s.x!r} {s.y!r}"
+            problems.append(_Problem(message, "scanners", "scanner", i))
     if not sc.task.steps:
         problems.append(_Problem("task: no steps", "task"))
     if sc.task.cycles < 1:

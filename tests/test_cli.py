@@ -265,6 +265,29 @@ class TestSimRun:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("waypoint = 0.0 0.55 0.35 standing", "waypoint = 0.0 1e160 0.35 standing"),
+            ("waypoint = 1.8 0.55 0.35 standing", "waypoint = 1.8 0.55 -2000.0 standing"),
+            ("scanner = 0.0 0.45 -0.29145679447786715", "scanner = 1e200 0.45 0.0"),
+            ("scanner = 0.0 -0.45 0.29145679447786715", "scanner = 0.0 -1000.5 0.3"),
+        ],
+        ids=["waypoint_x", "waypoint_y", "scanner_x", "scanner_y"],
+    )
+    def test_coordinate_beyond_the_bound_fails_at_parse_naming_the_line(
+        self, old, new, tiny_file, tmp_path, capsys
+    ):
+        lines = tiny_file.read_text(encoding="utf-8").splitlines()
+        line = lines.index(old) + 1
+        lines[line - 1] = new
+        bad = tmp_path / "bad.scn"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["sim", "run", str(bad), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"line {line}: " in err and "x and y must lie in [-1000, 1000] m" in err, err
+        assert not (tmp_path / "out").exists()
+
     def test_bundled_scenario_accepted(self, tmp_path):
         # parse-only guard: the bundled file is a valid CLI input
         from ssmcell.scenario import parse_scenario

@@ -1,12 +1,11 @@
 """Exactness of the quiescent-tick fast path.
 
 Ticks whose inputs repeat the last tick's reuse the last tick's results: the
-held human state, the last merged occupancy, the last controller command and
-the last trace row.  The path has no off switch, so the digests below were
+last skeleton distance, the last merged occupancy, the last controller command
+and the last trace row.  The path has no off switch, so the digests below were
 recorded with the engine that evaluated every tick in full.
 """
 
-import dataclasses
 import hashlib
 import math
 import struct
@@ -16,11 +15,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ssmcell import engine
+from ssmcell import engine, perception
 from ssmcell.control import Controller, ControllerConfig, Gains, ModeKind
 from ssmcell.engine import EventKind, run
 from ssmcell.kinematics import RobotModel
-from ssmcell.perception import POSTURES, Posture, pose_landmarks
+from ssmcell.perception import POSTURES, SCAN_PERIOD, Posture, pose_landmarks
 from ssmcell.scenario import (
     HumanScript,
     HumanWaypoint,
@@ -127,14 +126,6 @@ def test_golden_trace_and_events(name, tmp_path):
     assert digests(run(variant(name)), tmp_path) == GOLDEN[name]
 
 
-def state_fields(state):
-    """Every field of a HumanState, floats as their exact bits."""
-    floats = struct.pack(
-        "4d", state.heading, state.walk_speed, state.footprint_radius, state.stature
-    )
-    return state.ground.tobytes(), floats, state.posture
-
-
 HOLDING_SCRIPTS = [
     GRID_HOLD,
     bundled("sorting_benchmark").humans[0],
@@ -154,23 +145,8 @@ HOLDING_SCRIPTS = [
 ]
 
 
-@pytest.mark.parametrize("script", HOLDING_SCRIPTS, ids=lambda s: f"{len(s.waypoints)}wp")
-def test_state_at_matches_uncached_interpolation(script):
-    times = {-1.0, script.end_time + 3.0}
-    for w in script.waypoints:
-        times.update((w.t, math.nextafter(w.t, -math.inf), math.nextafter(w.t, math.inf)))
-    for a, b in zip(script.waypoints, script.waypoints[1:]):
-        times.add((a.t + b.t) / 2)
-    # Decreasing, then increasing, on one script; each against a fresh copy's
-    # first answer and against the interpolation the holds stand in for.
-    for t in sorted(times, reverse=True) + sorted(times):
-        got = state_fields(script.state_at(t))
-        assert got == state_fields(dataclasses.replace(script).state_at(t)), t
-        assert got == state_fields(script._interpolate(t)), t
-
-
 # Scripts whose times do not increase, which only an unvalidated Scenario
-# holds: _interpolate takes the first segment whose end lies after t.
+# holds: state_at takes the first segment whose end lies after t.
 UNORDERED_SCRIPTS = [
     HumanScript(
         waypoints=(
@@ -205,14 +181,6 @@ def test_track_matches_state_at_at_every_time(script):
         assert got == struct.pack("4d", *state.ground, state.heading, state.walk_speed), t
         assert POSTURES[track.posture[piece]] == state.posture, t
         assert landmarks[k].tobytes() == pose_landmarks(state).tobytes(), t
-
-
-def test_held_state_is_shared_and_read_only():
-    a, b = GRID_HOLD.state_at(1.0), GRID_HOLD.state_at(2.0)
-    assert a is b
-    with pytest.raises(ValueError):
-        a.ground[0] = 0.0
-    assert GRID_HOLD.state_at(0.5) is not GRID_HOLD.state_at(0.5)  # walking
 
 
 MODEL = RobotModel()
@@ -729,34 +697,88 @@ def test_generated_spans_match_tick_by_tick(scenario, monkeypatch):
     assert_spans_exact(scenario, monkeypatch)
 
 
-class TestHoldEnd:
-    SCRIPT = HumanScript(
-        waypoints=(
-            HumanWaypoint(0.5, 1.0, 0.2, Posture.STANDING),
-            HumanWaypoint(1.0, 1.0, 0.2, Posture.REACHING),
-            HumanWaypoint(2.0, 0.6, 0.2, Posture.STANDING),
-        )
+# An operator who stands still from the start until 30 scan periods, with the
+# first waypoint at 10 periods and a posture switch at 20, then walks to
+# x = 0.6 by 50 periods and stays.  Scans and skeleton frames on those
+# waypoint times see the spot the message before saw.
+STILL_THEN_WALK = HumanScript(
+    waypoints=(
+        HumanWaypoint(10 * SCAN_PERIOD, 1.0, 0.3, Posture.STANDING),
+        HumanWaypoint(20 * SCAN_PERIOD, 1.0, 0.3, Posture.REACHING),
+        HumanWaypoint(30 * SCAN_PERIOD, 1.0, 0.3, Posture.STANDING),
+        HumanWaypoint(50 * SCAN_PERIOD, 0.6, 0.3, Posture.STANDING),
     )
+)
 
-    def test_inside_a_hold(self):
-        assert self.SCRIPT.hold_end(0.7) == 1.0
-        assert self.SCRIPT.hold_end(math.nextafter(1.0, 0.0)) == 1.0
 
-    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0], ids=["start", "end", "last_waypoint"])
-    def test_at_an_edge_the_script_does_not_hold(self, t):
-        assert self.SCRIPT.hold_end(t) == t
-        assert self.SCRIPT.state_at(t) is not self.SCRIPT.state_at(t)
+@pytest.mark.parametrize(
+    "noise, scans",
+    [(0.0, [0, *range(31, 51)]), (0.005, range(67))],
+    ids=["noiseless", "noisy"],
+)
+def test_scan_at_the_start_of_a_hold_is_cast_only_with_noise(noise, scans, monkeypatch):
+    # Without noise a scan is cast when some human's x or y differs from the
+    # scan before: the first, and each while the operator walks up to where
+    # it stops.  With noise each scan draws its own, so every one of ticks
+    # 0 ... 1.998 s is cast.
+    cast = []
+    simulate = perception.simulate_scan
 
-    def test_while_walking(self):
-        assert self.SCRIPT.hold_end(1.5) == 1.5
+    def recorded(*args, **kwargs):
+        scan = simulate(*args, **kwargs)
+        cast.extend(scan.t.tolist())
+        return scan
 
-    def test_before_the_first_waypoint(self):
-        assert self.SCRIPT.hold_end(0.1) == 0.5
-        assert self.SCRIPT.hold_end(-1e9) == 0.5
-        state = self.SCRIPT.state_at(0.1)
-        assert state is self.SCRIPT.state_at(-1e9)
-        assert tuple(state.ground) == (1.0, 0.2) and state.walk_speed == 0.0
+    monkeypatch.setattr(perception, "simulate_scan", recorded)
+    scenario = tiny_scenario(
+        duration=2.0, humans=(STILL_THEN_WALK,), task=STAND_STILL, noise=noise, seed=17
+    )
+    engine.run(scenario)
+    assert cast == [j * SCAN_PERIOD for j in scans]
 
-    def test_after_the_last_waypoint(self):
-        assert self.SCRIPT.hold_end(2.5) == math.inf
-        assert self.SCRIPT.state_at(2.5) is self.SCRIPT.state_at(1e9)
+
+def test_skeleton_frames_equal_the_scalar_reference(monkeypatch):
+    # Each offered frame against state_at at the frame time: the least
+    # landmark distance of its pose to the TCP of the tick it is offered at,
+    # and its walk speed.  The robot shuttles while the operator walks in,
+    # reaches, leans and stands.
+    offers = []
+    offer = Controller.offer_skeleton
+
+    def recorded(self, t, d_i, human_speed=0.0):
+        offers.append((t, d_i, human_speed))
+        return offer(self, t, d_i, human_speed)
+
+    monkeypatch.setattr(Controller, "offer_skeleton", recorded)
+    scenario = tiny_scenario(duration=1.0, humans=(BLOCK_WALKER,), task=SHUTTLE)
+    trace = engine.run(scenario).trace
+    times, starts = engine._sensor_grid(trace.column("t"), 1.0 / perception.SKELETON_RATE)
+    assert [t for t, _, _ in offers] == times
+    tcp = trace.column("tcp")
+    assert len({tcp[k].tobytes() for k in starts[:-1]}) >= 20  # the TCP moves
+    want = []
+    for t, k in zip(times, starts):
+        state = BLOCK_WALKER.state_at(t)
+        d_i = float(np.min(np.linalg.norm(pose_landmarks(state) - tcp[k], axis=1)))
+        want.append((t, d_i, state.walk_speed))
+    assert offers == want
+
+
+def test_still_operator_facing_a_still_tcp_is_measured_once_per_still_piece(monkeypatch):
+    # The robot dwells at its start pose, so the TCP stays one object; the
+    # operator stands at one spot through four still pieces (before the first
+    # waypoint and between each two), each of another posture than the last.
+    script = HumanScript(waypoints=STILL_THEN_WALK.waypoints[:3])
+    measured = []
+    least = engine._least_distance
+
+    def recorded(landmarks, tcp):
+        if tcp.ndim == 1:  # a skeleton frame's; the output stage passes blocks
+            measured.append(landmarks.tobytes())
+        return least(landmarks, tcp)
+
+    monkeypatch.setattr(engine, "_least_distance", recorded)
+    result = engine.run(tiny_scenario(duration=2.0, humans=(script,), task=STAND_STILL))
+    assert len(set(result.trace.values("tcp_speed"))) == 1  # the TCP never moves
+    track = script.track(np.array([0.0, 10 * SCAN_PERIOD, 20 * SCAN_PERIOD, 30 * SCAN_PERIOD]))
+    assert measured == [track.landmarks(k, k + 1).tobytes() for k in range(4)]

@@ -17,19 +17,17 @@ from ssmcell.perception import (
     PerceptionError,
     Posture,
     ScannerMount,
-    SkeletonFrame,
     POSTURES,
     default_scanner_mounts,
     landmark_block,
     merge_occupancy,
-    min_distance_tcp,
     pose_landmarks,
     scan_occupancies,
     scan_to_occupancy,
     simulate_scan,
     skeleton_sample,
 )
-from ssmcell.engine import build_scanner_mounts
+from ssmcell.engine import _least_distance, build_scanner_mounts
 from ssmcell.zones import Quadrant, Zone, build_zone_layout, classify_point
 
 from helpers import bundled
@@ -66,9 +64,20 @@ class TestHumanState:
             HumanState((0.0, 1.0), stature=stature)
 
 
+def scan_arrays(scenes):
+    """The ground (k, humans, 2), radius and stature arguments of simulate_scan
+    and scan_occupancies for scenes of HumanStates, ``scenes[j]`` holding the
+    humans of scan j; each human has one radius and stature in every scene."""
+    n = len(scenes[0])
+    ground = np.array([[human.ground for human in scene] for scene in scenes], dtype=float)
+    radius = [human.footprint_radius for human in scenes[0]]
+    stature = [human.stature for human in scenes[0]]
+    return ground.reshape(len(scenes), n, 2), radius, stature
+
+
 def cast(mount, humans, t=0.0, **kwargs):
     """One scan by one mount: the k = 1 case of the batch."""
-    return simulate_scan((mount,), [humans], [t], **kwargs)
+    return simulate_scan((mount,), *scan_arrays([humans]), [t], **kwargs)
 
 
 class TestSimulateScan:
@@ -108,6 +117,11 @@ class TestSimulateScan:
     def test_off_grid_time_rejected(self):
         with pytest.raises(PerceptionError):
             cast(forward_mount(), [], 0.0171)
+
+    def test_a_radius_and_stature_per_human(self):
+        ground, radius, stature = scan_arrays([[human_at(1.0, 0.0)]])
+        with pytest.raises(PerceptionError, match="radius and stature each"):
+            simulate_scan((forward_mount(),), ground, radius * 2, stature * 2, [0.0])
 
     def test_noise_is_seeded_and_bounded(self):
         mount = forward_mount()
@@ -155,7 +169,7 @@ class TestScanToOccupancy:
             merge_occupancy(scan_to_occupancy(cast(mount, humans), (mount,), LAYOUT))[0]
             for mount in mounts
         ]
-        scan = simulate_scan(mounts, [humans], [0.0])
+        scan = simulate_scan(mounts, *scan_arrays([humans]), [0.0])
         merged = merge_occupancy(scan_to_occupancy(scan, mounts, LAYOUT))[0]
         assert merged.tolist() == np.max(per_scanner, axis=0).tolist()
         assert max(merged) > Zone.NORMAL
@@ -227,24 +241,23 @@ MOUNT_POOL = (
     forward_mount(x=0.0, y=-0.45, heading=0.2915, plane_height=0.3),
 )
 
-STATES = st.builds(
-    lambda x, y, radius, stature: HumanState(
-        ground=(x, y), footprint_radius=radius, stature=stature
-    ),
-    x=st.floats(-0.5, 2.5),
-    y=st.floats(-1.5, 1.5),
-    radius=st.floats(0.1, 0.5),
-    stature=st.floats(0.35, 2.1),  # some below a 0.4 m scan plane
-)
-
 
 @st.composite
 def scan_runs(draw):
-    """Mounts, and scenes whose states repeat as objects, as a held script's do."""
+    """Mounts, and scenes whose ground positions repeat, as a still script's do.
+    Each human has one radius and stature, some below a 0.4 m scan plane."""
     n_humans = draw(st.integers(0, 2))
     n_scans = draw(st.sampled_from((1, SCAN_CHUNK - 1, SCAN_CHUNK + 1, 2 * SCAN_CHUNK + 7)))
     mounts = draw(st.lists(st.sampled_from(MOUNT_POOL), min_size=1, max_size=3, unique=True))
-    poses = [draw(st.lists(STATES, min_size=3, max_size=3)) for _ in range(n_humans)]
+    spots = st.tuples(st.floats(-0.5, 2.5), st.floats(-1.5, 1.5))
+    humans = [
+        (
+            draw(st.lists(spots, min_size=3, max_size=3)),
+            draw(st.floats(0.1, 0.5)),  # radius
+            draw(st.floats(0.35, 2.1)),  # stature
+        )
+        for _ in range(n_humans)
+    ]
     picks = draw(
         st.lists(
             st.lists(st.integers(0, 2), min_size=n_humans, max_size=n_humans),
@@ -252,7 +265,13 @@ def scan_runs(draw):
             max_size=n_scans,
         )
     )
-    scenes = [tuple(poses[h][i] for h, i in enumerate(pick)) for pick in picks]
+    scenes = [
+        tuple(
+            HumanState(ground=ground[i], footprint_radius=radius, stature=stature)
+            for (ground, radius, stature), i in zip(humans, pick)
+        )
+        for pick in picks
+    ]
     return tuple(mounts), scenes
 
 
@@ -263,7 +282,9 @@ def scan_by_scan(mounts, scenes, times, rng, noise, blind):
         lanes = [
             merge_occupancy(
                 scan_to_occupancy(
-                    simulate_scan((mount,), [scene], [t], rng=rng, noise=noise), (mount,), LAYOUT
+                    simulate_scan((mount,), *scan_arrays([scene]), [t], rng=rng, noise=noise),
+                    (mount,),
+                    LAYOUT,
                 )
             )[0]
             for mount in mounts
@@ -309,7 +330,7 @@ def test_batched_cast_equals_the_reference_bit_for_bit(run, noise, seed):
     mounts, scenes = run
     times = [j * SCAN_PERIOD for j in range(len(scenes))]
     batch_rng, scan_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    batched = simulate_scan(mounts, scenes, times, rng=batch_rng, noise=noise).ranges
+    batched = simulate_scan(mounts, *scan_arrays(scenes), times, rng=batch_rng, noise=noise).ranges
     expected = [
         np.concatenate([reference_ranges(m, scene, scan_rng, noise) for m in mounts])
         for scene in scenes
@@ -330,7 +351,13 @@ def test_batched_occupancies_equal_scan_by_scan(run, noise, blind, seed):
     times = [j * SCAN_PERIOD for j in range(len(scenes))]
     batch_rng, scan_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     batched = scan_occupancies(
-        mounts, scenes, times, LAYOUT, rng=batch_rng, noise=noise, quadrant_blind=blind
+        mounts,
+        *scan_arrays(scenes),
+        times,
+        LAYOUT,
+        rng=batch_rng,
+        noise=noise,
+        quadrant_blind=blind,
     )
     assert batched == scan_by_scan(mounts, scenes, times, scan_rng, noise, blind)
     # Both drew the same values, so the generator goes on alike.
@@ -458,17 +485,14 @@ class TestSkeleton:
 
 
 class TestMinDistance:
+    # The reduction the engine measures a skeleton frame's distance with.
     def test_tcp_on_landmark(self):
         frame = skeleton_sample(human_at(1.0, 0.0), 0.0)
-        tcp = frame.landmark("wrist_left")
-        d, name = min_distance_tcp(frame, tcp)
-        assert d == 0.0
-        assert name == "wrist_left"
+        assert _least_distance(frame.landmarks, frame.landmark("wrist_left")) == 0.0
 
     def test_lower_bound(self):
         frame = skeleton_sample(human_at(5.0, 0.0), 0.0)
-        d, _ = min_distance_tcp(frame, (0.0, 0.0, 0.0))
-        assert d >= 2.0
+        assert _least_distance(frame.landmarks, np.zeros(3)) >= 2.0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(31)
@@ -477,29 +501,11 @@ class TestMinDistance:
                 human_at(rng.uniform(0.5, 3.0), rng.uniform(-1, 1)), 0.0
             )
             tcp = rng.uniform([-0.5, -0.5, 0.0], [1.0, 0.5, 1.0])
-            d, name = min_distance_tcp(frame, tcp)
             dists = [
                 math.sqrt(sum((frame.landmarks[i][k] - tcp[k]) ** 2 for k in range(3)))
                 for i in range(32)
             ]
-            assert d == pytest.approx(min(dists), abs=1e-12)
-            assert name == LANDMARK_NAMES[int(np.argmin(dists))]
-
-    def test_zero_confidence_ignored(self):
-        frame = skeleton_sample(human_at(1.0, 0.0), 0.0)
-        tcp = frame.landmark("wrist_left")
-        conf = frame.confidence.copy()
-        conf[LANDMARK_NAMES.index("wrist_left")] = 0.0
-        masked = SkeletonFrame(t=frame.t, landmarks=frame.landmarks, confidence=conf)
-        d, name = min_distance_tcp(masked, tcp)
-        assert name != "wrist_left"
-        assert d > 0.0
-
-    def test_tie_breaks_to_lowest_index(self):
-        landmarks = np.zeros((32, 3))  # every landmark equidistant
-        frame = SkeletonFrame(t=0.0, landmarks=landmarks, confidence=np.ones(32))
-        _, name = min_distance_tcp(frame, (1.0, 0.0, 0.0))
-        assert name == LANDMARK_NAMES[0]
+            assert _least_distance(frame.landmarks, tcp) == pytest.approx(min(dists), abs=1e-12)
 
 
 class TestMounts:
@@ -523,6 +529,6 @@ class TestMounts:
         # a disc in the warning band is seen by at least one scanner of each pair
         for mounts in (default_scanner_mounts(LAYOUT), BUNDLED_MOUNTS):
             humans = [human_at(1.0, 0.0)]
-            scan = simulate_scan(mounts, [humans], [0.0])
+            scan = simulate_scan(mounts, *scan_arrays([humans]), [0.0])
             merged = merge_occupancy(scan_to_occupancy(scan, mounts, LAYOUT))
             assert merged.max() >= Zone.WARNING

@@ -9,13 +9,16 @@ import pytest
 from ssmcell.cli import EXIT_VALIDATION, main
 from ssmcell.perception import Posture
 from ssmcell.scenario import (
+    MAX_COORDINATE,
     HumanScript,
     HumanWaypoint,
+    ScannerPose,
     ScenarioError,
     SimMode,
     parse_scenario,
     parse_sections,
     serialize_scenario,
+    validate_scenario,
 )
 from ssmcell.scenarios import bundled_scenario_path
 
@@ -154,6 +157,20 @@ def assert_starts_at_first_target(scenario):
 
 
 class TestValidation:
+    def test_coordinates_at_the_bound_are_accepted(self):
+        def problems(bound):
+            human = HumanScript(waypoints=(HumanWaypoint(0.0, -bound, 0.3),))
+            scanner = ScannerPose(0.0, bound, 0.0)
+            sc = bundled("approach_retreat")
+            return validate_scenario(dataclasses.replace(sc, humans=(human,), scanners=(scanner,)))
+
+        assert problems(MAX_COORDINATE) == []
+        far = math.nextafter(MAX_COORDINATE, math.inf)
+        assert problems(far) == [
+            f"human 0: waypoint 0 x and y must lie in [-1000, 1000] m, got {-far!r} 0.3",
+            f"scanners: scanner 0 x and y must lie in [-1000, 1000] m, got 0.0 {far!r}",
+        ]
+
     def test_decreasing_waypoints_name_the_index(self):
         text = serialize_scenario(bundled("approach_retreat")).replace(
             "waypoint = 3.8 1.0 -0.32 standing", "waypoint = 1.5 1.0 -0.32 standing"
