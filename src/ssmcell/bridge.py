@@ -118,6 +118,7 @@ class SpeedBridge:
         try:
             self._server.bind(bind_address)
         except OSError as exc:
+            self._server.close()
             raise BridgeError(f"cannot bind {bind_address}: {exc}") from exc
         self._server.listen()
         self._server.settimeout(0.1)

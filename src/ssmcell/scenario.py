@@ -44,6 +44,9 @@ MAX_TICKS = 2_000_000
 # The bound on the x and y of every waypoint and scanner: far beyond the 5.5 m
 # scanner range, and small enough that squared landmark distances stay finite.
 MAX_COORDINATE = 1000.0  # m
+# The bound on a scanner's heading, one turn either way: far beyond it, the
+# steps between a scan's ray angles are lost to rounding.
+MAX_HEADING = 2 * math.pi  # rad
 
 
 class ScenarioError(ValueError):
@@ -362,21 +365,13 @@ def build_gains(scenario: Scenario) -> Gains:
 
 
 class _Problem(NamedTuple):
-    """A range or consistency problem, and the entry of a scenario file that states it."""
+    """A problem of a scalar key or of the whole scenario, and the section that states it."""
 
     message: str
     section: str  # a _SECTIONS name
-    key: str | None = None  # the entry's key or row key; None: the first key the message names
-    row: int = 0  # which of the section's entries with that key
+    key: str | None = None  # the key at fault; None: the first key the message names
     human: int = 0  # which [human] section, for section "human"
     cause: str | None = None  # a _SECTIONS name whose line the message ends with
-
-
-_BOUNDS = f"[-{MAX_COORDINATE:g}, {MAX_COORDINATE:g}] m"
-
-
-def _out_of_bounds(x: float, y: float) -> bool:
-    return not (abs(x) <= MAX_COORDINATE and abs(y) <= MAX_COORDINATE)
 
 
 def _problems(sc: Scenario) -> list[_Problem]:
@@ -407,31 +402,9 @@ def _problems(sc: Scenario) -> list[_Problem]:
     for h, script in enumerate(sc.humans):
         if not script.waypoints:
             problems.append(_Problem(f"human {h}: no waypoints", "human", human=h))
-            continue
-        try:
-            script.state_at(script.waypoints[0].t)
-        except ValueError as exc:
-            problems.append(_Problem(f"human {h}: {exc}", "human", human=h))
-        for i in range(1, len(script.waypoints)):
-            if script.waypoints[i].t <= script.waypoints[i - 1].t:
-                message = (
-                    f"human {h}: waypoint {i} timestamp {script.waypoints[i].t} "
-                    f"not after waypoint {i - 1}"
-                )
-                problems.append(_Problem(message, "human", "waypoint", i, h))
-        for i, w in enumerate(script.waypoints):
-            if _out_of_bounds(w.x, w.y):
-                message = (
-                    f"human {h}: waypoint {i} x and y must lie in {_BOUNDS}, got {w.x!r} {w.y!r}"
-                )
-                problems.append(_Problem(message, "human", "waypoint", i, h))
-        if script.end_time > sc.duration:
-            message = f"human {h}: script ends at {script.end_time}s after the {sc.duration}s run"
-            problems.append(_Problem(message, "human", "waypoint", len(script.waypoints) - 1, h))
-    for i, s in enumerate(sc.scanners):
-        if _out_of_bounds(s.x, s.y):
-            message = f"scanners: scanner {i} x and y must lie in {_BOUNDS}, got {s.x!r} {s.y!r}"
-            problems.append(_Problem(message, "scanners", "scanner", i))
+        for name in ("footprint_radius", "stature"):
+            if getattr(script, name) <= 0:
+                problems.append(_Problem(f"human {h}: {name} must be positive", "human", name, h))
     if not sc.task.steps:
         problems.append(_Problem("task: no steps", "task"))
     if sc.task.cycles < 1:
@@ -446,33 +419,25 @@ def _problems(sc: Scenario) -> list[_Problem]:
         build_gains(sc)
     except ValueError as exc:
         problems.append(_Problem(f"gains: {exc}", "gains"))
-    model = build_model(sc)
     try:
-        model.check_joint_vector(sc.q0)
+        build_model(sc).check_joint_vector(sc.q0)
     except ValueError as exc:
         problems.append(_Problem(f"robot: q0: {exc}", "robot", "q0"))
-    for i, step in enumerate(sc.task.steps):
-        distance = math.hypot(*step.target)
-        if distance > model.reach:
-            message = (
-                f"task: step {i} '{step.name}' target is {distance:.3f} m from the base, "
-                f"beyond the {model.reach} m reach"
-            )
-            problems.append(_Problem(message, "task", "step", i))
     return problems
 
 
 def validate_scenario(sc: Scenario) -> list[str]:
-    """Every range and consistency problem of a scenario, as messages."""
+    """The problems of a scenario's scalar keys and of the scenario as a whole, as
+    messages.  The rows (waypoints, scanners, steps) are checked by the parser as
+    it reads them."""
     return [p.message for p in _problems(sc)]
 
 
-def _line_of(section: Section, message: str, key: str | None = None, row: int = 0) -> int:
-    """The line of the row-th entry with key (with no key, of the first entry whose
-    key the message names); the section's own line if there is no such entry."""
-    named = {key} if key is not None else set(message.split())
-    lines = [e.line for e in section if e.key in named]
-    return lines[row] if row < len(lines) else section.line
+def _key_line(section: Section, lines: dict[str, int], message: str, key=None) -> int:
+    """The line of key, or with no key of the first key set that the message names;
+    the section's own line if the section sets no such key."""
+    named = message.split() if key is None else [key]
+    return min((lines[k] for k in named if k in lines), default=section.line)
 
 
 _POSTURES = {p.value: p for p in Posture}
@@ -591,8 +556,8 @@ def _kind(section: str) -> str | None:
     return section if section in _SECTIONS else None
 
 
-def _read_section(name: str, entries, errors: list) -> tuple[dict, list[Entry]]:
-    """The field values a section sets, and its rows in file order."""
+def _read_section(name: str, entries, errors: list) -> tuple[dict, list[Entry], dict[str, int]]:
+    """The field values a section sets, its rows in file order, and the line of each key set."""
     spec = _SECTIONS[_kind(name)]
     values, rows, lines = {}, [], {}
     for e in entries:
@@ -608,10 +573,10 @@ def _read_section(name: str, entries, errors: list) -> tuple[dict, list[Entry]]:
             value = k.read(e, errors)
             if value is not None:
                 values[k.attr] = value
-    return values, rows
+    return values, rows, lines
 
 
-def _build(name: str, values: dict, section: Section, errors: list):
+def _build(name: str, values: dict, section: Section, lines: dict[str, int], errors: list):
     """The section's dataclass from the values read, or its defaults if they are out of range.
 
     A range error is reported at the line of the first key its message names,
@@ -621,59 +586,90 @@ def _build(name: str, values: dict, section: Section, errors: list):
     try:
         return cls(**values)
     except ValueError as exc:
-        errors.append(f"line {_line_of(section, str(exc))}: [{name}]: {exc}")
+        errors.append(f"line {_key_line(section, lines, str(exc))}: [{name}]: {exc}")
         return cls()
 
 
-def _numbers(e: Entry, texts, what: str, errors: list) -> list[float] | None:
-    try:
-        values = [float(t) for t in texts]
-    except ValueError:
-        errors.append(f"line {e.line}: {what} has a non-numeric value")
-        return None
-    if not all(map(math.isfinite, values)):
-        errors.append(f"line {e.line}: {what} has a non-finite value")
-        return None
-    return values
+_BOUNDS = f"[-{MAX_COORDINATE:g}, {MAX_COORDINATE:g}] m"
+_TURN = f"[-{MAX_HEADING:g}, {MAX_HEADING:g}] rad"
+
+
+def _out_of_bounds(x: float, y: float) -> bool:
+    return not (abs(x) <= MAX_COORDINATE and abs(y) <= MAX_COORDINATE)
+
+
+# How each row key's value reads, and which of its tokens are numbers.
+_ROWS = {
+    "scanner": ("x y heading", slice(0, 3)),
+    "waypoint": ("t x y posture", slice(0, 3)),
+    "step": ("name x y z dwell [modes]", slice(1, 5)),
+}
+
+
+def _rows(key: str, rows: list[Entry], errors: list):
+    """Each row whose value reads as _ROWS[key] describes, with finite numbers: its
+    index among the rows, counted in file order, its entry, tokens and numbers."""
+    usage, numeric = _ROWS[key]
+    size = len(usage.split())
+    for idx, e in enumerate(rows):
+        parts, what = e.value.split(), f"line {e.line}: {key} {idx}"
+        if not size - usage.count("[") <= len(parts) <= size:
+            errors.append(f"{what} needs '{usage}'")
+            continue
+        try:
+            numbers = [float(t) for t in parts[numeric]]
+        except ValueError:
+            errors.append(f"{what} has a non-numeric value")
+            continue
+        if all(map(math.isfinite, numbers)):
+            yield idx, e, parts, numbers
+        else:
+            errors.append(f"{what} has a non-finite value")
 
 
 def _scanners(rows: list[Entry], errors: list) -> tuple[ScannerPose, ...]:
     scanners = []
-    for e in rows:
-        parts = e.value.split()
-        if len(parts) != 3:
-            errors.append(f"line {e.line}: scanner needs 3 values, got {len(parts)}")
-        elif xyh := _numbers(e, parts, "scanner", errors):
-            scanners.append(ScannerPose(*xyh))
+    for idx, e, _, (x, y, heading) in _rows("scanner", rows, errors):
+        problem = f"line {e.line}: scanners: scanner {idx}"
+        if _out_of_bounds(x, y):
+            errors.append(f"{problem} x and y must lie in {_BOUNDS}, got {x!r} {y!r}")
+        if abs(heading) > MAX_HEADING:
+            errors.append(f"{problem} heading must lie in {_TURN}, got {heading!r}")
+        scanners.append(ScannerPose(x, y, heading))
     return tuple(scanners)
 
 
-def _waypoints(rows: list[Entry], errors: list) -> tuple[HumanWaypoint, ...]:
-    waypoints = []
-    for idx, e in enumerate(rows):
-        parts = e.value.split()
-        if len(parts) != 4:
-            errors.append(f"line {e.line}: waypoint {idx} needs 't x y posture'")
-            continue
-        txy = _numbers(e, parts[:3], f"waypoint {idx}", errors)
+def _waypoints(
+    h: int, rows: list[Entry], duration: float, errors: list
+) -> tuple[HumanWaypoint, ...]:
+    """The waypoints of human h; none may lie after a positive duration."""
+    waypoints, last = [], None  # last: the index of the last waypoint kept
+    for idx, e, parts, (t, x, y) in _rows("waypoint", rows, errors):
         posture = _POSTURES.get(parts[3].lower())
         if posture is None:
             errors.append(f"line {e.line}: waypoint {idx} unknown posture '{parts[3]}'")
-        elif txy:
-            waypoints.append(HumanWaypoint(*txy, posture))
+            continue
+        problem = f"line {e.line}: human {h}: waypoint {idx}"
+        if waypoints and t <= waypoints[-1].t:
+            errors.append(f"{problem} timestamp {t} not after waypoint {last}")
+        if _out_of_bounds(x, y):
+            errors.append(f"{problem} x and y must lie in {_BOUNDS}, got {x!r} {y!r}")
+        if 0 < duration < t:
+            errors.append(f"{problem} at {t}s is after the end of the {duration}s run")
+        waypoints.append(HumanWaypoint(t, x, y, posture))
+        last = idx
     return tuple(waypoints)
 
 
 def _steps(rows: list[Entry], errors: list) -> tuple[TaskStep, ...]:
-    steps = []
-    for idx, e in enumerate(rows):
-        parts = e.value.split()
-        if len(parts) not in (5, 6):
-            errors.append(f"line {e.line}: step {idx} needs 'name x y z dwell [modes]'")
-            continue
-        numbers = _numbers(e, parts[1:5], f"step {idx}", errors)
-        if numbers is None:
-            continue
+    steps, reach = [], RobotModel().reach
+    for idx, e, parts, (*target, dwell) in _rows("step", rows, errors):
+        distance = math.hypot(*target)
+        if distance > reach:
+            errors.append(
+                f"line {e.line}: task: step {idx} '{parts[0]}' target is {distance:.3f} m "
+                f"from the base, beyond the {reach} m reach"
+            )
         modes: tuple[str, ...] = ()
         if len(parts) == 6:
             modes = tuple(m.strip() for m in parts[5].split(","))
@@ -681,7 +677,7 @@ def _steps(rows: list[Entry], errors: list) -> tuple[TaskStep, ...]:
             if unknown:
                 errors.append(f"line {e.line}: step {idx} unknown modes {unknown}")
                 continue
-        steps.append(TaskStep(parts[0], tuple(numbers[:3]), numbers[3], modes))
+        steps.append(TaskStep(parts[0], tuple(target), dwell, modes))
     return tuple(steps)
 
 
@@ -695,34 +691,37 @@ def parse_scenario(source) -> Scenario:
         for name, entries in sections.items()
         if _kind(name) is None
     ]
+    key_lines = {}  # section name -> the line of each key it sets
 
     def read(name) -> tuple[dict, list[Entry]]:
-        return _read_section(name, sections.get(name, ()), errors)
+        values, rows, key_lines[name] = _read_section(name, sections.get(name, ()), errors)
+        return values, rows
 
     values = {**read("scenario")[0], **read("robot")[0]}
     for name, holder in _PARTS.items():
+        scalars = read(name)[0]
         section = sections.get(name, Section(0))
-        values[holder] = _build(name, read(name)[0], section, errors)
+        values[holder] = _build(name, scalars, section, key_lines[name], errors)
     values["scanners"] = _scanners(read("scanners")[1], errors)
+    duration = values.get("duration", Scenario.duration)
     humans = []
     human_sections = sorted((s for s in sections if _kind(s) == "human"), key=_human_order)
-    for name in human_sections:
+    for h, name in enumerate(human_sections):
         scalars, rows = read(name)
-        humans.append(HumanScript(waypoints=_waypoints(rows, errors), **scalars))
+        humans.append(HumanScript(waypoints=_waypoints(h, rows, duration, errors), **scalars))
     values["humans"] = tuple(humans)
     scalars, rows = read("task")
     values["task"] = RobotTask(steps=_steps(rows, errors), **scalars)
 
     scenario = Scenario(**values)
     for p in _problems(scenario):
-        section = sections.get(human_sections[p.human] if p.section == "human" else p.section)
-        if section is None:
+        name = human_sections[p.human] if p.section == "human" else p.section
+        if name not in sections:
             errors.append(p.message)
-        else:
-            message = p.message
-            if p.cause in sections:
-                message += f" at line {sections[p.cause].line}"
-            errors.append(f"line {_line_of(section, p.message, p.key, p.row)}: {message}")
+            continue
+        line = _key_line(sections[name], key_lines[name], p.message, p.key)
+        cause = f" at line {sections[p.cause].line}" if p.cause in sections else ""
+        errors.append(f"line {line}: {p.message}{cause}")
     if errors:
         raise ScenarioError(errors)
     return scenario

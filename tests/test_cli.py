@@ -288,6 +288,42 @@ class TestSimRun:
         assert f"line {line}: " in err and "x and y must lie in [-1000, 1000] m" in err, err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            (
+                {59: "waypoint = 0.0 2.3 -0.32 flying", 60: "waypoint = 2.0 2.3 5000 standing"},
+                "line 60: human 0: waypoint 1 x and y must lie in [-1000, 1000] m, got 2.3 5000.0",
+            ),
+            (
+                {71: "step = sort_a 0.35 -0.3 z 1.5", 72: "step = sort_b 5.0 -0.35 0.3 1.5"},
+                "line 72: task: step 1 'sort_b' target is 5.021 m from the base, "
+                "beyond the 0.85 m reach",
+            ),
+            (
+                {59: "waypoint = zero 2.3 -0.32 standing", 62: "waypoint = 1.0 1.0 -0.32 reaching"},
+                "line 62: human 0: waypoint 3 timestamp 1.0 not after waypoint 2",
+            ),
+            (
+                {54: "scanner = 0.0 0.45 1e200"},
+                "line 54: scanners: scanner 1 heading must lie in [-6.28319, 6.28319] rad, "
+                "got 1e+200",
+            ),
+        ],
+        ids=["waypoint_after_a_bad_one", "step_after_a_bad_one", "time_after_a_bad_row", "heading"],
+    )
+    def test_row_problem_names_its_own_line_and_index(self, edits, message, tmp_path, capsys):
+        # approach_retreat.scn: scanners on lines 53-54, waypoints 59-67, steps 71-75.
+        lines = bundled_scenario_path("approach_retreat").read_text(encoding="utf-8").splitlines()
+        for line, text in edits.items():
+            lines[line - 1] = text
+        bad = tmp_path / "bad.scn"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["sim", "run", str(bad), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert message in err.removeprefix("error: ").rstrip("\n").split("; "), err
+        assert not (tmp_path / "out").exists()
+
     def test_bundled_scenario_accepted(self, tmp_path):
         # parse-only guard: the bundled file is a valid CLI input
         from ssmcell.scenario import parse_scenario

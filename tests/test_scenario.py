@@ -5,11 +5,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssmcell.cli import EXIT_VALIDATION, main
 from ssmcell.perception import Posture
 from ssmcell.scenario import (
     MAX_COORDINATE,
+    MAX_HEADING,
     HumanScript,
     HumanWaypoint,
     ScannerPose,
@@ -18,11 +21,10 @@ from ssmcell.scenario import (
     parse_scenario,
     parse_sections,
     serialize_scenario,
-    validate_scenario,
 )
 from ssmcell.scenarios import bundled_scenario_path
 
-from helpers import bundled
+from helpers import bundled, human_scripts, tiny_scenario
 
 
 class TestParseSections:
@@ -158,17 +160,27 @@ def assert_starts_at_first_target(scenario):
 
 class TestValidation:
     def test_coordinates_at_the_bound_are_accepted(self):
-        def problems(bound):
-            human = HumanScript(waypoints=(HumanWaypoint(0.0, -bound, 0.3),))
-            scanner = ScannerPose(0.0, bound, 0.0)
-            sc = bundled("approach_retreat")
-            return validate_scenario(dataclasses.replace(sc, humans=(human,), scanners=(scanner,)))
+        def text(bound, heading):
+            humans = (HumanScript(waypoints=(HumanWaypoint(0.0, -bound, 0.3),)),)
+            scanners = (ScannerPose(0.0, bound, heading),)
+            sc = dataclasses.replace(bundled("approach_retreat"), humans=humans, scanners=scanners)
+            return sc, serialize_scenario(sc)
 
-        assert problems(MAX_COORDINATE) == []
-        far = math.nextafter(MAX_COORDINATE, math.inf)
-        assert problems(far) == [
-            f"human 0: waypoint 0 x and y must lie in [-1000, 1000] m, got {-far!r} 0.3",
-            f"scanners: scanner 0 x and y must lie in [-1000, 1000] m, got 0.0 {far!r}",
+        sc, at_bound = text(MAX_COORDINATE, -MAX_HEADING)
+        assert parse_scenario(at_bound) == sc
+        far, turn = math.nextafter(MAX_COORDINATE, math.inf), math.nextafter(MAX_HEADING, 7.0)
+        lines = text(far, turn)[1].splitlines()
+        scanner = lines.index(f"scanner = 0.0 {far!r} {turn!r}") + 1
+        waypoint = lines.index(f"waypoint = 0.0 {-far!r} 0.3 standing") + 1
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario("\n".join(lines))
+        assert exc.value.errors == [
+            f"line {scanner}: scanners: scanner 0 x and y must lie in [-1000, 1000] m, "
+            f"got 0.0 {far!r}",
+            f"line {scanner}: scanners: scanner 0 heading must lie in [-6.28319, 6.28319] rad, "
+            f"got {turn!r}",
+            f"line {waypoint}: human 0: waypoint 0 x and y must lie in [-1000, 1000] m, "
+            f"got {-far!r} 0.3",
         ]
 
     def test_decreasing_waypoints_name_the_index(self):
@@ -255,6 +267,22 @@ class TestValidation:
             ("control_period = 0.002", "control_period = 1e-300"),
             ("control_period = 0.002", "control_period = 5e-324"),
             ("duration = 34.0", "duration = 1e12"),
+            ("scanner = 0.0 0.45 -0.29145679447786715", "scanner = 0.0 0.45 1e200"),
+            # A bad row, then a range problem on a later row of the same kind.
+            (
+                "waypoint = 0.0 2.3 -0.32 standing\nwaypoint = 2.0 2.3 -0.32 standing",
+                "waypoint = 0.0 2.3 -0.32 flying\nwaypoint = 2.0 2.3 5000 standing",
+            ),
+            (
+                "step = sort_a 0.35 -0.3 0.25 1.5\nstep = sort_b 0.15",
+                "step = sort_a 0.35 -0.3 z 1.5\nstep = sort_b 5.0",
+            ),
+            (
+                "waypoint = 0.0 2.3 -0.32 standing\nwaypoint = 2.0 2.3 -0.32 standing\n"
+                "waypoint = 3.8 1.0 -0.32 standing\nwaypoint = 7.0",
+                "waypoint = zero 2.3 -0.32 standing\nwaypoint = 2.0 2.3 -0.32 standing\n"
+                "waypoint = 3.8 1.0 -0.32 standing\nwaypoint = 1.0",
+            ),
         ],
     )
     def test_probe_fails_closed_naming_its_line(self, old, new, tmp_path):
@@ -365,3 +393,85 @@ class TestModeFilter:
         auto = scenario.task.steps_for(SimMode.AUTONOMOUS)
         assert len(auto) == len(hrc) + 3
         assert all("assemble" not in s.name for s in hrc)
+
+
+# Mutation fuzzing of the bundled files (Zeller et al., The Fuzzing Book).
+BUNDLED_TEXTS = [
+    bundled_scenario_path(name).read_text(encoding="utf-8")
+    for name in ("approach_retreat", "sorting_benchmark")
+]
+HOSTILE_TOKENS = ["nan", "inf", "-0", "1e308", "5e-324", "", "ünïcødé", "x" * 5000]
+
+
+@st.composite
+def mutated_texts(draw):
+    """A bundled file with one line deleted, duplicated or swapped with another,
+    or one token replaced with a hostile one."""
+    lines = draw(st.sampled_from(BUNDLED_TEXTS)).splitlines()
+    i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+    mutation = draw(st.sampled_from(["delete", "duplicate", "swap", "token"]))
+    if mutation == "delete":
+        del lines[i]
+    elif mutation == "duplicate":
+        lines.insert(i, lines[i])
+    elif mutation == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        tokens = lines[i].split(" ")
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(HOSTILE_TOKENS))
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(text=mutated_texts())
+def test_a_mutated_file_parses_or_fails_closed(text):
+    try:
+        parse_scenario(text)
+    except ScenarioError:
+        pass
+
+
+# A range problem for a row of each kind: a row key and the tokens it replaces.
+RANGE_PROBLEMS = {
+    "waypoint": [{1: "5000"}, {0: "100.0"}],  # x out of bounds; after the run, and out of order
+    "scanner": [{0: "5000"}, {2: "100.0"}],  # x out of bounds; heading beyond a turn
+    "step": [{1: "5.0"}],  # beyond the arm's reach
+}
+
+
+def error_lines(text):
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(text)
+    return {int(re.match(r"line (\d+): ", e).group(1)) for e in exc.value.errors}
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    text=st.sampled_from(BUNDLED_TEXTS),
+    key=st.sampled_from(sorted(RANGE_PROBLEMS)),
+    data=st.data(),
+)
+def test_a_bad_row_shifts_no_later_rows_line(text, key, data):
+    # The problems of a file with a range problem on one row, and with an
+    # unparseable row of the same kind inserted before it: every line after
+    # the insertion moves down by one, and the inserted line is named too.
+    lines = text.splitlines()
+    rows = [i for i, line in enumerate(lines) if line.startswith(f"{key} = ")]
+    k = data.draw(st.integers(0, len(rows) - 1))
+    values = lines[rows[k]].split(" = ")[1].split()
+    for t, token in data.draw(st.sampled_from(RANGE_PROBLEMS[key])).items():
+        values[t] = token
+    lines[rows[k]] = f"{key} = {' '.join(values)}"
+    before = error_lines("\n".join(lines))
+    at = rows[data.draw(st.integers(0, k))]
+    lines.insert(at, f"{key} = unparseable")
+    after = error_lines("\n".join(lines))
+    assert after == {n + (n > at) for n in before} | {at + 1}
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(humans=st.lists(human_scripts(4.0), min_size=1, max_size=3))
+def test_generated_scenarios_round_trip(humans):
+    scenario = tiny_scenario(duration=4.0, humans=tuple(humans))
+    assert parse_scenario(serialize_scenario(scenario)) == scenario
