@@ -15,7 +15,7 @@ from pathlib import Path
 from . import bridge as bridge_mod
 from . import kpi as kpi_mod
 from .engine import detect_deadlock, ideal_cycle_time, lyapunov_samples, run, run_benchmark
-from .scenario import LayoutConfig, ScenarioError, SimMode, parse_scenario, validate_scenario
+from .scenario import LayoutConfig, ScenarioError, SimMode, parse_scenario
 from .scenarios import bundled_scenario_path
 from .separation import SeparationError, SeparationInputs, compute_msd_dynamic, separation_terms
 from .stability import StabilityError, evaluate_trace
@@ -64,6 +64,13 @@ def _field_values(field_list, args) -> dict:
         if value is not None and not math.isfinite(value):
             raise FlagError(f"--{name.replace('_', '-')} must be finite, got {value}")
     return values
+
+
+def _finite_results(values, what: str, field_list):
+    """FlagError naming the field flags when a result computed from them overflowed."""
+    if not all(map(math.isfinite, values)):
+        flags = ", ".join("--" + f.name.replace("_", "-") for f in field_list)
+        raise FlagError(f"{flags}: the {what} overflows; the values are too large")
 
 
 def _input_file(path: Path, what: str) -> Path:
@@ -128,6 +135,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_scenario(path: str, seed: int | None, noise: bool):
+    if seed is not None and seed < 0:
+        raise FlagError(f"argument --seed: must be >= 0, got {seed}")
     candidate = _input_file(Path(path), "scenario")
     if not candidate.exists():
         bundled = bundled_scenario_path(path)
@@ -136,15 +145,10 @@ def _resolve_scenario(path: str, seed: int | None, noise: bool):
         else:
             raise FileNotFoundError(f"no scenario file or bundled scenario named {path!r}")
     scenario = parse_scenario(str(candidate))
-    overrides = {"seed": seed} if seed is not None else {}
+    if seed is not None:
+        scenario = replace(scenario, seed=seed)
     if noise:
-        overrides["noise"] = NOISE_AMPLITUDE
-    # The file is valid, so a problem found after an override is the flag's.
-    for name, value in overrides.items():
-        scenario = replace(scenario, **{name: value})
-        errors = validate_scenario(scenario)
-        if errors:
-            raise ScenarioError([f"--{name}: {e}" for e in errors])
+        scenario = replace(scenario, noise=NOISE_AMPLITUDE)
     return scenario
 
 
@@ -230,6 +234,7 @@ def _cmd_zones_compute(args) -> int:
     safety = _field_values(fields(SafetyParams), args)
     workspace = _field_values(_ZONE_LAYOUT_FIELDS, args)
     msd = compute_msd_static(SafetyParams(**safety))
+    _finite_results([msd], "static MSD", fields(SafetyParams))
     print(f"static_msd_m = {msd:.6f}")
     if args.workspace_length is not None:
         layout = build_zone_layout(msd, **workspace)
@@ -245,10 +250,12 @@ def _cmd_zones_compute(args) -> int:
 def _cmd_msd_dynamic(args) -> int:
     inputs = SeparationInputs(**_field_values(fields(SeparationInputs), args))
     s_h, s_r, s_s = separation_terms(inputs)
+    msd = compute_msd_dynamic(inputs)
+    _finite_results([s_h, s_r, s_s, msd], "dynamic MSD", fields(SeparationInputs))
     print(f"human_travel_m = {s_h:.6f}")
     print(f"robot_travel_m = {s_r:.6f}")
     print(f"robot_stopping_m = {s_s:.6f}")
-    print(f"dynamic_msd_m = {compute_msd_dynamic(inputs):.6f}")
+    print(f"dynamic_msd_m = {msd:.6f}")
     return EXIT_OK
 
 

@@ -17,6 +17,7 @@ from .kinematics import (
     SINGULARITY_THRESHOLD,
     jacobian,
 )
+from .perception import SCAN_PERIOD, SKELETON_RATE
 from .separation import SeparationInputs, ViolationGate
 from .zones import Quadrant, Zone, ZoneLayout
 
@@ -201,8 +202,6 @@ def secondary_scale(
 class ControllerConfig:
     control_period: float = CONTROL_PERIOD
     nominal_speed: float = NOMINAL_SPEED
-    scan_period: float = 0.030
-    skeleton_period: float = 1.0 / 30.0
     # Gate both loops to the skeleton rate (the slow-loop emulation baseline).
     sequential: bool = False
 
@@ -277,8 +276,8 @@ class Controller:
 
     def _stale(self, t: float) -> bool:
         return (
-            t - self._occ_t > STALE_PERIODS * self.config.scan_period + _TIME_TOL
-            or t - self._skel_t > STALE_PERIODS * self.config.skeleton_period + _TIME_TOL
+            t - self._occ_t > STALE_PERIODS * SCAN_PERIOD + _TIME_TOL
+            or t - self._skel_t > STALE_PERIODS * (1.0 / SKELETON_RATE) + _TIME_TOL
         )
 
     def _arbitrate(self, t: float, robot_quadrant: Quadrant, tcp_speed: float):
@@ -339,9 +338,10 @@ class Controller:
         frame, because each frame re-arbitrates), the e-stop latch, the
         watchdog verdict, the robot quadrant, the gate state, the exact bits
         of tcp_speed and of the fraction before the slew, and the bytes of the
-        task direction, joint reference, q and J.  A tick whose key equals
-        that of the last fully evaluated tick gets that tick's command with
-        the new t; this is the controller's only memo.
+        task direction, joint reference and q.  A tick whose key equals that
+        of the last fully evaluated tick gets that tick's command with the
+        new t; this is the controller's only memo.  J, when given, must be
+        ``jacobian(model, q)``: the key holds q, which fixes J.
         """
         stale = self._stale(t)
         key = (
@@ -356,7 +356,6 @@ class Controller:
             np.asarray(task_direction, dtype=float).tobytes(),
             np.asarray(joint_reference, dtype=float).tobytes(),
             np.asarray(q, dtype=float).tobytes(),
-            None if J is None else J.matrix.tobytes(),
         )
         last = self._last
         self.repeated = last is not None and key == last[0]

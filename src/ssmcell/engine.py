@@ -147,32 +147,27 @@ class _TaskTracker:
             self.done_at = t
         return _NO_MOTION
 
-    def quiet_ticks(self, t: float, fraction: float, dt: float, limit: int) -> int:
-        """How many ticks after the tick at t, at most limit, advance would
-        pass with the TCP and the fraction held, returning what it returned at
-        t and changing nothing but the dwell countdown.
+    def skip(self, t: float, fraction: float, dt: float, limit: int) -> int:
+        """Pass the ticks after the tick at t, at most limit, that advance
+        would pass with the TCP and the fraction held, returning what it
+        returned at t and changing nothing but the dwell countdown; run the
+        countdown over them, and return how many.
 
         Zero after a tick that finished a step, for the next tick heads for
         the next target.  Otherwise all of them, unless the robot dwells at a
         positive fraction: then the countdown runs the float sequence advance
-        runs, and the tick at which it ends is not counted.
+        runs, and the tick at which it ends is left to advance.
         """
         if self.done_at == t:
             return 0
         if not (self.dwelling and fraction > 0.0):
             return limit
-        left = self.dwell_left
         for n in range(limit):
-            left -= dt
+            left = self.dwell_left - dt
             if left <= _DWELL_DONE:
                 return n
+            self.dwell_left = left
         return limit
-
-    def wait(self, ticks: int, fraction: float, dt: float):
-        """Advance over ticks that quiet_ticks counted: only the countdown moves."""
-        if self.dwelling and fraction > 0.0:
-            for _ in range(ticks):
-                self.dwell_left -= dt
 
 
 def _sensor_grid(tick_times: np.ndarray, period: float) -> tuple[list[float], list[int]]:
@@ -277,12 +272,13 @@ def _quiet_until(i, t, messages, tracker, tcp, dt) -> int:
     the human columns, whose inputs can differ from tick i's: the earliest of
     the first scan and the first skeleton frame that can differ from the held
     one (_Messages.quiet_until), the tick at which the dwell countdown ends,
-    and the tick count.  Messages keep arriving on their grids inside the
+    and the tick count.  The countdown runs over the ticks between
+    (_TaskTracker.skip).  Messages keep arriving on their grids inside the
     span, so the watchdog verdict cannot change there.
     """
     stop = max(i + 1, messages.quiet_until(tcp))
     fraction = messages.controller.fraction
-    return i + 1 + tracker.quiet_ticks(t, fraction, dt, stop - i - 1)
+    return i + 1 + tracker.skip(t, fraction, dt, stop - i - 1)
 
 
 def _zone_events(tracks, layout: ZoneLayout, tick_times) -> tuple[list[int], list[Event]]:
@@ -358,8 +354,6 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
     n_ticks = int(round(scenario.duration / dt))
     rng = np.random.default_rng(scenario.seed)
     mounts = build_scanner_mounts(scenario, layout)
-    scan_period = mounts[0].scan_period
-    skeleton_period = 1.0 / perception.SKELETON_RATE
 
     controller = Controller(
         model,
@@ -369,8 +363,6 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
         ControllerConfig(
             control_period=dt,
             nominal_speed=scenario.nominal_speed,
-            scan_period=scan_period,
-            skeleton_period=skeleton_period,
             sequential=scenario.sequential,
         ),
     )
@@ -393,8 +385,8 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
     # and so the zone events, and the walk speed term of the dynamic minimum.
     # Only the distance to the TCP is not open-loop.
     tick_times = np.arange(n_ticks) * dt  # the products t = i * dt of the loop
-    scans = _sensor_grid(tick_times, scan_period)
-    frames = _sensor_grid(tick_times, skeleton_period)
+    scans = _sensor_grid(tick_times, perception.SCAN_PERIOD)
+    frames = _sensor_grid(tick_times, 1.0 / perception.SKELETON_RATE)
     scan_times = scans[0]
     if ignore_humans:
         occupancy = [{Quadrant.LEFT: Zone.NORMAL, Quadrant.RIGHT: Zone.NORMAL}] * len(scan_times)
@@ -423,12 +415,13 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
     # the last tick's: the scan and skeleton messages carry what they carried
     # before, and the controller repeats its last command, which it does
     # only while its messages, q, the reference, the task direction, the
-    # fraction and the gate are unchanged.  A repeated command leaves q and
-    # the reference as they are, and a quiescent tick whose pending flag,
-    # task speed and energy match the last row copies that row with the new
-    # t and its own human columns.  Every stage also reuses its last result
-    # while its own inputs are unchanged: kinematics while q is.  Reused
-    # values are the floats a full evaluation gives, so the trace is
+    # fraction and the gate are unchanged.  So a repeated command means that
+    # q is the last tick's, and with it the TCP that kinematics reuses; it
+    # leaves q and the reference as they are, and a quiescent tick whose
+    # pending flag, task speed and energy match the last row copies that row
+    # with the new t and its own human columns.  Every stage also reuses its
+    # last result while its own inputs are unchanged: kinematics while q is.
+    # Reused values are the floats a full evaluation gives, so the trace is
     # byte-identical.
     #
     # The human side is not evaluated tick by tick: every human's state at
@@ -521,7 +514,7 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
         v_task = speed * command.fraction * scenario.nominal_speed
         pending = tracker.pending
         key = (pending, _ROW_FLOATS.pack(v_task, lyap))
-        copies = repeated and tcp is prev_tcp and key == row_key
+        copies = repeated and key == row_key
         stop = _quiet_until(i, t, messages, tracker, tcp, dt) if copies else i + 1
         if copies:
             trace.repeat(i, stop, dt)
@@ -555,7 +548,6 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
             q_ref = q_ref + command.qdot_task * dt
         prev_tcp = tcp
         messages.offer_until(stop, tcp)
-        tracker.wait(stop - i - 1, controller.fraction, dt)
         i = stop
         if i - filled >= LANDMARK_CHUNK or i == n_ticks:
             _output_block(trace, filled, i, track0, scenario.separation, bridge, dt)

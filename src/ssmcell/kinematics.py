@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,45 +34,23 @@ class LinkRow:
     alpha: float
 
 
-# UR5-proportioned arm whose maximum TCP distance is exactly the quoted
-# 0.850 m reach (sum of the three link lengths, attained at q = 0).
-DEFAULT_LINK_ROWS = (
-    LinkRow(0.0, 0.0, 0.0, math.pi / 2),
-    LinkRow(0.0, 0.0, 0.425, 0.0),
-    LinkRow(0.0, 0.0, 0.330, 0.0),
-    LinkRow(0.0, 0.0, 0.095, math.pi / 2),
-    LinkRow(0.0, 0.0, 0.0, -math.pi / 2),
-    LinkRow(0.0, 0.0, 0.0, 0.0),
-)
-DEFAULT_REACH = 0.850  # m
-DEFAULT_JOINT_LIMIT = 2.0 * math.pi  # rad, symmetric
-DEFAULT_MAX_JOINT_SPEED = math.pi  # rad/s per joint
-
-
 @dataclass(frozen=True)
 class RobotModel:
-    """Parameters of a 6-joint serial arm."""
+    """The one 6-joint serial arm every scenario runs; its parameters are fixed."""
 
-    link_parameters: tuple[LinkRow, ...] = DEFAULT_LINK_ROWS
-    joint_limits: tuple[tuple[float, float], ...] = tuple(
-        (-DEFAULT_JOINT_LIMIT, DEFAULT_JOINT_LIMIT) for _ in range(6)
+    # UR5-proportioned links whose maximum TCP distance is exactly the quoted
+    # 0.850 m reach (sum of the three link lengths, attained at q = 0).
+    link_parameters: ClassVar[tuple[LinkRow, ...]] = (
+        LinkRow(0.0, 0.0, 0.0, math.pi / 2),
+        LinkRow(0.0, 0.0, 0.425, 0.0),
+        LinkRow(0.0, 0.0, 0.330, 0.0),
+        LinkRow(0.0, 0.0, 0.095, math.pi / 2),
+        LinkRow(0.0, 0.0, 0.0, -math.pi / 2),
+        LinkRow(0.0, 0.0, 0.0, 0.0),
     )
-    max_joint_speed: tuple[float, ...] = tuple(DEFAULT_MAX_JOINT_SPEED for _ in range(6))
-    reach: float = DEFAULT_REACH
-
-    def __post_init__(self):
-        if len(self.link_parameters) != 6:
-            raise KinematicsError("robot model needs exactly 6 link rows")
-        if len(self.joint_limits) != 6 or len(self.max_joint_speed) != 6:
-            raise KinematicsError("joint limits and speed limits need 6 entries")
-        for i, (lo, hi) in enumerate(self.joint_limits):
-            if not lo < hi:
-                raise KinematicsError(f"joint {i}: limit min must be < max")
-        for i, v in enumerate(self.max_joint_speed):
-            if v <= 0:
-                raise KinematicsError(f"joint {i}: max speed must be positive")
-        if self.reach <= 0:
-            raise KinematicsError("reach must be positive")
+    joint_limits: ClassVar[tuple[tuple[float, float], ...]] = ((-2 * math.pi, 2 * math.pi),) * 6
+    max_joint_speed: ClassVar[tuple[float, ...]] = (math.pi,) * 6  # rad/s per joint
+    reach: ClassVar[float] = 0.850  # m
 
     def check_joint_vector(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)

@@ -16,7 +16,6 @@ SCAN_PERIOD = 0.030  # s, one laser scan
 SCAN_CHUNK = 64  # scans that scan_occupancies casts together
 DEFAULT_STATURE = 1.70  # m, head landmark height when standing
 DEFAULT_FOOTPRINT_RADIUS = 0.30  # m
-REACH_EXTENSION = 0.80  # m, shoulder-to-wrist span of a fully extended arm
 LEAN_ANGLE = math.radians(30.0)
 GRID_TOL = 1e-9
 
@@ -104,8 +103,9 @@ BONES = (
     ("ankle_right", "foot_right"),
 )
 
-# Arm segment lengths as fractions of stature; they sum so that a fully
-# extended arm spans REACH_EXTENSION at the default stature.
+# Arm segment lengths as fractions of stature; upper arm and forearm sum so
+# that a fully extended arm spans 0.80 m, shoulder to wrist, at the default
+# stature.
 _UPPER_ARM = 0.42 / DEFAULT_STATURE
 _FOREARM = 0.38 / DEFAULT_STATURE
 _HAND = 0.08 / DEFAULT_STATURE
@@ -148,13 +148,10 @@ class ScannerMount:
     fov: float = 4.8  # rad
     angular_resolution: float = 0.0087  # rad, ~0.5 deg
     max_range: float = 5.5  # m
-    scan_period: float = SCAN_PERIOD
 
     def __post_init__(self):
         if not 0 < self.fov <= 2 * math.pi:
             raise PerceptionError("fov must lie in (0, 2*pi]")
-        if self.scan_period <= 0:
-            raise PerceptionError("scan_period must be positive")
         if self.angular_resolution <= 0:
             raise PerceptionError("angular_resolution must be positive")
 
@@ -257,9 +254,8 @@ def simulate_scan(
     """
     mounts = tuple(mounts)
     times = np.asarray(times, dtype=float)
-    for mount in mounts:
-        for t in times.tolist():
-            _check_grid(t, mount.scan_period, "scan")
+    for t in times.tolist():
+        _check_grid(t, SCAN_PERIOD, "scan")
     ground = np.asarray(ground, dtype=float)
     radius, stature = np.asarray(radius, dtype=float), np.asarray(stature, dtype=float)
     if ground.shape != (len(times), len(radius), 2) or stature.shape != radius.shape:

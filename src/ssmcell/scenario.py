@@ -47,6 +47,15 @@ MAX_COORDINATE = 1000.0  # m
 # The bound on a scanner's heading, one turn either way: far beyond it, the
 # steps between a scan's ray angles are lost to rounding.
 MAX_HEADING = 2 * math.pi  # rad
+# The least nominal speed: the task tracker divides by its product with the
+# fraction and the control period, which must not round to zero.
+MIN_NOMINAL_SPEED = 1e-3  # m/s
+# The bound on the range noise amplitude: far beyond a laser scanner's noise,
+# and small enough that the draws from [-noise, noise] stay finite.
+MAX_NOISE = 1.0  # m
+# The bound on the task gain: the resolved rates saturate at the joint speed
+# limits long before it, and far beyond it they overflow.
+MAX_TASK_GAIN = 1000.0
 
 
 class ScenarioError(ValueError):
@@ -395,8 +404,17 @@ def _problems(sc: Scenario) -> list[_Problem]:
             # The duration is at fault when it is too long even at the default period.
             culprit = "duration" if sc.duration / CONTROL_PERIOD > MAX_TICKS else "control_period"
             problems.append(_Problem(message, "scenario", culprit))
+    if 0 < sc.nominal_speed < MIN_NOMINAL_SPEED:
+        message = (
+            f"scenario: nominal_speed must be at least {MIN_NOMINAL_SPEED:g} m/s, "
+            f"got {sc.nominal_speed!r}"
+        )
+        problems.append(_Problem(message, "scenario", "nominal_speed"))
     if sc.noise < 0:
         problems.append(_Problem("scenario: noise must be >= 0", "scenario", "noise"))
+    if sc.noise > MAX_NOISE:
+        message = f"scenario: noise must be at most {MAX_NOISE:g} m, got {sc.noise!r}"
+        problems.append(_Problem(message, "scenario", "noise"))
     if sc.seed < 0:
         problems.append(_Problem("scenario: seed must be >= 0", "scenario", "seed"))
     for h, script in enumerate(sc.humans):
@@ -419,18 +437,17 @@ def _problems(sc: Scenario) -> list[_Problem]:
         build_gains(sc)
     except ValueError as exc:
         problems.append(_Problem(f"gains: {exc}", "gains"))
+    if sc.gains_config.task_gain > MAX_TASK_GAIN:
+        message = (
+            f"gains: task_gain must be at most {MAX_TASK_GAIN:g}, "
+            f"got {sc.gains_config.task_gain!r}"
+        )
+        problems.append(_Problem(message, "gains", "task_gain"))
     try:
         build_model(sc).check_joint_vector(sc.q0)
     except ValueError as exc:
         problems.append(_Problem(f"robot: q0: {exc}", "robot", "q0"))
     return problems
-
-
-def validate_scenario(sc: Scenario) -> list[str]:
-    """The problems of a scenario's scalar keys and of the scenario as a whole, as
-    messages.  The rows (waypoints, scanners, steps) are checked by the parser as
-    it reads them."""
-    return [p.message for p in _problems(sc)]
 
 
 def _key_line(section: Section, lines: dict[str, int], message: str, key=None) -> int:

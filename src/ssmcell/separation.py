@@ -90,19 +90,16 @@ class ViolationGate:
     """Stateful violation predicate with release hysteresis for in-loop use.
 
     Trips as soon as the distance drops below the dynamic minimum and releases
-    only once the distance clears the minimum plus the hysteresis band.
+    only once the distance clears the minimum plus VIOLATION_HYSTERESIS.
     """
 
-    def __init__(self, hysteresis: float = VIOLATION_HYSTERESIS):
-        if hysteresis < 0:
-            raise SeparationError("hysteresis must be >= 0")
-        self.hysteresis = hysteresis
+    def __init__(self):
         self.tripped = False
 
     def update(self, actual_distance: float, inputs: SeparationInputs) -> bool:
         msd = compute_msd_dynamic(inputs)
         if self.tripped:
-            if actual_distance > msd + self.hysteresis:
+            if actual_distance > msd + VIOLATION_HYSTERESIS:
                 self.tripped = False
         else:
             if actual_distance < msd:

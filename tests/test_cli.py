@@ -149,6 +149,28 @@ class TestNonFiniteFlags:
         assert f"{flag} must be finite, got {value}" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (
+                ["zones", "compute", "--approach-speed=1e308", "--stop-time=1e308"],
+                "--approach-speed, --stop-time, --intrusion, --uncertainty",
+            ),
+            (
+                ["msd", "dynamic", *(f"{name}=1" for name in MSD_FLAGS)]
+                + ["--human-speed=1e308", "--robot-reaction-time=1e308"],
+                ", ".join(MSD_FLAGS),
+            ),
+        ],
+        ids=["zones_compute", "msd_dynamic"],
+    )
+    def test_finite_flags_whose_result_overflows(self, args, named, capsys):
+        code = main(args)
+        out, err = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert f"error: {named}: the " in err and " MSD overflows" in err
+        assert out == ""
+
 
 @pytest.mark.parametrize(
     "args, flag",
@@ -220,7 +242,7 @@ class TestSimRun:
         out_dir = tmp_path / "out"
         code = main(["sim", command, str(tiny_file), "--out", str(out_dir), "--seed", "-1"])
         assert code == EXIT_VALIDATION
-        assert "--seed: scenario: seed must be >= 0" in capsys.readouterr().err
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_bridge_address_that_cannot_be_bound_exits_1_naming_the_flag(

@@ -26,6 +26,7 @@ from ssmcell.kinematics import (
     jacobian,
     pseudo_inverse,
 )
+from ssmcell.perception import SKELETON_RATE
 from ssmcell.separation import SeparationInputs
 from ssmcell.zones import Quadrant, Zone, build_zone_layout
 
@@ -296,7 +297,7 @@ class TestControllerStep:
         cmd = step_simple(ctrl, 0.0)
         assert cmd.mode.kind == ModeKind.FULL
         # freeze the streams for more than three sensor periods
-        t_stale = 3 * ctrl.config.skeleton_period + 0.01
+        t_stale = 3 * (1.0 / SKELETON_RATE) + 0.01
         cmd = step_simple(ctrl, t_stale)
         assert cmd.mode.kind == ModeKind.STANDSTILL
         assert cmd.source == CommandSource.ESTOP

@@ -2,13 +2,15 @@ import dataclasses
 import hashlib
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssmcell.cli import EXIT_VALIDATION, main
+from ssmcell.cli import EXIT_RUNTIME, EXIT_VALIDATION, main
 from ssmcell.perception import Posture
 from ssmcell.scenario import (
     MAX_COORDINATE,
@@ -268,6 +270,9 @@ class TestValidation:
             ("control_period = 0.002", "control_period = 5e-324"),
             ("duration = 34.0", "duration = 1e12"),
             ("scanner = 0.0 0.45 -0.29145679447786715", "scanner = 0.0 0.45 1e200"),
+            ("nominal_speed = 1.0", "nominal_speed = 5e-324"),
+            ("noise = 0.0", "noise = 1e308"),
+            ("task_gain = 1.0", "task_gain = 1e308"),
             # A bad row, then a range problem on a later row of the same kind.
             (
                 "waypoint = 0.0 2.3 -0.32 standing\nwaypoint = 2.0 2.3 -0.32 standing",
@@ -404,10 +409,10 @@ HOSTILE_TOKENS = ["nan", "inf", "-0", "1e308", "5e-324", "", "ünïcødé", "x" 
 
 
 @st.composite
-def mutated_texts(draw):
-    """A bundled file with one line deleted, duplicated or swapped with another,
-    or one token replaced with a hostile one."""
-    lines = draw(st.sampled_from(BUNDLED_TEXTS)).splitlines()
+def mutated_texts(draw, texts=BUNDLED_TEXTS):
+    """One of texts, the bundled files by default, with one line deleted,
+    duplicated or swapped with another, or one token replaced with a hostile one."""
+    lines = draw(st.sampled_from(texts)).splitlines()
     i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
     mutation = draw(st.sampled_from(["delete", "duplicate", "swap", "token"]))
     if mutation == "delete":
@@ -430,6 +435,19 @@ def test_a_mutated_file_parses_or_fails_closed(text):
         parse_scenario(text)
     except ScenarioError:
         pass
+
+
+# A 1 s scenario: the bundled 34 s and 68 s runs are too slow to run per example.
+TINY_TEXT = serialize_scenario(tiny_scenario(duration=1.0))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(text=mutated_texts([TINY_TEXT]))
+def test_a_mutated_file_never_stops_sim_run_with_a_runtime_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.scn"
+        path.write_text(text, encoding="utf-8")
+        assert main(["sim", "run", str(path), "--out", str(Path(tmp) / "out")]) != EXIT_RUNTIME
 
 
 # A range problem for a row of each kind: a row key and the tokens it replaces.

@@ -129,7 +129,7 @@ class TestViolationGate:
     def test_trip_and_hysteresis_release(self):
         inputs = make_inputs(v_h=0.0, v_r=0.0)
         msd = compute_msd_dynamic(inputs)  # 0.3 with these defaults
-        gate = ViolationGate(hysteresis=0.02)
+        gate = ViolationGate()  # releases 0.02 m above the minimum
         assert gate.update(msd + 0.05, inputs) is False
         assert gate.update(msd - 0.01, inputs) is True
         # back above msd but inside the hysteresis band: still tripped
