@@ -7,7 +7,7 @@ import math
 import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, NamedTuple, get_type_hints
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -272,10 +272,6 @@ class HumanScript:
             stature=self.stature,
         )
 
-    @property
-    def end_time(self) -> float:
-        return self.waypoints[-1].t
-
 
 @dataclass(frozen=True)
 class TaskStep:
@@ -317,6 +313,19 @@ class LayoutConfig:
         if self.height_max < self.height_min:
             raise ZoneError("height_max must be >= height_min")
 
+    def build(self, safety: SafetyParams) -> ZoneLayout:
+        """The zone layout of this workspace around the static MSD of safety."""
+        return build_zone_layout(
+            compute_msd_static(safety),
+            self.workspace_length,
+            self.workspace_width,
+            self.quadrant_half_width,
+            danger_margin=self.danger_margin,
+            height_band=(self.height_min, self.height_max),
+            laser_mount_height=self.laser_mount_height,
+            scale_floor_distance=self.scale_floor_distance,
+        )
+
 
 @dataclass(frozen=True)
 class ScannerPose:
@@ -348,17 +357,7 @@ class Scenario:
     stall_threshold: float = field(default=5.0, metadata={"allow_inf": True})
 
     def build_layout(self) -> ZoneLayout:
-        lc = self.layout_config
-        return build_zone_layout(
-            compute_msd_static(self.safety),
-            lc.workspace_length,
-            lc.workspace_width,
-            lc.quadrant_half_width,
-            danger_margin=lc.danger_margin,
-            height_band=(lc.height_min, lc.height_max),
-            laser_mount_height=lc.laser_mount_height,
-            scale_floor_distance=lc.scale_floor_distance,
-        )
+        return self.layout_config.build(self.safety)
 
     def with_mode(self, mode: SimMode) -> "Scenario":
         return replace(self, mode=mode)
@@ -373,88 +372,44 @@ def build_gains(scenario: Scenario) -> Gains:
     return Gains.diagonal(**vars(scenario.gains_config))
 
 
-class _Problem(NamedTuple):
-    """A problem of a scalar key or of the whole scenario, and the section that states it."""
-
-    message: str
-    section: str  # a _SECTIONS name
-    key: str | None = None  # the key at fault; None: the first key the message names
-    human: int = 0  # which [human] section, for section "human"
-    cause: str | None = None  # a _SECTIONS name whose line the message ends with
+# The scalar keys whose values must be positive.
+_POSITIVE = {"duration", "control_period", "nominal_speed", "parallelism", "stall_threshold"}
+_POSITIVE |= {"footprint_radius", "stature"}
 
 
-def _problems(sc: Scenario) -> list[_Problem]:
-    problems = []
-    for name in ("duration", "control_period", "nominal_speed", "parallelism", "stall_threshold"):
-        if getattr(sc, name) <= 0:
-            problems.append(_Problem(f"scenario: {name} must be positive", "scenario", name))
-    if sc.control_period > SCAN_PERIOD:
-        message = (
-            f"scenario: control_period {sc.control_period!r} s is longer than the "
-            f"{SCAN_PERIOD} s laser scan period"
-        )
-        problems.append(_Problem(message, "scenario", "control_period"))
-    if sc.duration > 0 and sc.control_period > 0:
-        ticks = sc.duration / sc.control_period
-        if not (math.isfinite(ticks) and round(ticks) <= MAX_TICKS):
-            message = (
-                f"scenario: a {sc.duration!r} s run at control_period {sc.control_period!r} s "
-                f"is {ticks:.6g} ticks, more than the {MAX_TICKS} a run may have"
-            )
-            # The duration is at fault when it is too long even at the default period.
-            culprit = "duration" if sc.duration / CONTROL_PERIOD > MAX_TICKS else "control_period"
-            problems.append(_Problem(message, "scenario", culprit))
-    if 0 < sc.nominal_speed < MIN_NOMINAL_SPEED:
-        message = (
-            f"scenario: nominal_speed must be at least {MIN_NOMINAL_SPEED:g} m/s, "
-            f"got {sc.nominal_speed!r}"
-        )
-        problems.append(_Problem(message, "scenario", "nominal_speed"))
-    if sc.noise < 0:
-        problems.append(_Problem("scenario: noise must be >= 0", "scenario", "noise"))
-    if sc.noise > MAX_NOISE:
-        message = f"scenario: noise must be at most {MAX_NOISE:g} m, got {sc.noise!r}"
-        problems.append(_Problem(message, "scenario", "noise"))
-    if sc.seed < 0:
-        problems.append(_Problem("scenario: seed must be >= 0", "scenario", "seed"))
-    for h, script in enumerate(sc.humans):
-        if not script.waypoints:
-            problems.append(_Problem(f"human {h}: no waypoints", "human", human=h))
-        for name in ("footprint_radius", "stature"):
-            if getattr(script, name) <= 0:
-                problems.append(_Problem(f"human {h}: {name} must be positive", "human", name, h))
-    if not sc.task.steps:
-        problems.append(_Problem("task: no steps", "task"))
-    if sc.task.cycles < 1:
-        problems.append(_Problem("task: cycles must be >= 1", "task", "cycles"))
-    try:
-        sc.build_layout()
-    except ValueError as exc:
-        msd = compute_msd_static(sc.safety)
-        message = f"layout: {exc}; static MSD {msd:.3f} m from [safety]"
-        problems.append(_Problem(message, "layout", cause="safety"))
-    try:
-        build_gains(sc)
-    except ValueError as exc:
-        problems.append(_Problem(f"gains: {exc}", "gains"))
-    if sc.gains_config.task_gain > MAX_TASK_GAIN:
-        message = (
-            f"gains: task_gain must be at most {MAX_TASK_GAIN:g}, "
-            f"got {sc.gains_config.task_gain!r}"
-        )
-        problems.append(_Problem(message, "gains", "task_gain"))
-    try:
-        build_model(sc).check_joint_vector(sc.q0)
-    except ValueError as exc:
-        problems.append(_Problem(f"robot: q0: {exc}", "robot", "q0"))
-    return problems
+def _range_problem(key: str, v) -> str | None:
+    """What is out of range in a scalar key's value, checked where the key is
+    read, or None; the keys of the [safety], [separation] and [layout] sections
+    are checked by their classes instead."""
+    if key in _POSITIVE and v <= 0:
+        return f"{key} must be positive"
+    if key in ("seed", "noise") and v < 0:
+        return f"{key} must be >= 0"
+    if key == "control_period" and v > SCAN_PERIOD:
+        return f"{key} {v!r} s is longer than the {SCAN_PERIOD} s laser scan period"
+    if key == "nominal_speed" and v < MIN_NOMINAL_SPEED:
+        return f"{key} must be at least {MIN_NOMINAL_SPEED:g} m/s, got {v!r}"
+    if key == "noise" and v > MAX_NOISE:
+        return f"{key} must be at most {MAX_NOISE:g} m, got {v!r}"
+    if key == "task_gain" and v > MAX_TASK_GAIN:
+        return f"{key} must be at most {MAX_TASK_GAIN:g}, got {v!r}"
+    if key == "cycles" and v < 1:
+        return f"{key} must be >= 1"
+    if key == "q0":
+        try:
+            RobotModel().check_joint_vector(v)
+        except ValueError as exc:
+            return f"{key}: {exc}"
+    return None
 
 
-def _key_line(section: Section, lines: dict[str, int], message: str, key=None) -> int:
-    """The line of key, or with no key of the first key set that the message names;
-    the section's own line if the section sets no such key."""
-    named = message.split() if key is None else [key]
-    return min((lines[k] for k in named if k in lines), default=section.line)
+def _cite(keys, lines: dict[str, int], fallback: int) -> tuple[str, str]:
+    """'line N: ' for the first of keys the file sets, else fallback ('' for 0: no such
+    section), and ' (key on line M, ...)' for the others it sets, to put around a message."""
+    named = [k for k in dict.fromkeys(keys) if k in lines]
+    at = lines[named[0]] if named else fallback
+    others = ", ".join(f"{k} on line {lines[k]}" for k in named[1:])
+    return f"line {at}: " if at else "", f" ({others})" if others else ""
 
 
 _POSTURES = {p.value: p for p in Posture}
@@ -504,8 +459,9 @@ class _Key:
     codec: _Codec
     allow_inf: bool
 
-    def read(self, e: Entry, errors: list):
-        """The value of an entry, or None with the reason appended to errors."""
+    def read(self, e: Entry, label: str, errors: list):
+        """The value of an entry, or None with the reason appended to errors; a value
+        out of _range_problem's range is kept, and its problem appended after label."""
         try:
             value = self.codec.parse(e.value)
         except (ValueError, KeyError):
@@ -516,6 +472,9 @@ class _Key:
         if not finite and not (self.allow_inf and value == math.inf):
             errors.append(f"line {e.line}: '{self.key}' must be finite, got {e.value}")
             return None
+        problem = _range_problem(self.key, value)
+        if problem:
+            errors.append(f"line {e.line}: {label}: {problem}")
         return value
 
 
@@ -526,9 +485,10 @@ class _Section:
     cls: type
     keys: dict[str, _Key]
     row: str | None = None
+    check: Callable | None = None  # takes the values read; raises ValueError on a bad one
 
 
-def _section(cls, skip=(), names=None, row=None) -> _Section:
+def _section(cls, skip=(), names=None, row=None, check=None) -> _Section:
     """A section whose keys are cls's fields of a type with a codec, less skip.
 
     names maps key to field where the two differ; it then lists every key.
@@ -541,7 +501,7 @@ def _section(cls, skip=(), names=None, row=None) -> _Section:
         key: _Key(key, f, _CODECS[hints[f]], by_name[f].metadata.get("allow_inf", False))
         for key, f in names.items()
     }
-    return _Section(cls, keys, row)
+    return _Section(cls, keys, row, check)
 
 
 _ROBOT_KEYS = {"q0": "q0"}
@@ -550,7 +510,7 @@ _SECTIONS = {
     "safety": _section(SafetyParams),
     "separation": _section(SeparationInputs, skip=("human_speed", "robot_speed")),
     "layout": _section(LayoutConfig),
-    "gains": _section(GainsConfig),
+    "gains": _section(GainsConfig, check=Gains.diagonal),
     "robot": _section(Scenario, names=_ROBOT_KEYS),
     "scanners": _Section(ScannerPose, {}, "scanner"),
     "human": _section(HumanScript, row="waypoint"),  # also human2, human3, ...
@@ -573,8 +533,9 @@ def _kind(section: str) -> str | None:
     return section if section in _SECTIONS else None
 
 
-def _read_section(name: str, entries, errors: list) -> tuple[dict, list[Entry], dict[str, int]]:
-    """The field values a section sets, its rows in file order, and the line of each key set."""
+def _read_section(name: str, label: str, entries: Section, errors: list):
+    """The field values a section sets, its rows in file order, and the line of each key set;
+    label starts the problem of a value out of range."""
     spec = _SECTIONS[_kind(name)]
     values, rows, lines = {}, [], {}
     for e in entries:
@@ -587,24 +548,50 @@ def _read_section(name: str, entries, errors: list) -> tuple[dict, list[Entry], 
             errors.append(f"line {e.line}: '{e.key}' already set on line {lines[e.key]}")
         else:
             lines[e.key] = e.line
-            value = k.read(e, errors)
+            value = k.read(e, label, errors)
             if value is not None:
                 values[k.attr] = value
+    # A key left out keeps its default, checked at the header: only [scenario]'s duration fails.
+    for k in spec.keys.values():
+        if k.key not in lines and (problem := _range_problem(k.key, getattr(spec.cls, k.attr))):
+            errors.append(f"line {entries.line}: {label}: {problem}")
     return values, rows, lines
 
 
 def _build(name: str, values: dict, section: Section, lines: dict[str, int], errors: list):
-    """The section's dataclass from the values read, or its defaults if they are out of range.
-
-    A range error is reported at the line of the first key its message names,
-    or at the section header if every key it names was left at its default.
-    """
-    cls = _SECTIONS[name].cls
+    """The section's dataclass from the values read, or None if they are out of range;
+    the error cites the keys its message names, in file order."""
+    spec = _SECTIONS[name]
     try:
-        return cls(**values)
+        if spec.check:
+            spec.check(**values)
+        return spec.cls(**values)
     except ValueError as exc:
-        errors.append(f"line {_key_line(section, lines, str(exc))}: [{name}]: {exc}")
-        return cls()
+        named = sorted(lines.keys() & str(exc).split(), key=lines.get)
+        at, where = _cite(named, lines, section.line)
+        errors.append(f"{at}{name}: {exc}{where}")
+        return None
+
+
+def _check_ticks(values: dict, lines: dict[str, int], errors: list):
+    """The problem of a run of more than MAX_TICKS ticks, at the duration's line when
+    the run is that long even at the default period, else at the control_period's."""
+    duration = values.get("duration", Scenario.duration)
+    period = values.get("control_period", Scenario.control_period)
+    ticks = duration / period if duration > 0 and period > 0 else 0
+    if not (math.isfinite(ticks) and round(ticks) <= MAX_TICKS):
+        first = "duration" if duration / CONTROL_PERIOD > MAX_TICKS else "control_period"
+        at, where = _cite([first, "duration", "control_period"], lines, 0)
+        errors.append(
+            f"{at}scenario: a {duration!r} s run at control_period {period!r} s "
+            f"is {ticks:.6g} ticks, more than the {MAX_TICKS} a run may have{where}"
+        )
+
+
+# The keys whose values decide whether the zone layout fits: the [safety] terms
+# of the static MSD, then the [layout] keys build_zone_layout checks.
+_LAYOUT_INPUTS = [f.name for f in fields(SafetyParams)]
+_LAYOUT_INPUTS += ["workspace_length", "workspace_width", "quadrant_half_width", "danger_margin"]
 
 
 _BOUNDS = f"[-{MAX_COORDINATE:g}, {MAX_COORDINATE:g}] m"
@@ -657,10 +644,10 @@ def _scanners(rows: list[Entry], errors: list) -> tuple[ScannerPose, ...]:
 
 
 def _waypoints(
-    h: int, rows: list[Entry], duration: float, errors: list
+    h: int, rows: list[Entry], duration: float, lines: dict[str, int], errors: list
 ) -> tuple[HumanWaypoint, ...]:
     """The waypoints of human h; none may lie after a positive duration."""
-    waypoints, last = [], None  # last: the index of the last waypoint kept
+    waypoints, last = [], None  # last: the index and line of the last waypoint kept
     for idx, e, parts, (t, x, y) in _rows("waypoint", rows, errors):
         posture = _POSTURES.get(parts[3].lower())
         if posture is None:
@@ -672,9 +659,12 @@ def _waypoints(
         if _out_of_bounds(x, y):
             errors.append(f"{problem} x and y must lie in {_BOUNDS}, got {x!r} {y!r}")
         if 0 < duration < t:
-            errors.append(f"{problem} at {t}s is after the end of the {duration}s run")
+            errors.append(
+                f"{problem} at {t}s is after the end of the {duration}s run "
+                f"set on line {lines['duration']}"
+            )
         waypoints.append(HumanWaypoint(t, x, y, posture))
-        last = idx
+        last = f"{idx} on line {e.line}"
     return tuple(waypoints)
 
 
@@ -684,7 +674,7 @@ def _steps(rows: list[Entry], errors: list) -> tuple[TaskStep, ...]:
         distance = math.hypot(*target)
         if distance > reach:
             errors.append(
-                f"line {e.line}: task: step {idx} '{parts[0]}' target is {distance:.3f} m "
+                f"line {e.line}: task: step {idx} '{parts[0]}' target is {distance:.4g} m "
                 f"from the base, beyond the {reach} m reach"
             )
         modes: tuple[str, ...] = ()
@@ -699,7 +689,9 @@ def _steps(rows: list[Entry], errors: list) -> tuple[TaskStep, ...]:
 
 
 def parse_scenario(source) -> Scenario:
-    """Parse and fully validate a scenario file; raises ScenarioError with all problems."""
+    """Parse and fully validate a scenario file; raises ScenarioError with all problems,
+    in reading order: a value is checked where it is read, and values checked together
+    once they are all read."""
     sections = parse_sections(source)
     if "scenario" not in sections:
         raise ScenarioError(["missing [scenario] section"])
@@ -710,38 +702,44 @@ def parse_scenario(source) -> Scenario:
     ]
     key_lines = {}  # section name -> the line of each key it sets
 
-    def read(name) -> tuple[dict, list[Entry]]:
-        values, rows, key_lines[name] = _read_section(name, sections.get(name, ()), errors)
+    def read(name, label=None) -> tuple[dict, list[Entry]]:
+        entries = sections.get(name, Section(0))
+        values, rows, key_lines[name] = _read_section(name, label or name, entries, errors)
         return values, rows
 
     values = {**read("scenario")[0], **read("robot")[0]}
+    _check_ticks(values, key_lines["scenario"], errors)
     for name, holder in _PARTS.items():
-        scalars = read(name)[0]
-        section = sections.get(name, Section(0))
-        values[holder] = _build(name, scalars, section, key_lines[name], errors)
+        part = _build(name, read(name)[0], sections.get(name, Section(0)), key_lines[name], errors)
+        if part is not None:
+            values[holder] = part
+    if "safety" in values and "layout_config" in values:
+        try:
+            values["layout_config"].build(values["safety"])
+        except ValueError as exc:
+            lines = {**key_lines["safety"], **key_lines["layout"]}
+            at, where = _cite(_LAYOUT_INPUTS, lines, sections.get("layout", Section(0)).line)
+            msd = compute_msd_static(values["safety"])
+            errors.append(f"{at}layout: {exc}, with a static MSD of {msd:.4g} m{where}")
     values["scanners"] = _scanners(read("scanners")[1], errors)
-    duration = values.get("duration", Scenario.duration)
     humans = []
     human_sections = sorted((s for s in sections if _kind(s) == "human"), key=_human_order)
     for h, name in enumerate(human_sections):
-        scalars, rows = read(name)
-        humans.append(HumanScript(waypoints=_waypoints(h, rows, duration, errors), **scalars))
+        scalars, rows = read(name, f"human {h}")
+        waypoints = _waypoints(h, rows, values.get("duration", 0.0), key_lines["scenario"], errors)
+        if not waypoints:
+            errors.append(f"line {sections[name].line}: human {h}: no waypoints")
+        humans.append(HumanScript(waypoints=waypoints, **scalars))
     values["humans"] = tuple(humans)
     scalars, rows = read("task")
-    values["task"] = RobotTask(steps=_steps(rows, errors), **scalars)
-
-    scenario = Scenario(**values)
-    for p in _problems(scenario):
-        name = human_sections[p.human] if p.section == "human" else p.section
-        if name not in sections:
-            errors.append(p.message)
-            continue
-        line = _key_line(sections[name], key_lines[name], p.message, p.key)
-        cause = f" at line {sections[p.cause].line}" if p.cause in sections else ""
-        errors.append(f"line {line}: {p.message}{cause}")
+    steps = _steps(rows, errors)
+    if not steps:
+        line = sections.get("task", Section(0)).line  # 0: the file has no [task]
+        errors.append(f"line {line}: task: no steps" if line else "task: no steps")
+    values["task"] = RobotTask(steps=steps, **scalars)
     if errors:
         raise ScenarioError(errors)
-    return scenario
+    return Scenario(**values)
 
 
 def _human_order(section: str) -> tuple[int, str]:

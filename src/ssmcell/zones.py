@@ -165,8 +165,8 @@ def build_zone_layout(
     warning_front = reach + msd
     if msd >= workspace_length or warning_front >= workspace_length:
         raise ZoneError(
-            f"infeasible layout: warning boundary {warning_front:.3f} m does not fit "
-            f"inside the {workspace_length:.3f} m workspace"
+            f"infeasible layout: warning boundary {warning_front:.4g} m does not fit "
+            f"inside the {workspace_length:.4g} m workspace"
         )
     if danger_front >= warning_front:
         raise ZoneError("infeasible layout: danger band would swallow the warning band")

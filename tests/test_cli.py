@@ -171,6 +171,13 @@ class TestNonFiniteFlags:
         assert f"error: {named}: the " in err and " MSD overflows" in err
         assert out == ""
 
+    def test_huge_lengths_print_in_a_few_digits(self, capsys):
+        args = ["--workspace-length=1.7e308", "--workspace-width=1.7e308"]
+        code = main(["zones", "compute", *args, "--quadrant-half-width=1e308"])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert "does not fit inside the 1.7e+308 m workspace" in err and len(err) < 200, err
+
 
 @pytest.mark.parametrize(
     "args, flag",
@@ -324,7 +331,7 @@ class TestSimRun:
             ),
             (
                 {59: "waypoint = zero 2.3 -0.32 standing", 62: "waypoint = 1.0 1.0 -0.32 reaching"},
-                "line 62: human 0: waypoint 3 timestamp 1.0 not after waypoint 2",
+                "line 62: human 0: waypoint 3 timestamp 1.0 not after waypoint 2 on line 61",
             ),
             (
                 {54: "scanner = 0.0 0.45 1e200"},

@@ -166,7 +166,7 @@ UNORDERED_SCRIPTS = [
     "script", HOLDING_SCRIPTS + UNORDERED_SCRIPTS, ids=lambda s: f"{len(s.waypoints)}wp"
 )
 def test_track_matches_state_at_at_every_time(script):
-    times = {-1.0, 0.0, script.end_time + 3.0}
+    times = {-1.0, 0.0, script.waypoints[-1].t + 3.0}
     for w in script.waypoints:
         times.update((w.t, math.nextafter(w.t, -math.inf), math.nextafter(w.t, math.inf)))
     times = np.array(sorted(times | set((np.arange(1000) * 0.037).tolist())))
