@@ -3,7 +3,6 @@
 from .control import (
     CommandSource,
     Controller,
-    ControllerConfig,
     Gains,
     ModeKind,
     SpeedCommand,

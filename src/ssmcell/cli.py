@@ -235,15 +235,17 @@ def _cmd_zones_compute(args) -> int:
     workspace = _field_values(_ZONE_LAYOUT_FIELDS, args)
     msd = compute_msd_static(SafetyParams(**safety))
     _finite_results([msd], "static MSD", fields(SafetyParams))
-    print(f"static_msd_m = {msd:.6f}")
+    # Everything that can fail runs before the first print, so a failure prints nothing.
+    text = None
     if args.workspace_length is not None:
-        layout = build_zone_layout(msd, **workspace)
-        text = export_layout(layout)
+        text = export_layout(build_zone_layout(msd, **workspace))
         if args.out:
             Path(args.out).write_text(text, encoding="utf-8")
-            print(f"layout written to {args.out}")
-        else:
-            print(text, end="")
+    print(f"static_msd_m = {msd:.6f}")
+    if text is not None and args.out:
+        print(f"layout written to {args.out}")
+    elif text is not None:
+        print(text, end="")
     return EXIT_OK
 
 

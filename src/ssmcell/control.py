@@ -198,21 +198,16 @@ def secondary_scale(
     return mode_in
 
 
-@dataclass
-class ControllerConfig:
-    control_period: float = CONTROL_PERIOD
-    nominal_speed: float = NOMINAL_SPEED
-    # Gate both loops to the skeleton rate (the slow-loop emulation baseline).
-    sequential: bool = False
-
-
 class Controller:
     """Single-writer controller state machine fed by timestamped sensor messages.
 
     Sensor messages may arrive at different rates (zero-order hold between
     arrivals) or out of order within a period (latest timestamp wins).  A
     sensor silent for longer than STALE_PERIODS of its own period forces a
-    fail-safe standstill.  An explicit e-stop latches until reset.
+    fail-safe standstill.  An explicit e-stop latches until reset.  Each tick
+    lasts CONTROL_PERIOD; a fraction of 1 commands NOMINAL_SPEED.  With
+    sequential, both loops are gated to the skeleton rate (the slow-loop
+    emulation baseline).
     """
 
     def __init__(
@@ -221,13 +216,14 @@ class Controller:
         layout: ZoneLayout,
         gains: Gains,
         separation: SeparationInputs,
-        config: ControllerConfig | None = None,
+        *,
+        sequential: bool = False,
     ):
         self.model = model
         self.layout = layout
         self.gains = gains
         self.separation = separation
-        self.config = config or ControllerConfig()
+        self.sequential = sequential
         self.fraction = 0.0
         self._occ: dict[Quadrant, Zone] = {Quadrant.LEFT: Zone.NORMAL, Quadrant.RIGHT: Zone.NORMAL}
         self._occ_t = -math.inf
@@ -347,7 +343,7 @@ class Controller:
         key = (
             self._occ.get(Quadrant.LEFT, Zone.NORMAL),
             self._occ.get(Quadrant.RIGHT, Zone.NORMAL),
-            self._skel_t if self.config.sequential else None,
+            self._skel_t if self.sequential else None,
             self._estop_latched,
             stale,
             robot_quadrant,
@@ -380,7 +376,7 @@ class Controller:
         elif stale:
             mode, source = MODE_STANDSTILL, CommandSource.ESTOP
             estop_now = True
-        elif self.config.sequential:
+        elif self.sequential:
             # Both loops polled together at skeleton arrivals only.
             if self._held is None or self._skel_t > self._held_skel_t:
                 self._held = self._arbitrate(t, robot_quadrant, tcp_speed)
@@ -392,16 +388,14 @@ class Controller:
         if estop_now:
             self.fraction = 0.0  # e-stop engagement is exempt from the slew bound
         else:
-            step_max = self.gains.accel_limit * self.config.control_period
+            step_max = self.gains.accel_limit * CONTROL_PERIOD
             delta = mode.fraction - self.fraction
             self.fraction += math.copysign(min(abs(delta), step_max), delta) if delta else 0.0
 
         if J is None:
             J = jacobian(self.model, q)
         v6 = np.zeros(6)
-        v6[:3] = np.asarray(task_direction, dtype=float) * (
-            self.fraction * self.config.nominal_speed
-        )
+        v6[:3] = np.asarray(task_direction, dtype=float) * (self.fraction * NOMINAL_SPEED)
         qdot_raw, damped = self._resolve_rates(q, v6, J)
         e = np.asarray(joint_reference, dtype=float) - q
         # PD law applied semi-implicitly against the velocity plant: with the
@@ -417,7 +411,7 @@ class Controller:
             t=t,
             mode=mode,
             fraction=self.fraction,
-            v_cartesian=self.fraction * self.config.nominal_speed,
+            v_cartesian=self.fraction * NOMINAL_SPEED,
             qdot_cmd=qdot_cmd,
             qdot_task=qdot_task,
             source=source,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import perception
-from .control import CommandSource, Controller, ControllerConfig, ModeKind
+from .control import CONTROL_PERIOD, NOMINAL_SPEED, CommandSource, Controller, ModeKind
 from .kinematics import FrameChain, Jacobian, tcp_position
 from .perception import ScannerMount
 from .scenario import HumanTrack, Scenario, SimMode, TaskStep, build_gains, build_model
@@ -88,7 +88,7 @@ def nominal_task_duration(scenario: Scenario, mode: SimMode) -> float:
     for _ in range(scenario.task.cycles):
         for step in scenario.task.steps_for(mode):
             target = np.asarray(step.target)
-            total += float(np.linalg.norm(target - pos)) / scenario.nominal_speed
+            total += float(np.linalg.norm(target - pos)) / NOMINAL_SPEED
             total += step.dwell
             pos = target
     return total
@@ -106,9 +106,8 @@ class _TaskTracker:
     positive, so a stalled robot accrues pending time instead of progress.
     """
 
-    def __init__(self, plan: list[tuple[int, TaskStep]], nominal_speed: float, events: list):
+    def __init__(self, plan: list[tuple[int, TaskStep]], events: list):
         self.plan = plan
-        self.nominal_speed = nominal_speed
         self.idx = 0
         self.dwelling = False
         self.dwell_left = 0.0
@@ -131,7 +130,7 @@ class _TaskTracker:
                 if fraction <= 0.0:
                     return _NO_MOTION
                 # Never overshoot: cap the commanded speed at dist/dt.
-                scale = min(1.0, dist / (fraction * self.nominal_speed * dt))
+                scale = min(1.0, dist / (fraction * NOMINAL_SPEED * dt))
                 return delta / dist * scale
             self.dwelling = True
             self.dwell_left = step.dwell
@@ -243,9 +242,7 @@ class _Messages:
         whose state can differ from the frame before, or any frame once the
         TCP is not the one of the last measurement.  In sequential mode
         every frame re-arbitrates, so it is the next frame."""
-        if self.controller.config.sequential or (
-            self.track is not None and tcp is not self.skel_tcp
-        ):
+        if self.controller.sequential or (self.track is not None and tcp is not self.skel_tcp):
             frame = self.n_frames
         else:
             frame = _next_change(self.frame_changes, self.n_frames, len(self.frame_times))
@@ -350,24 +347,16 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
     layout = scenario.build_layout()
     model = build_model(scenario)
     gains = build_gains(scenario)
-    dt = scenario.control_period
+    dt = CONTROL_PERIOD
     n_ticks = int(round(scenario.duration / dt))
     rng = np.random.default_rng(scenario.seed)
     mounts = build_scanner_mounts(scenario, layout)
 
     controller = Controller(
-        model,
-        layout,
-        gains,
-        scenario.separation,
-        ControllerConfig(
-            control_period=dt,
-            nominal_speed=scenario.nominal_speed,
-            sequential=scenario.sequential,
-        ),
+        model, layout, gains, scenario.separation, sequential=scenario.sequential
     )
     events: list[Event] = []
-    tracker = _TaskTracker(_expand_plan(scenario), scenario.nominal_speed, events)
+    tracker = _TaskTracker(_expand_plan(scenario), events)
 
     q = np.asarray(scenario.q0, dtype=float)
     q_ref = q.copy()
@@ -511,7 +500,7 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
                 lyap = lyapunov_value(e, edot, gains)
         repeated = controller.repeated
         speed = 0.0 if task_dir is _NO_MOTION else float(np.linalg.norm(task_dir))
-        v_task = speed * command.fraction * scenario.nominal_speed
+        v_task = speed * command.fraction * NOMINAL_SPEED
         pending = tracker.pending
         key = (pending, _ROW_FLOATS.pack(v_task, lyap))
         copies = repeated and key == row_key

@@ -7,7 +7,7 @@ import math
 import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, get_type_hints
+from typing import Callable, ClassVar, get_type_hints
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .perception import (
     DEFAULT_FOOTPRINT_RADIUS,
     DEFAULT_STATURE,
     POSTURES,
-    SCAN_PERIOD,
     HumanState,
     Posture,
     landmark_block,
@@ -30,7 +29,6 @@ from .zones import (
     DEFAULT_QUADRANT_HALF_WIDTH,
     DEFAULT_SCALE_FLOOR_DISTANCE,
     SafetyParams,
-    ZoneError,
     ZoneLayout,
     build_zone_layout,
     compute_msd_static,
@@ -47,9 +45,6 @@ MAX_COORDINATE = 1000.0  # m
 # The bound on a scanner's heading, one turn either way: far beyond it, the
 # steps between a scan's ray angles are lost to rounding.
 MAX_HEADING = 2 * math.pi  # rad
-# The least nominal speed: the task tracker divides by its product with the
-# fraction and the control period, which must not round to zero.
-MIN_NOMINAL_SPEED = 1e-3  # m/s
 # The bound on the range noise amplitude: far beyond a laser scanner's noise,
 # and small enough that the draws from [-noise, noise] stay finite.
 MAX_NOISE = 1.0  # m
@@ -297,6 +292,8 @@ class RobotTask:
 
 @dataclass(frozen=True)
 class LayoutConfig:
+    """The cell's workspace: the monitored area, the arm's quadrants, the scan plane."""
+
     workspace_length: float = 1.5
     workspace_width: float = 0.9
     quadrant_half_width: float = DEFAULT_QUADRANT_HALF_WIDTH
@@ -305,13 +302,6 @@ class LayoutConfig:
     height_min: float = DEFAULT_HEIGHT_BAND[0]
     height_max: float = DEFAULT_HEIGHT_BAND[1]
     scale_floor_distance: float = DEFAULT_SCALE_FLOOR_DISTANCE
-
-    def __post_init__(self):
-        for name in ("danger_margin", "laser_mount_height"):
-            if getattr(self, name) < 0:
-                raise ZoneError(f"{name} must be >= 0")
-        if self.height_max < self.height_min:
-            raise ZoneError("height_max must be >= height_min")
 
     def build(self, safety: SafetyParams) -> ZoneLayout:
         """The zone layout of this workspace around the static MSD of safety."""
@@ -325,6 +315,11 @@ class LayoutConfig:
             laser_mount_height=self.laser_mount_height,
             scale_floor_distance=self.scale_floor_distance,
         )
+
+
+# The one cell every scenario runs in; a scenario sets only the [safety] terms
+# its zone layout is sized from.
+CELL = LayoutConfig()
 
 
 @dataclass(frozen=True)
@@ -346,10 +341,10 @@ class Scenario:
     scanners: tuple[ScannerPose, ...] = ()
     safety: SafetyParams = SafetyParams()
     separation: SeparationInputs = SeparationInputs()
-    layout_config: LayoutConfig = LayoutConfig()
     gains_config: GainsConfig = GainsConfig()
-    control_period: float = CONTROL_PERIOD
-    nominal_speed: float = NOMINAL_SPEED
+    # Not keys of the file: every scenario runs at the controller's period and speed.
+    control_period: ClassVar[float] = CONTROL_PERIOD
+    nominal_speed: ClassVar[float] = NOMINAL_SPEED
     sequential: bool = False
     noise: float = 0.0
     parallelism: float = 1.0
@@ -357,7 +352,7 @@ class Scenario:
     stall_threshold: float = field(default=5.0, metadata={"allow_inf": True})
 
     def build_layout(self) -> ZoneLayout:
-        return self.layout_config.build(self.safety)
+        return CELL.build(self.safety)
 
     def with_mode(self, mode: SimMode) -> "Scenario":
         return replace(self, mode=mode)
@@ -373,22 +368,24 @@ def build_gains(scenario: Scenario) -> Gains:
 
 
 # The scalar keys whose values must be positive.
-_POSITIVE = {"duration", "control_period", "nominal_speed", "parallelism", "stall_threshold"}
-_POSITIVE |= {"footprint_radius", "stature"}
+_POSITIVE = {"duration", "parallelism", "stall_threshold", "footprint_radius", "stature"}
 
 
 def _range_problem(key: str, v) -> str | None:
     """What is out of range in a scalar key's value, checked where the key is
-    read, or None; the keys of the [safety], [separation] and [layout] sections
+    read, or None; most keys of the [safety], [separation] and [gains] sections
     are checked by their classes instead."""
     if key in _POSITIVE and v <= 0:
         return f"{key} must be positive"
+    # engine.run runs round(duration / CONTROL_PERIOD) ticks, more than MAX_TICKS
+    # exactly when the quotient exceeds MAX_TICKS + 0.5 (or overflows to inf).
+    if key == "duration" and (ticks := v / CONTROL_PERIOD) > MAX_TICKS + 0.5:
+        return (
+            f"{key} {v!r} s is {ticks:.6g} ticks of {CONTROL_PERIOD} s, "
+            f"more than the {MAX_TICKS} a run may have"
+        )
     if key in ("seed", "noise") and v < 0:
         return f"{key} must be >= 0"
-    if key == "control_period" and v > SCAN_PERIOD:
-        return f"{key} {v!r} s is longer than the {SCAN_PERIOD} s laser scan period"
-    if key == "nominal_speed" and v < MIN_NOMINAL_SPEED:
-        return f"{key} must be at least {MIN_NOMINAL_SPEED:g} m/s, got {v!r}"
     if key == "noise" and v > MAX_NOISE:
         return f"{key} must be at most {MAX_NOISE:g} m, got {v!r}"
     if key == "task_gain" and v > MAX_TASK_GAIN:
@@ -509,7 +506,6 @@ _SECTIONS = {
     "scenario": _section(Scenario, skip=_ROBOT_KEYS.values()),
     "safety": _section(SafetyParams),
     "separation": _section(SeparationInputs, skip=("human_speed", "robot_speed")),
-    "layout": _section(LayoutConfig),
     "gains": _section(GainsConfig, check=Gains.diagonal),
     "robot": _section(Scenario, names=_ROBOT_KEYS),
     "scanners": _Section(ScannerPose, {}, "scanner"),
@@ -520,7 +516,6 @@ _SECTIONS = {
 _PARTS = {
     "safety": "safety",
     "separation": "separation",
-    "layout": "layout_config",
     "gains": "gains_config",
 }
 _HUMAN = re.compile(r"human(\d*)")
@@ -571,27 +566,6 @@ def _build(name: str, values: dict, section: Section, lines: dict[str, int], err
         at, where = _cite(named, lines, section.line)
         errors.append(f"{at}{name}: {exc}{where}")
         return None
-
-
-def _check_ticks(values: dict, lines: dict[str, int], errors: list):
-    """The problem of a run of more than MAX_TICKS ticks, at the duration's line when
-    the run is that long even at the default period, else at the control_period's."""
-    duration = values.get("duration", Scenario.duration)
-    period = values.get("control_period", Scenario.control_period)
-    ticks = duration / period if duration > 0 and period > 0 else 0
-    if not (math.isfinite(ticks) and round(ticks) <= MAX_TICKS):
-        first = "duration" if duration / CONTROL_PERIOD > MAX_TICKS else "control_period"
-        at, where = _cite([first, "duration", "control_period"], lines, 0)
-        errors.append(
-            f"{at}scenario: a {duration!r} s run at control_period {period!r} s "
-            f"is {ticks:.6g} ticks, more than the {MAX_TICKS} a run may have{where}"
-        )
-
-
-# The keys whose values decide whether the zone layout fits: the [safety] terms
-# of the static MSD, then the [layout] keys build_zone_layout checks.
-_LAYOUT_INPUTS = [f.name for f in fields(SafetyParams)]
-_LAYOUT_INPUTS += ["workspace_length", "workspace_width", "quadrant_half_width", "danger_margin"]
 
 
 _BOUNDS = f"[-{MAX_COORDINATE:g}, {MAX_COORDINATE:g}] m"
@@ -708,17 +682,19 @@ def parse_scenario(source) -> Scenario:
         return values, rows
 
     values = {**read("scenario")[0], **read("robot")[0]}
-    _check_ticks(values, key_lines["scenario"], errors)
     for name, holder in _PARTS.items():
         part = _build(name, read(name)[0], sections.get(name, Section(0)), key_lines[name], errors)
         if part is not None:
             values[holder] = part
-    if "safety" in values and "layout_config" in values:
+    # The cell is fixed, so whether its layout fits depends on the [safety] terms alone.
+    if "safety" not in sections:
+        errors.append("missing [safety] section")
+    elif "safety" in values:
         try:
-            values["layout_config"].build(values["safety"])
+            CELL.build(values["safety"])
         except ValueError as exc:
-            lines = {**key_lines["safety"], **key_lines["layout"]}
-            at, where = _cite(_LAYOUT_INPUTS, lines, sections.get("layout", Section(0)).line)
+            lines = key_lines["safety"]
+            at, where = _cite(lines, lines, sections["safety"].line)
             msd = compute_msd_static(values["safety"])
             errors.append(f"{at}layout: {exc}, with a static MSD of {msd:.4g} m{where}")
     values["scanners"] = _scanners(read("scanners")[1], errors)

@@ -8,8 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kinematics import RobotModel
+
 DANGER_MARGIN = 0.100  # m, band added around the robot's working strip
-DEFAULT_QUADRANT_HALF_WIDTH = 0.425  # m, half the arm's kinematic reach
+DEFAULT_QUADRANT_HALF_WIDTH = RobotModel.reach / 2  # m, half the arm's reach: 0.425
 DEFAULT_LASER_MOUNT_HEIGHT = 0.400  # m
 DEFAULT_HEIGHT_BAND = (0.0, 2.0)  # m
 # Human-to-TCP distance at which the secondary speed scaling bottoms out.

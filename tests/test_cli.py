@@ -108,6 +108,23 @@ class TestZonesCompute:
         )
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--stop-time=2.0", "--workspace-length=1.5"],
+            ["--workspace-length=1.7e308", "--workspace-width=1.7e308"]
+            + ["--quadrant-half-width=1e308"],
+        ],
+        ids=["msd_too_long", "reach_overflows"],
+    )
+    def test_a_layout_that_fails_prints_and_writes_nothing(self, args, tmp_path, capsys):
+        out_file = tmp_path / "layout.txt"
+        code = main(["zones", "compute", *args, "--out", str(out_file)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert out == "" and err.startswith("error: infeasible layout: "), (out, err)
+        assert not out_file.exists()
+
 
 MSD_FLAGS = {
     "--human-speed": "1.6",
@@ -280,7 +297,8 @@ class TestSimRun:
         [
             ("kd = 2.0", "kd = -1.0", "kd diagonal must be positive"),
             ("ks_floor = 0.3", "ks_floor = 2.0", "ks_floor must lie in (0, 1]"),
-            ("nominal_speed = 1.0", "nominal_speed = 0.0", "nominal_speed must be positive"),
+            # The nominal speed is a constant now, not a key.
+            ("sequential = false", "nominal_speed = 0.0", "line 6: unknown key 'nominal_speed'"),
         ],
     )
     def test_out_of_range_value_fails_at_parse(
@@ -321,28 +339,28 @@ class TestSimRun:
         "edits, message",
         [
             (
-                {59: "waypoint = 0.0 2.3 -0.32 flying", 60: "waypoint = 2.0 2.3 5000 standing"},
-                "line 60: human 0: waypoint 1 x and y must lie in [-1000, 1000] m, got 2.3 5000.0",
+                {47: "waypoint = 0.0 2.3 -0.32 flying", 48: "waypoint = 2.0 2.3 5000 standing"},
+                "line 48: human 0: waypoint 1 x and y must lie in [-1000, 1000] m, got 2.3 5000.0",
             ),
             (
-                {71: "step = sort_a 0.35 -0.3 z 1.5", 72: "step = sort_b 5.0 -0.35 0.3 1.5"},
-                "line 72: task: step 1 'sort_b' target is 5.021 m from the base, "
+                {59: "step = sort_a 0.35 -0.3 z 1.5", 60: "step = sort_b 5.0 -0.35 0.3 1.5"},
+                "line 60: task: step 1 'sort_b' target is 5.021 m from the base, "
                 "beyond the 0.85 m reach",
             ),
             (
-                {59: "waypoint = zero 2.3 -0.32 standing", 62: "waypoint = 1.0 1.0 -0.32 reaching"},
-                "line 62: human 0: waypoint 3 timestamp 1.0 not after waypoint 2 on line 61",
+                {47: "waypoint = zero 2.3 -0.32 standing", 50: "waypoint = 1.0 1.0 -0.32 reaching"},
+                "line 50: human 0: waypoint 3 timestamp 1.0 not after waypoint 2 on line 49",
             ),
             (
-                {54: "scanner = 0.0 0.45 1e200"},
-                "line 54: scanners: scanner 1 heading must lie in [-6.28319, 6.28319] rad, "
+                {42: "scanner = 0.0 0.45 1e200"},
+                "line 42: scanners: scanner 1 heading must lie in [-6.28319, 6.28319] rad, "
                 "got 1e+200",
             ),
         ],
         ids=["waypoint_after_a_bad_one", "step_after_a_bad_one", "time_after_a_bad_row", "heading"],
     )
     def test_row_problem_names_its_own_line_and_index(self, edits, message, tmp_path, capsys):
-        # approach_retreat.scn: scanners on lines 53-54, waypoints 59-67, steps 71-75.
+        # approach_retreat.scn: scanners on lines 41-42, waypoints 47-55, steps 59-63.
         lines = bundled_scenario_path("approach_retreat").read_text(encoding="utf-8").splitlines()
         for line, text in edits.items():
             lines[line - 1] = text

@@ -5,10 +5,10 @@ import pytest
 
 from ssmcell.control import (
     COLLABORATIVE_FRACTION,
+    CONTROL_PERIOD,
     CommandSource,
     ControlError,
     Controller,
-    ControllerConfig,
     Gains,
     MODE_COLLABORATIVE,
     MODE_FULL,
@@ -232,9 +232,7 @@ class TestPdLaw:
 
 
 def make_controller(sequential=False, gains=None):
-    config = ControllerConfig(sequential=sequential)
-    ctrl = Controller(MODEL, LAYOUT, gains or GAINS, SEPARATION, config)
-    return ctrl
+    return Controller(MODEL, LAYOUT, gains or GAINS, SEPARATION, sequential=sequential)
 
 
 def step_simple(ctrl, t, q=None, direction=(0.0, 0.0, 0.0), tcp_speed=0.0, reference=None):
@@ -253,7 +251,7 @@ class TestControllerStep:
     def test_slew_limited_rampdown(self):
         ctrl = make_controller()
         ctrl.fraction = 1.0
-        dt = ctrl.config.control_period
+        dt = CONTROL_PERIOD
         ctrl.offer_scan(0.0, occ())
         ctrl.offer_skeleton(0.0, math.inf)
         fractions = [step_simple(ctrl, i * dt).fraction for i in range(5)]
@@ -273,7 +271,7 @@ class TestControllerStep:
     def test_estop_latches_until_reset(self):
         ctrl = make_controller()
         ctrl.fraction = 1.0
-        dt = ctrl.config.control_period
+        dt = CONTROL_PERIOD
         ctrl.offer_scan(0.0, occ())
         ctrl.offer_skeleton(0.0, math.inf)
         step_simple(ctrl, 0.0)
@@ -328,7 +326,7 @@ class TestControllerStep:
     def test_fraction_monotone_during_monotone_approach(self):
         ctrl = make_controller()
         ctrl.fraction = 1.0
-        dt = ctrl.config.control_period
+        dt = CONTROL_PERIOD
         d = 1.2
         prev_fraction = 1.0
         for i in range(0, 4000):
@@ -362,7 +360,7 @@ class TestControllerStep:
     def test_sequential_gates_to_skeleton_arrivals(self):
         ctrl = make_controller(sequential=True)
         ctrl.fraction = 1.0
-        dt = ctrl.config.control_period
+        dt = CONTROL_PERIOD
         ctrl.offer_scan(0.0, occ())
         ctrl.offer_skeleton(0.0, math.inf)
         step_simple(ctrl, 0.0)

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ssmcell import engine, perception
-from ssmcell.control import Controller, ControllerConfig, Gains, ModeKind
+from ssmcell.control import Controller, Gains, ModeKind
 from ssmcell.engine import EventKind, run
 from ssmcell.kinematics import RobotModel
 from ssmcell.perception import POSTURES, SCAN_PERIOD, Posture, pose_landmarks
@@ -367,7 +367,7 @@ class TestControllerCache:
         # mode is held while it crosses to the right; the next skeleton frame
         # arbitrates again, for the right side, although it repeats the last.
         def controller():
-            ctrl = Controller(MODEL, LAYOUT, GAINS, SEPARATION, ControllerConfig(sequential=True))
+            ctrl = Controller(MODEL, LAYOUT, GAINS, SEPARATION, sequential=True)
             ctrl.offer_scan(0.0, occ(left=Zone.DANGER))
             ctrl.offer_skeleton(0.0, math.inf)
             return ctrl

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssmcell.cli import EXIT_RUNTIME, EXIT_VALIDATION, main
+from ssmcell.kinematics import RobotModel
 from ssmcell.perception import Posture
 from ssmcell.scenario import (
     MAX_COORDINATE,
@@ -86,10 +87,33 @@ class TestBundledScenarios:
             text = serialize_scenario(bundled(name))
             assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
+    def test_layout_is_sized_for_the_arm(self):
+        for name in ("approach_retreat", "sorting_benchmark"):
+            assert bundled(name).build_layout().reach == RobotModel.reach
+
+    def test_the_earlier_format_exits_1_naming_each_removed_line(self, tmp_path, capsys):
+        # A narrower quadrant would size the warning boundary for a 0.6 m arm.
+        text = earlier_format(BUNDLED_TEXTS[0])
+        text = text.replace("quadrant_half_width = 0.425", "quadrant_half_width = 0.3")
+        lines = text.splitlines()
+        at = {t.split()[0].strip("[]"): lines.index(t) + 1 for t in EARLIER_LINES[:3]}
+        expected = [
+            f"line {at['layout']}: unknown section [layout]",
+            f"line {at['control_period']}: unknown key 'control_period' in [scenario]",
+            f"line {at['nominal_speed']}: unknown key 'nominal_speed' in [scenario]",
+        ]
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text)
+        assert exc.value.errors == expected
+        path = tmp_path / "earlier.scn"
+        path.write_text(text, encoding="utf-8")
+        assert main(["sim", "run", str(path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {'; '.join(expected)}\n"
+
     def test_every_key_round_trips(self):
         scenario = every_key_scenario()
-        holders = (scenario, scenario.safety, scenario.separation, scenario.layout_config)
-        holders += (scenario.gains_config, scenario.humans[0], scenario.task)
+        holders = (scenario, scenario.safety, scenario.separation, scenario.gains_config)
+        holders += (scenario.humans[0], scenario.task)
         for obj in holders:
             for f in dataclasses.fields(obj):
                 if f.default is dataclasses.MISSING or f.name in ("human_speed", "robot_speed"):
@@ -102,9 +126,27 @@ class TestBundledScenarios:
 
 # sha256 of serialize_scenario for the bundled files.
 SERIALIZED_SHA256 = {
-    "approach_retreat": "b67aca2c535106b8e440a9460932a811010f2ebdf885bd4fb01c38e80172d4bd",
-    "sorting_benchmark": "5e7e2b28bc24ba048e9abad1ac3d0a8bab2c04ae47138fb7c926a6389cb8e088",
+    "approach_retreat": "5f723d1ff76543370e69eb3be502197ae46010df78c7bb18ca7ec00c3e8e62e9",
+    "sorting_benchmark": "ab1b0c18b3e2dc13f7b7ecc0aa7ffc0227baa9fa58069200e0552cc6b74d08c4",
 }
+
+
+# The lines that set the cell's fixed values in the bundled files before they
+# became constants: two [scenario] keys and the [layout] section.
+EARLIER_LINES = ["control_period = 0.002", "nominal_speed = 1.0", "[layout]"]
+EARLIER_LINES += ["workspace_length = 1.5", "workspace_width = 0.9", "quadrant_half_width = 0.425"]
+EARLIER_LINES += ["danger_margin = 0.1", "laser_mount_height = 0.4", "height_min = 0.0"]
+EARLIER_LINES += ["height_max = 2.0", "scale_floor_distance = 0.3", ""]
+
+
+def earlier_format(text):
+    """A bundled file's text as it was written with those lines."""
+    lines = text.splitlines()
+    at = lines.index("[gains]")
+    lines[at:at] = EARLIER_LINES[2:]
+    at = next(i for i, t in enumerate(lines) if t.startswith("seed = ")) + 1
+    lines[at:at] = EARLIER_LINES[:2]
+    return "\n".join(lines) + "\n"
 
 
 def every_key_scenario():
@@ -118,8 +160,6 @@ def every_key_scenario():
         mode=SimMode.TRADITIONAL,
         duration=40.0,
         seed=5,
-        control_period=0.004,
-        nominal_speed=0.8,
         sequential=True,
         noise=0.002,
         parallelism=2.0,
@@ -134,17 +174,6 @@ def every_key_scenario():
             intrusion=0.1,
             robot_uncertainty=0.03,
             human_uncertainty=0.04,
-        ),
-        layout_config=replace(
-            sc.layout_config,
-            workspace_length=1.6,
-            workspace_width=0.95,
-            quadrant_half_width=0.43,
-            danger_margin=0.12,
-            laser_mount_height=0.35,
-            height_min=0.05,
-            height_max=1.9,
-            scale_floor_distance=0.32,
         ),
         gains_config=replace(
             sc.gains_config, kp=25.0, kd=3.0, task_gain=1.2, k0=0.04, ks_floor=0.25, accel_limit=2.5
@@ -198,6 +227,13 @@ class TestValidation:
             parse_scenario("[task]\nstep = a 0 0 0 1.0\n")
         assert "missing [scenario]" in str(exc.value)
 
+    def test_missing_safety_section_is_one_problem(self):
+        # Its defaults size a 1.75 m static MSD, which the 1.5 m cell cannot hold.
+        text = re.sub(r"\[safety\]\n(.+\n)+\n", "", serialize_scenario(bundled("approach_retreat")))
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text)
+        assert exc.value.errors == ["missing [safety] section"]
+
     def test_unknown_mode(self):
         text = serialize_scenario(bundled("approach_retreat")).replace(
             "mode = proposed", "mode = telepathic"
@@ -220,7 +256,6 @@ class TestValidation:
         )
         lines = text.splitlines()
         keys = ["approach_speed", "stop_time", "intrusion", "uncertainty"]
-        keys += ["workspace_length", "workspace_width", "quadrant_half_width", "danger_margin"]
         # The first line that sets each key: [safety]'s intrusion comes before [separation]'s.
         at = {k: next(n for n, t in enumerate(lines, 1) if t.startswith(f"{k} = ")) for k in keys}
         with pytest.raises(ScenarioError) as exc:
@@ -258,24 +293,14 @@ class TestValidation:
             ("scanner = 0.0 -0.45", "scanner = inf -0.45"),
             ("waypoint = 2.0 2.3 -0.32 standing", "waypoint = 2.0 nan -0.32 standing"),
             ("step = sort_b 0.15 -0.35 0.3 1.5", "step = sort_b 0.15 -0.35 0.3 inf"),
-            ("danger_margin = 0.1", "danger_margin = -1.0"),
-            ("height_min = 0.0", "height_min = 3.0"),
-            ("laser_mount_height = 0.4", "laser_mount_height = -0.4"),
             ("intrusion = 0.04", "intrusion = -0.04"),
             ("q0 = -0.708626272", "q0 = 9.0"),
             ("step = sort_a 0.35", "step = sort_a 5.0"),
             ("step = sort_d 0.45", "step = sort_d -4.5"),
             ("stature = 1.7", "stature = -1.7"),
             ("[robot]", "[robot]\nmodel = arm.cfg"),
-            ("control_period = 0.002", "control_period = 40"),
-            ("control_period = 0.002", "control_period = 100"),
-            ("control_period = 0.002", "control_period = 0.5"),
-            ("control_period = 0.002", "control_period = 1e-9"),
-            ("control_period = 0.002", "control_period = 1e-300"),
-            ("control_period = 0.002", "control_period = 5e-324"),
             ("duration = 34.0", "duration = 1e12"),
             ("scanner = 0.0 0.45 -0.29145679447786715", "scanner = 0.0 0.45 1e200"),
-            ("nominal_speed = 1.0", "nominal_speed = 5e-324"),
             ("noise = 0.0", "noise = 1e308"),
             ("task_gain = 1.0", "task_gain = 1e308"),
             # A bad row, then a range problem on a later row of the same kind.
@@ -305,6 +330,31 @@ class TestValidation:
             parse_scenario(text)
         path = tmp_path / "probe.scn"
         path.write_text(text, encoding="utf-8")
+        assert main(["sim", "run", str(path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "section, old",
+        [("scenario", f"control_period = {v}") for v in ("40", "100", "0.5", "1e-9", "1e-300")]
+        + [("scenario", "control_period = 5e-324"), ("scenario", "nominal_speed = 5e-324")]
+        + [("scenario", "nominal_speed = 0.0"), ("layout", "danger_margin = -1.0")]
+        + [("layout", "height_min = 3.0"), ("layout", "laser_mount_height = -0.4")],
+    )
+    def test_a_removed_key_exits_1_as_unknown_naming_its_line(self, section, old, tmp_path):
+        # The cell's fixed values are constants: a file that sets one fails at its line,
+        # or at the line of the [layout] section that holds it.
+        lines = BUNDLED_TEXTS[0].splitlines()
+        if section == "layout":
+            at, problem = lines.index("[gains]"), "unknown section [layout]"
+            lines[at:at] = ["[layout]", old]
+        else:
+            at = lines.index("seed = 17") + 1
+            problem = f"unknown key '{old.split()[0]}' in [scenario]"
+            lines.insert(at, old)
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario("\n".join(lines))
+        assert exc.value.errors == [f"line {at + 1}: {problem}"]
+        path = tmp_path / "old.scn"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["sim", "run", str(path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
 
     @pytest.mark.parametrize(
@@ -474,7 +524,7 @@ def test_every_failing_value_mutation_names_its_line():
             if line not in named_lines(exc.errors):
                 unnamed.append((line, text.splitlines()[line - 1][:60], exc.errors[0][:200]))
     # The failure count is pinned too: a check that stops firing shows here.
-    assert (parsed, failed) == (2761, 1810)
+    assert (parsed, failed) == (2541, 1652)
     assert unnamed == []
 
 
@@ -484,7 +534,7 @@ def test_problems_of_two_sections_are_all_reported_in_reading_order():
         parse_scenario(text)
     assert exc.value.errors == [
         "line 7: scenario: seed must be >= 0",
-        "line 40: gains: kd diagonal must be positive",
+        "line 28: gains: kd diagonal must be positive",
     ]
 
 
