@@ -15,7 +15,7 @@ from pathlib import Path
 from . import bridge as bridge_mod
 from . import kpi as kpi_mod
 from .engine import detect_deadlock, ideal_cycle_time, lyapunov_samples, run, run_benchmark
-from .scenario import LayoutConfig, ScenarioError, SimMode, parse_scenario
+from .scenario import ScenarioError, SimMode, parse_scenario
 from .scenarios import bundled_scenario_path
 from .separation import SeparationError, SeparationInputs, compute_msd_dynamic, separation_terms
 from .stability import StabilityError, evaluate_trace
@@ -33,8 +33,6 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 EXIT_CHECK_FAILED = 3
 NOISE_AMPLITUDE = 0.005  # m, +-5 mm uniform when enabled
-# The workspace arguments of build_zone_layout, in its order; `zones compute` takes them as flags.
-_ZONE_LAYOUT_FIELDS = fields(LayoutConfig)[:3]
 
 
 def _add_field_flags(parser, field_list, required: bool = False):
@@ -117,8 +115,9 @@ def _build_parser() -> argparse.ArgumentParser:
     zones_sub = zones.add_subparsers(dest="zones_command", required=True)
     zc = zones_sub.add_parser("compute", help="compute the static MSD and zone layout")
     _add_field_flags(zc, fields(SafetyParams))
-    _add_field_flags(zc, _ZONE_LAYOUT_FIELDS)
-    zc.set_defaults(workspace_length=None)  # omitted: print the MSD only
+    zc.add_argument(
+        "--workspace-length", type=float, default=None, help="omitted: print the MSD only"
+    )
     zc.add_argument("--out", default=None, help="write the layout export to this file")
 
     msd = top.add_parser("msd", help="separation distance calculators")
@@ -232,13 +231,15 @@ def _cmd_sim_benchmark(args) -> int:
 
 def _cmd_zones_compute(args) -> int:
     safety = _field_values(fields(SafetyParams), args)
-    workspace = _field_values(_ZONE_LAYOUT_FIELDS, args)
+    length = args.workspace_length
+    if length is not None and not math.isfinite(length):
+        raise FlagError(f"--workspace-length must be finite, got {length}")
     msd = compute_msd_static(SafetyParams(**safety))
     _finite_results([msd], "static MSD", fields(SafetyParams))
     # Everything that can fail runs before the first print, so a failure prints nothing.
     text = None
-    if args.workspace_length is not None:
-        text = export_layout(build_zone_layout(msd, **workspace))
+    if length is not None:
+        text = export_layout(build_zone_layout(msd, length))
         if args.out:
             Path(args.out).write_text(text, encoding="utf-8")
     print(f"static_msd_m = {msd:.6f}")

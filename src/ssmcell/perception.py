@@ -144,7 +144,7 @@ class ScannerMount:
     x: float
     y: float
     heading: float
-    plane_height: float = 0.400  # m
+    plane_height: float = ZoneLayout.laser_mount_height  # m
     fov: float = 4.8  # rad
     angular_resolution: float = 0.0087  # rad, ~0.5 deg
     max_range: float = 5.5  # m
@@ -552,16 +552,8 @@ def skeleton_sample(human: HumanState, t: float) -> SkeletonFrame:
 def default_scanner_mounts(layout: ZoneLayout) -> tuple[ScannerMount, ScannerMount]:
     """Far-corner mounts looking back across the monitored area (overlapping FOV)."""
     rect = layout.normal_extent
-    mounts = []
-    for y in (rect.y_min, rect.y_max):
-        heading = math.atan2(0.0 - y, 0.0 - rect.x_max)
-        mounts.append(
-            ScannerMount(
-                x=rect.x_max,
-                y=y,
-                heading=heading,
-                plane_height=layout.laser_mount_height,
-            )
-        )
-    return tuple(mounts)
+    return tuple(
+        ScannerMount(x=rect.x_max, y=y, heading=math.atan2(0.0 - y, 0.0 - rect.x_max))
+        for y in (rect.y_min, rect.y_max)
+    )
 

@@ -11,7 +11,7 @@ from typing import Callable, ClassVar, get_type_hints
 
 import numpy as np
 
-from .control import CONTROL_PERIOD, NOMINAL_SPEED, Gains, GainsConfig
+from .control import CONTROL_PERIOD, Gains, GainsConfig
 from .kinematics import RobotModel
 from .perception import (
     DEFAULT_FOOTPRINT_RADIUS,
@@ -22,17 +22,7 @@ from .perception import (
     landmark_block,
 )
 from .separation import SeparationInputs
-from .zones import (
-    DANGER_MARGIN,
-    DEFAULT_HEIGHT_BAND,
-    DEFAULT_LASER_MOUNT_HEIGHT,
-    DEFAULT_QUADRANT_HALF_WIDTH,
-    DEFAULT_SCALE_FLOOR_DISTANCE,
-    SafetyParams,
-    ZoneLayout,
-    build_zone_layout,
-    compute_msd_static,
-)
+from .zones import SafetyParams, ZoneLayout, build_zone_layout, compute_msd_static
 
 
 # The most ticks (control periods) one run may have.  engine.run sizes its trace
@@ -291,38 +281,6 @@ class RobotTask:
 
 
 @dataclass(frozen=True)
-class LayoutConfig:
-    """The cell's workspace: the monitored area, the arm's quadrants, the scan plane."""
-
-    workspace_length: float = 1.5
-    workspace_width: float = 0.9
-    quadrant_half_width: float = DEFAULT_QUADRANT_HALF_WIDTH
-    danger_margin: float = DANGER_MARGIN
-    laser_mount_height: float = DEFAULT_LASER_MOUNT_HEIGHT
-    height_min: float = DEFAULT_HEIGHT_BAND[0]
-    height_max: float = DEFAULT_HEIGHT_BAND[1]
-    scale_floor_distance: float = DEFAULT_SCALE_FLOOR_DISTANCE
-
-    def build(self, safety: SafetyParams) -> ZoneLayout:
-        """The zone layout of this workspace around the static MSD of safety."""
-        return build_zone_layout(
-            compute_msd_static(safety),
-            self.workspace_length,
-            self.workspace_width,
-            self.quadrant_half_width,
-            danger_margin=self.danger_margin,
-            height_band=(self.height_min, self.height_max),
-            laser_mount_height=self.laser_mount_height,
-            scale_floor_distance=self.scale_floor_distance,
-        )
-
-
-# The one cell every scenario runs in; a scenario sets only the [safety] terms
-# its zone layout is sized from.
-CELL = LayoutConfig()
-
-
-@dataclass(frozen=True)
 class ScannerPose:
     x: float
     y: float
@@ -342,9 +300,8 @@ class Scenario:
     safety: SafetyParams = SafetyParams()
     separation: SeparationInputs = SeparationInputs()
     gains_config: GainsConfig = GainsConfig()
-    # Not keys of the file: every scenario runs at the controller's period and speed.
+    # Not a key of the file: every scenario runs at the controller's period.
     control_period: ClassVar[float] = CONTROL_PERIOD
-    nominal_speed: ClassVar[float] = NOMINAL_SPEED
     sequential: bool = False
     noise: float = 0.0
     parallelism: float = 1.0
@@ -352,7 +309,8 @@ class Scenario:
     stall_threshold: float = field(default=5.0, metadata={"allow_inf": True})
 
     def build_layout(self) -> ZoneLayout:
-        return CELL.build(self.safety)
+        """The cell's zone layout around the static MSD of [safety]."""
+        return build_zone_layout(compute_msd_static(self.safety))
 
     def with_mode(self, mode: SimMode) -> "Scenario":
         return replace(self, mode=mode)
@@ -663,9 +621,13 @@ def _steps(rows: list[Entry], errors: list) -> tuple[TaskStep, ...]:
 
 
 def parse_scenario(source) -> Scenario:
-    """Parse and fully validate a scenario file; raises ScenarioError with all problems,
-    in reading order: a value is checked where it is read, and values checked together
-    once they are all read."""
+    """Parse and fully validate a scenario file; raises ScenarioError with all problems.
+
+    Unknown sections come first.  Then each section's problems follow in the order the
+    parser reads it, whatever the file's order: [scenario], [robot], [safety],
+    [separation], [gains], the layout fit, [scanners], each [human] by number, [task].
+    A value is checked where it is read, and values checked together once all are read.
+    """
     sections = parse_sections(source)
     if "scenario" not in sections:
         raise ScenarioError(["missing [scenario] section"])
@@ -690,12 +652,12 @@ def parse_scenario(source) -> Scenario:
     if "safety" not in sections:
         errors.append("missing [safety] section")
     elif "safety" in values:
+        msd = compute_msd_static(values["safety"])
         try:
-            CELL.build(values["safety"])
+            build_zone_layout(msd)
         except ValueError as exc:
             lines = key_lines["safety"]
             at, where = _cite(lines, lines, sections["safety"].line)
-            msd = compute_msd_static(values["safety"])
             errors.append(f"{at}layout: {exc}, with a static MSD of {msd:.4g} m{where}")
     values["scanners"] = _scanners(read("scanners")[1], errors)
     humans = []

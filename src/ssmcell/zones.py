@@ -5,18 +5,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .kinematics import RobotModel
 
-DANGER_MARGIN = 0.100  # m, band added around the robot's working strip
 DEFAULT_QUADRANT_HALF_WIDTH = RobotModel.reach / 2  # m, half the arm's reach: 0.425
-DEFAULT_LASER_MOUNT_HEIGHT = 0.400  # m
-DEFAULT_HEIGHT_BAND = (0.0, 2.0)  # m
-# Human-to-TCP distance at which the secondary speed scaling bottoms out.
-# Matches the irreducible protective terms of the dynamic separation formula.
-DEFAULT_SCALE_FLOOR_DISTANCE = 0.300  # m
 # Relative distance from a disc's radius within which np.hypot and math.hypot
 # might round to opposite sides of it; both are within one ulp.
 _HYPOT_SLACK = 1e-12
@@ -118,17 +113,24 @@ class ZoneLayout:
     danger_extent: Rect
     warning_extent: Rect
     normal_extent: Rect
-    height_band: tuple[float, float] = DEFAULT_HEIGHT_BAND
-    quadrant_half_width: float = DEFAULT_QUADRANT_HALF_WIDTH
-    laser_mount_height: float = DEFAULT_LASER_MOUNT_HEIGHT
-    msd: float = 0.0
-    danger_margin: float = DANGER_MARGIN
-    scale_start_distance: float = 0.0
-    scale_floor_distance: float = DEFAULT_SCALE_FLOOR_DISTANCE
+    quadrant_half_width: float
+    msd: float
+    # The cell's fixed values, the same for every layout.
+    danger_margin: ClassVar[float] = 0.100  # m, band added around the robot's working strip
+    laser_mount_height: ClassVar[float] = 0.400  # m, the scan plane
+    height_band: ClassVar[tuple[float, float]] = (0.0, 2.0)  # m
+    # Human-to-TCP distance at which the secondary speed scaling bottoms out.
+    # Matches the irreducible protective terms of the dynamic separation formula.
+    scale_floor_distance: ClassVar[float] = 0.300  # m
 
     @property
     def reach(self) -> float:
         return 2.0 * self.quadrant_half_width
+
+    @property
+    def scale_start_distance(self) -> float:
+        """The secondary ramp starts at the warning boundary's distance, the static MSD."""
+        return self.msd
 
     def extent(self, zone: Zone) -> Rect:
         if zone == Zone.DANGER:
@@ -140,21 +142,17 @@ class ZoneLayout:
 
 def build_zone_layout(
     msd: float,
-    workspace_length: float,
-    workspace_width: float,
+    workspace_length: float = 1.5,
+    workspace_width: float = 0.9,
     quadrant_half_width: float = DEFAULT_QUADRANT_HALF_WIDTH,
-    *,
-    danger_margin: float = DANGER_MARGIN,
-    height_band: tuple[float, float] = DEFAULT_HEIGHT_BAND,
-    laser_mount_height: float = DEFAULT_LASER_MOUNT_HEIGHT,
-    scale_floor_distance: float = DEFAULT_SCALE_FLOOR_DISTANCE,
 ) -> ZoneLayout:
     """Construct the nested three-band layout for a given separation distance.
 
-    The monitored area spans x in [0, workspace_length] in front of the base.
+    The monitored area spans x in [0, workspace_length] in front of the base;
+    the defaults are the cell's 1.5 m x 0.9 m workspace around its one arm.
     The warning band's outer boundary sits exactly msd from the TCP of the
     fully stretched arm (x = reach); the danger band covers the robot's
-    working strip plus danger_margin.
+    working strip plus ZoneLayout.danger_margin.
     """
     if workspace_length <= 0 or workspace_width <= 0:
         raise ZoneError("workspace dimensions must be positive")
@@ -163,7 +161,7 @@ def build_zone_layout(
     if msd < 0:
         raise ZoneError("msd must be >= 0")
     reach = 2.0 * quadrant_half_width
-    danger_front = quadrant_half_width + danger_margin
+    danger_front = quadrant_half_width + ZoneLayout.danger_margin
     warning_front = reach + msd
     if msd >= workspace_length or warning_front >= workspace_length:
         raise ZoneError(
@@ -177,18 +175,7 @@ def build_zone_layout(
     normal = Rect(0.0, workspace_length, -half_w, half_w)
     warning = Rect(0.0, warning_front, -half_w, half_w)
     danger = Rect(0.0, danger_front, -danger_half_w, danger_half_w)
-    layout = ZoneLayout(
-        danger_extent=danger,
-        warning_extent=warning,
-        normal_extent=normal,
-        height_band=height_band,
-        quadrant_half_width=quadrant_half_width,
-        laser_mount_height=laser_mount_height,
-        msd=msd,
-        danger_margin=danger_margin,
-        scale_start_distance=msd,
-        scale_floor_distance=scale_floor_distance,
-    )
+    layout = ZoneLayout(danger, warning, normal, quadrant_half_width, msd)
     assert danger.strictly_inside(warning) and warning.strictly_inside(normal)
     return layout
 

@@ -1,3 +1,7 @@
+import shlex
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,7 +10,8 @@ from ssmcell.scenario import serialize_scenario
 from ssmcell.scenarios import bundled_scenario_path
 from ssmcell.trace import Trace
 from ssmcell.tracefile import read_trace, write_trace
-from helpers import tiny_scenario
+from ssmcell.zones import export_layout
+from helpers import bundled, tiny_scenario
 
 
 @pytest.fixture()
@@ -112,10 +117,9 @@ class TestZonesCompute:
         "args",
         [
             ["--stop-time=2.0", "--workspace-length=1.5"],
-            ["--workspace-length=1.7e308", "--workspace-width=1.7e308"]
-            + ["--quadrant-half-width=1e308"],
+            ["--stop-time=1e300", "--workspace-length=1.5"],
         ],
-        ids=["msd_too_long", "reach_overflows"],
+        ids=["msd_too_long", "huge_msd"],
     )
     def test_a_layout_that_fails_prints_and_writes_nothing(self, args, tmp_path, capsys):
         out_file = tmp_path / "layout.txt"
@@ -124,6 +128,48 @@ class TestZonesCompute:
         assert code == EXIT_VALIDATION
         assert out == "" and err.startswith("error: infeasible layout: "), (out, err)
         assert not out_file.exists()
+
+    @pytest.mark.parametrize("flag", ["--quadrant-half-width", "--workspace-width"])
+    def test_a_removed_workspace_flag_exits_1_naming_it(self, flag, tmp_path, capsys):
+        # The cell has one arm and one workspace, so the calculator takes neither as a flag.
+        out_file = tmp_path / "layout.txt"
+        args = ["--approach-speed", "1.6", "--stop-time", "0.25", "--intrusion", "0.04"]
+        args += ["--uncertainty", "0.01", "--workspace-length", "1.5", flag, "0.3"]
+        code = main(["zones", "compute", *args, "--out", str(out_file)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert f"unrecognized arguments: {flag} 0.3" in err
+        assert out == "" and not out_file.exists()
+
+    @pytest.mark.parametrize("name", ["approach_retreat", "sorting_benchmark"])
+    def test_prints_the_layout_the_scenario_runs_in(self, name, capsys):
+        scenario = bundled(name)
+        safety = scenario.safety
+        args = [f"--{f.name.replace('_', '-')}={getattr(safety, f.name)!r}" for f in fields(safety)]
+        code = main(["zones", "compute", *args, "--workspace-length", "1.5"])
+        layout = scenario.build_layout()
+        assert code == EXIT_OK
+        expected = f"static_msd_m = {layout.msd:.6f}\n" + export_layout(layout)
+        assert capsys.readouterr().out == expected
+
+
+def readme_commands(command: str) -> list[str]:
+    """The lines of README's "Command line" block that run `ssmcell <command>`."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith(f"ssmcell {command} ")]
+
+
+@pytest.mark.parametrize("command", ["zones compute", "msd dynamic"])
+def test_readme_calculator_examples_run(command, capsys):
+    examples = readme_commands(command)
+    assert examples
+    for line in examples:
+        code = main(shlex.split(line, comments=True)[1:])
+        out, err = capsys.readouterr()
+        assert code == EXIT_OK, (line, err)
+        assert out
 
 
 MSD_FLAGS = {
@@ -141,8 +187,6 @@ ZONE_FLAGS = (
     "--intrusion",
     "--uncertainty",
     "--workspace-length",
-    "--workspace-width",
-    "--quadrant-half-width",
 )
 
 
@@ -189,11 +233,10 @@ class TestNonFiniteFlags:
         assert out == ""
 
     def test_huge_lengths_print_in_a_few_digits(self, capsys):
-        args = ["--workspace-length=1.7e308", "--workspace-width=1.7e308"]
-        code = main(["zones", "compute", *args, "--quadrant-half-width=1e308"])
+        code = main(["zones", "compute", "--stop-time=1e300", "--workspace-length=1.5"])
         err = capsys.readouterr().err
         assert code == EXIT_VALIDATION
-        assert "does not fit inside the 1.7e+308 m workspace" in err and len(err) < 200, err
+        assert "warning boundary 1.6e+300 m does not fit" in err and len(err) < 200, err
 
 
 @pytest.mark.parametrize(

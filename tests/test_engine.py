@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ssmcell import perception
-from ssmcell.control import Controller, ModeKind
+from ssmcell.control import NOMINAL_SPEED, Controller, ModeKind
 from ssmcell.engine import (
     Event,
     EventKind,
@@ -190,7 +190,7 @@ class TestTaskModel:
         expected = 0.0
         for step in scenario.task.steps:
             target = np.asarray(step.target)
-            expected += math.dist(pos, target) / scenario.nominal_speed + step.dwell
+            expected += math.dist(pos, target) / NOMINAL_SPEED + step.dwell
             pos = target
         assert nominal == pytest.approx(expected, abs=1e-12)
         assert nominal > 2.0 + 6.5  # dwells alone are a strict lower bound

@@ -538,6 +538,19 @@ def test_problems_of_two_sections_are_all_reported_in_reading_order():
     ]
 
 
+def test_problems_follow_the_parsers_section_order_after_unknown_sections():
+    # [robot] is written after [gains] but read before it; [extra] is last in the file.
+    text = BUNDLED_TEXTS[0].replace("kd = 2.0", "kd = -1.0")
+    text = text.replace("q0 = -0.708626272", "q0 = 9.0")
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(text + "\n[extra]\n")
+    assert exc.value.errors == [
+        "line 65: unknown section [extra]",
+        "line 36: robot: q0: joint 0 value 9.000000 outside [-6.283185, 6.283185]",
+        "line 28: gains: kd diagonal must be positive",
+    ]
+
+
 # A 1 s scenario: the bundled 34 s and 68 s runs are too slow to run per example.
 TINY_TEXT = serialize_scenario(tiny_scenario(duration=1.0))
 
