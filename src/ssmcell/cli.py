@@ -115,9 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
     zones_sub = zones.add_subparsers(dest="zones_command", required=True)
     zc = zones_sub.add_parser("compute", help="compute the static MSD and zone layout")
     _add_field_flags(zc, fields(SafetyParams))
-    zc.add_argument(
-        "--workspace-length", type=float, default=None, help="omitted: print the MSD only"
-    )
     zc.add_argument("--out", default=None, help="write the layout export to this file")
 
     msd = top.add_parser("msd", help="separation distance calculators")
@@ -231,21 +228,16 @@ def _cmd_sim_benchmark(args) -> int:
 
 def _cmd_zones_compute(args) -> int:
     safety = _field_values(fields(SafetyParams), args)
-    length = args.workspace_length
-    if length is not None and not math.isfinite(length):
-        raise FlagError(f"--workspace-length must be finite, got {length}")
     msd = compute_msd_static(SafetyParams(**safety))
     _finite_results([msd], "static MSD", fields(SafetyParams))
     # Everything that can fail runs before the first print, so a failure prints nothing.
-    text = None
-    if length is not None:
-        text = export_layout(build_zone_layout(msd, length))
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
+    text = export_layout(build_zone_layout(msd))
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     print(f"static_msd_m = {msd:.6f}")
-    if text is not None and args.out:
+    if args.out:
         print(f"layout written to {args.out}")
-    elif text is not None:
+    else:
         print(text, end="")
     return EXIT_OK
 

@@ -39,7 +39,6 @@ class ModeKind(enum.Enum):
     COLLABORATIVE = "collaborative"
     REDUCED = "reduced"
     STANDSTILL = "standstill"
-    ESTOP = "estop"
 
 
 class CommandSource(enum.Enum):
@@ -60,7 +59,6 @@ class SpeedMode:
             ModeKind.FULL: FULL_FRACTION,
             ModeKind.COLLABORATIVE: COLLABORATIVE_FRACTION,
             ModeKind.STANDSTILL: 0.0,
-            ModeKind.ESTOP: 0.0,
         }
         if self.kind in expected and self.fraction != expected[self.kind]:
             raise ControlError(f"{self.kind} must carry fraction {expected[self.kind]}")
@@ -69,7 +67,6 @@ class SpeedMode:
 MODE_FULL = SpeedMode(ModeKind.FULL, FULL_FRACTION)
 MODE_COLLABORATIVE = SpeedMode(ModeKind.COLLABORATIVE, COLLABORATIVE_FRACTION)
 MODE_STANDSTILL = SpeedMode(ModeKind.STANDSTILL, 0.0)
-MODE_ESTOP = SpeedMode(ModeKind.ESTOP, 0.0)
 
 
 @dataclass(frozen=True)
@@ -188,7 +185,7 @@ def secondary_scale(
     """Apply the skeleton scaling to the primary mode; can only reduce speed."""
     if d_i < 0:
         raise ControlError("d_i must be >= 0")
-    if mode_in.kind in (ModeKind.STANDSTILL, ModeKind.ESTOP):
+    if mode_in.kind == ModeKind.STANDSTILL:
         return mode_in
     if d_i > layout.scale_start_distance:
         return mode_in
@@ -204,10 +201,9 @@ class Controller:
     Sensor messages may arrive at different rates (zero-order hold between
     arrivals) or out of order within a period (latest timestamp wins).  A
     sensor silent for longer than STALE_PERIODS of its own period forces a
-    fail-safe standstill.  An explicit e-stop latches until reset.  Each tick
-    lasts CONTROL_PERIOD; a fraction of 1 commands NOMINAL_SPEED.  With
-    sequential, both loops are gated to the skeleton rate (the slow-loop
-    emulation baseline).
+    fail-safe standstill.  Each tick lasts CONTROL_PERIOD; a fraction of 1
+    commands NOMINAL_SPEED.  With sequential, both loops are gated to the
+    skeleton rate (the slow-loop emulation baseline).
     """
 
     def __init__(
@@ -231,7 +227,6 @@ class Controller:
         self._human_speed = 0.0
         self._skel_t = -math.inf
         self._gate = ViolationGate()
-        self._estop_latched = False
         self._held: tuple[SpeedMode, CommandSource] | None = None
         self._held_skel_t = -math.inf
         # The key of the last full step, its command and the gate state it left.
@@ -257,12 +252,6 @@ class Controller:
             self._d_i = d_i
             self._human_speed = human_speed
             self._skel_t = t
-
-    def engage_estop(self):
-        self._estop_latched = True
-
-    def reset_estop(self):
-        self._estop_latched = False
 
     def seed_fraction(self, t: float, robot_quadrant: Quadrant):
         """Start at rest at the fraction the held messages arbitrate to at t, so
@@ -331,20 +320,19 @@ class Controller:
         The tick is keyed on everything the full evaluation reads: the
         contents of the held sensor messages (both quadrant zones, d_i and the
         human speed, and in sequential mode the time of the last skeleton
-        frame, because each frame re-arbitrates), the e-stop latch, the
-        watchdog verdict, the robot quadrant, the gate state, the exact bits
-        of tcp_speed and of the fraction before the slew, and the bytes of the
-        task direction, joint reference and q.  A tick whose key equals that
-        of the last fully evaluated tick gets that tick's command with the
-        new t; this is the controller's only memo.  J, when given, must be
-        ``jacobian(model, q)``: the key holds q, which fixes J.
+        frame, because each frame re-arbitrates), the watchdog verdict, the
+        robot quadrant, the gate state, the exact bits of tcp_speed and of the
+        fraction before the slew, and the bytes of the task direction, joint
+        reference and q.  A tick whose key equals that of the last fully
+        evaluated tick gets that tick's command with the new t; this is the
+        controller's only memo.  J, when given, must be ``jacobian(model, q)``:
+        the key holds q, which fixes J.
         """
         stale = self._stale(t)
         key = (
             self._occ.get(Quadrant.LEFT, Zone.NORMAL),
             self._occ.get(Quadrant.RIGHT, Zone.NORMAL),
             self._skel_t if self.sequential else None,
-            self._estop_latched,
             stale,
             robot_quadrant,
             self._gate.tripped,
@@ -369,13 +357,8 @@ class Controller:
     def _evaluate(
         self, t, robot_quadrant, task_direction, joint_reference, q, tcp_speed, J, stale
     ) -> SpeedCommand:
-        estop_now = False
-        if self._estop_latched:
-            mode, source = MODE_ESTOP, CommandSource.ESTOP
-            estop_now = True
-        elif stale:
+        if stale:
             mode, source = MODE_STANDSTILL, CommandSource.ESTOP
-            estop_now = True
         elif self.sequential:
             # Both loops polled together at skeleton arrivals only.
             if self._held is None or self._skel_t > self._held_skel_t:
@@ -385,8 +368,8 @@ class Controller:
         else:
             mode, source = self._arbitrate(t, robot_quadrant, tcp_speed)
 
-        if estop_now:
-            self.fraction = 0.0  # e-stop engagement is exempt from the slew bound
+        if stale:
+            self.fraction = 0.0  # the watchdog's standstill is exempt from the slew bound
         else:
             step_max = self.gains.accel_limit * CONTROL_PERIOD
             delta = mode.fraction - self.fraction

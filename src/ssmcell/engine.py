@@ -549,7 +549,7 @@ def detect_deadlock(trace: Trace, events: list[Event], stall_threshold: float = 
         return []
     times = trace.values("t")
     dt = times[1] - times[0] if len(times) > 1 else 0.0
-    stalled = trace.mask("pending", True) & trace.mask("mode", ModeKind.STANDSTILL, ModeKind.ESTOP)
+    stalled = trace.mask("pending", True) & trace.mask("mode", ModeKind.STANDSTILL)
     # A stall starts at a stalled row and ends at the next row that is not, or
     # one tick after the last row.
     edges = np.flatnonzero(np.diff(stalled, prepend=False, append=False)).tolist()

@@ -8,13 +8,12 @@ quality with quality fixed at 1.0 in simulation.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .control import COLLABORATIVE_FRACTION, ModeKind
+from .control import COLLABORATIVE_FRACTION
 from .engine import Event, EventKind, SimResult, detect_deadlock, ideal_cycle_time
 from .trace import Trace
 
@@ -97,9 +96,9 @@ def flexibility_rate(trace: Trace) -> float:
 def oee(trace: Trace, events: list[Event], ideal_cycle: float) -> float:
     """Availability x performance x quality (quality = 1.0 in simulation).
 
-    Availability counts e-stop rows and detected deadlock windows as downtime
-    against the task-pending (planned) time; performance is the ideal over the
-    actual mean cycle time, capped at 1.
+    Availability counts detected deadlock windows as downtime against the
+    task-pending (planned) time; performance is the ideal over the actual mean
+    cycle time, capped at 1.
     """
     if ideal_cycle is None or not math.isfinite(ideal_cycle) or ideal_cycle <= 0:
         raise KpiError("ideal_cycle_time must be a positive finite value")
@@ -115,9 +114,6 @@ def oee(trace: Trace, events: list[Event], ideal_cycle: float) -> float:
         for e in events
         if e.kind == EventKind.DEADLOCK
     )
-    # dt added once per pending e-stop row, in row order, as a per-row sum would
-    estop_rows = int(np.count_nonzero(pending & trace.mask("mode", ModeKind.ESTOP)))
-    downtime += sum(itertools.repeat(dt, estop_rows))
     availability = max(0.0, min(1.0, (planned - downtime) / planned)) if planned > 0 else 0.0
     performance = min(1.0, ideal_cycle / actual)
     quality = 1.0

@@ -105,6 +105,3 @@ class ViolationGate:
             if actual_distance < msd:
                 self.tripped = True
         return self.tripped
-
-    def reset(self):
-        self.tripped = False

@@ -43,10 +43,6 @@ class StabilityReport:
     def all_converged(self) -> bool:
         return all(s.converged for s in self.segments)
 
-    @property
-    def invariant_set_detected(self) -> bool:
-        return any(s.invariant_set_detected for s in self.segments)
-
 
 def lyapunov_value(e, edot, gains: Gains) -> float:
     """Quadratic energy candidate 0.5 e'Kp e + 0.5 de'Kd de."""

@@ -155,13 +155,6 @@ class Trace:
         """Room for ``rows`` ticks, to be filled with ``record``."""
         return cls(np.empty((rows, N_FLOATS)), np.empty((rows, N_CODES), dtype=np.int8))
 
-    @classmethod
-    def from_rows(cls, rows) -> Trace:
-        trace = cls.empty(len(rows))
-        for i, row in enumerate(rows):
-            trace.record(i, **row._asdict())
-        return trace
-
     def record(self, i: int, **values):
         """Write row i; every schema field must be given."""
         floats = []
@@ -193,9 +186,6 @@ class Trace:
         for a in range(0, len(self), ITER_ROWS):
             yield from _rows(self.floats[a : a + ITER_ROWS], self.codes[a : a + ITER_ROWS])
 
-    def __repr__(self) -> str:
-        return f"Trace({len(self)} rows)"
-
     def column(self, name: str) -> np.ndarray:
         """A field's column (a view): floats, (rows, width) floats for a vector
         field, or int8 codes for a coded field."""
@@ -210,7 +200,6 @@ class Trace:
             return self.column(name).tolist()
         return list(map(slot.field.codes.values.__getitem__, self.column(name).tolist()))
 
-    def mask(self, name: str, *values) -> np.ndarray:
-        """Rows whose coded field holds any of ``values``."""
-        code_of = SLOTS[name].code_of
-        return np.isin(self.column(name), [code_of[v] for v in values])
+    def mask(self, name: str, value) -> np.ndarray:
+        """Rows whose coded field holds ``value``."""
+        return self.column(name) == SLOTS[name].code_of[value]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ssmcell.perception import Posture
 from ssmcell.scenario import HumanScript, HumanWaypoint, RobotTask, TaskStep, parse_scenario
 from ssmcell.scenarios import bundled_scenario_path
+from ssmcell.trace import Trace
 from ssmcell.zones import Zone
 
 DT = 0.002  # s, the control period of the bundled and tiny scenarios
@@ -90,16 +91,24 @@ def tiny_scenario(**overrides):
     return dataclasses.replace(base, **fields)
 
 
+def trace_from_rows(rows):
+    """A Trace holding the given TraceRows, in order."""
+    trace = Trace.empty(len(rows))
+    for i, row in enumerate(rows):
+        trace.record(i, **row._asdict())
+    return trace
+
+
 def oracle_deadlocks(rows, stall_threshold):
-    """Row-by-row deadlock windows: (start, end) of every pending standstill or
-    e-stop stretch longer than the threshold."""
+    """Row-by-row deadlock windows: (start, end) of every pending standstill
+    stretch longer than the threshold."""
     from ssmcell.control import ModeKind
 
     rows = list(rows)
     dt = rows[1].t - rows[0].t if len(rows) > 1 else 0.0
     out, start = [], None
     for row in rows + [None]:
-        if row is not None and row.pending and row.mode in (ModeKind.STANDSTILL, ModeKind.ESTOP):
+        if row is not None and row.pending and row.mode == ModeKind.STANDSTILL:
             start = row.t if start is None else start
             continue
         end = row.t if row is not None else rows[-1].t + dt

@@ -8,10 +8,9 @@ import pytest
 from ssmcell.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_VALIDATION, main
 from ssmcell.scenario import serialize_scenario
 from ssmcell.scenarios import bundled_scenario_path
-from ssmcell.trace import Trace
 from ssmcell.tracefile import read_trace, write_trace
-from ssmcell.zones import export_layout
-from helpers import bundled, tiny_scenario
+from ssmcell.zones import build_zone_layout, export_layout
+from helpers import bundled, tiny_scenario, trace_from_rows
 
 
 @pytest.fixture()
@@ -52,24 +51,6 @@ class TestMsdDynamic:
 
 
 class TestZonesCompute:
-    def test_msd_only(self, capsys):
-        code = main(
-            [
-                "zones",
-                "compute",
-                "--approach-speed",
-                "1.6",
-                "--stop-time",
-                "0.5",
-                "--intrusion",
-                "0.85",
-                "--uncertainty",
-                "0.1",
-            ]
-        )
-        assert code == EXIT_OK
-        assert "static_msd_m = 1.750000" in capsys.readouterr().out
-
     def test_layout_export_to_file(self, tmp_path, capsys):
         out_file = tmp_path / "layout.txt"
         code = main(
@@ -84,8 +65,6 @@ class TestZonesCompute:
                 "0.04",
                 "--uncertainty",
                 "0.01",
-                "--workspace-length",
-                "1.5",
                 "--out",
                 str(out_file),
             ]
@@ -93,6 +72,14 @@ class TestZonesCompute:
         assert code == EXIT_OK
         text = out_file.read_text()
         assert "[danger]" in text and "[warning]" in text and "[normal]" in text
+
+    def test_prints_the_msd_and_the_cells_layout(self, capsys):
+        # 1.6 m/s x 0.25 s + 0.04 m + 0.01 m, in the cell's fixed workspace
+        args = ["--approach-speed=1.6", "--stop-time=0.25", "--intrusion=0.04", "--uncertainty=0.01"]
+        code = main(["zones", "compute", *args])
+        assert code == EXIT_OK
+        expected = "static_msd_m = 0.450000\n" + export_layout(build_zone_layout(0.45))
+        assert capsys.readouterr().out == expected
 
     def test_infeasible_layout_exit_code(self, capsys):
         code = main(
@@ -107,8 +94,6 @@ class TestZonesCompute:
                 "0.85",
                 "--uncertainty",
                 "0.1",
-                "--workspace-length",
-                "1.5",
             ]
         )
         assert code == EXIT_VALIDATION
@@ -116,10 +101,11 @@ class TestZonesCompute:
     @pytest.mark.parametrize(
         "args",
         [
-            ["--stop-time=2.0", "--workspace-length=1.5"],
-            ["--stop-time=1e300", "--workspace-length=1.5"],
+            ["--approach-speed=1.6", "--stop-time=0.5", "--intrusion=0.85", "--uncertainty=0.1"],
+            ["--stop-time=2.0"],
+            ["--stop-time=1e300"],
         ],
-        ids=["msd_too_long", "huge_msd"],
+        ids=["msd_1_75", "msd_too_long", "huge_msd"],
     )
     def test_a_layout_that_fails_prints_and_writes_nothing(self, args, tmp_path, capsys):
         out_file = tmp_path / "layout.txt"
@@ -129,16 +115,17 @@ class TestZonesCompute:
         assert out == "" and err.startswith("error: infeasible layout: "), (out, err)
         assert not out_file.exists()
 
-    @pytest.mark.parametrize("flag", ["--quadrant-half-width", "--workspace-width"])
+    @pytest.mark.parametrize("flag", ["--quadrant-half-width", "--workspace-width", "--workspace-length"])
     def test_a_removed_workspace_flag_exits_1_naming_it(self, flag, tmp_path, capsys):
-        # The cell has one arm and one workspace, so the calculator takes neither as a flag.
+        # The cell has one arm and one workspace, so the calculator takes no flag for their sizes.
+        value = "3.0" if flag == "--workspace-length" else "0.3"
         out_file = tmp_path / "layout.txt"
         args = ["--approach-speed", "1.6", "--stop-time", "0.25", "--intrusion", "0.04"]
-        args += ["--uncertainty", "0.01", "--workspace-length", "1.5", flag, "0.3"]
+        args += ["--uncertainty", "0.01", flag, value]
         code = main(["zones", "compute", *args, "--out", str(out_file)])
         out, err = capsys.readouterr()
         assert code == EXIT_VALIDATION
-        assert f"unrecognized arguments: {flag} 0.3" in err
+        assert f"unrecognized arguments: {flag} {value}" in err
         assert out == "" and not out_file.exists()
 
     @pytest.mark.parametrize("name", ["approach_retreat", "sorting_benchmark"])
@@ -146,7 +133,7 @@ class TestZonesCompute:
         scenario = bundled(name)
         safety = scenario.safety
         args = [f"--{f.name.replace('_', '-')}={getattr(safety, f.name)!r}" for f in fields(safety)]
-        code = main(["zones", "compute", *args, "--workspace-length", "1.5"])
+        code = main(["zones", "compute", *args])
         layout = scenario.build_layout()
         assert code == EXIT_OK
         expected = f"static_msd_m = {layout.msd:.6f}\n" + export_layout(layout)
@@ -186,7 +173,6 @@ ZONE_FLAGS = (
     "--stop-time",
     "--intrusion",
     "--uncertainty",
-    "--workspace-length",
 )
 
 
@@ -194,7 +180,7 @@ class TestNonFiniteFlags:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("flag", ZONE_FLAGS)
     def test_zones_compute(self, flag, value, capsys):
-        code = main(["zones", "compute", "--workspace-length", "1.5", f"{flag}={value}"])
+        code = main(["zones", "compute", f"{flag}={value}"])
         out, err = capsys.readouterr()
         assert code == EXIT_VALIDATION
         assert f"{flag} must be finite, got {value}" in err
@@ -233,7 +219,7 @@ class TestNonFiniteFlags:
         assert out == ""
 
     def test_huge_lengths_print_in_a_few_digits(self, capsys):
-        code = main(["zones", "compute", "--stop-time=1e300", "--workspace-length=1.5"])
+        code = main(["zones", "compute", "--stop-time=1e300"])
         err = capsys.readouterr().err
         assert code == EXIT_VALIDATION
         assert "warning boundary 1.6e+300 m does not fit" in err and len(err) < 200, err
@@ -462,7 +448,7 @@ class TestCheckStability:
             v = 1.0 + 0.5 * np.sin(i / 5.0)  # injected oscillating energy
             doctored.append(r._replace(lyap=v))
         bad = tmp_path / "bad_trace.csv"
-        write_trace(Trace.from_rows(doctored), bad)
+        write_trace(trace_from_rows(doctored), bad)
         code = main(["check", "stability", str(bad)])
         out = capsys.readouterr().out
         assert code == EXIT_CHECK_FAILED

@@ -268,25 +268,6 @@ class TestControllerStep:
             prev = cmd.fraction
         assert prev == 0.0
 
-    def test_estop_latches_until_reset(self):
-        ctrl = make_controller()
-        ctrl.fraction = 1.0
-        dt = CONTROL_PERIOD
-        ctrl.offer_scan(0.0, occ())
-        ctrl.offer_skeleton(0.0, math.inf)
-        step_simple(ctrl, 0.0)
-        ctrl.engage_estop()
-        cmd = step_simple(ctrl, dt)
-        assert cmd.mode.kind == ModeKind.ESTOP
-        assert cmd.fraction == 0.0  # instant drop, slew exempt
-        ctrl.offer_scan(2 * dt, occ())
-        ctrl.offer_skeleton(2 * dt, math.inf)
-        assert step_simple(ctrl, 2 * dt).mode.kind == ModeKind.ESTOP
-        ctrl.reset_estop()
-        ctrl.offer_scan(3 * dt, occ())
-        ctrl.offer_skeleton(3 * dt, math.inf)
-        assert step_simple(ctrl, 3 * dt).mode.kind != ModeKind.ESTOP
-
     def test_stale_sensors_force_standstill(self):
         ctrl = make_controller()
         ctrl.fraction = 1.0
@@ -297,6 +278,23 @@ class TestControllerStep:
         # freeze the streams for more than three sensor periods
         t_stale = 3 * (1.0 / SKELETON_RATE) + 0.01
         cmd = step_simple(ctrl, t_stale)
+        assert cmd.mode.kind == ModeKind.STANDSTILL
+        assert cmd.source == CommandSource.ESTOP
+        assert cmd.fraction == 0.0
+
+    @pytest.mark.parametrize("silent", ["scan", "skeleton"])
+    def test_one_silent_stream_alone_forces_standstill(self, silent):
+        ctrl = make_controller()
+        ctrl.fraction = 1.0
+        ctrl.offer_scan(0.0, occ())
+        ctrl.offer_skeleton(0.0, math.inf)
+        step_simple(ctrl, 0.0)
+        t = 0.5  # past three periods of either sensor
+        if silent != "scan":
+            ctrl.offer_scan(t, occ())
+        if silent != "skeleton":
+            ctrl.offer_skeleton(t, math.inf)
+        cmd = step_simple(ctrl, t)
         assert cmd.mode.kind == ModeKind.STANDSTILL
         assert cmd.source == CommandSource.ESTOP
         assert cmd.fraction == 0.0

@@ -276,18 +276,6 @@ class TestControllerCache:
         ctrl.offer_skeleton(0.0, 0.4)
         assert_same_next(ctrl, fresh(ctrl.fraction, d_i=0.4), i + 1, before)
 
-    def test_estop_engage_and_reset(self):
-        ctrl, i = primed()
-        before = tick(ctrl, i)
-        ctrl.engage_estop()
-        twin = fresh(ctrl.fraction)
-        twin.engage_estop()
-        stopped = assert_same_next(ctrl, twin, i + 1, before)
-        assert stopped.mode.kind == ModeKind.ESTOP
-        i = settle(ctrl, i + 2)
-        ctrl.reset_estop()
-        assert_same_next(ctrl, fresh(ctrl.fraction), i, stopped)
-
     def test_gate_trip(self):
         # Inside the hysteresis band above the dynamic minimum at rest; a fast
         # TCP raises the minimum past the distance, and the gate then holds

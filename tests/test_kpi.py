@@ -13,7 +13,8 @@ from ssmcell.kpi import (
     oee,
     reaction_time,
 )
-from ssmcell.trace import Trace, TraceRow
+from ssmcell.trace import TraceRow
+from helpers import trace_from_rows
 
 
 def row(t, fraction=1.0, mode=ModeKind.FULL, pending=True):
@@ -34,10 +35,10 @@ def rows(n, dt=0.1, **kwargs):
 
 
 def make_trace(n, dt=0.1, **kwargs):
-    return Trace.from_rows(rows(n, dt, **kwargs))
+    return trace_from_rows(rows(n, dt, **kwargs))
 
 
-NO_ROWS = Trace.from_rows([])
+NO_ROWS = trace_from_rows([])
 
 
 class TestCycleTime:
@@ -91,14 +92,14 @@ class TestFlexibilityRate:
         assert flexibility_rate(make_trace(100, fraction=1.0)) == 1.0
 
     def test_half_time_standstill(self):
-        trace = Trace.from_rows(
+        trace = trace_from_rows(
             rows(50, fraction=1.0)
             + [row(5.0 + i * 0.1, fraction=0.0, mode=ModeKind.STANDSTILL) for i in range(50)]
         )
         assert flexibility_rate(trace) == 0.5
 
     def test_only_pending_rows_count(self):
-        trace = Trace.from_rows(rows(10, fraction=0.0, pending=False) + rows(10, fraction=1.0))
+        trace = trace_from_rows(rows(10, fraction=0.0, pending=False) + rows(10, fraction=1.0))
         assert flexibility_rate(trace) == 1.0
 
     def test_collaborative_counts_as_productive(self):
@@ -123,6 +124,15 @@ class TestOee:
         # availability 0.9, performance 0.8 -> 0.72
         assert oee(trace, events, ideal_cycle=80.0) == pytest.approx(0.72)
 
+    def test_standstill_rows_are_not_downtime(self):
+        # Only detected deadlock windows count against availability.
+        trace = trace_from_rows(
+            rows(50, dt=1.0)
+            + [row(50.0 + i, fraction=0.0, mode=ModeKind.STANDSTILL) for i in range(50)]
+        )
+        events = [Event(100.0, EventKind.CYCLE_DONE, "cycle=0")]
+        assert oee(trace, events, ideal_cycle=100.0) == pytest.approx(1.0)
+
     def test_missing_ideal_rejected(self):
         with pytest.raises(KpiError):
             oee(make_trace(10), [Event(1.0, EventKind.CYCLE_DONE, "cycle=0")], None)
@@ -138,7 +148,7 @@ class TestOrderCanonical:
         in_order = rows(40, fraction=1.0) + [
             row(4.0 + i * 0.1, fraction=0.0, mode=ModeKind.STANDSTILL) for i in range(20)
         ]
-        trace, shuffled = Trace.from_rows(in_order), Trace.from_rows(in_order[::-1])
+        trace, shuffled = trace_from_rows(in_order), trace_from_rows(in_order[::-1])
         assert flexibility_rate(shuffled) == flexibility_rate(trace)
         events = [
             Event(3.0, EventKind.CYCLE_DONE, "cycle=0"),

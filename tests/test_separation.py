@@ -135,11 +135,3 @@ class TestViolationGate:
         # back above msd but inside the hysteresis band: still tripped
         assert gate.update(msd + 0.01, inputs) is True
         assert gate.update(msd + 0.03, inputs) is False
-
-    def test_reset(self):
-        inputs = make_inputs(v_h=0.0, v_r=0.0)
-        gate = ViolationGate()
-        gate.update(0.0, inputs)
-        assert gate.tripped
-        gate.reset()
-        assert not gate.tripped

@@ -12,7 +12,13 @@ from ssmcell.scenario import SimMode
 from ssmcell.trace import SCHEMA, Trace, TraceRow
 from ssmcell.tracefile import TRACE_COLUMNS, emit_profile_data
 from ssmcell.zones import Zone
-from helpers import bundled, oracle_deadlocks, oracle_profile_intervals, tiny_scenario
+from helpers import (
+    bundled,
+    oracle_deadlocks,
+    oracle_profile_intervals,
+    tiny_scenario,
+    trace_from_rows,
+)
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +74,7 @@ class TestRowAccess:
 
     def test_from_rows_rebuilds_the_columns(self, stalled_result):
         trace = stalled_result.trace
-        back = Trace.from_rows([r._replace() for r in trace])
+        back = trace_from_rows([r._replace() for r in trace])
         assert np.array_equal(back.floats.view(np.int64), trace.floats.view(np.int64))
         assert np.array_equal(back.codes, trace.codes)
 
@@ -80,9 +86,9 @@ class TestRowAccess:
         assert np.array_equal(trace.column("q"), np.array([r.q for r in rows]))
         pending = trace.mask("pending", True)
         assert pending.tolist() == [r.pending for r in rows]
-        stalled = trace.mask("mode", ModeKind.STANDSTILL, ModeKind.ESTOP)
+        stalled = trace.mask("mode", ModeKind.STANDSTILL)
         assert stalled.any()
-        assert stalled.tolist() == [r.mode in (ModeKind.STANDSTILL, ModeKind.ESTOP) for r in rows]
+        assert stalled.tolist() == [r.mode == ModeKind.STANDSTILL for r in rows]
 
 
 class TestColumnarConsumersMatchRowLoops:
@@ -98,9 +104,9 @@ class TestColumnarConsumersMatchRowLoops:
 
     def test_deadlock_running_to_the_end(self, stalled_result):
         rows = list(stalled_result.trace)
-        tail = [r._replace(mode=ModeKind.ESTOP) for r in rows[-3000:]]
+        tail = [r._replace(mode=ModeKind.STANDSTILL) for r in rows[-3000:]]
         stalled = rows[:-3000] + tail
-        found = detect_deadlock(Trace.from_rows(stalled), [], 1.0)
+        found = detect_deadlock(trace_from_rows(stalled), [], 1.0)
         expected = oracle_deadlocks(stalled, 1.0)
         assert expected[-1][1] == rows[-1].t + (rows[1].t - rows[0].t)
         assert [(e.t, e.payload) for e in found] == [
@@ -109,20 +115,22 @@ class TestColumnarConsumersMatchRowLoops:
 
     def test_kpis_on_rows_and_columns_agree(self, stalled_result):
         rows = list(stalled_result.trace)
-        # some pending e-stop rows, so availability loses e-stop time too
+        dt = rows[1].t - rows[0].t
+        # a pending standstill that a deadlock event reports, so availability loses its time
         rows = [
-            r._replace(mode=ModeKind.ESTOP) if 100 <= i < 137 else r
+            r._replace(mode=ModeKind.STANDSTILL) if 100 <= i < 137 else r
             for i, r in enumerate(rows)
         ]
-        trace = Trace.from_rows(rows)
+        downtime = 37 * dt
+        trace = trace_from_rows(rows)
         events = [dataclasses.replace(e) for e in stalled_result.events]
         events.append(type(events[0])(11.0, EventKind.CYCLE_DONE, "cycle=0"))
+        events.append(type(events[0])(rows[100].t, EventKind.DEADLOCK, f"duration={downtime!r}"))
         pending = [r for r in rows if r.pending]
         productive = sum(r.fraction >= COLLABORATIVE_FRACTION - 1e-12 for r in pending)
         assert flexibility_rate(trace) == productive / len(pending)
-        dt = rows[1].t - rows[0].t
         planned = len(pending) * dt
-        downtime = sum(dt for r in pending if r.mode == ModeKind.ESTOP)
+        assert downtime > 0
         expected = max(0.0, min(1.0, (planned - downtime) / planned)) * min(1.0, 5.0 / 11.0)
         assert oee(trace, events, 5.0) == expected
 

@@ -8,7 +8,7 @@ import pytest
 from ssmcell import tracefile
 from ssmcell.engine import Event, EventKind, run
 from ssmcell.scenario import SimMode
-from ssmcell.trace import Trace, TraceRow
+from ssmcell.trace import TraceRow
 from ssmcell.tracefile import (
     TRACE_COLUMNS,
     TraceFileError,
@@ -19,7 +19,7 @@ from ssmcell.tracefile import (
     write_events,
     write_trace,
 )
-from helpers import bundled, tiny_scenario
+from helpers import bundled, tiny_scenario, trace_from_rows
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +121,7 @@ class TestProfileData:
 
     def test_empty_trace_header_only(self, tmp_path):
         path = tmp_path / "profile.csv"
-        emit_profile_data(Trace.from_rows([]), path)
+        emit_profile_data(trace_from_rows([]), path)
         assert path.read_text() == "t_s,commanded_speed_m_s\n"
 
 
@@ -189,13 +189,13 @@ class TestGoldenBytes:
 
     def test_row_list_and_columns_write_the_same_bytes(self, golden_run):
         _, result = golden_run
-        rebuilt = Trace.from_rows(list(result.trace))
+        rebuilt = trace_from_rows(list(result.trace))
         assert list(trace_lines(rebuilt)) == list(trace_lines(result.trace))
 
     def test_edge_values_round_trip(self, tmp_path):
         rows = edge_rows()
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_trace(Trace.from_rows(rows), first)
+        write_trace(trace_from_rows(rows), first)
         lines = first.read_text(encoding="utf-8").splitlines()
         # one repr per value, so signed zeros stay apart inside a run
         expected = [",".join(repr(float(x)) for x in r.q) for r in rows]
@@ -226,6 +226,7 @@ PROBES = {
     "zone_case": ("occ_left", "Warning"),
     "t_nan": ("t", "nan"),
     "t_underscore": ("t", "1_0"),
+    "mode_estop": ("mode", "estop"),
 }
 
 
