@@ -15,7 +15,7 @@ from pathlib import Path
 from . import bridge as bridge_mod
 from . import kpi as kpi_mod
 from .engine import detect_deadlock, ideal_cycle_time, lyapunov_samples, run, run_benchmark
-from .scenario import ScenarioError, SimMode, parse_scenario
+from .scenario import ScenarioError, parse_scenario
 from .scenarios import bundled_scenario_path
 from .separation import SeparationError, SeparationInputs, compute_msd_dynamic, separation_terms
 from .stability import StabilityError, evaluate_trace

@@ -15,7 +15,6 @@ from .kinematics import (
     RANK_TOL,
     RobotModel,
     SINGULARITY_THRESHOLD,
-    jacobian,
 )
 from .perception import SCAN_PERIOD, SKELETON_RATE
 from .separation import SeparationInputs, ViolationGate
@@ -313,7 +312,7 @@ class Controller:
         joint_reference,
         q: np.ndarray,
         tcp_speed: float = 0.0,
-        J: Jacobian | None = None,
+        J: Jacobian,
     ) -> SpeedCommand:
         """One control tick of one control period.
 
@@ -325,8 +324,8 @@ class Controller:
         fraction before the slew, and the bytes of the task direction, joint
         reference and q.  A tick whose key equals that of the last fully
         evaluated tick gets that tick's command with the new t; this is the
-        controller's only memo.  J, when given, must be ``jacobian(model, q)``:
-        the key holds q, which fixes J.
+        controller's only memo.  J must be ``jacobian(model, q)``: the key holds
+        q, which fixes J.
         """
         stale = self._stale(t)
         key = (
@@ -375,8 +374,6 @@ class Controller:
             delta = mode.fraction - self.fraction
             self.fraction += math.copysign(min(abs(delta), step_max), delta) if delta else 0.0
 
-        if J is None:
-            J = jacobian(self.model, q)
         v6 = np.zeros(6)
         v6[:3] = np.asarray(task_direction, dtype=float) * (self.fraction * NOMINAL_SPEED)
         qdot_raw, damped = self._resolve_rates(q, v6, J)

@@ -67,9 +67,7 @@ def lyapunov_samples(trace: Trace) -> list[LyapunovSample]:
 
 
 def build_scanner_mounts(scenario: Scenario, layout: ZoneLayout) -> tuple[ScannerMount, ...]:
-    if not scenario.scanners:
-        return perception.default_scanner_mounts(layout)
-    return tuple(ScannerMount(x=p.x, y=p.y, heading=p.heading) for p in scenario.scanners)
+    return scenario.scanners or perception.default_scanner_mounts(layout)
 
 
 def _expand_plan(scenario: Scenario) -> list[tuple[int, TaskStep]]:

@@ -139,25 +139,20 @@ class HumanState:
 
 @dataclass(frozen=True)
 class ScannerMount:
-    """Planar scanner pose and optics in the base frame."""
+    """Planar scanner pose in the base frame.
+
+    Every scanner of the cell has the same optics, class attributes and not
+    fields: it scans the plane at the layout's laser mount height.
+    """
 
     x: float
     y: float
     heading: float
-    plane_height: float = ZoneLayout.laser_mount_height  # m
-    fov: float = 4.8  # rad
-    angular_resolution: float = 0.0087  # rad, ~0.5 deg
-    max_range: float = 5.5  # m
-
-    def __post_init__(self):
-        if not 0 < self.fov <= 2 * math.pi:
-            raise PerceptionError("fov must lie in (0, 2*pi]")
-        if self.angular_resolution <= 0:
-            raise PerceptionError("angular_resolution must be positive")
-
-    @property
-    def n_rays(self) -> int:
-        return int(self.fov / self.angular_resolution) + 1
+    plane_height = ZoneLayout.laser_mount_height  # m
+    fov = 4.8  # rad
+    angular_resolution = 0.0087  # rad, ~0.5 deg
+    max_range = 5.5  # m
+    n_rays = int(fov / angular_resolution) + 1
 
     def ray_angles(self) -> np.ndarray:
         k = np.arange(self.n_rays)
@@ -202,8 +197,6 @@ class _Rays:
     uy: np.ndarray  # (n,) np.sin
     cos_a: np.ndarray  # (n,) math.cos of the ray angle, for the hit points
     sin_a: np.ndarray  # (n,) math.sin
-    max_range: np.ndarray  # (n,)
-    plane_height: np.ndarray  # (n,)
 
 
 @lru_cache(maxsize=16)
@@ -214,21 +207,16 @@ def _rays(mounts: tuple[ScannerMount, ...]) -> _Rays:
     angles = [mount.ray_angles() for mount in mounts]
     every = np.concatenate(angles).tolist()
     mount = np.repeat(np.arange(len(mounts)), [len(a) for a in angles])
-
-    def per_ray(name):
-        return np.array([getattr(m, name) for m in mounts], dtype=float)[mount]
-
+    origin = np.array([(m.x, m.y) for m in mounts], dtype=float)
     return _Rays(
         mount=mount,
-        origin=np.array([(m.x, m.y) for m in mounts], dtype=float),
-        x=per_ray("x"),
-        y=per_ray("y"),
+        origin=origin,
+        x=origin[mount, 0],
+        y=origin[mount, 1],
         ux=np.concatenate([np.cos(a) for a in angles]),
         uy=np.concatenate([np.sin(a) for a in angles]),
         cos_a=np.array([math.cos(a) for a in every]),
         sin_a=np.array([math.sin(a) for a in every]),
-        max_range=per_ray("max_range"),
-        plane_height=per_ray("plane_height"),
     )
 
 
@@ -247,7 +235,9 @@ def simulate_scan(
 
     ``ground[j, h]`` is the x, y of human h in the scan taken at ``times[j]``,
     a (k, humans, 2) array; ``radius[h]`` and ``stature[h]`` are its footprint
-    radius and stature.  Rays that hit nothing report the max_range sentinel.
+    radius and stature.  A human shorter than ScannerMount.plane_height (or of
+    NaN stature) is under the scan plane and is not cast.  Rays that hit
+    nothing report the ScannerMount.max_range sentinel.
     Optional uniform range noise of +-noise metres is applied to true hits
     only, as one (k, n_rays) draw from rng: the values, in the order, of one
     draw per scan and mount.
@@ -261,8 +251,10 @@ def simulate_scan(
     if ground.shape != (len(times), len(radius), 2) or stature.shape != radius.shape:
         raise PerceptionError("ground must be (scans, humans, 2), with a radius and stature each")
     rays = _rays(mounts)
-    ranges = np.repeat(rays.max_range[None, :], len(times), axis=0)
+    ranges = np.full((len(times), len(rays.mount)), ScannerMount.max_range)
     for h in range(len(radius)):
+        if not ScannerMount.plane_height <= stature[h]:
+            continue
         oc = ground[:, h, None, :] - rays.origin
         # |oc|^2 stays one 1-D dot per scan and mount: BLAS may fuse its
         # multiply-add, which an elementwise form of it would not.
@@ -279,16 +271,15 @@ def simulate_scan(
         hit = b + sq  # the far root, unless the near one lies ahead
         near = np.subtract(b, sq, out=b)
         np.copyto(hit, near, where=near > 1e-12)
-        in_plane = (0.0 <= rays.plane_height) & (rays.plane_height <= stature[h])
-        valid = mask & in_plane & (hit > 1e-12) & (hit < rays.max_range) & (hit < ranges)
+        valid = mask & (hit > 1e-12) & (hit < ScannerMount.max_range) & (hit < ranges)
         np.copyto(ranges, hit, where=valid)
     if noise > 0.0:
         if rng is None:
             raise PerceptionError("noise requested without an rng")
         noisy = rng.uniform(-noise, noise, ranges.shape)
         noisy += ranges
-        np.clip(noisy, 1e-6, rays.max_range, out=noisy)
-        np.copyto(ranges, noisy, where=ranges < rays.max_range)
+        np.clip(noisy, 1e-6, ScannerMount.max_range, out=noisy)
+        np.copyto(ranges, noisy, where=ranges < ScannerMount.max_range)
     return LaserScan(t=times, ranges=ranges)
 
 
@@ -303,7 +294,7 @@ class ScanHits:
     ``len()`` is the number of hits."""
 
     hit: np.ndarray  # bool; a NaN range counts as a hit
-    x: np.ndarray  # m, base frame; the point's z is its mount's plane height
+    x: np.ndarray  # m, base frame; the point's z is ScannerMount.plane_height
     y: np.ndarray
     zone: np.ndarray  # int8 Zone of the point, NORMAL off hits
     quadrant: np.ndarray  # int8 index into QUADRANT_CODES
@@ -315,13 +306,15 @@ class ScanHits:
 def scan_to_occupancy(scan: LaserScan, mounts, layout: ZoneLayout) -> ScanHits:
     """Convert the scans' hits to base-frame points and classify each into a zone.
 
-    Each hit's zone and quadrant equal ``classify_point(layout, p)`` for its point p.
+    Each hit's zone and quadrant equal ``classify_point(layout, p)`` for its point p,
+    whose z is ScannerMount.plane_height.  That plane lies in the layout's
+    height band, so the zone tests only x and y.
     """
     rays = _rays(tuple(mounts))
     r = scan.ranges
     if r.shape[-1:] != rays.x.shape:
         raise PerceptionError("scan does not match mount geometry")
-    hit = ~(r >= rays.max_range)  # no-return sentinel; NaN counts as a hit
+    hit = ~(r >= ScannerMount.max_range)  # no-return sentinel; NaN counts as a hit
     x = r * rays.cos_a
     x += rays.x
     y = r * rays.sin_a
@@ -331,12 +324,10 @@ def scan_to_occupancy(scan: LaserScan, mounts, layout: ZoneLayout) -> ScanHits:
     quadrant[y > 0] = 1
     quadrant[y < 0] = 0
     zone = np.zeros(r.shape, dtype=np.int8)
-    low, high = layout.height_band
-    banded = hit & (low <= rays.plane_height) & (rays.plane_height <= high)
     for level in (Zone.WARNING, Zone.DANGER):  # danger overrides warning
         rect = layout.extent(level)
         inside = (rect.x_min <= x) & (x <= rect.x_max) & (rect.y_min <= y) & (y <= rect.y_max)
-        zone[inside & banded] = level
+        zone[inside & hit] = level
     return ScanHits(hit=hit, x=x, y=y, zone=zone, quadrant=quadrant)
 
 

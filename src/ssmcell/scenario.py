@@ -19,6 +19,7 @@ from .perception import (
     POSTURES,
     HumanState,
     Posture,
+    ScannerMount,
     landmark_block,
 )
 from .separation import SeparationInputs
@@ -281,13 +282,6 @@ class RobotTask:
 
 
 @dataclass(frozen=True)
-class ScannerPose:
-    x: float
-    y: float
-    heading: float
-
-
-@dataclass(frozen=True)
 class Scenario:
     name: str = "unnamed"
     mode: SimMode = SimMode.PROPOSED
@@ -296,7 +290,7 @@ class Scenario:
     humans: tuple[HumanScript, ...] = ()
     task: RobotTask = RobotTask(steps=())
     q0: tuple[float, float, float, float, float, float] = (0.0,) * 6
-    scanners: tuple[ScannerPose, ...] = ()
+    scanners: tuple[ScannerMount, ...] = ()
     safety: SafetyParams = SafetyParams()
     separation: SeparationInputs = SeparationInputs()
     gains_config: GainsConfig = GainsConfig()
@@ -466,7 +460,7 @@ _SECTIONS = {
     "separation": _section(SeparationInputs, skip=("human_speed", "robot_speed")),
     "gains": _section(GainsConfig, check=Gains.diagonal),
     "robot": _section(Scenario, names=_ROBOT_KEYS),
-    "scanners": _Section(ScannerPose, {}, "scanner"),
+    "scanners": _Section(ScannerMount, {}, "scanner"),
     "human": _section(HumanScript, row="waypoint"),  # also human2, human3, ...
     "task": _section(RobotTask, row="step"),
 }
@@ -563,7 +557,7 @@ def _rows(key: str, rows: list[Entry], errors: list):
             errors.append(f"{what} has a non-finite value")
 
 
-def _scanners(rows: list[Entry], errors: list) -> tuple[ScannerPose, ...]:
+def _scanners(rows: list[Entry], errors: list) -> tuple[ScannerMount, ...]:
     scanners = []
     for idx, e, _, (x, y, heading) in _rows("scanner", rows, errors):
         problem = f"line {e.line}: scanners: scanner {idx}"
@@ -571,7 +565,7 @@ def _scanners(rows: list[Entry], errors: list) -> tuple[ScannerPose, ...]:
             errors.append(f"{problem} x and y must lie in {_BOUNDS}, got {x!r} {y!r}")
         if abs(heading) > MAX_HEADING:
             errors.append(f"{problem} heading must lie in {_TURN}, got {heading!r}")
-        scanners.append(ScannerPose(x, y, heading))
+        scanners.append(ScannerMount(x, y, heading))
     return tuple(scanners)
 
 

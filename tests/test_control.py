@@ -244,6 +244,7 @@ def step_simple(ctrl, t, q=None, direction=(0.0, 0.0, 0.0), tcp_speed=0.0, refer
         joint_reference=q if reference is None else reference,
         q=q,
         tcp_speed=tcp_speed,
+        J=jacobian(MODEL, q),
     )
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from ssmcell import engine, perception
 from ssmcell.control import Controller, Gains, ModeKind
 from ssmcell.engine import EventKind, run
-from ssmcell.kinematics import RobotModel
+from ssmcell.kinematics import RobotModel, jacobian
 from ssmcell.perception import POSTURES, SCAN_PERIOD, Posture, pose_landmarks
 from ssmcell.scenario import (
     HumanScript,
@@ -212,7 +212,8 @@ def tick(ctrl, i, **inputs):
         q=REGULAR_Q,
         tcp_speed=0.0,
     )
-    return ctrl.step(i * DT, **{**given, **inputs})
+    given.update(inputs)
+    return ctrl.step(i * DT, J=jacobian(MODEL, given["q"]), **given)
 
 
 def command_fields(cmd):
@@ -367,6 +368,7 @@ class TestControllerCache:
                 task_direction=np.zeros(3),
                 joint_reference=REGULAR_Q,
                 q=REGULAR_Q,
+                J=jacobian(MODEL, REGULAR_Q),
             )
 
         ctrl = controller()

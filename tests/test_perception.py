@@ -28,7 +28,7 @@ from ssmcell.perception import (
     skeleton_sample,
 )
 from ssmcell.engine import _least_distance, build_scanner_mounts
-from ssmcell.zones import Quadrant, Zone, build_zone_layout, classify_point
+from ssmcell.zones import Quadrant, Zone, ZoneLayout, build_zone_layout, classify_point
 
 from helpers import bundled
 
@@ -41,11 +41,12 @@ def human_at(x, y, posture=Posture.STANDING, heading=math.pi, radius=0.3):
     return HumanState(ground=(x, y), heading=heading, posture=posture, footprint_radius=radius)
 
 
-def forward_mount(**kwargs):
-    # fov/resolution chosen so one ray points exactly along the heading
-    defaults = dict(x=0.0, y=0.0, heading=0.0, fov=3.14, angular_resolution=0.01, max_range=5.5)
-    defaults.update(kwargs)
-    return ScannerMount(**defaults)
+def forward_mount(x=0.0, y=0.0, heading=0.0):
+    return ScannerMount(x, y, heading)
+
+
+# A mount at the origin whose ray 0 points exactly along +x (angle 0.0).
+ALONG_X = forward_mount(heading=ScannerMount.fov / 2)
 
 
 class TestHumanState:
@@ -88,28 +89,23 @@ class TestSimulateScan:
         assert np.all(scan.ranges == mount.max_range)
 
     def test_disc_dead_ahead(self):
-        mount = forward_mount()
-        scan = cast(mount, [human_at(1.0, 0.0)])
-        center_ray = int(np.argmin(np.abs(mount.ray_angles() - 0.0)))
+        assert ALONG_X.ray_angles()[0] == 0.0
+        scan = cast(ALONG_X, [human_at(1.0, 0.0)])
         # circle of radius 0.3 centered 1 m ahead: nearest intersection at 0.7 m
-        assert scan.ranges[0, center_ray] == pytest.approx(0.7, abs=1e-9)
+        assert scan.ranges[0, 0] == pytest.approx(0.7, abs=1e-9)
 
     def test_occlusion_nearest_wins(self):
-        mount = forward_mount()
         near = human_at(1.0, 0.0)
         far = human_at(2.0, 0.0)
-        scan = cast(mount, [far, near])
-        center_ray = int(np.argmin(np.abs(mount.ray_angles())))
-        assert scan.ranges[0, center_ray] == pytest.approx(0.7, abs=1e-9)
+        scan = cast(ALONG_X, [far, near])
+        assert scan.ranges[0, 0] == pytest.approx(0.7, abs=1e-9)
 
     def test_mount_inside_a_footprint_sees_its_far_edge(self):
-        mount = forward_mount()
-        scan = cast(mount, [human_at(0.1, 0.0)])
-        center_ray = int(np.argmin(np.abs(mount.ray_angles())))
-        assert scan.ranges[0, center_ray] == pytest.approx(0.4, abs=1e-9)
+        scan = cast(ALONG_X, [human_at(0.1, 0.0)])
+        assert scan.ranges[0, 0] == pytest.approx(0.4, abs=1e-9)
 
     def test_human_below_the_scan_plane_is_not_seen(self):
-        mount = forward_mount(plane_height=0.4)
+        mount = forward_mount()
         short = HumanState(ground=(1.0, 0.0), stature=0.3)
         assert np.all(cast(mount, [short]).ranges == mount.max_range)
         assert not np.all(cast(mount, [human_at(1.0, 0.0)]).ranges == mount.max_range)
@@ -138,8 +134,12 @@ class TestSimulateScan:
             cast(forward_mount(), [], noise=0.005)
 
     def test_ray_count_formula(self):
-        mount = forward_mount(fov=4.8, angular_resolution=0.0087)
-        assert mount.n_rays == int(4.8 / 0.0087) + 1
+        assert ScannerMount.n_rays == len(forward_mount().ray_angles()) == 552
+
+    def test_the_scan_plane_lies_in_the_height_band(self):
+        # So every hit point lies in the band, and scan_to_occupancy tests only x and y.
+        low, high = ZoneLayout.height_band
+        assert low <= ScannerMount.plane_height <= high
 
     def test_bit_determinism_without_noise(self):
         mount = forward_mount()
@@ -199,12 +199,12 @@ class TestScanToOccupancy:
         assert {Quadrant.LEFT, Quadrant.RIGHT} <= quadrants
 
     def test_hit_on_the_split_line_is_in_both_quadrants(self):
-        mount = forward_mount(fov=2.0, angular_resolution=0.25)  # ray 4 lies on y = 0
+        mount = ALONG_X  # ray 0 lies on y = 0
         hits = scan_to_occupancy(cast(mount, [human_at(0.45, 0.0, radius=0.2)]), (mount,), LAYOUT)
-        assert hits.hit[0, 4] and hits.y[0, 4] == 0.0
-        label = classify_point(LAYOUT, (hits.x[0, 4], hits.y[0, 4], mount.plane_height))
-        assert label.quadrant is Quadrant.BOTH is QUADRANT_CODES[hits.quadrant[0, 4]]
-        assert label.zone == hits.zone[0, 4] == Zone.DANGER
+        assert hits.hit[0, 0] and hits.y[0, 0] == 0.0
+        label = classify_point(LAYOUT, (hits.x[0, 0], hits.y[0, 0], mount.plane_height))
+        assert label.quadrant is Quadrant.BOTH is QUADRANT_CODES[hits.quadrant[0, 0]]
+        assert label.zone == hits.zone[0, 0] == Zone.DANGER
 
     @pytest.mark.parametrize(
         "quadrants, expected",
@@ -229,17 +229,12 @@ class TestScanToOccupancy:
     def test_mount_mismatch_rejected(self):
         mount = forward_mount()
         scan = cast(mount, [])
-        other = forward_mount(angular_resolution=0.02)
         with pytest.raises(PerceptionError):
-            scan_to_occupancy(scan, (other,), LAYOUT)
+            scan_to_occupancy(scan, (mount, ALONG_X), LAYOUT)
 
 
-# Mounts of differing ray counts, plane heights and placements to draw from.
-MOUNT_POOL = (
-    *BUNDLED_MOUNTS,
-    *default_scanner_mounts(LAYOUT),
-    forward_mount(x=0.0, y=-0.45, heading=0.2915, plane_height=0.3),
-)
+# Mounts of differing placements to draw from.
+MOUNT_POOL = (*BUNDLED_MOUNTS, *default_scanner_mounts(LAYOUT))
 
 
 @st.composite

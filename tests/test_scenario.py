@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 
 from ssmcell.cli import EXIT_RUNTIME, EXIT_VALIDATION, main
 from ssmcell.kinematics import RobotModel
-from ssmcell.perception import Posture
+from ssmcell.perception import Posture, ScannerMount
 from ssmcell.scenario import (
     MAX_COORDINATE,
     MAX_HEADING,
     HumanScript,
     HumanWaypoint,
-    ScannerPose,
     ScenarioError,
     SimMode,
     parse_scenario,
@@ -193,7 +192,7 @@ class TestValidation:
     def test_coordinates_at_the_bound_are_accepted(self):
         def text(bound, heading):
             humans = (HumanScript(waypoints=(HumanWaypoint(0.0, -bound, 0.3),)),)
-            scanners = (ScannerPose(0.0, bound, heading),)
+            scanners = (ScannerMount(0.0, bound, heading),)
             sc = dataclasses.replace(bundled("approach_retreat"), humans=humans, scanners=scanners)
             return sc, serialize_scenario(sc)
 

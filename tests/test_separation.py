@@ -107,11 +107,12 @@ class TestViolationPredicate:
     def test_negative_distance_rejected(self):
         # The controller's skeleton scaling rejects a negative distance before the gate sees it.
         from ssmcell.control import ControlError, Controller, Gains
-        from ssmcell.kinematics import RobotModel
+        from ssmcell.kinematics import RobotModel, jacobian
         from ssmcell.zones import Quadrant, Zone, build_zone_layout
 
+        model = RobotModel()
         ctrl = Controller(
-            RobotModel(), build_zone_layout(0.45, 1.5, 0.9, 0.425), Gains.diagonal(), make_inputs()
+            model, build_zone_layout(0.45, 1.5, 0.9, 0.425), Gains.diagonal(), make_inputs()
         )
         ctrl.offer_scan(0.0, {Quadrant.LEFT: Zone.NORMAL, Quadrant.RIGHT: Zone.NORMAL})
         ctrl.offer_skeleton(0.0, -0.1)
@@ -122,6 +123,7 @@ class TestViolationPredicate:
                 task_direction=np.zeros(3),
                 joint_reference=np.zeros(6),
                 q=np.zeros(6),
+                J=jacobian(model, np.zeros(6)),
             )
 
 
