@@ -16,7 +16,7 @@ from .kinematics import FrameChain, Jacobian, tcp_position
 from .perception import ScannerMount
 from .scenario import HumanTrack, Scenario, SimMode, TaskStep, build_gains, build_model
 from .separation import SeparationInputs, msd_at_speeds
-from .stability import LyapunovSample, lyapunov_value
+from .stability import LyapunovSeries, lyapunov_value
 from .trace import MODES, Trace
 from .zones import Quadrant, Zone, ZoneLayout, footprint_zones, quadrant_of
 
@@ -55,15 +55,13 @@ class SimResult:
     trace: Trace
     events: list[Event]
 
-    def lyapunov_samples(self) -> list[LyapunovSample]:
+    def lyapunov_samples(self) -> LyapunovSeries:
         return lyapunov_samples(self.trace)
 
 
-def lyapunov_samples(trace: Trace) -> list[LyapunovSample]:
-    """The energy series of a trace, one sample per tick."""
-    return list(
-        map(LyapunovSample, trace.values("t"), trace.values("lyap"), trace.values("mode"))
-    )
+def lyapunov_samples(trace: Trace) -> LyapunovSeries:
+    """The energy series of a trace, one sample per tick, on copies of its columns."""
+    return LyapunovSeries(*(trace.column(name).copy() for name in ("t", "lyap", "mode")))
 
 
 def build_scanner_mounts(scenario: Scenario, layout: ZoneLayout) -> tuple[ScannerMount, ...]:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .control import CONTROL_PERIOD
 from .engine import Event, EventKind
 from .trace import N_CODES, N_FLOATS, SCHEMA, SLOTS, ZONES, Trace
 
@@ -43,6 +44,70 @@ _CSV = _csv_columns()
 _TEXTS = {f.name: np.array(f.codes.texts, dtype=object) for f in SCHEMA if f.codes is not None}
 _LOOKUP = {name: {text: code for code, text in enumerate(texts)} for name, texts in _TEXTS.items()}
 _T = SLOTS["t"].index
+_TAIL = _CSV[1:]  # the CSV columns after t; SCHEMA starts with it
+_TAIL_FLOATS = np.array([j for _, _, j, k in _TAIL if k is None])  # float block columns
+_TAIL_FLOATS_AT = np.array([c for c, (_, _, _, k) in enumerate(_TAIL) if k is None])
+_TAIL_CODES = tuple(
+    (c, k, _TEXTS[f.name], _LOOKUP[f.name]) for c, (_, f, _, k) in enumerate(_TAIL) if k is not None
+)
+GRID_ROWS = 1 << 17  # tick-grid rows whose t texts are kept: 262 s at the 2 ms period
+
+
+class _TickTexts:
+    """repr(k * CONTROL_PERIOD), the t text of row k of a trace on the engine's grid.
+
+    The engine writes t = k * CONTROL_PERIOD, so these texts depend only on k:
+    they are formatted once per process, for the rows asked for so far, and
+    shared by the reader, the writer and the profile.  At most ``limit`` rows
+    are kept, as one string with each text followed by a line feed and the
+    int32 offset of each row, about 13 B a row: 1.6 MB at GRID_ROWS.  A column
+    that is not on the grid, or rows past the limit, fall back to one repr per
+    value.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self._kept = ("", np.zeros(1, dtype=np.int32))  # replaced whole, never mutated
+
+    def __len__(self) -> int:
+        return len(self._kept[1]) - 1
+
+    def _joined(self, start: int, stop: int) -> str:
+        """The texts of rows start to stop - 1, joined by line feeds; stop <= limit."""
+        text, offsets = self._kept
+        if stop >= len(offsets):
+            new = list(map(repr, _grid(len(offsets) - 1, stop).tolist()))
+            lengths = np.fromiter(map(len, new), dtype=np.int32, count=len(new)) + 1
+            ends = offsets[-1] + np.cumsum(lengths, dtype=np.int32)
+            text += "\n".join(new) + "\n"
+            offsets = np.concatenate((offsets, ends))
+            self._kept = text, offsets
+        return text[offsets[start] : offsets[stop] - 1]
+
+    def texts(self, times: np.ndarray, start: int) -> list[str]:
+        """repr of each value of a t column that belongs to rows start, start + 1, ..."""
+        stop = start + len(times)
+        on_grid = np.array_equal(times.view(np.int64), _grid(start, stop).view(np.int64))
+        if on_grid and stop <= self.limit:
+            return self._joined(start, stop).split("\n")
+        return list(map(repr, times.tolist()))
+
+    def match(self, texts, start: int) -> bool:
+        """Whether texts are those of rows start, start + 1, ... on the grid.
+
+        A text with a line feed in it makes the joined texts longer than the
+        kept ones, so equal joins mean equal texts.
+        """
+        stop = start + len(texts)
+        return stop <= self.limit and "\n".join(texts) == self._joined(start, stop)
+
+
+def _grid(start: int, stop: int) -> np.ndarray:
+    """t of rows start to stop - 1, computed as the engine does: k * CONTROL_PERIOD."""
+    return np.arange(start, stop) * CONTROL_PERIOD
+
+
+_TICKS = _TickTexts(GRID_ROWS)
 
 
 def _float_texts(column: np.ndarray) -> list[str]:
@@ -57,53 +122,73 @@ def _float_texts(column: np.ndarray) -> list[str]:
     return texts.repeat(np.diff(starts, append=len(column))).tolist()
 
 
-def _run_starts(items) -> list[int]:
-    """Index of the first item of each run of equal items."""
-    changed = np.fromiter(map(operator.ne, items[1:], items[:-1]), dtype=bool, count=len(items) - 1)
-    return [0, *(np.flatnonzero(changed) + 1).tolist()]
+def _changed(block: np.ndarray) -> np.ndarray:
+    """Cells that differ from the cell above them; the first row counts as changed."""
+    changed = np.ones(block.shape, dtype=bool)
+    changed[1:] = block[1:] != block[:-1]
+    return changed
 
 
-def _parse_floats(texts) -> np.ndarray:
-    """float() of every text, called once per run of equal texts.
+def _carried(changed: np.ndarray):
+    """Index of each cell's latest change at or above it, for forward-filling a block."""
+    rows = np.where(changed, np.arange(len(changed))[:, None], 0)
+    return np.maximum.accumulate(rows, axis=0), np.arange(changed.shape[1])
 
-    Raises ValueError for a text the writer would not write, that is one that
-    is not repr() of its value: float() also takes "1_0", " 1", "+1" or "NaN".
+
+def _row_tails(floats: np.ndarray, codes: np.ndarray) -> list[str]:
+    """The text after t of every row, from its comma to its line feed.
+
+    It is formatted once per run of rows whose other fields are bit-identical,
+    and within those run heads, with one repr per cell that differs from the
+    head above.
+
+    Runs and changed cells are found on the int64 view, so -0.0 and 0.0 (and
+    NaN payloads) stay distinct, as one repr per value would keep them.
     """
-    starts = _run_starts(texts)
-    firsts = list(map(texts.__getitem__, starts))
-    values = list(map(float, firsts))
-    if list(map(repr, values)) != firsts:
-        raise ValueError("a number is not written as repr() of its value")
-    return np.repeat(values, np.diff(starts, append=len(texts)))
+    n = len(floats)
+    bits = floats[:, _TAIL_FLOATS].view(np.int64)
+    new = np.ones(n, dtype=bool)
+    new[1:] = (bits[1:] != bits[:-1]).any(axis=1) | (codes[1:] != codes[:-1]).any(axis=1)
+    heads = np.flatnonzero(new)
+    bits = bits[heads]
+    changed = _changed(bits)
+    texts = np.empty(bits.shape, dtype=object)
+    texts[changed] = list(map(repr, bits.view(np.float64)[changed].tolist()))
+    cells = np.empty((len(heads), len(_TAIL) + 1), dtype=object)
+    cells[:, 0] = ""  # joins to the comma after t
+    cells[:, _TAIL_FLOATS_AT + 1] = texts[_carried(changed)]
+    for c, k, names, _ in _TAIL_CODES:
+        cells[:, c + 1] = names[codes[heads, k]]
+    tails = [",".join(row) + "\n" for row in cells.tolist()]
+    runs = map(itertools.repeat, tails, np.diff(heads, append=n).tolist())
+    return list(itertools.chain.from_iterable(runs))
 
 
-def _row_lines(trace: Trace):
-    """The CSV lines of a trace's rows, formatted column by column in chunks."""
+def _row_texts(trace: Trace):
+    """The CSV text of a trace's rows in chunks, each line ending in a line feed."""
     for a in range(0, len(trace), CHUNK_ROWS):
         floats = trace.floats[a : a + CHUNK_ROWS]
-        codes = trace.codes[a : a + CHUNK_ROWS]
-        columns = [
-            _float_texts(floats[:, j]) if k is None else _TEXTS[f.name][codes[:, k]].tolist()
-            for _, f, j, k in _CSV
-        ]
-        yield list(map(",".join, zip(*columns)))
+        times = _TICKS.texts(floats[:, _T], a)
+        cells = [None] * (2 * len(times))
+        cells[::2] = times
+        cells[1::2] = _row_tails(floats, trace.codes[a : a + CHUNK_ROWS])
+        yield "".join(cells)
 
 
-def _line_blocks(trace: Trace, metadata: dict | None):
-    """Every line of a trace file, in lists: metadata and header, then row chunks."""
-    yield [f"# {k}={v}" for k, v in (metadata or {}).items()] + [",".join(TRACE_COLUMNS)]
-    yield from _row_lines(trace)
+def _header_lines(metadata: dict | None) -> list[str]:
+    return [f"# {k}={v}" for k, v in (metadata or {}).items()] + [",".join(TRACE_COLUMNS)]
 
 
 def trace_lines(trace: Trace, metadata: dict | None = None):
-    for lines in _line_blocks(trace, metadata):
-        yield from lines
+    yield from _header_lines(metadata)
+    for text in _row_texts(trace):
+        yield from text.splitlines()
 
 
 def write_trace(trace: Trace, path, metadata: dict | None = None):
     with open(path, "w", encoding="utf-8") as f:
-        for lines in _line_blocks(trace, metadata):
-            f.write("\n".join(lines) + "\n")
+        f.write("\n".join(_header_lines(metadata)) + "\n")
+        f.writelines(_row_texts(trace))
 
 
 def _check_number(cell: str, header: str, path, lineno: int, time: bool) -> float:
@@ -121,6 +206,8 @@ def _check_number(cell: str, header: str, path, lineno: int, time: bool) -> floa
 
 def _check_line(line: str, path, lineno: int):
     """Raise TraceFileError for the first field of one line the writer would not write."""
+    if line.count(",") != len(_CSV) - 1:
+        raise TraceFileError(f"{path}:{lineno}: wrong field count")
     for cell, (header, f, j, k) in zip(line.rstrip("\n").split(","), _CSV):
         if k is None:
             _check_number(cell, header, path, lineno, time=j == _T)
@@ -128,32 +215,64 @@ def _check_line(line: str, path, lineno: int):
             raise TraceFileError(f"{path}:{lineno}: {header}: unknown value {cell!r}")
 
 
-def _parse_chunk(lines: list[str], path, first_lineno: int) -> tuple[np.ndarray, np.ndarray]:
+def _parse_tails(tails: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Float and code blocks of distinct line tails, t left unset.
+
+    Each float cell that differs from the one above it is parsed, and checked
+    to be repr() of its value, once; the others repeat the cell above.
+    Raises ValueError or KeyError for anything the writer would not write.
+    """
+    width = len(_TAIL)
+    if list(map(str.count, tails, itertools.repeat(","))).count(width - 1) != len(tails):
+        raise ValueError("wrong field count")
+    cells = np.array(",".join(tails).replace("\n", "").split(","), dtype=object)
+    cells = cells.reshape(len(tails), width)
+    numbers = cells[:, _TAIL_FLOATS_AT]
+    changed = _changed(numbers)
+    texts = numbers[changed].tolist()
+    values = list(map(float, texts))
+    # float() also takes "1_0", " 1", "+1" or "NaN"; repr() gives back only what the writer writes
+    if list(map(repr, values)) != texts:
+        raise ValueError("a number is not written as repr() of its value")
+    parsed = np.empty(numbers.shape)
+    parsed[changed] = values
+    floats = np.empty((len(tails), N_FLOATS))
+    floats[:, _TAIL_FLOATS] = parsed[_carried(changed)]
+    codes = np.empty((len(tails), N_CODES), dtype=np.int8)
+    for c, k, _, lookup in _TAIL_CODES:
+        codes[:, k] = list(map(lookup.__getitem__, cells[:, c].tolist()))
+    return floats, codes
+
+
+def _parse_times(times: list[str]) -> np.ndarray:
+    """The t column of a chunk; ValueError for a text that is not repr() of a finite value."""
+    values = list(map(float, times))
+    if list(map(repr, values)) != times or not all(map(math.isfinite, values)):
+        raise ValueError("a time is not written as repr() of a finite value")
+    return np.array(values)
+
+
+def _parse_chunk(lines: list[str], path, first_lineno: int, first_row: int):
     """Float and code blocks of a chunk of data lines; fails on the first bad line."""
-    n, width = len(lines), len(TRACE_COLUMNS)
-    commas = list(map(str.count, lines, itertools.repeat(",")))
-    if commas.count(width - 1) != n:
-        k = next(k for k, c in enumerate(commas) if c != width - 1)
-        raise TraceFileError(f"{path}:{first_lineno + k}: wrong field count")
-    # The first column, t (SCHEMA starts with it), changes every tick; the rest
-    # of a line mostly repeats the line before, so it is parsed once per run.
-    times, rests = zip(*(line.split(",", 1) for line in lines))
-    starts = _run_starts(rests)
-    cells = ",".join(map(rests.__getitem__, starts)).replace("\n", "").split(",")
-    floats = np.empty((len(starts), N_FLOATS))
-    codes = np.empty((len(starts), N_CODES), dtype=np.int8)
+    n = len(lines)
+    # The first column, t, changes every tick; the tail of a line mostly
+    # repeats the line before, so it is parsed once per run of equal tails.
+    parts = list(map(str.partition, lines, itertools.repeat(",")))
+    times = list(map(operator.itemgetter(0), parts))
+    tails = list(map(operator.itemgetter(2), parts))
+    new = np.ones(n, dtype=bool)
+    new[1:] = np.fromiter(map(operator.ne, tails[1:], tails[:-1]), dtype=bool, count=n - 1)
+    heads = np.flatnonzero(new)
     try:
-        for c, (_, f, j, k) in enumerate(_CSV[1:]):
-            column = cells[c :: width - 1]
-            if k is None:
-                floats[:, j] = _parse_floats(column)
-            else:
-                codes[:, k] = list(map(_LOOKUP[f.name].__getitem__, column))
-        repeats = np.diff(starts, append=n)
+        floats, codes = _parse_tails(list(map(tails.__getitem__, heads.tolist())))
+        repeats = np.diff(heads, append=n)
         floats, codes = floats.repeat(repeats, axis=0), codes.repeat(repeats, axis=0)
-        floats[:, _T] = _parse_floats(times)
-        if np.isfinite(floats[:, _T]).all():
-            return floats, codes
+        # Equal texts are equal values, and grid times are finite.
+        if _TICKS.match(times, first_row):
+            floats[:, _T] = _grid(first_row, first_row + n)
+        else:
+            floats[:, _T] = _parse_times(times)
+        return floats, codes
     except (ValueError, KeyError):
         pass
     for k, line in enumerate(lines):
@@ -165,8 +284,9 @@ def _parse_chunk(lines: list[str], path, first_lineno: int) -> tuple[np.ndarray,
 def read_trace(path) -> Trace:
     """Read a trace file; anything the writer would not write raises TraceFileError.
 
-    The file is parsed CHUNK_ROWS lines at a time, each column with float(), so
-    every value is read back exactly.
+    The file is parsed CHUNK_ROWS lines at a time, every number with float()
+    (or, for a t column on the tick grid, by its text), so every value is read
+    back exactly.
     """
     float_blocks, code_blocks = [], []
     with open(path, encoding="utf-8") as f:
@@ -179,11 +299,12 @@ def read_trace(path) -> Trace:
             raise TraceFileError(f"{path}: no header row")
         if tuple(line.rstrip("\n").split(",")) != TRACE_COLUMNS:
             raise TraceFileError(f"{path}: unexpected trace columns")
+        rows = 0
         while lines := list(itertools.islice(f, CHUNK_ROWS)):
-            floats, codes = _parse_chunk(lines, path, lineno + 1)
+            floats, codes = _parse_chunk(lines, path, lineno + 1 + rows, rows)
             float_blocks.append(floats)
             code_blocks.append(codes)
-            lineno += len(lines)
+            rows += len(lines)
     if not float_blocks:
         return Trace.empty(0)
     return Trace(np.concatenate(float_blocks), np.concatenate(code_blocks))
@@ -221,7 +342,7 @@ def emit_profile_data(trace: Trace, path):
         f.write("t_s,commanded_speed_m_s\n")
         for a in range(0, len(trace), CHUNK_ROWS):
             part = trace[a : a + CHUNK_ROWS]
-            times, speeds = _float_texts(part.column("t")), _float_texts(part.column("v_cap"))
+            times, speeds = _TICKS.texts(part.column("t"), a), _float_texts(part.column("v_cap"))
             f.write("\n".join(map(",".join, zip(times, speeds))) + "\n")
         if not len(trace):
             return

@@ -454,6 +454,26 @@ class TestCheckStability:
         assert code == EXIT_CHECK_FAILED
         assert "stability_verdict = fail" in out
 
+    @pytest.mark.parametrize("text", ["-1.0", "inf", "nan"])
+    def test_negative_or_non_finite_energy_is_a_validation_error(
+        self, text, tiny_file, tmp_path, capsys
+    ):
+        from ssmcell.tracefile import TRACE_COLUMNS
+
+        out_dir = tmp_path / "out"
+        main(["sim", "run", str(tiny_file), "--out", str(out_dir)])
+        lines = (out_dir / "trace.csv").read_text().splitlines()
+        fields = lines[-10].split(",")
+        fields[TRACE_COLUMNS.index("lyap")] = text
+        bad = tmp_path / "bad_trace.csv"
+        bad.write_text("\n".join(lines[:-10] + [",".join(fields)] + lines[-9:]) + "\n")
+        capsys.readouterr()
+        code = main(["check", "stability", str(bad)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert f"energy value {float(text)} " in err and f"at t={fields[0]}" in err
+        assert "stability_verdict" not in out
+
     @pytest.mark.parametrize(
         "column, text",
         [("damped", "2"), ("pending", "-1"), ("occ_left", "Warning"), ("t", "nan"), ("t", "1_0")],

@@ -8,7 +8,7 @@ import pytest
 from ssmcell import tracefile
 from ssmcell.engine import Event, EventKind, run
 from ssmcell.scenario import SimMode
-from ssmcell.trace import TraceRow
+from ssmcell.trace import SCHEMA, Trace, TraceRow
 from ssmcell.tracefile import (
     TRACE_COLUMNS,
     TraceFileError,
@@ -62,6 +62,91 @@ class TestTraceRoundTrip:
         write_trace(short_result.trace, p1)
         write_trace(short_result.trace, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def reference_lines(trace):
+    """The data lines of a trace, formatted row by row with one repr per value."""
+    lines = []
+    for row in trace:
+        cells = []
+        for f in SCHEMA:
+            value = getattr(row, f.name)
+            if f.codes is not None:
+                cells.append(f.codes.texts[f.codes.values.index(value)])
+            elif f.headers:
+                cells.extend(repr(float(x)) for x in value)
+            else:
+                cells.append(repr(float(value)))
+        lines.append(",".join(cells))
+    return lines
+
+
+def copy_of(trace):
+    return Trace(trace.floats.copy(), trace.codes.copy())
+
+
+class TestTimesOffTheGrid:
+    """t texts come from the shared tick-grid texts only where t is k * CONTROL_PERIOD."""
+
+    def check(self, trace, tmp_path):
+        assert list(trace_lines(trace))[1:] == reference_lines(trace)
+        path = tmp_path / "trace.csv"
+        write_trace(trace, path)
+        back = read_trace(path)
+        assert np.array_equal(back.floats.view(np.int64), trace.floats.view(np.int64))
+        assert np.array_equal(back.codes, trace.codes)
+
+    def test_on_the_grid(self, short_result, tmp_path):
+        self.check(short_result.trace, tmp_path)
+
+    def test_sliced_trace(self, short_result, tmp_path):
+        self.check(short_result.trace[5:], tmp_path)
+
+    def test_one_time_one_ulp_off(self, short_result, tmp_path, monkeypatch):
+        monkeypatch.setattr(tracefile, "CHUNK_ROWS", 64)
+        trace = copy_of(short_result.trace)
+        trace.floats[70, 0] = np.nextafter(trace.floats[70, 0], np.inf)
+        self.check(trace, tmp_path)
+        assert list(trace_lines(trace))[71].split(",")[0] != repr(70 * 0.002)
+
+    def test_negative_zero_time(self, tmp_path):
+        row = TraceRow(t=-0.0, q=np.zeros(6), qdot=np.zeros(6), tcp=np.zeros(3))
+        self.check(trace_from_rows([row]), tmp_path)
+
+    def test_kept_texts_grow_row_by_row(self):
+        kept = tracefile._TickTexts(limit=40)
+        for stop in range(1, 45):
+            start = stop // 3
+            times = np.arange(start, stop) * 0.002
+            assert kept.texts(times, start) == list(map(repr, times.tolist()))
+            assert kept.match(list(map(repr, times.tolist())), start) == (stop <= 40)
+            assert len(kept) == min(stop, 40)
+
+    def test_bound_of_the_kept_texts(self, short_result, monkeypatch):
+        kept = tracefile._TickTexts(limit=100)
+        monkeypatch.setattr(tracefile, "_TICKS", kept)
+        monkeypatch.setattr(tracefile, "CHUNK_ROWS", 64)
+        long, short = short_result.trace, short_result.trace[:90]
+        assert list(trace_lines(long))[1:] == reference_lines(long)
+        assert len(kept) <= 100
+        assert list(trace_lines(short))[1:] == reference_lines(short)
+        assert len(kept) <= 100
+
+
+class TestRowRuns:
+    def test_signed_zeros_keep_their_texts(self, tmp_path):
+        rows = [
+            TraceRow(t=i * 0.002, q=np.zeros(6), qdot=np.zeros(6), tcp=np.zeros(3), fraction=x)
+            for i, x in enumerate([0.0, -0.0, -0.0, 0.0])
+        ]
+        trace = trace_from_rows(rows)
+        lines = list(trace_lines(trace))[1:]
+        column = TRACE_COLUMNS.index("fraction")
+        assert [line.split(",")[column] for line in lines] == ["0.0", "-0.0", "-0.0", "0.0"]
+        assert lines == reference_lines(trace)
+        path = tmp_path / "trace.csv"
+        write_trace(trace, path)
+        assert np.array_equal(read_trace(path).floats.view(np.int64), trace.floats.view(np.int64))
 
 
 class TestEvents:
@@ -279,6 +364,17 @@ class TestReaderFailsClosed:
         fields[TRACE_COLUMNS.index("d_i")] = text
         path.write_text("\n".join(lines[:4] + [",".join(fields)] + lines[5:]) + "\n")
         with pytest.raises(TraceFileError, match=f"{path}:5:"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("text", ["+0.002", "2e-3", " 0.002", "0.0020", "0.002 "])
+    def test_time_spellings_the_writer_never_uses(self, text, lines, tmp_path):
+        # line 5 holds row 1, whose t is 0.002 on the tick grid
+        path = tmp_path / "bad.csv"
+        fields = lines[4].split(",")
+        assert fields[0] == "0.002"
+        fields[0] = text
+        path.write_text("\n".join(lines[:4] + [",".join(fields)] + lines[5:]) + "\n")
+        with pytest.raises(TraceFileError, match=f"{path}:5: t: "):
             read_trace(path)
 
     def test_short_line_in_chunk_names_its_line(self, lines, tmp_path):
