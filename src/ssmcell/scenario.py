@@ -291,11 +291,18 @@ class Scenario:
     task: RobotTask = RobotTask(steps=())
     q0: tuple[float, float, float, float, float, float] = (0.0,) * 6
     scanners: tuple[ScannerMount, ...] = ()
-    safety: SafetyParams = SafetyParams()
-    separation: SeparationInputs = SeparationInputs()
     gains_config: GainsConfig = GainsConfig()
-    # Not a key of the file: every scenario runs at the controller's period.
+    # Not keys of the file: every scenario runs at the controller's period, with
+    # the cell's ISO 13855 terms (a 0.45 m static MSD) and ISO/TS 15066 terms.
     control_period: ClassVar[float] = CONTROL_PERIOD
+    safety: ClassVar[SafetyParams] = SafetyParams(1.6, 0.25, 0.04, 0.01)
+    separation: ClassVar[SeparationInputs] = SeparationInputs(
+        robot_reaction_time=0.1,
+        perception_response_time=0.064,
+        intrusion=0.06,
+        robot_uncertainty=0.02,
+        human_uncertainty=0.02,
+    )
     sequential: bool = False
     noise: float = 0.0
     parallelism: float = 1.0
@@ -303,7 +310,7 @@ class Scenario:
     stall_threshold: float = field(default=5.0, metadata={"allow_inf": True})
 
     def build_layout(self) -> ZoneLayout:
-        """The cell's zone layout around the static MSD of [safety]."""
+        """The cell's zone layout around the static MSD of its safety terms."""
         return build_zone_layout(compute_msd_static(self.safety))
 
     def with_mode(self, mode: SimMode) -> "Scenario":
@@ -325,8 +332,7 @@ _POSITIVE = {"duration", "parallelism", "stall_threshold", "footprint_radius", "
 
 def _range_problem(key: str, v) -> str | None:
     """What is out of range in a scalar key's value, checked where the key is
-    read, or None; most keys of the [safety], [separation] and [gains] sections
-    are checked by their classes instead."""
+    read, or None; most keys of the [gains] section are checked by Gains instead."""
     if key in _POSITIVE and v <= 0:
         return f"{key} must be positive"
     # engine.run runs round(duration / CONTROL_PERIOD) ticks, more than MAX_TICKS
@@ -434,10 +440,9 @@ class _Section:
     cls: type
     keys: dict[str, _Key]
     row: str | None = None
-    check: Callable | None = None  # takes the values read; raises ValueError on a bad one
 
 
-def _section(cls, skip=(), names=None, row=None, check=None) -> _Section:
+def _section(cls, skip=(), names=None, row=None) -> _Section:
     """A section whose keys are cls's fields of a type with a codec, less skip.
 
     names maps key to field where the two differ; it then lists every key.
@@ -450,25 +455,17 @@ def _section(cls, skip=(), names=None, row=None, check=None) -> _Section:
         key: _Key(key, f, _CODECS[hints[f]], by_name[f].metadata.get("allow_inf", False))
         for key, f in names.items()
     }
-    return _Section(cls, keys, row, check)
+    return _Section(cls, keys, row)
 
 
 _ROBOT_KEYS = {"q0": "q0"}
 _SECTIONS = {
     "scenario": _section(Scenario, skip=_ROBOT_KEYS.values()),
-    "safety": _section(SafetyParams),
-    "separation": _section(SeparationInputs, skip=("human_speed", "robot_speed")),
-    "gains": _section(GainsConfig, check=Gains.diagonal),
+    "gains": _section(GainsConfig),
     "robot": _section(Scenario, names=_ROBOT_KEYS),
     "scanners": _Section(ScannerMount, {}, "scanner"),
     "human": _section(HumanScript, row="waypoint"),  # also human2, human3, ...
     "task": _section(RobotTask, row="step"),
-}
-# The Scenario field that holds the dataclass of each of these sections.
-_PARTS = {
-    "safety": "safety",
-    "separation": "separation",
-    "gains": "gains_config",
 }
 _HUMAN = re.compile(r"human(\d*)")
 
@@ -505,18 +502,16 @@ def _read_section(name: str, label: str, entries: Section, errors: list):
     return values, rows, lines
 
 
-def _build(name: str, values: dict, section: Section, lines: dict[str, int], errors: list):
-    """The section's dataclass from the values read, or None if they are out of range;
+def _gains(values: dict, section: Section, lines: dict[str, int], errors: list):
+    """The GainsConfig of the values read, or None if Gains refuses them;
     the error cites the keys its message names, in file order."""
-    spec = _SECTIONS[name]
     try:
-        if spec.check:
-            spec.check(**values)
-        return spec.cls(**values)
+        Gains.diagonal(**values)
+        return GainsConfig(**values)
     except ValueError as exc:
         named = sorted(lines.keys() & str(exc).split(), key=lines.get)
         at, where = _cite(named, lines, section.line)
-        errors.append(f"{at}{name}: {exc}{where}")
+        errors.append(f"{at}gains: {exc}{where}")
         return None
 
 
@@ -618,8 +613,8 @@ def parse_scenario(source) -> Scenario:
     """Parse and fully validate a scenario file; raises ScenarioError with all problems.
 
     Unknown sections come first.  Then each section's problems follow in the order the
-    parser reads it, whatever the file's order: [scenario], [robot], [safety],
-    [separation], [gains], the layout fit, [scanners], each [human] by number, [task].
+    parser reads it, whatever the file's order: [scenario], [robot], [gains],
+    [scanners], each [human] by number, [task].
     A value is checked where it is read, and values checked together once all are read.
     """
     sections = parse_sections(source)
@@ -638,21 +633,9 @@ def parse_scenario(source) -> Scenario:
         return values, rows
 
     values = {**read("scenario")[0], **read("robot")[0]}
-    for name, holder in _PARTS.items():
-        part = _build(name, read(name)[0], sections.get(name, Section(0)), key_lines[name], errors)
-        if part is not None:
-            values[holder] = part
-    # The cell is fixed, so whether its layout fits depends on the [safety] terms alone.
-    if "safety" not in sections:
-        errors.append("missing [safety] section")
-    elif "safety" in values:
-        msd = compute_msd_static(values["safety"])
-        try:
-            build_zone_layout(msd)
-        except ValueError as exc:
-            lines = key_lines["safety"]
-            at, where = _cite(lines, lines, sections["safety"].line)
-            errors.append(f"{at}layout: {exc}, with a static MSD of {msd:.4g} m{where}")
+    gains = _gains(read("gains")[0], sections.get("gains", Section(0)), key_lines["gains"], errors)
+    if gains is not None:
+        values["gains_config"] = gains
     values["scanners"] = _scanners(read("scanners")[1], errors)
     humans = []
     human_sections = sorted((s for s in sections if _kind(s) == "human"), key=_human_order)
@@ -690,7 +673,7 @@ def _section_text(title: str, obj, rows=()) -> str:
 def serialize_scenario(sc: Scenario) -> str:
     """Canonical text form; parse(serialize(sc)) == sc."""
     blocks = [_section_text("scenario", sc)]
-    blocks.extend(_section_text(name, getattr(sc, holder)) for name, holder in _PARTS.items())
+    blocks.append(_section_text("gains", sc.gains_config))
     blocks.append(_section_text("robot", sc))
     blocks.append(
         _section_text("scanners", sc, [f"{s.x!r} {s.y!r} {s.heading!r}" for s in sc.scanners])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ssmcell.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_VALIDATION, main
-from ssmcell.scenario import serialize_scenario
+from ssmcell.scenario import Scenario, serialize_scenario
 from ssmcell.scenarios import bundled_scenario_path
 from ssmcell.tracefile import read_trace, write_trace
 from ssmcell.zones import build_zone_layout, export_layout
@@ -130,11 +130,10 @@ class TestZonesCompute:
 
     @pytest.mark.parametrize("name", ["approach_retreat", "sorting_benchmark"])
     def test_prints_the_layout_the_scenario_runs_in(self, name, capsys):
-        scenario = bundled(name)
-        safety = scenario.safety
+        safety = Scenario.safety
         args = [f"--{f.name.replace('_', '-')}={getattr(safety, f.name)!r}" for f in fields(safety)]
         code = main(["zones", "compute", *args])
-        layout = scenario.build_layout()
+        layout = bundled(name).build_layout()
         assert code == EXIT_OK
         expected = f"static_msd_m = {layout.msd:.6f}\n" + export_layout(layout)
         assert capsys.readouterr().out == expected
@@ -368,28 +367,28 @@ class TestSimRun:
         "edits, message",
         [
             (
-                {47: "waypoint = 0.0 2.3 -0.32 flying", 48: "waypoint = 2.0 2.3 5000 standing"},
-                "line 48: human 0: waypoint 1 x and y must lie in [-1000, 1000] m, got 2.3 5000.0",
+                {34: "waypoint = 0.0 2.3 -0.32 flying", 35: "waypoint = 2.0 2.3 5000 standing"},
+                "line 35: human 0: waypoint 1 x and y must lie in [-1000, 1000] m, got 2.3 5000.0",
             ),
             (
-                {59: "step = sort_a 0.35 -0.3 z 1.5", 60: "step = sort_b 5.0 -0.35 0.3 1.5"},
-                "line 60: task: step 1 'sort_b' target is 5.021 m from the base, "
+                {46: "step = sort_a 0.35 -0.3 z 1.5", 47: "step = sort_b 5.0 -0.35 0.3 1.5"},
+                "line 47: task: step 1 'sort_b' target is 5.021 m from the base, "
                 "beyond the 0.85 m reach",
             ),
             (
-                {47: "waypoint = zero 2.3 -0.32 standing", 50: "waypoint = 1.0 1.0 -0.32 reaching"},
-                "line 50: human 0: waypoint 3 timestamp 1.0 not after waypoint 2 on line 49",
+                {34: "waypoint = zero 2.3 -0.32 standing", 37: "waypoint = 1.0 1.0 -0.32 reaching"},
+                "line 37: human 0: waypoint 3 timestamp 1.0 not after waypoint 2 on line 36",
             ),
             (
-                {42: "scanner = 0.0 0.45 1e200"},
-                "line 42: scanners: scanner 1 heading must lie in [-6.28319, 6.28319] rad, "
+                {29: "scanner = 0.0 0.45 1e200"},
+                "line 29: scanners: scanner 1 heading must lie in [-6.28319, 6.28319] rad, "
                 "got 1e+200",
             ),
         ],
         ids=["waypoint_after_a_bad_one", "step_after_a_bad_one", "time_after_a_bad_row", "heading"],
     )
     def test_row_problem_names_its_own_line_and_index(self, edits, message, tmp_path, capsys):
-        # approach_retreat.scn: scanners on lines 41-42, waypoints 47-55, steps 59-63.
+        # approach_retreat.scn: scanners on lines 28-29, waypoints 34-42, steps 46-50.
         lines = bundled_scenario_path("approach_retreat").read_text(encoding="utf-8").splitlines()
         for line, text in edits.items():
             lines[line - 1] = text

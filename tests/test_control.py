@@ -27,19 +27,12 @@ from ssmcell.kinematics import (
     pseudo_inverse,
 )
 from ssmcell.perception import SKELETON_RATE
-from ssmcell.separation import SeparationInputs
+from ssmcell.scenario import Scenario
 from ssmcell.zones import Quadrant, Zone, build_zone_layout
 
 MODEL = RobotModel()
 LAYOUT = build_zone_layout(0.45, 1.5, 0.9, 0.425)
 GAINS = Gains.diagonal()
-SEPARATION = SeparationInputs(
-    robot_reaction_time=0.1,
-    perception_response_time=0.064,
-    intrusion=0.06,
-    robot_uncertainty=0.02,
-    human_uncertainty=0.02,
-)
 REGULAR_Q = np.array([0.4, -1.1, 0.9, 0.6, -0.7, 0.3])
 
 
@@ -116,7 +109,7 @@ class TestSecondaryScale:
 
 def resolve(q, v, gains=GAINS, J=None):
     """Rates and damped flag from the engine's resolver, on a fresh controller."""
-    ctrl = Controller(MODEL, LAYOUT, gains, SEPARATION)
+    ctrl = Controller(MODEL, LAYOUT, gains, Scenario.separation)
     q = np.asarray(q, dtype=float)
     J = jacobian(MODEL, q) if J is None else J
     return ctrl._resolve_rates(q, np.asarray(v, dtype=float), J)
@@ -232,7 +225,7 @@ class TestPdLaw:
 
 
 def make_controller(sequential=False, gains=None):
-    return Controller(MODEL, LAYOUT, gains or GAINS, SEPARATION, sequential=sequential)
+    return Controller(MODEL, LAYOUT, gains or GAINS, Scenario.separation, sequential=sequential)
 
 
 def step_simple(ctrl, t, q=None, direction=(0.0, 0.0, 0.0), tcp_speed=0.0, reference=None):

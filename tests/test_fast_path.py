@@ -24,12 +24,13 @@ from ssmcell.scenario import (
     HumanScript,
     HumanWaypoint,
     RobotTask,
+    Scenario,
     SimMode,
     TaskStep,
     parse_scenario,
     serialize_scenario,
 )
-from ssmcell.separation import SeparationInputs, msd_at_speeds
+from ssmcell.separation import msd_at_speeds
 from ssmcell.tracefile import trace_lines, write_events
 from ssmcell.zones import Quadrant, Zone, build_zone_layout, classify_footprint
 from helpers import DT, bundled, human_scripts, tiny_scenario
@@ -187,14 +188,6 @@ def test_track_matches_state_at_at_every_time(script):
 MODEL = RobotModel()
 LAYOUT = build_zone_layout(0.45, 1.5, 0.9, 0.425)
 GAINS = Gains.diagonal()
-# Dynamic minimum at rest: 0.06 + 0.02 + 0.02 = 0.10 m.
-SEPARATION = SeparationInputs(
-    robot_reaction_time=0.1,
-    perception_response_time=0.064,
-    intrusion=0.06,
-    robot_uncertainty=0.02,
-    human_uncertainty=0.02,
-)
 REGULAR_Q = np.array([0.4, -1.1, 0.9, 0.6, -0.7, 0.3])
 
 
@@ -240,7 +233,7 @@ def settle(ctrl, i):
 
 def fresh(fraction, scan=occ(), d_i=math.inf, human_speed=0.0):
     """A controller that never stepped, holding the given state."""
-    ctrl = Controller(MODEL, LAYOUT, GAINS, SEPARATION)
+    ctrl = Controller(MODEL, LAYOUT, GAINS, Scenario.separation)
     ctrl.fraction = fraction
     ctrl.offer_scan(0.0, scan)
     ctrl.offer_skeleton(0.0, d_i, human_speed)
@@ -356,7 +349,7 @@ class TestControllerCache:
         # mode is held while it crosses to the right; the next skeleton frame
         # arbitrates again, for the right side, although it repeats the last.
         def controller():
-            ctrl = Controller(MODEL, LAYOUT, GAINS, SEPARATION, sequential=True)
+            ctrl = Controller(MODEL, LAYOUT, GAINS, Scenario.separation, sequential=True)
             ctrl.offer_scan(0.0, occ(left=Zone.DANGER))
             ctrl.offer_skeleton(0.0, math.inf)
             return ctrl

@@ -1,18 +1,15 @@
-"""Every name a module of the package imports is read by that module.
-
-``__init__.py`` is left out: its imports are the package's re-exports.
-"""
+"""Every name a module of the package imports is read by that module, and
+importing a module loads only the modules it imports."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(
-    path
-    for path in (Path(__file__).resolve().parents[1] / "src" / "ssmcell").glob("*.py")
-    if path.name != "__init__.py"
-)
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "ssmcell").glob("*.py"))
 
 
 def unused_imports(path):
@@ -34,3 +31,17 @@ def unused_imports(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_imported_name_is_read(path):
     assert unused_imports(path) == []
+
+
+def test_importing_a_module_loads_only_what_it_imports():
+    # The package's __init__ imports nothing, so the zone model loads without
+    # the engine, the bridge or any other module it does not use.
+    code = "import sys, ssmcell.zones; print(*sorted(m for m in sys.modules if 'ssmcell' in m))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=SRC,
+    ).stdout
+    assert out.split() == ["ssmcell", "ssmcell.kinematics", "ssmcell.zones"]
