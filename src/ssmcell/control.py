@@ -6,6 +6,7 @@ import enum
 import math
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,13 +55,17 @@ class SpeedMode:
     def __post_init__(self):
         if not 0.0 <= self.fraction <= 1.0:
             raise ControlError(f"fraction {self.fraction} outside [0, 1]")
-        expected = {
-            ModeKind.FULL: FULL_FRACTION,
-            ModeKind.COLLABORATIVE: COLLABORATIVE_FRACTION,
-            ModeKind.STANDSTILL: 0.0,
-        }
-        if self.kind in expected and self.fraction != expected[self.kind]:
-            raise ControlError(f"{self.kind} must carry fraction {expected[self.kind]}")
+        expected = _FIXED_FRACTIONS.get(self.kind)
+        if expected is not None and self.fraction != expected:
+            raise ControlError(f"{self.kind} must carry fraction {expected}")
+
+
+# The fraction each mode but REDUCED must carry.
+_FIXED_FRACTIONS = {
+    ModeKind.FULL: FULL_FRACTION,
+    ModeKind.COLLABORATIVE: COLLABORATIVE_FRACTION,
+    ModeKind.STANDSTILL: 0.0,
+}
 
 
 MODE_FULL = SpeedMode(ModeKind.FULL, FULL_FRACTION)
@@ -119,16 +124,15 @@ class Gains:
         )
 
 
-@dataclass(frozen=True)
-class SpeedCommand:
+class SpeedCommand(NamedTuple):
     """One control tick's arbitration output and resolved joint rates."""
 
     t: float
     mode: SpeedMode
     fraction: float  # slew-limited fraction actually applied this tick
     v_cartesian: float  # fraction x nominal speed (m/s)
-    qdot_cmd: np.ndarray = field(repr=False)
-    qdot_task: np.ndarray = field(repr=False, default=None)  # resolution before PD correction
+    qdot_cmd: np.ndarray
+    qdot_task: np.ndarray | None = None  # resolution before PD correction
     source: CommandSource = CommandSource.PRIMARY_LOOP
     damped: bool = False
 
@@ -146,17 +150,16 @@ class SpeedCommand:
         )
 
 
-def primary_speed_select(occupancy: dict[Quadrant, Zone], robot_quadrant: Quadrant) -> SpeedMode:
-    """Zone/quadrant arbitration of the laser loop.
+def primary_speed_select(left: Zone, right: Zone, robot_quadrant: Quadrant) -> SpeedMode:
+    """Zone/quadrant arbitration of the laser loop, on the zones of the left
+    and the right quadrant.
 
     Danger on the robot's side stops it; warning on its side, or any intrusion
     on the opposite side, drops it to collaborative speed; otherwise full speed.
     """
-    left = occupancy.get(Quadrant.LEFT, Zone.NORMAL)
-    right = occupancy.get(Quadrant.RIGHT, Zone.NORMAL)
-    if robot_quadrant == Quadrant.BOTH:
+    if robot_quadrant is Quadrant.BOTH:
         own, opposite = max(left, right), Zone.NORMAL
-    elif robot_quadrant == Quadrant.LEFT:
+    elif robot_quadrant is Quadrant.LEFT:
         own, opposite = left, right
     else:
         own, opposite = right, left
@@ -194,6 +197,21 @@ def secondary_scale(
     return mode_in
 
 
+class _Resolution:
+    """What _resolve_rates computed for one Jacobian object and q bytes: U.T
+    and V = Vt.T of the SVD, the task factors, the null-space term and the
+    damped flag; and the rates for the last v6 bytes (None before the first)."""
+
+    __slots__ = (
+        "J", "q_bytes", "Ut", "V", "task_factors", "null_term", "damped", "v_bytes", "rates"
+    )
+
+    def __init__(self, J, q_bytes, Ut, V, task_factors, null_term, damped):
+        self.J, self.q_bytes, self.Ut, self.V = J, q_bytes, Ut, V
+        self.task_factors, self.null_term, self.damped = task_factors, null_term, damped
+        self.v_bytes = self.rates = None
+
+
 class Controller:
     """Single-writer controller state machine fed by timestamped sensor messages.
 
@@ -220,7 +238,7 @@ class Controller:
         self.separation = separation
         self.sequential = sequential
         self.fraction = 0.0
-        self._occ: dict[Quadrant, Zone] = {Quadrant.LEFT: Zone.NORMAL, Quadrant.RIGHT: Zone.NORMAL}
+        self.zones = (Zone.NORMAL, Zone.NORMAL)  # the held scan's left and right zone
         self._occ_t = -math.inf
         self._d_i = math.inf
         self._human_speed = 0.0
@@ -231,19 +249,30 @@ class Controller:
         # The key of the last full step, its command and the gate state it left.
         self._last: tuple[tuple, SpeedCommand, bool] | None = None
         self.repeated = False  # whether the last step reused the one before
+        self._resolution: _Resolution | None = None  # _resolve_rates' last
+        self._pd_key = self._u_pd = None  # the last e bytes of _evaluate and its correction
         # Constant pieces of the per-tick resolution.
         self._pd_matrix = np.linalg.solve(np.eye(6) + self.gains.kd, self.gains.kp)
         limits = np.asarray(model.joint_limits, dtype=float)
-        self._joint_mid = 0.5 * (limits[:, 0] + limits[:, 1])
-        self._joint_range_sq = (limits[:, 1] - limits[:, 0]) ** 2
+        # Per joint: the mid-range and the squared range, as Python floats.
+        self._joint_centering = list(
+            zip(
+                (0.5 * (limits[:, 0] + limits[:, 1])).tolist(),
+                ((limits[:, 1] - limits[:, 0]) ** 2).tolist(),
+            )
+        )
 
     @property
     def occupancy(self) -> dict[Quadrant, Zone]:
-        return dict(self._occ)
+        left, right = self.zones
+        return {Quadrant.LEFT: left, Quadrant.RIGHT: right}
 
     def offer_scan(self, t: float, occupancy: dict[Quadrant, Zone]):
         if t >= self._occ_t:  # latest wins; stale duplicates dropped
-            self._occ = dict(occupancy)
+            self.zones = (
+                occupancy.get(Quadrant.LEFT, Zone.NORMAL),
+                occupancy.get(Quadrant.RIGHT, Zone.NORMAL),
+            )
             self._occ_t = t
 
     def offer_skeleton(self, t: float, d_i: float, human_speed: float = 0.0):
@@ -265,7 +294,7 @@ class Controller:
         )
 
     def _arbitrate(self, t: float, robot_quadrant: Quadrant, tcp_speed: float):
-        primary = primary_speed_select(self._occ, robot_quadrant)
+        primary = primary_speed_select(*self.zones, robot_quadrant)
         mode = secondary_scale(self._d_i, self.layout, primary, self.gains)
         source = (
             CommandSource.SECONDARY_LOOP if mode is not primary else CommandSource.PRIMARY_LOOP
@@ -287,21 +316,43 @@ class Controller:
         (Chiaverini 1997); the projector always uses the exact inverse.
 
         The factorisation is the Jacobian's own (``Jacobian.svd``), computed
-        once per Jacobian object; the factors and the rates are recomputed on
-        every call.
+        once per Jacobian object.  What depends on J and q alone (the factors,
+        the damped flag and the null-space term) is kept for the last Jacobian
+        object and q bytes, and the rates for the last v6 bytes too.  Each kept
+        value is the array the same expression gives, so every bit is as when
+        it is computed afresh.  The rates are read-only, as a later call may
+        return the same array.
         """
-        U, s, Vt = J.svd
-        damped = s[-1] < SINGULARITY_THRESHOLD
-        exact_factors = np.where(s > RANK_TOL * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
-        if damped:
-            task_factors = s / (s * s + DEFAULT_DAMPING * DEFAULT_DAMPING)
-        else:
-            task_factors = exact_factors
-        base = Vt.T @ (task_factors * (U.T @ (self.gains.task_gain @ v6)))
-        qdot0 = self.gains.k0 * (-2.0 * (q - self._joint_mid) / self._joint_range_sq)
-        # N qdot0 = qdot0 - J^+ (J qdot0) without forming the projector.
-        null_term = qdot0 - Vt.T @ (exact_factors * (U.T @ (J.matrix @ qdot0)))
-        return base + null_term, damped
+        q = np.asarray(q, dtype=float)
+        q_bytes = q.tobytes()
+        memo = self._resolution
+        if memo is None or memo.J is not J or memo.q_bytes != q_bytes:
+            U, s, Vt = J.svd
+            values = s.tolist()
+            damped = values[-1] < SINGULARITY_THRESHOLD
+            # 1 / s_i above the rank tolerance, else 0, in Python floats.
+            tol = RANK_TOL * values[0]
+            exact_factors = np.array([1.0 / v if v > tol else 0.0 for v in values])
+            if damped:
+                task_factors = s / (s * s + DEFAULT_DAMPING * DEFAULT_DAMPING)
+            else:
+                task_factors = exact_factors
+            # k0 * (-2 (q - mid) / range^2), elementwise in Python floats.
+            k0 = self.gains.k0
+            centering = zip(q.tolist(), self._joint_centering)
+            qdot0 = np.array([k0 * (-2.0 * (v - mid) / span_sq) for v, (mid, span_sq) in centering])
+            # N qdot0 = qdot0 - J^+ (J qdot0) without forming the projector.
+            null_term = qdot0 - Vt.T @ (exact_factors * (U.T @ (J.matrix @ qdot0)))
+            memo = _Resolution(J, q_bytes, U.T, Vt.T, task_factors, null_term, damped)
+            self._resolution = memo
+        v6 = np.asarray(v6, dtype=float)
+        v_bytes = v6.tobytes()
+        if v_bytes != memo.v_bytes:
+            base = memo.V @ (memo.task_factors * (memo.Ut @ (self.gains.task_gain @ v6)))
+            memo.rates = base + memo.null_term
+            memo.rates.flags.writeable = False
+            memo.v_bytes = v_bytes
+        return memo.rates, memo.damped
 
     def step(
         self,
@@ -329,8 +380,7 @@ class Controller:
         """
         stale = self._stale(t)
         key = (
-            self._occ.get(Quadrant.LEFT, Zone.NORMAL),
-            self._occ.get(Quadrant.RIGHT, Zone.NORMAL),
+            *self.zones,
             self._skel_t if self.sequential else None,
             stale,
             robot_quadrant,
@@ -374,27 +424,24 @@ class Controller:
             delta = mode.fraction - self.fraction
             self.fraction += math.copysign(min(abs(delta), step_max), delta) if delta else 0.0
 
-        v6 = np.zeros(6)
-        v6[:3] = np.asarray(task_direction, dtype=float) * (self.fraction * NOMINAL_SPEED)
+        # The task velocity: the direction at the fraction's speed, no rotation.
+        scale = self.fraction * NOMINAL_SPEED
+        x, y, z = np.asarray(task_direction, dtype=float).tolist()
+        v6 = np.array([x * scale, y * scale, z * scale, 0.0, 0.0, 0.0])
         qdot_raw, damped = self._resolve_rates(q, v6, J)
         e = np.asarray(joint_reference, dtype=float) - q
         # PD law applied semi-implicitly against the velocity plant: with the
         # reference advancing at the task rates, de/dt = -u, so
         # u = Kp e + Kd de/dt collapses to (I + Kd) u = Kp e.  This keeps the
-        # 2 ms discrete loop stable at the default gains.
-        u_pd = self._pd_matrix @ e
+        # 2 ms discrete loop stable at the default gains.  The correction of
+        # the last e bytes is kept: it is the array the same product gives.
+        e_bytes = e.tobytes()
+        if e_bytes != self._pd_key:
+            self._pd_key, self._u_pd = e_bytes, self._pd_matrix @ e
+        u_pd = self._u_pd
         # Both outputs are clamped from the same raw vector so that a zero PD
         # correction leaves them bit-identical (exact reference tracking).
         qdot_task = self.model.clamp_joint_rates(qdot_raw)
         qdot_cmd = self.model.clamp_joint_rates(qdot_raw + u_pd)
-        return SpeedCommand(
-            t=t,
-            mode=mode,
-            fraction=self.fraction,
-            v_cartesian=self.fraction * NOMINAL_SPEED,
-            qdot_cmd=qdot_cmd,
-            qdot_task=qdot_task,
-            source=source,
-            damped=damped,
-        )
+        return SpeedCommand(t, mode, self.fraction, scale, qdot_cmd, qdot_task, source, damped)
 

@@ -25,7 +25,6 @@ _GRID_EPS = 1e-9
 _DWELL_DONE = 1e-12  # s, dwell time left at which a step is done
 _ROW_FLOATS = struct.Struct("2d")  # exact bits of v_task and lyap
 _HUMAN_COLUMNS = ("human_x", "human_y", "human_speed", "d_i", "dyn_msd")
-_UNFILLED = dict.fromkeys(_HUMAN_COLUMNS, math.nan)  # until the output stage fills them
 LANDMARK_CHUNK = 256  # ticks whose landmarks are built together, and of an output block
 _NO_MOTION = np.zeros(3)  # the task direction of a tick without task motion
 _NO_MOTION.flags.writeable = False
@@ -101,6 +100,7 @@ class _TaskTracker:
 
     def __init__(self, plan: list[tuple[int, TaskStep]], events: list):
         self.plan = plan
+        self.targets = [np.asarray(step.target) for _, step in plan]
         self.idx = 0
         self.dwelling = False
         self.dwell_left = 0.0
@@ -117,7 +117,7 @@ class _TaskTracker:
             return _NO_MOTION
         cycle, step = self.plan[self.idx]
         if not self.dwelling:
-            delta = np.asarray(step.target) - tcp
+            delta = self.targets[self.idx] - tcp
             dist = float(np.linalg.norm(delta))
             if dist > ARRIVAL_TOL:
                 if fraction <= 0.0:
@@ -191,6 +191,7 @@ class _Messages:
         self.frame_times, self.frame_starts = frames
         self.track = track  # the tracked human at the frame times; None when it sees no one
         self.n_scans = self.n_frames = 0
+        self.due = 0  # no message is due before this tick
         self.skel_tcp = None  # the TCP of the last measurement
         self.d_i = math.inf
         # The scans whose occupancy differs from the scan before, ascending.
@@ -206,18 +207,21 @@ class _Messages:
             self.walk_speed = track.walk_speeds(0, len(piece)).tolist()
 
     def offer_until(self, stop: int, tcp: np.ndarray):
-        """Offer every message due before tick stop; at one tick, the scan first."""
+        """Offer every message due before tick stop; at one tick, the scan
+        first.  Then due is the tick of the next message."""
         controller = self.controller
         while True:
             scan_tick = self.scan_starts[self.n_scans]
             frame_tick = self.frame_starts[self.n_frames]
             if scan_tick <= frame_tick:
                 if scan_tick >= stop:
+                    self.due = scan_tick
                     return
                 controller.offer_scan(self.scan_times[self.n_scans], self.occupancy[self.n_scans])
                 self.n_scans += 1
                 continue
             if frame_tick >= stop:
+                self.due = frame_tick
                 return
             j = self.n_frames
             self.n_frames += 1
@@ -308,6 +312,11 @@ def _output_block(
     per-tick ``np.min(np.linalg.norm(landmarks - tcp, axis=1))``, and the
     dynamic minimum at that speed and the row's tcp_speed.  Without a human:
     NaN, NaN, 0, inf and the minimum at rest.
+
+    The distance is measured by runs of rows: a row whose human lies in the
+    still piece of the row before and whose tcp has the row before's bits has
+    that row's landmarks and tcp, and so its distance.  Only the head row of
+    each run is measured; the run repeats its value.
     """
     rows, n = trace[start:stop], stop - start
     if track is None:
@@ -315,10 +324,21 @@ def _output_block(
         speed, d_i = np.zeros(n), np.full(n, math.inf)
     else:
         x, y, speed = track.x[start:stop], track.y[start:stop], track.walk_speeds(start, stop)
-        tcp, d_i = rows.column("tcp"), np.empty(n)
-        for a in range(0, n, LANDMARK_CHUNK):
-            b = min(a + LANDMARK_CHUNK, n)
-            d_i[a:b] = _least_distance(track.landmarks(start + a, start + b), tcp[a:b, None, :])
+        tcp, piece = rows.column("tcp"), track.piece[start:stop]
+        held = np.empty(n, dtype=bool)
+        held[0] = False
+        held[1:] = (
+            (piece[1:] == piece[:-1])
+            & track.still[piece[1:]]
+            & (tcp[1:].view(np.int64) == tcp[:-1].view(np.int64)).all(axis=1)
+        )
+        heads = np.flatnonzero(~held)
+        measured = np.empty(len(heads))
+        for a in range(0, len(heads), LANDMARK_CHUNK):
+            ticks = heads[a : a + LANDMARK_CHUNK]
+            landmarks = track.landmarks_at(start + ticks)
+            measured[a : a + len(ticks)] = _least_distance(landmarks, tcp[ticks, None, :])
+        d_i = measured[np.cumsum(~held) - 1]
     dyn_msd = msd_at_speeds(separation, speed, rows.column("tcp_speed"))
     for name, values in zip(_HUMAN_COLUMNS, (x, y, speed, d_i, dyn_msd)):
         rows.column(name)[:] = values
@@ -389,6 +409,7 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
     messages = _Messages(controller, scans, occupancy, frames, tracked)
     tracks = [script.track(tick_times) for script in scenario.humans]
     zone_ticks, zone_events = _zone_events(tracks, layout, tick_times)
+    zone_ticks.append(n_ticks)  # no tick reaches it: the end of the list for the loop
     n_zone_events = 0
     track0 = tracks[0] if tracks else None
 
@@ -438,30 +459,33 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
     while i < n_ticks:
         t = i * dt
         # The zone events of this tick, and of the span before it, come first.
-        j = bisect.bisect_right(zone_ticks, i, n_zone_events)
-        events.extend(zone_events[n_zone_events:j])
-        n_zone_events = j
+        if zone_ticks[n_zone_events] <= i:
+            j = bisect.bisect_right(zone_ticks, i, n_zone_events)
+            events.extend(zone_events[n_zone_events:j])
+            n_zone_events = j
         q_bytes = q.tobytes()
         if q_bytes != q_key:
             q_key = q_bytes
             chain = FrameChain(model, q)
             tcp = chain.tcp
             J = Jacobian(matrix=chain.jacobian_matrix())
+            robot_quadrant = quadrant_of(tcp[1])
         if prev_tcp is None or tcp is prev_tcp:
             tcp_speed = 0.0
         else:
             tcp_speed = float(np.linalg.norm(tcp - prev_tcp)) / dt
 
         # Sensors fire on their own grids; the controller holds the last message.
-        messages.offer_until(i + 1, tcp)
+        if messages.due <= i:
+            messages.offer_until(i + 1, tcp)
         if not i:  # a cold start at the fraction the first messages arbitrate to
-            controller.seed_fraction(t, quadrant_of(tcp[1]))
+            controller.seed_fraction(t, robot_quadrant)
 
         task_dir = tracker.advance(t, tcp, controller.fraction, dt)
 
         command = controller.step(
             t,
-            robot_quadrant=quadrant_of(tcp[1]),
+            robot_quadrant=robot_quadrant,
             task_direction=task_dir,
             joint_reference=q_ref,
             q=q,
@@ -485,12 +509,14 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
         # and edot is zero; after two in a row the energy value is unchanged.
         if not (repeated and controller.repeated):
             e = q_ref - q
-            edot = (e - e_prev) / dt if i else np.zeros(6)
-            e_prev = e
-            energy_bytes = e.tobytes() + edot.tobytes()
+            # These fix edot = (e - e_prev) / dt, which is zero at the first
+            # tick, as (e - e) / dt is for a finite e.
+            energy_bytes = (e.tobytes(), (e_prev if i else e).tobytes())
             if energy_bytes != energy_key:
                 energy_key = energy_bytes
+                edot = (e - e_prev) / dt if i else np.zeros(6)
                 lyap = lyapunov_value(e, edot, gains)
+            e_prev = e
         repeated = controller.repeated
         speed = 0.0 if task_dir is _NO_MOTION else float(np.linalg.norm(task_dir))
         v_task = speed * command.fraction * NOMINAL_SPEED
@@ -502,6 +528,7 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
             trace.repeat(i, stop, dt)
         else:
             row_key = key
+            occ_left, occ_right = controller.zones
             trace.record(
                 i,
                 t=t,
@@ -509,8 +536,8 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
                 qdot=command.qdot_cmd,
                 tcp=tcp,
                 tcp_speed=tcp_speed,
-                occ_left=controller.occupancy[Quadrant.LEFT],
-                occ_right=controller.occupancy[Quadrant.RIGHT],
+                occ_left=occ_left,
+                occ_right=occ_right,
                 mode=command.mode.kind,
                 fraction=command.fraction,
                 v_cap=command.v_cartesian,
@@ -519,7 +546,12 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
                 damped=command.damped,
                 pending=pending,
                 lyap=lyap,
-                **_UNFILLED,
+                # Until the output stage fills them.
+                human_x=math.nan,
+                human_y=math.nan,
+                human_speed=math.nan,
+                d_i=math.nan,
+                dyn_msd=math.nan,
             )
 
         # Semi-implicit integration: rates from the state at t applied over
@@ -529,7 +561,8 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
             q = q + command.qdot_cmd * dt
             q_ref = q_ref + command.qdot_task * dt
         prev_tcp = tcp
-        messages.offer_until(stop, tcp)
+        if stop > i + 1:  # those before tick i + 1 were offered above
+            messages.offer_until(stop, tcp)
         i = stop
         if i - filled >= LANDMARK_CHUNK or i == n_ticks:
             _output_block(trace, filled, i, track0, scenario.separation, bridge, dt)

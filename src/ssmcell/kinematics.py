@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
+from operator import truediv
 from typing import ClassVar
 
 import numpy as np
@@ -62,11 +62,15 @@ class RobotModel:
         return q
 
     def clamp_joint_rates(self, qdot: np.ndarray) -> np.ndarray:
-        """Scale a joint-rate vector uniformly so every joint respects its speed limit."""
-        limits = np.asarray(self.max_joint_speed)
-        over = np.abs(qdot) / limits
-        worst = over.max()
-        if worst > 1.0:
+        """Scale a joint-rate vector uniformly so every joint respects its speed limit.
+
+        The ratios |qdot_i| / limit_i are Python floats, the quotients numpy's
+        division gives.  max() passes over a NaN that np.max would return, and
+        with a NaN ratio nothing is scaled, as np.max's NaN is not above 1.
+        """
+        over = list(map(truediv, map(abs, qdot.tolist()), self.max_joint_speed))
+        worst = max(over)
+        if worst > 1.0 and not math.isnan(sum(over)):
             return qdot / worst
         return qdot
 
@@ -81,17 +85,45 @@ class Jacobian:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (6, 6):
             raise KinematicsError(f"Jacobian must be 6x6, got {m.shape}")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise KinematicsError("Jacobian has non-finite entries")
 
-    @functools.cached_property
+    @property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(U, s, Vt) of the full SVD of the matrix, computed once per Jacobian."""
-        return np.linalg.svd(self.matrix)
+        found = self.__dict__.get("_svd")
+        if found is None:
+            found = self.__dict__["_svd"] = np.linalg.svd(self.matrix)
+        return found
+
+
+def _link_table(links: tuple[LinkRow, ...]) -> tuple[tuple[float, ...], ...]:
+    """(theta_offset, a, d, cos alpha, sin alpha) of each link, computed once per
+    link tuple.  Keyed by the tuple's id: the entry holds the tuple, so no
+    other object can take that id while the entry is kept."""
+    entry = _LINK_TABLES.get(id(links))
+    if entry is None:
+        if len(_LINK_TABLES) >= _MAX_LINK_TABLES:
+            _LINK_TABLES.clear()
+        table = tuple(
+            (row.theta_offset, row.a, row.d, math.cos(row.alpha), math.sin(row.alpha))
+            for row in links
+        )
+        entry = _LINK_TABLES[id(links)] = (links, table)
+    return entry[1]
+
+
+_LINK_TABLES: dict[int, tuple] = {}
+_MAX_LINK_TABLES = 16
 
 
 class FrameChain:
-    """Hand-rolled cumulative frames for the hot path: joint origins and z axes."""
+    """Hand-rolled cumulative frames for the hot path: joint origins and z axes.
+
+    The arithmetic runs on Python floats (q.tolist()), which round as numpy
+    float64 scalars do; TestBitPin in tests/test_kinematics.py pins the bytes
+    of the frames and of the Jacobian.
+    """
 
     __slots__ = ("origins", "z_axes")
 
@@ -103,31 +135,33 @@ class FrameChain:
         px = py = pz = 0.0
         origins = [(0.0, 0.0, 0.0)]
         z_axes = [(0.0, 0.0, 1.0)]
-        for i, row in enumerate(model.link_parameters):
-            theta = q[i] + row.theta_offset
+        links = _link_table(model.link_parameters)
+        for qi, (offset, a, d, ca, sa) in zip(np.asarray(q, dtype=float).tolist(), links):
+            theta = qi + offset
             ct, st = cos(theta), sin(theta)
-            ca, sa = cos(row.alpha), sin(row.alpha)
-            a, d = row.a, row.d
-            # local translation (a*ct, a*st, d), local rotation Rz(theta)*Rx(alpha)
-            tx, ty, tz = a * ct, a * st, d
-            px += r00 * tx + r01 * ty + r02 * tz
-            py += r10 * tx + r11 * ty + r12 * tz
-            pz += r20 * tx + r21 * ty + r22 * tz
-            l00, l01, l02 = ct, -st * ca, st * sa
-            l10, l11, l12 = st, ct * ca, -ct * sa
-            l21, l22 = sa, ca
-            n00 = r00 * l00 + r01 * l10
-            n01 = r00 * l01 + r01 * l11 + r02 * l21
-            n02 = r00 * l02 + r01 * l12 + r02 * l22
-            n10 = r10 * l00 + r11 * l10
-            n11 = r10 * l01 + r11 * l11 + r12 * l21
-            n12 = r10 * l02 + r11 * l12 + r12 * l22
-            n20 = r20 * l00 + r21 * l10
-            n21 = r20 * l01 + r21 * l11 + r22 * l21
-            n22 = r20 * l02 + r21 * l12 + r22 * l22
-            r00, r01, r02 = n00, n01, n02
-            r10, r11, r12 = n10, n11, n12
-            r20, r21, r22 = n20, n21, n22
+            # Local translation (a ct, a st, d) and rotation Rz(theta) Rx(alpha),
+            # whose rows are (ct, -st ca, st sa), (st, ct ca, -ct sa), (0, sa, ca).
+            tx, ty = a * ct, a * st
+            px += r00 * tx + r01 * ty + r02 * d
+            py += r10 * tx + r11 * ty + r12 * d
+            pz += r20 * tx + r21 * ty + r22 * d
+            l01, l02 = -st * ca, st * sa
+            l11, l12 = ct * ca, -ct * sa
+            r00, r01, r02 = (
+                r00 * ct + r01 * st,
+                r00 * l01 + r01 * l11 + r02 * sa,
+                r00 * l02 + r01 * l12 + r02 * ca,
+            )
+            r10, r11, r12 = (
+                r10 * ct + r11 * st,
+                r10 * l01 + r11 * l11 + r12 * sa,
+                r10 * l02 + r11 * l12 + r12 * ca,
+            )
+            r20, r21, r22 = (
+                r20 * ct + r21 * st,
+                r20 * l01 + r21 * l11 + r22 * sa,
+                r20 * l02 + r21 * l12 + r22 * ca,
+            )
             origins.append((px, py, pz))
             z_axes.append((r02, r12, r22))
         self.origins = origins
@@ -138,19 +172,16 @@ class FrameChain:
         return np.array(self.origins[-1])
 
     def jacobian_matrix(self) -> np.ndarray:
+        """Column i is (z_i x (p - p_i), z_i), built as the matrix's six rows."""
         px, py, pz = self.origins[-1]
-        J = np.empty((6, 6))
-        for i in range(6):
-            zx, zy, zz = self.z_axes[i]
-            ox, oy, oz = self.origins[i]
+        vx, vy, vz = [], [], []
+        for (zx, zy, zz), (ox, oy, oz) in zip(self.z_axes[:6], self.origins):
             dx, dy, dz = px - ox, py - oy, pz - oz
-            J[0, i] = zy * dz - zz * dy
-            J[1, i] = zz * dx - zx * dz
-            J[2, i] = zx * dy - zy * dx
-            J[3, i] = zx
-            J[4, i] = zy
-            J[5, i] = zz
-        return J
+            vx.append(zy * dz - zz * dy)
+            vy.append(zz * dx - zx * dz)
+            vz.append(zx * dy - zy * dx)
+        zx, zy, zz = zip(*self.z_axes[:6])
+        return np.array([*vx, *vy, *vz, *zx, *zy, *zz]).reshape(6, 6)
 
 
 def tcp_position(model: RobotModel, q) -> np.ndarray:

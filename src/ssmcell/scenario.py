@@ -16,6 +16,7 @@ from .kinematics import RobotModel
 from .perception import (
     DEFAULT_FOOTPRINT_RADIUS,
     DEFAULT_STATURE,
+    N_LANDMARKS,
     POSTURES,
     HumanState,
     Posture,
@@ -147,16 +148,40 @@ class HumanTrack:
         piece = self.piece[start:stop]
         p = int(piece[0])
         if self.still[p] and piece[-1] == p:
-            if p not in self._poses:
-                self._poses[p] = self._build(start, start + 1)
-            return self._poses[p]
-        return self._build(start, stop)
+            return self._pose(start)
+        return self._build(slice(start, stop))
 
-    def _build(self, start: int, stop: int) -> np.ndarray:
-        piece = self.piece[start:stop]
+    def landmarks_at(self, ticks: np.ndarray) -> np.ndarray:
+        """The landmarks (n, 32, 3) of the given ticks: row j is
+        ``landmarks(k, k + 1)[0]`` of tick k = ticks[j], bit for bit.  A tick
+        in a still piece takes that piece's one pose; the others are built
+        with landmarks' elementwise operations, on their own states."""
+        piece = self.piece[ticks]
+        held = self.still[piece]
+        if not held.any():
+            return self._build(ticks)
+        out = np.empty((len(ticks), N_LANDMARKS, 3))
+        moving = np.flatnonzero(~held)
+        if len(moving):
+            out[moving] = self._build(ticks[moving])
+        for p in np.unique(piece[held]).tolist():
+            rows = piece == p
+            out[rows] = self._pose(int(ticks[np.argmax(rows)]))
+        return out
+
+    def _pose(self, tick: int) -> np.ndarray:
+        """The one pose (1, 32, 3) of the still piece tick lies in."""
+        p = int(self.piece[tick])
+        if p not in self._poses:
+            self._poses[p] = self._build(slice(tick, tick + 1))
+        return self._poses[p]
+
+    def _build(self, ticks) -> np.ndarray:
+        """landmark_block of the states of ticks, a slice or an index array."""
+        piece = self.piece[ticks]
         return landmark_block(
-            self.x[start:stop],
-            self.y[start:stop],
+            self.x[ticks],
+            self.y[ticks],
             self.cos_h[piece],
             self.sin_h[piece],
             self.posture[piece],
@@ -295,7 +320,7 @@ class Scenario:
     # Not keys of the file: every scenario runs at the controller's period, with
     # the cell's ISO 13855 terms (a 0.45 m static MSD) and ISO/TS 15066 terms.
     control_period: ClassVar[float] = CONTROL_PERIOD
-    safety: ClassVar[SafetyParams] = SafetyParams(1.6, 0.25, 0.04, 0.01)
+    safety: ClassVar[SafetyParams] = SafetyParams()
     separation: ClassVar[SeparationInputs] = SeparationInputs(
         robot_reaction_time=0.1,
         perception_response_time=0.064,

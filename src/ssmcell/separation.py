@@ -39,19 +39,21 @@ class SeparationInputs:
             "robot_uncertainty",
             "human_uncertainty",
         ):
-            if getattr(self, name) < 0:
-                raise SeparationError(f"{name} must be >= 0")
+            _check_non_negative(name, getattr(self, name))
 
     def with_speeds(self, human_speed: float, robot_speed: float) -> "SeparationInputs":
-        return SeparationInputs(
-            human_speed=human_speed,
-            robot_speed=robot_speed,
-            robot_reaction_time=self.robot_reaction_time,
-            perception_response_time=self.perception_response_time,
-            intrusion=self.intrusion,
-            robot_uncertainty=self.robot_uncertainty,
-            human_uncertainty=self.human_uncertainty,
-        )
+        """These inputs at other speeds.  Only the two speeds are checked: the
+        other fields were checked when these inputs were made."""
+        _check_non_negative("human_speed", human_speed)
+        _check_non_negative("robot_speed", robot_speed)
+        other = object.__new__(SeparationInputs)
+        other.__dict__.update(self.__dict__, human_speed=human_speed, robot_speed=robot_speed)
+        return other
+
+
+def _check_non_negative(name: str, value: float):
+    if value < 0:
+        raise SeparationError(f"{name} must be >= 0")
 
 
 def _travel_terms(

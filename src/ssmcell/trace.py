@@ -108,9 +108,12 @@ N_CODES = sum(1 for f in SCHEMA if f.codes is not None)
 _T = SLOTS["t"].index
 ITER_ROWS = 4096  # rows converted to Python values at a time while iterating
 
-# Per-field plans for writing a row and for reading one back, in schema order.
-_FLOAT_FIELDS = tuple((f.name, bool(f.headers)) for f in SCHEMA if f.codes is None)
-_CODED_FIELDS = tuple((f.name, SLOTS[f.name].code_of) for f in SCHEMA if f.codes is not None)
+_ZONE_CODE = SLOTS["occ_left"].code_of
+_MODE_CODE = SLOTS["mode"].code_of
+_SOURCE_CODE = SLOTS["source"].code_of
+_FLAG_CODE = SLOTS["damped"].code_of
+
+# Per-field plan for reading a row back, in schema order.
 _ROW_PLAN = tuple(
     (SLOTS[f.name].index, bool(f.headers), None if f.codes is None else f.codes.values)
     for f in SCHEMA
@@ -155,16 +158,57 @@ class Trace:
         """Room for ``rows`` ticks, to be filled with ``record``."""
         return cls(np.empty((rows, N_FLOATS)), np.empty((rows, N_CODES), dtype=np.int8))
 
-    def record(self, i: int, **values):
-        """Write row i; every schema field must be given."""
-        floats = []
-        for name, vector in _FLOAT_FIELDS:
-            if vector:
-                floats.extend(values[name].tolist())
-            else:
-                floats.append(values[name])
-        self.floats[i] = floats
-        self.codes[i] = [code_of[values[name]] for name, code_of in _CODED_FIELDS]
+    def record(
+        self,
+        i: int,
+        t,
+        q,
+        qdot,
+        tcp,
+        tcp_speed,
+        human_x,
+        human_y,
+        human_speed,
+        occ_left,
+        occ_right,
+        d_i,
+        dyn_msd,
+        mode,
+        fraction,
+        v_cap,
+        v_task,
+        source,
+        damped,
+        pending,
+        lyap,
+    ):
+        """Write row i: every field, the vector fields as arrays.  The
+        parameters are SCHEMA's fields in its order (a test holds them to it),
+        and each block's row is written in one assignment."""
+        self.floats[i] = (
+            t,
+            *q.tolist(),
+            *qdot.tolist(),
+            *tcp.tolist(),
+            tcp_speed,
+            human_x,
+            human_y,
+            human_speed,
+            d_i,
+            dyn_msd,
+            fraction,
+            v_cap,
+            v_task,
+            lyap,
+        )
+        self.codes[i] = (
+            _ZONE_CODE[occ_left],
+            _ZONE_CODE[occ_right],
+            _MODE_CODE[mode],
+            _SOURCE_CODE[source],
+            _FLAG_CODE[damped],
+            _FLAG_CODE[pending],
+        )
 
     def repeat(self, start: int, stop: int, dt: float):
         """Write rows start to stop - 1 as copies of row start - 1, row k with

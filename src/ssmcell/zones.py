@@ -43,7 +43,8 @@ class ZoneLabel:
 
 @dataclass(frozen=True)
 class SafetyParams:
-    """Inputs of the static separation formula.
+    """Inputs of the static separation formula; the defaults are the cell's
+    terms (a 0.45 m static MSD), the ones every scenario runs with.
 
     approach_speed: operator walking speed toward the cell (m/s)
     stop_time: total perception + control + braking time (s)
@@ -52,9 +53,9 @@ class SafetyParams:
     """
 
     approach_speed: float = 1.6
-    stop_time: float = 0.5
-    intrusion: float = 0.85
-    uncertainty: float = 0.1
+    stop_time: float = 0.25
+    intrusion: float = 0.04
+    uncertainty: float = 0.01
 
     def __post_init__(self):
         for name in ("approach_speed", "stop_time", "intrusion", "uncertainty"):

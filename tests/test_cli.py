@@ -81,6 +81,14 @@ class TestZonesCompute:
         expected = "static_msd_m = 0.450000\n" + export_layout(build_zone_layout(0.45))
         assert capsys.readouterr().out == expected
 
+    def test_no_flags_print_the_cells_layout(self, capsys):
+        # The flags default to SafetyParams' fields, which are the cell's terms.
+        code = main(["zones", "compute"])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "static_msd_m = 0.450000"
+        assert out == "static_msd_m = 0.450000\n" + export_layout(Scenario().build_layout())
+
     def test_infeasible_layout_exit_code(self, capsys):
         code = main(
             [

@@ -20,6 +20,7 @@ from ssmcell.control import (
 )
 from ssmcell.kinematics import (
     DEFAULT_DAMPING,
+    RANK_TOL,
     SINGULARITY_THRESHOLD,
     Jacobian,
     RobotModel,
@@ -42,27 +43,27 @@ def occ(left=Zone.NORMAL, right=Zone.NORMAL):
 
 class TestPrimarySelect:
     def test_all_normal_full_speed(self):
-        mode = primary_speed_select(occ(), Quadrant.LEFT)
+        mode = primary_speed_select(Zone.NORMAL, Zone.NORMAL, Quadrant.LEFT)
         assert mode.kind == ModeKind.FULL and mode.fraction == 1.0
 
     def test_warning_opposite_quadrant_keeps_operating(self):
-        mode = primary_speed_select(occ(right=Zone.WARNING), Quadrant.LEFT)
+        mode = primary_speed_select(Zone.NORMAL, Zone.WARNING, Quadrant.LEFT)
         assert mode.kind == ModeKind.COLLABORATIVE and mode.fraction == 0.5
 
     def test_danger_own_quadrant_standstill(self):
-        mode = primary_speed_select(occ(left=Zone.DANGER), Quadrant.LEFT)
+        mode = primary_speed_select(Zone.DANGER, Zone.NORMAL, Quadrant.LEFT)
         assert mode.kind == ModeKind.STANDSTILL and mode.fraction == 0.0
 
     def test_danger_opposite_quadrant_collaborative(self):
-        mode = primary_speed_select(occ(right=Zone.DANGER), Quadrant.LEFT)
+        mode = primary_speed_select(Zone.NORMAL, Zone.DANGER, Quadrant.LEFT)
         assert mode.kind == ModeKind.COLLABORATIVE
 
     def test_warning_own_quadrant(self):
-        mode = primary_speed_select(occ(left=Zone.WARNING), Quadrant.LEFT)
+        mode = primary_speed_select(Zone.WARNING, Zone.NORMAL, Quadrant.LEFT)
         assert mode.kind == ModeKind.COLLABORATIVE
 
     def test_robot_straddling_split_uses_worst(self):
-        mode = primary_speed_select(occ(right=Zone.DANGER), Quadrant.BOTH)
+        mode = primary_speed_select(Zone.NORMAL, Zone.DANGER, Quadrant.BOTH)
         assert mode.kind == ModeKind.STANDSTILL
 
 
@@ -148,6 +149,70 @@ class TestVelocityResolution:
         assert damped
         reference = pseudo_inverse(J, DEFAULT_DAMPING) @ (GAINS.task_gain @ v)
         assert np.max(np.abs(out - reference)) < 1e-9
+
+
+def reference_rates(q, v6, J, gains=GAINS):
+    """The resolution as whole-array expressions, all recomputed on every call."""
+    U, s, Vt = np.linalg.svd(J.matrix)
+    damped = s[-1] < SINGULARITY_THRESHOLD
+    exact = np.where(s > RANK_TOL * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
+    task = s / (s * s + DEFAULT_DAMPING * DEFAULT_DAMPING) if damped else exact
+    limits = np.asarray(MODEL.joint_limits)
+    mid, span_sq = 0.5 * (limits[:, 0] + limits[:, 1]), (limits[:, 1] - limits[:, 0]) ** 2
+    base = Vt.T @ (task * (U.T @ (gains.task_gain @ v6)))
+    qdot0 = gains.k0 * (-2.0 * (q - mid) / span_sq)
+    null_term = qdot0 - Vt.T @ (exact * (U.T @ (J.matrix @ qdot0)))
+    return base + null_term, damped
+
+
+class TestResolveCaches:
+    """_resolve_rates keeps what depends on the Jacobian object and q, and the
+    rates of the last v6; every answer must be a fresh controller's, bit for bit."""
+
+    @staticmethod
+    def fresh(q, v6, J):
+        return Controller(MODEL, LAYOUT, GAINS, Scenario.separation)._resolve_rates(q, v6, J)
+
+    def check(self, got, q, v6, J):
+        rates, damped = got
+        fresh_rates, fresh_damped = self.fresh(q, v6, J)
+        ref_rates, ref_damped = reference_rates(q, v6, J)
+        assert rates.tobytes() == fresh_rates.tobytes() == ref_rates.tobytes()
+        assert damped == fresh_damped == ref_damped
+        assert not rates.flags.writeable  # a later call may hand out the same array
+        return damped
+
+    def test_new_and_repeated_v6_on_one_jacobian(self):
+        ctrl = Controller(MODEL, LAYOUT, GAINS, Scenario.separation)
+        J = jacobian(MODEL, REGULAR_Q)
+        rng = np.random.default_rng(21)
+        va, vb = (np.concatenate([rng.normal(size=3) * 0.3, np.zeros(3)]) for _ in range(2))
+        for v6 in (va, vb, vb.copy(), va, np.zeros(6), np.zeros(6)):
+            self.check(ctrl._resolve_rates(REGULAR_Q, v6, J), REGULAR_Q, v6, J)
+
+    def test_another_q_or_jacobian_object_is_resolved_afresh(self):
+        ctrl = Controller(MODEL, LAYOUT, GAINS, Scenario.separation)
+        v6 = np.array([0.2, -0.1, 0.3, 0.0, 0.0, 0.0])
+        # Joint 2 is free, so the null-space term is k0's gradient there.
+        M = np.eye(6)
+        M[:, 2] = 0.0
+        J = Jacobian(matrix=M)
+        self.check(ctrl._resolve_rates(REGULAR_Q, v6, J), REGULAR_Q, v6, J)
+        moved = REGULAR_Q + 0.01  # the same v6 on the same object, at another q
+        self.check(ctrl._resolve_rates(moved, v6, J), moved, v6, J)
+        assert reference_rates(moved, v6, J)[0][2] != reference_rates(REGULAR_Q, v6, J)[0][2]
+        J2 = jacobian(MODEL, moved)  # another object at the same q
+        self.check(ctrl._resolve_rates(moved, v6, J2), moved, v6, J2)
+
+    def test_a_pose_near_a_singularity_still_damps(self):
+        ctrl = Controller(MODEL, LAYOUT, GAINS, Scenario.separation)
+        v6 = np.array([0.1, 0.2, -0.1, 0.0, 0.0, 0.0])
+        for k in range(4):
+            q = np.array([0.2, -0.3, 1e-4 * k, 0.1, 0.5, -0.2])  # elbow straight: singular
+            J = jacobian(MODEL, q)
+            assert np.linalg.svd(J.matrix, compute_uv=False)[-1] < SINGULARITY_THRESHOLD
+            for _ in range(2):  # computed, then kept
+                assert self.check(ctrl._resolve_rates(q, v6, J), q, v6, J)
 
 
 class TestEnergyObjective:
@@ -310,7 +375,7 @@ class TestControllerStep:
         ctrl.offer_scan(0.0, occ(left=Zone.WARNING))
         ctrl.offer_skeleton(0.0, LAYOUT.scale_floor_distance)
         cmd = step_simple(ctrl, 0.0)
-        primary = primary_speed_select(occ(left=Zone.WARNING), Quadrant.LEFT)
+        primary = primary_speed_select(Zone.WARNING, Zone.NORMAL, Quadrant.LEFT)
         ks = scale_factor(LAYOUT.scale_floor_distance, LAYOUT, GAINS)
         assert cmd.mode.fraction == min(primary.fraction, ks)
         assert cmd.source == CommandSource.SECONDARY_LOOP

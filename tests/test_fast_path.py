@@ -6,6 +6,7 @@ and the last trace row.  The path has no off switch, so the digests below were
 recorded with the engine that evaluated every tick in full.
 """
 
+import dataclasses
 import hashlib
 import math
 import struct
@@ -613,6 +614,62 @@ def test_human_columns_and_zone_events_equal_a_tick_by_tick_evaluation(mode, tas
     zone_kinds = (EventKind.ZONE_ENTER, EventKind.ZONE_EXIT)
     assert [(e.t, e.kind, e.payload) for e in result.events if e.kind in zone_kinds] == events
     assert len(events) >= 8
+
+
+@pytest.mark.parametrize("name", ["approach_noisy", "parked_dwelling"])
+def test_each_rows_distance_is_the_reduction_of_its_own_landmarks(name):
+    # The output stage measures only the head row of each run of rows whose
+    # human stays in one still piece and whose tcp bits repeat, and repeats
+    # its value; every row must hold its own per-tick reduction.  The tiny
+    # scenario's operator is parked and its robot dwells at both targets.
+    if name == "approach_noisy":
+        scenario = dataclasses.replace(bundled("approach_retreat"), noise=0.005, seed=17)
+    else:
+        scenario = tiny_scenario(duration=4.0)
+    trace = run(scenario).trace
+    track = scenario.humans[0].track(np.arange(len(trace)) * DT)
+    tcp = trace.column("tcp")
+    want = [
+        np.min(np.linalg.norm(track.landmarks(k, k + 1)[0] - tcp[k], axis=1))
+        for k in range(len(trace))
+    ]
+    assert trace.column("d_i").view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+    piece = track.piece
+    same_tcp = (tcp[1:].view(np.int64) == tcp[:-1].view(np.int64)).all(axis=1)
+    repeated = (piece[1:] == piece[:-1]) & track.still[piece[1:]] & same_tcp
+    assert 0 < np.count_nonzero(repeated) < len(trace) - 1  # runs, and heads after the first
+
+
+# A walk while standing, a reach held at one spot, a lean walked and then held,
+# and a reach held to the end: moving and still pieces of both bent postures.
+BENDING = HumanScript(
+    waypoints=(
+        HumanWaypoint(0.0, 1.4, 0.4, Posture.STANDING),
+        HumanWaypoint(0.5, 0.9, 0.3, Posture.REACHING),
+        HumanWaypoint(1.0, 0.9, 0.3, Posture.LEANING),
+        HumanWaypoint(1.6, 0.8, -0.2, Posture.LEANING),
+        HumanWaypoint(2.2, 0.8, -0.2, Posture.REACHING),
+    )
+)
+
+
+def test_tick_set_landmarks_equal_each_ticks_own():
+    times = np.arange(1300) * DT
+    track = BENDING.track(times)
+    pieces = [(POSTURES[track.posture[p]], bool(track.still[p])) for p in set(track.piece.tolist())]
+    for posture in (Posture.REACHING, Posture.LEANING):
+        assert (posture, True) in pieces
+    assert (Posture.LEANING, False) in pieces
+    rng = np.random.default_rng(4)
+    for ticks in (
+        np.arange(len(times)),
+        np.sort(rng.choice(len(times), 200, replace=False)),
+        np.array([600, 3, 1299, 3]),  # any order, and a tick twice
+        np.array([1299]),
+        np.arange(300, 500),  # walking only
+    ):
+        want = np.concatenate([track.landmarks(k, k + 1) for k in ticks.tolist()])
+        assert track.landmarks_at(ticks).tobytes() == want.tobytes()
 
 
 def test_script_that_starts_late_holds_still_until_it_starts(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -161,3 +162,43 @@ class TestModel:
         chain = FrameChain(model, q)
         T = oracle_transform_chain(model, q)
         assert np.max(np.abs(chain.tcp - T[:3, 3])) < 1e-12
+
+    def test_clamp_joint_rates_matches_the_array_form(self):
+        # The ratios are Python floats; the result is the one np.max over
+        # np.abs(qdot) / limits gives, bit for bit, and a NaN scales nothing.
+        model = RobotModel()
+        limits = np.asarray(model.max_joint_speed)
+        rng = np.random.default_rng(11)
+        cases = list(rng.uniform(-8.0, 8.0, (300, 6))) + [np.full(6, -0.0)]
+        cases.append(np.array([9.0, math.nan, 0.0, 0.0, 0.0, 0.0]))
+        for qdot in cases:
+            worst = (np.abs(qdot) / limits).max()
+            expected = qdot / worst if worst > 1.0 else qdot
+            assert model.clamp_joint_rates(qdot).tobytes() == expected.tobytes()
+
+
+class TestBitPin:
+    """FrameChain and jacobian_matrix work on Python floats; their bits are
+    pinned to those of the chain that worked on numpy scalars and wrote the
+    matrix item by item, recorded before the change, at 1,000 seeded q."""
+
+    DIGESTS = {
+        "robot": "09c009ad009dfb66cdb3b778f7fec9172c2c78e74e9169a66139eeec6f656a64",
+        "zero": "ad133abcb3bd279bdf2149d47206c02d49a534e22d7e43771adb0562417e2f6d",
+    }
+
+    @pytest.mark.parametrize("name, model", [("robot", RobotModel()), ("zero", ZERO_MODEL)])
+    def test_origins_z_axes_and_jacobian_bytes(self, name, model):
+        h = hashlib.sha256()
+        rng = np.random.default_rng(2028)
+        for q in rng.uniform(-2 * math.pi, 2 * math.pi, (1000, 6)):
+            chain = FrameChain(model, q)
+            h.update(np.array(chain.origins, dtype=float).tobytes())
+            h.update(np.array(chain.z_axes, dtype=float).tobytes())
+            h.update(chain.jacobian_matrix().tobytes())
+        assert h.hexdigest() == self.DIGESTS[name]
+
+    def test_a_list_q_gives_the_arrays_bits(self):
+        q = [0.3, -1.1, 2.0, 0.7, -0.4, 1.9]
+        by_list, by_array = FrameChain(RobotModel(), q), FrameChain(RobotModel(), np.array(q))
+        assert by_list.origins == by_array.origins and by_list.z_axes == by_array.z_axes

@@ -1,6 +1,7 @@
 """The columnar trace: row access, column access and conversion from rows."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -45,6 +46,23 @@ class TestSchema:
         assert TRACE_COLUMNS[:3] == ("t", "q1", "q2")
         assert len(TRACE_COLUMNS) == 32
         assert list(TraceRow._fields) == [f.name for f in SCHEMA]
+
+    def test_record_takes_the_schema_fields_in_order(self):
+        # record writes each block row in one assignment, in SCHEMA's order.
+        params = list(inspect.signature(Trace.record).parameters)
+        assert params == ["self", "i", *(f.name for f in SCHEMA)]
+        values = {}
+        for k, f in enumerate(SCHEMA):
+            if f.codes is not None:
+                values[f.name] = f.codes.values[k % len(f.codes.values)]
+            else:
+                values[f.name] = np.arange(len(f.headers)) + k if f.headers else float(k)
+        trace = Trace.empty(2)
+        trace.record(1, **values)
+        row = trace[1]
+        for f in SCHEMA:
+            got, want = getattr(row, f.name), values[f.name]
+            assert np.array_equal(got, want) if f.headers else got == want, f.name
 
     def test_row_defaults(self):
         row = TraceRow(t=0.0, q=np.zeros(6), qdot=np.zeros(6), tcp=np.zeros(3))
