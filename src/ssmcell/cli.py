@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from dataclasses import fields, replace
@@ -75,6 +76,22 @@ def _input_file(path: Path, what: str) -> Path:
     """path, which must not name a directory; a missing file is left to the reader."""
     if path.is_dir():
         raise FlagError(f"{what} {str(path)!r} is a directory, not a file")
+    return path
+
+
+def _output_path(text: str, directory: bool) -> Path:
+    """The --out path, checked before anything runs: a directory that exists or
+    can be made, or else a file in an existing directory; writable either way."""
+    path = Path(text)
+    if path.exists() and path.is_dir() != directory:
+        raise FlagError(f"argument --out: {text!r} is {'not ' if directory else ''}a directory")
+    # The path itself, or the directory its first missing part is made in.
+    above = (path, *path.parents) if directory else (path, path.parent)
+    target = next((p for p in above if p.exists()), path.parent)
+    if target != path and not target.is_dir():
+        raise FlagError(f"argument --out: {str(target)!r} is not an existing directory")
+    if not os.access(target, os.W_OK):
+        raise FlagError(f"argument --out: {str(target)!r} is not writable")
     return path
 
 
@@ -173,6 +190,7 @@ def _cmd_sim_run(args) -> int:
     if args.decimation < 1:
         raise FlagError(f"argument --decimation: must be >= 1, got {args.decimation}")
     address = _bridge_address(args.bridge) if args.bridge else None
+    out_dir = _output_path(args.out, directory=True)
     scenario = _resolve_scenario(args.scenario, args.seed, args.noise)
     service = None
     if address is not None:
@@ -187,13 +205,14 @@ def _cmd_sim_run(args) -> int:
         if service is not None:
             service.close()
     result.events.extend(detect_deadlock(result.trace, result.events, scenario.stall_threshold))
-    trace_path = _write_run_outputs(Path(args.out), result)
+    trace_path = _write_run_outputs(out_dir, result)
     print(f"wrote {len(result.trace)} rows to {trace_path}")
     print(f"events: {len(result.events)}")
     return EXIT_OK
 
 
 def _cmd_sim_benchmark(args) -> int:
+    out_dir = _output_path(args.out, directory=True)
     scenario = _resolve_scenario(args.scenario, args.seed, False)
     results = run_benchmark(scenario)
     ideal = ideal_cycle_time(scenario)
@@ -208,8 +227,6 @@ def _cmd_sim_benchmark(args) -> int:
                 f"scenario: duration {scenario.duration!r} s is too short for a benchmark: "
                 f"the {mode.value} run completes no task cycle ({exc})"
             ) from None
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for (mode, result), report in zip(results.items(), reports):
         _write_run_outputs(out_dir, result, label=mode.value)
         lines = [
@@ -227,15 +244,16 @@ def _cmd_sim_benchmark(args) -> int:
 
 
 def _cmd_zones_compute(args) -> int:
+    out = _output_path(args.out, directory=False) if args.out else None
     safety = _field_values(fields(SafetyParams), args)
     msd = compute_msd_static(SafetyParams(**safety))
     _finite_results([msd], "static MSD", fields(SafetyParams))
     # Everything that can fail runs before the first print, so a failure prints nothing.
     text = export_layout(build_zone_layout(msd))
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+    if out:
+        out.write_text(text, encoding="utf-8")
     print(f"static_msd_m = {msd:.6f}")
-    if args.out:
+    if out:
         print(f"layout written to {args.out}")
     else:
         print(text, end="")

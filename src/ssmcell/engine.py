@@ -13,7 +13,6 @@ import numpy as np
 from . import perception
 from .control import CONTROL_PERIOD, NOMINAL_SPEED, CommandSource, Controller, ModeKind
 from .kinematics import FrameChain, Jacobian, tcp_position
-from .perception import ScannerMount
 from .scenario import HumanTrack, Scenario, SimMode, TaskStep, build_gains, build_model
 from .separation import SeparationInputs, msd_at_speeds
 from .stability import LyapunovSeries, lyapunov_value
@@ -61,10 +60,6 @@ class SimResult:
 def lyapunov_samples(trace: Trace) -> LyapunovSeries:
     """The energy series of a trace, one sample per tick, on copies of its columns."""
     return LyapunovSeries(*(trace.column(name).copy() for name in ("t", "lyap", "mode")))
-
-
-def build_scanner_mounts(scenario: Scenario, layout: ZoneLayout) -> tuple[ScannerMount, ...]:
-    return scenario.scanners or perception.default_scanner_mounts(layout)
 
 
 def _expand_plan(scenario: Scenario) -> list[tuple[int, TaskStep]]:
@@ -363,7 +358,6 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
     dt = CONTROL_PERIOD
     n_ticks = int(round(scenario.duration / dt))
     rng = np.random.default_rng(scenario.seed)
-    mounts = build_scanner_mounts(scenario, layout)
 
     controller = Controller(
         model, layout, gains, scenario.separation, sequential=scenario.sequential
@@ -381,8 +375,8 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
     quadrant_blind = scenario.mode == SimMode.TRADITIONAL
 
     # The human side is open-loop.  Each human's track (HumanScript.track) at
-    # the scan times, the mounts, the layout, the mode and rng give every
-    # scan's occupancy, never q or the controller, so every scan is cast
+    # the scan times, the cell's scanners, the layout, the mode and rng give
+    # every scan's occupancy, never q or the controller, so every scan is cast
     # before the first tick.  Its track at the ticks gives each footprint zone
     # and so the zone events, and the walk speed term of the dynamic minimum.
     # Only the distance to the TCP is not open-loop.
@@ -395,7 +389,7 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
     else:
         at_scans = [script.track(np.array(scan_times)) for script in scenario.humans]
         occupancy = perception.scan_occupancies(
-            mounts,
+            perception.SCANNER_MOUNTS,
             np.array([(track.x, track.y) for track in at_scans]).transpose(2, 0, 1),
             [script.footprint_radius for script in scenario.humans],
             [script.stature for script in scenario.humans],
@@ -574,7 +568,7 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
 
 def detect_deadlock(trace: Trace, events: list[Event], stall_threshold: float = 5.0) -> list[Event]:
     """Deadlock events: standstill with pending task steps for longer than the threshold."""
-    if not len(trace) or math.isinf(stall_threshold):
+    if not len(trace):
         return []
     times = trace.values("t")
     dt = times[1] - times[0] if len(times) > 1 else 0.0

@@ -159,6 +159,15 @@ class ScannerMount:
         return self.heading - self.fov / 2.0 + k * self.angular_resolution
 
 
+# The cell's two scanners, at the base-side corners of the monitored area and
+# aimed at the far end of the centre line, so hits land on an intruder's
+# robot-facing side.  math.atan2(0.45, 1.5) differs from the headings in the last bit.
+SCANNER_MOUNTS = (
+    ScannerMount(0.0, -0.45, 0.29145679447786715),
+    ScannerMount(0.0, 0.45, -0.29145679447786715),
+)
+
+
 @dataclass(frozen=True)
 class LaserScan:
     """k scans by every ray of a mount set: ``ranges[j]`` holds scan j, taken at
@@ -538,13 +547,3 @@ def skeleton_sample(human: HumanState, t: float) -> SkeletonFrame:
     """One tracker frame at time t; t must sit on the 30 Hz grid."""
     _check_grid(t, 1.0 / SKELETON_RATE, "skeleton")
     return SkeletonFrame(t=t, landmarks=pose_landmarks(human), confidence=np.ones(N_LANDMARKS))
-
-
-def default_scanner_mounts(layout: ZoneLayout) -> tuple[ScannerMount, ScannerMount]:
-    """Far-corner mounts looking back across the monitored area (overlapping FOV)."""
-    rect = layout.normal_extent
-    return tuple(
-        ScannerMount(x=rect.x_max, y=y, heading=math.atan2(0.0 - y, 0.0 - rect.x_max))
-        for y in (rect.y_min, rect.y_max)
-    )
-

@@ -20,7 +20,6 @@ from .perception import (
     POSTURES,
     HumanState,
     Posture,
-    ScannerMount,
     landmark_block,
 )
 from .separation import SeparationInputs
@@ -31,12 +30,9 @@ from .zones import SafetyParams, ZoneLayout, build_zone_layout, compute_msd_stat
 # from the tick count before the first tick: 2e6 rows of 26 float64 columns are
 # about 0.43 GB.
 MAX_TICKS = 2_000_000
-# The bound on the x and y of every waypoint and scanner: far beyond the 5.5 m
-# scanner range, and small enough that squared landmark distances stay finite.
+# The bound on the x and y of every waypoint: far beyond the 5.5 m scanner
+# range, and small enough that squared landmark distances stay finite.
 MAX_COORDINATE = 1000.0  # m
-# The bound on a scanner's heading, one turn either way: far beyond it, the
-# steps between a scan's ray angles are lost to rounding.
-MAX_HEADING = 2 * math.pi  # rad
 # The bound on the range noise amplitude: far beyond a laser scanner's noise,
 # and small enough that the draws from [-noise, noise] stay finite.
 MAX_NOISE = 1.0  # m
@@ -71,7 +67,12 @@ class Section(list):
 def parse_sections(source) -> dict[str, Section]:
     """Parse '[section]' / 'key = value' text; '#' starts a comment."""
     if isinstance(source, (str, Path)) and "\n" not in str(source):
-        text = Path(source).read_text(encoding="utf-8")
+        try:
+            text = Path(source).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:  # exc.object holds the whole file
+            line, byte = exc.object.count(b"\n", 0, exc.start) + 1, exc.object[exc.start]
+            problem = f"line {line}: {source} is not UTF-8 text: byte 0x{byte:02x}"
+            raise ScenarioError(problem) from None
     else:
         text = str(source)
     sections: dict[str, Section] = {}
@@ -315,24 +316,17 @@ class Scenario:
     humans: tuple[HumanScript, ...] = ()
     task: RobotTask = RobotTask(steps=())
     q0: tuple[float, float, float, float, float, float] = (0.0,) * 6
-    scanners: tuple[ScannerMount, ...] = ()
     gains_config: GainsConfig = GainsConfig()
     # Not keys of the file: every scenario runs at the controller's period, with
-    # the cell's ISO 13855 terms (a 0.45 m static MSD) and ISO/TS 15066 terms.
+    # the cell's ISO 13855 terms (a 0.45 m static MSD) and ISO/TS 15066 terms,
+    # and flags a pending standstill longer than 5 s as a deadlock.
     control_period: ClassVar[float] = CONTROL_PERIOD
     safety: ClassVar[SafetyParams] = SafetyParams()
-    separation: ClassVar[SeparationInputs] = SeparationInputs(
-        robot_reaction_time=0.1,
-        perception_response_time=0.064,
-        intrusion=0.06,
-        robot_uncertainty=0.02,
-        human_uncertainty=0.02,
-    )
+    separation: ClassVar[SeparationInputs] = SeparationInputs()
+    stall_threshold: ClassVar[float] = 5.0  # s
     sequential: bool = False
     noise: float = 0.0
     parallelism: float = 1.0
-    # inf never flags a deadlock, so it is the one scalar allowed to be infinite
-    stall_threshold: float = field(default=5.0, metadata={"allow_inf": True})
 
     def build_layout(self) -> ZoneLayout:
         """The cell's zone layout around the static MSD of its safety terms."""
@@ -352,7 +346,7 @@ def build_gains(scenario: Scenario) -> Gains:
 
 
 # The scalar keys whose values must be positive.
-_POSITIVE = {"duration", "parallelism", "stall_threshold", "footprint_radius", "stature"}
+_POSITIVE = {"duration", "parallelism", "footprint_radius", "stature"}
 
 
 def _range_problem(key: str, v) -> str | None:
@@ -437,7 +431,6 @@ class _Key:
     key: str
     attr: str
     codec: _Codec
-    allow_inf: bool
 
     def read(self, e: Entry, label: str, errors: list):
         """The value of an entry, or None with the reason appended to errors; a value
@@ -448,8 +441,7 @@ class _Key:
             errors.append(f"line {e.line}: " + self.codec.error.format(key=self.key, text=e.value))
             return None
         numbers = value if isinstance(value, tuple) else (value,)
-        finite = all(math.isfinite(v) for v in numbers if isinstance(v, float))
-        if not finite and not (self.allow_inf and value == math.inf):
+        if not all(math.isfinite(v) for v in numbers if isinstance(v, float)):
             errors.append(f"line {e.line}: '{self.key}' must be finite, got {e.value}")
             return None
         problem = _range_problem(self.key, value)
@@ -473,13 +465,11 @@ def _section(cls, skip=(), names=None, row=None) -> _Section:
     names maps key to field where the two differ; it then lists every key.
     """
     hints = get_type_hints(cls)
-    by_name = {f.name: f for f in fields(cls)}
     if names is None:
-        names = {f: f for f in by_name if f not in skip and hints[f] in _CODECS}
-    keys = {
-        key: _Key(key, f, _CODECS[hints[f]], by_name[f].metadata.get("allow_inf", False))
-        for key, f in names.items()
-    }
+        names = {
+            f.name: f.name for f in fields(cls) if f.name not in skip and hints[f.name] in _CODECS
+        }
+    keys = {key: _Key(key, f, _CODECS[hints[f]]) for key, f in names.items()}
     return _Section(cls, keys, row)
 
 
@@ -488,7 +478,6 @@ _SECTIONS = {
     "scenario": _section(Scenario, skip=_ROBOT_KEYS.values()),
     "gains": _section(GainsConfig),
     "robot": _section(Scenario, names=_ROBOT_KEYS),
-    "scanners": _Section(ScannerMount, {}, "scanner"),
     "human": _section(HumanScript, row="waypoint"),  # also human2, human3, ...
     "task": _section(RobotTask, row="step"),
 }
@@ -540,17 +529,8 @@ def _gains(values: dict, section: Section, lines: dict[str, int], errors: list):
         return None
 
 
-_BOUNDS = f"[-{MAX_COORDINATE:g}, {MAX_COORDINATE:g}] m"
-_TURN = f"[-{MAX_HEADING:g}, {MAX_HEADING:g}] rad"
-
-
-def _out_of_bounds(x: float, y: float) -> bool:
-    return not (abs(x) <= MAX_COORDINATE and abs(y) <= MAX_COORDINATE)
-
-
 # How each row key's value reads, and which of its tokens are numbers.
 _ROWS = {
-    "scanner": ("x y heading", slice(0, 3)),
     "waypoint": ("t x y posture", slice(0, 3)),
     "step": ("name x y z dwell [modes]", slice(1, 5)),
 }
@@ -577,18 +557,6 @@ def _rows(key: str, rows: list[Entry], errors: list):
             errors.append(f"{what} has a non-finite value")
 
 
-def _scanners(rows: list[Entry], errors: list) -> tuple[ScannerMount, ...]:
-    scanners = []
-    for idx, e, _, (x, y, heading) in _rows("scanner", rows, errors):
-        problem = f"line {e.line}: scanners: scanner {idx}"
-        if _out_of_bounds(x, y):
-            errors.append(f"{problem} x and y must lie in {_BOUNDS}, got {x!r} {y!r}")
-        if abs(heading) > MAX_HEADING:
-            errors.append(f"{problem} heading must lie in {_TURN}, got {heading!r}")
-        scanners.append(ScannerMount(x, y, heading))
-    return tuple(scanners)
-
-
 def _waypoints(
     h: int, rows: list[Entry], duration: float, lines: dict[str, int], errors: list
 ) -> tuple[HumanWaypoint, ...]:
@@ -602,8 +570,9 @@ def _waypoints(
         problem = f"line {e.line}: human {h}: waypoint {idx}"
         if waypoints and t <= waypoints[-1].t:
             errors.append(f"{problem} timestamp {t} not after waypoint {last}")
-        if _out_of_bounds(x, y):
-            errors.append(f"{problem} x and y must lie in {_BOUNDS}, got {x!r} {y!r}")
+        if not (abs(x) <= MAX_COORDINATE and abs(y) <= MAX_COORDINATE):
+            bounds = f"[-{MAX_COORDINATE:g}, {MAX_COORDINATE:g}] m"
+            errors.append(f"{problem} x and y must lie in {bounds}, got {x!r} {y!r}")
         if 0 < duration < t:
             errors.append(
                 f"{problem} at {t}s is after the end of the {duration}s run "
@@ -639,7 +608,7 @@ def parse_scenario(source) -> Scenario:
 
     Unknown sections come first.  Then each section's problems follow in the order the
     parser reads it, whatever the file's order: [scenario], [robot], [gains],
-    [scanners], each [human] by number, [task].
+    each [human] by number, [task].
     A value is checked where it is read, and values checked together once all are read.
     """
     sections = parse_sections(source)
@@ -661,7 +630,6 @@ def parse_scenario(source) -> Scenario:
     gains = _gains(read("gains")[0], sections.get("gains", Section(0)), key_lines["gains"], errors)
     if gains is not None:
         values["gains_config"] = gains
-    values["scanners"] = _scanners(read("scanners")[1], errors)
     humans = []
     human_sections = sorted((s for s in sections if _kind(s) == "human"), key=_human_order)
     for h, name in enumerate(human_sections):
@@ -700,9 +668,6 @@ def serialize_scenario(sc: Scenario) -> str:
     blocks = [_section_text("scenario", sc)]
     blocks.append(_section_text("gains", sc.gains_config))
     blocks.append(_section_text("robot", sc))
-    blocks.append(
-        _section_text("scanners", sc, [f"{s.x!r} {s.y!r} {s.heading!r}" for s in sc.scanners])
-    )
     for i, human in enumerate(sc.humans):
         rows = [f"{w.t!r} {w.x!r} {w.y!r} {w.posture.value}" for w in human.waypoints]
         blocks.append(_section_text("human" if i == 0 else f"human{i + 1}", human, rows))

@@ -18,16 +18,18 @@ class SeparationInputs:
 
     human_speed / robot_speed in m/s; robot_reaction_time is the controller
     latency (s); perception_response_time the sensing latency (s); intrusion,
-    robot_uncertainty, human_uncertainty are fixed allowances (m).
+    robot_uncertainty, human_uncertainty are fixed allowances (m).  The
+    defaults past the two speeds are the cell's ISO/TS 15066 terms, the ones
+    every scenario runs with.
     """
 
     human_speed: float = 0.0
     robot_speed: float = 0.0
     robot_reaction_time: float = 0.1
     perception_response_time: float = 0.064
-    intrusion: float = 0.2
-    robot_uncertainty: float = 0.05
-    human_uncertainty: float = 0.05
+    intrusion: float = 0.06
+    robot_uncertainty: float = 0.02
+    human_uncertainty: float = 0.02
 
     def __post_init__(self):
         for name in (

@@ -191,6 +191,16 @@ def write_trace(trace: Trace, path, metadata: dict | None = None):
         f.writelines(_row_texts(trace))
 
 
+def _not_utf8(path) -> TraceFileError:
+    """The error for a file that is not UTF-8: the line and value of its first
+    byte that does not decode."""
+    try:
+        Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # exc.object holds the whole file
+        line, byte = exc.object.count(b"\n", 0, exc.start) + 1, exc.object[exc.start]
+        return TraceFileError(f"{path}:{line}: not UTF-8 text: byte 0x{byte:02x}")
+
+
 def _check_number(cell: str, header: str, path, lineno: int, time: bool) -> float:
     """The value of a number field; TraceFileError unless it is written as the writer would."""
     try:
@@ -289,22 +299,25 @@ def read_trace(path) -> Trace:
     back exactly.
     """
     float_blocks, code_blocks = [], []
-    with open(path, encoding="utf-8") as f:
-        lineno = 0
-        for line in f:
-            lineno += 1
-            if not line.startswith("#"):
-                break
-        else:
-            raise TraceFileError(f"{path}: no header row")
-        if tuple(line.rstrip("\n").split(",")) != TRACE_COLUMNS:
-            raise TraceFileError(f"{path}: unexpected trace columns")
-        rows = 0
-        while lines := list(itertools.islice(f, CHUNK_ROWS)):
-            floats, codes = _parse_chunk(lines, path, lineno + 1 + rows, rows)
-            float_blocks.append(floats)
-            code_blocks.append(codes)
-            rows += len(lines)
+    try:
+        with open(path, encoding="utf-8") as f:
+            lineno = 0
+            for line in f:
+                lineno += 1
+                if not line.startswith("#"):
+                    break
+            else:
+                raise TraceFileError(f"{path}: no header row")
+            if tuple(line.rstrip("\n").split(",")) != TRACE_COLUMNS:
+                raise TraceFileError(f"{path}: unexpected trace columns")
+            rows = 0
+            while lines := list(itertools.islice(f, CHUNK_ROWS)):
+                floats, codes = _parse_chunk(lines, path, lineno + 1 + rows, rows)
+                float_blocks.append(floats)
+                code_blocks.append(codes)
+                rows += len(lines)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if not float_blocks:
         return Trace.empty(0)
     return Trace(np.concatenate(float_blocks), np.concatenate(code_blocks))
@@ -319,7 +332,10 @@ def write_events(events: list[Event], path):
 def read_events(path) -> list[Event]:
     """Read an events file; anything write_events would not write raises TraceFileError."""
     events = []
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if not lines or lines[0] != "t,kind,payload":
         raise TraceFileError(f"{path}: missing events header")
     for lineno, line in enumerate(lines[1:], 2):

@@ -701,8 +701,7 @@ TARGETS = ((0.35, -0.30, 0.25), (0.20, -0.35, 0.30), (0.45, -0.28, 0.35))
 
 
 @st.composite
-def span_scenarios(draw):
-    duration = 2.5
+def span_scenarios(draw, duration=2.5, min_humans=0):
     steps = draw(
         st.lists(
             st.builds(
@@ -717,7 +716,7 @@ def span_scenarios(draw):
     )
     return tiny_scenario(
         duration=duration,
-        humans=tuple(draw(st.lists(human_scripts(duration), max_size=2))),
+        humans=tuple(draw(st.lists(human_scripts(duration), min_size=min_humans, max_size=2))),
         task=RobotTask(steps=tuple(steps), cycles=draw(st.integers(1, 2))),
         mode=draw(st.sampled_from(SimMode)),
         sequential=draw(st.booleans()),
@@ -736,6 +735,29 @@ def span_scenarios(draw):
 @given(scenario=span_scenarios())
 def test_generated_spans_match_tick_by_tick(scenario, monkeypatch):
     assert_spans_exact(scenario, monkeypatch)
+
+
+# A human parked beyond the scanners' 5.5 m range, where no ray reaches.
+FAR_HUMAN = HumanScript(waypoints=(HumanWaypoint(0.0, 40.0, 40.0, Posture.STANDING),))
+
+
+@pytest.mark.parametrize("mode", SimMode, ids=lambda mode: mode.value)
+@settings(derandomize=True, database=None, max_examples=8, deadline=None)
+@given(
+    scenario=st.sampled_from((1.0, 1.25, 1.5)).flatmap(
+        lambda duration: span_scenarios(duration, min_humans=1)
+    )
+)
+def test_a_far_human_after_the_tracked_one_changes_no_byte(mode, scenario):
+    # A metamorphic relation (ROADMAP item 11): no scan sees the far human, and
+    # only the first human is tracked, so neither its data nor its index may
+    # reach the trace or the events.
+    scenario = scenario.with_mode(mode)
+    with_far = dataclasses.replace(scenario, humans=(*scenario.humans, FAR_HUMAN))
+    runs = [run(sc) for sc in (scenario, with_far)]
+    lines = [hashlib.sha256("".join(trace_lines(r.trace)).encode()).digest() for r in runs]
+    assert lines[0] == lines[1]
+    assert runs[0].events == runs[1].events
 
 
 # An operator who stands still from the start until 30 scan periods, with the

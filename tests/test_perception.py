@@ -18,7 +18,7 @@ from ssmcell.perception import (
     Posture,
     ScannerMount,
     POSTURES,
-    default_scanner_mounts,
+    SCANNER_MOUNTS,
     landmark_block,
     merge_occupancy,
     pose_landmarks,
@@ -27,14 +27,17 @@ from ssmcell.perception import (
     simulate_scan,
     skeleton_sample,
 )
-from ssmcell.engine import _least_distance, build_scanner_mounts
+from ssmcell.engine import _least_distance
+from ssmcell.scenario import Scenario
 from ssmcell.zones import Quadrant, Zone, ZoneLayout, build_zone_layout, classify_point
 
-from helpers import bundled
-
 LAYOUT = build_zone_layout(0.45, 1.5, 0.9, 0.425)
-# Base-side corner mounts facing the approach area, as the bundled scenarios place them.
-BUNDLED_MOUNTS = build_scanner_mounts(bundled("sorting_benchmark"), LAYOUT)
+# Far-corner mounts looking back across the monitored area, a placement other
+# than the cell's base-side SCANNER_MOUNTS.
+FAR_CORNER_MOUNTS = (
+    ScannerMount(1.5, -0.45, math.atan2(0.45, -1.5)),
+    ScannerMount(1.5, 0.45, math.atan2(-0.45, -1.5)),
+)
 
 
 def human_at(x, y, posture=Posture.STANDING, heading=math.pi, radius=0.3):
@@ -163,7 +166,7 @@ class TestScanToOccupancy:
         assert (hits.zone[hits.hit] == Zone.DANGER).any()
 
     def test_two_scanner_merge_is_max(self):
-        mounts = BUNDLED_MOUNTS
+        mounts = SCANNER_MOUNTS
         humans = [human_at(0.9, -0.3)]
         per_scanner = [
             merge_occupancy(scan_to_occupancy(cast(mount, humans), (mount,), LAYOUT))[0]
@@ -178,7 +181,7 @@ class TestScanToOccupancy:
         humans = [human_at(0.15, -0.2), human_at(1.1, 0.3)]
         rng = np.random.default_rng(12)
         seen = set()
-        for mount in default_scanner_mounts(LAYOUT):
+        for mount in FAR_CORNER_MOUNTS:
             scan = cast(mount, humans, rng=rng, noise=0.005)
             hits = scan_to_occupancy(scan, (mount,), LAYOUT)
             ranges = scan.ranges[0]
@@ -234,7 +237,7 @@ class TestScanToOccupancy:
 
 
 # Mounts of differing placements to draw from.
-MOUNT_POOL = (*BUNDLED_MOUNTS, *default_scanner_mounts(LAYOUT))
+MOUNT_POOL = (*SCANNER_MOUNTS, *FAR_CORNER_MOUNTS)
 
 
 @st.composite
@@ -504,25 +507,19 @@ class TestMinDistance:
 
 
 class TestMounts:
-    def test_default_mounts_far_corners(self):
-        mounts = default_scanner_mounts(LAYOUT)
-        assert len(mounts) == 2
-        for mount in mounts:
-            assert mount.x == LAYOUT.normal_extent.x_max
-            assert mount.plane_height == LAYOUT.laser_mount_height
-
     def test_base_corner_mounts_face_forward(self):
-        rect = LAYOUT.normal_extent
-        assert sorted(m.y for m in BUNDLED_MOUNTS) == [rect.y_min, rect.y_max]
-        for mount in BUNDLED_MOUNTS:
+        rect = Scenario().build_layout().normal_extent
+        assert sorted(m.y for m in SCANNER_MOUNTS) == [rect.y_min, rect.y_max]
+        for mount in SCANNER_MOUNTS:
             assert mount.x == rect.x_min
+            assert mount.plane_height == LAYOUT.laser_mount_height
             assert abs(mount.heading) < math.pi / 2
             # aimed at the far end of the centre line
             assert mount.heading == pytest.approx(math.atan2(-mount.y, rect.x_max - rect.x_min))
 
     def test_coverage_from_either_mount_set(self):
         # a disc in the warning band is seen by at least one scanner of each pair
-        for mounts in (default_scanner_mounts(LAYOUT), BUNDLED_MOUNTS):
+        for mounts in (FAR_CORNER_MOUNTS, SCANNER_MOUNTS):
             humans = [human_at(1.0, 0.0)]
             scan = simulate_scan(mounts, *scan_arrays([humans]), [0.0])
             merged = merge_occupancy(scan_to_occupancy(scan, mounts, LAYOUT))

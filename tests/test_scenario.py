@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 
 from ssmcell.cli import EXIT_RUNTIME, EXIT_VALIDATION, main
 from ssmcell.kinematics import RobotModel
-from ssmcell.perception import Posture, ScannerMount
+from ssmcell.perception import Posture
 from ssmcell.scenario import (
     MAX_COORDINATE,
-    MAX_HEADING,
     HumanScript,
     HumanWaypoint,
     ScenarioError,
@@ -30,6 +29,18 @@ from helpers import bundled, human_scripts, tiny_scenario
 
 
 class TestParseSections:
+    @pytest.mark.parametrize(
+        "data, line, byte",
+        [(b"\xff[scenario]\n", 1, 0xFF), (b"[scenario]\r\nname = a\r\nseed = \xe9", 3, 0xE9)],
+        ids=["first_byte", "last_line"],
+    )
+    def test_file_that_is_not_utf8_names_its_line(self, data, line, byte, tmp_path):
+        path = tmp_path / "bad.scn"
+        path.write_bytes(data)
+        with pytest.raises(ScenarioError) as exc:
+            parse_sections(str(path))
+        assert exc.value.errors == [f"line {line}: {path} is not UTF-8 text: byte 0x{byte:02x}"]
+
     def test_basic(self):
         text = "[a]\nx = 1\n# comment\ny = two words\n[b]\nx = 3\n"
         sections = parse_sections(text)
@@ -95,14 +106,14 @@ class TestBundledScenarios:
         text = earlier_format(BUNDLED_TEXTS[0])
         text = text.replace("quadrant_half_width = 0.425", "quadrant_half_width = 0.3")
         lines = text.splitlines()
-        named = EARLIER_LINES[:2] + ["[safety]", "[separation]", "[layout]"]
+        named = EARLIER_KEYS + ["[safety]", "[separation]", "[layout]", "[scanners]"]
         at = {t.split()[0].strip("[]"): lines.index(t) + 1 for t in named}
         expected = [
-            f"line {at['safety']}: unknown section [safety]",
-            f"line {at['separation']}: unknown section [separation]",
-            f"line {at['layout']}: unknown section [layout]",
-            f"line {at['control_period']}: unknown key 'control_period' in [scenario]",
-            f"line {at['nominal_speed']}: unknown key 'nominal_speed' in [scenario]",
+            f"line {at[name]}: unknown section [{name}]"
+            for name in ("safety", "separation", "layout", "scanners")
+        ] + [
+            f"line {at[key]}: unknown key '{key}' in [scenario]"
+            for key in ("control_period", "nominal_speed", "stall_threshold")
         ]
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(text)
@@ -127,31 +138,33 @@ class TestBundledScenarios:
 
 # sha256 of serialize_scenario for the bundled files.
 SERIALIZED_SHA256 = {
-    "approach_retreat": "b1e417f1909e5077a0b8a2df85b2cd89777eb76469b3e27ecceab94c9cdce985",
-    "sorting_benchmark": "e688efe7d1cee42502461cd6adc326921176e6f601d061c2a2173573657f3fd0",
+    "approach_retreat": "2ba02c3ce6e2ec9e0daf5c8779e48d6f64fc5ac720695e9213ece49747fbd8bc",
+    "sorting_benchmark": "75363f8dbda1af6ff8441d7219e05a30cd9bd7e99229445a931cf8349295b411",
 }
 
 
 # The lines that set the cell's fixed values in the bundled files before they
-# became constants: two [scenario] keys and the [safety], [separation] and
-# [layout] sections.
-EARLIER_LINES = ["control_period = 0.002", "nominal_speed = 1.0", "[safety]"]
-EARLIER_LINES += ["approach_speed = 1.6", "stop_time = 0.25", "intrusion = 0.04"]
+# became constants: three [scenario] keys and the [safety], [separation],
+# [layout] and [scanners] sections.
+EARLIER_KEYS = ["control_period = 0.002", "nominal_speed = 1.0", "stall_threshold = 5.0"]
+EARLIER_LINES = ["[safety]", "approach_speed = 1.6", "stop_time = 0.25", "intrusion = 0.04"]
 EARLIER_LINES += ["uncertainty = 0.01", "", "[separation]", "robot_reaction_time = 0.1"]
 EARLIER_LINES += ["perception_response_time = 0.064", "intrusion = 0.06"]
 EARLIER_LINES += ["robot_uncertainty = 0.02", "human_uncertainty = 0.02", "", "[layout]"]
 EARLIER_LINES += ["workspace_length = 1.5", "workspace_width = 0.9", "quadrant_half_width = 0.425"]
 EARLIER_LINES += ["danger_margin = 0.1", "laser_mount_height = 0.4", "height_min = 0.0"]
-EARLIER_LINES += ["height_max = 2.0", "scale_floor_distance = 0.3", ""]
+EARLIER_LINES += ["height_max = 2.0", "scale_floor_distance = 0.3", "", "[scanners]"]
+EARLIER_LINES += ["scanner = 0.0 -0.45 0.29145679447786715"]
+EARLIER_LINES += ["scanner = 0.0 0.45 -0.29145679447786715", ""]
 
 
 def earlier_format(text):
     """A bundled file's text as it was written with those lines."""
     lines = text.splitlines()
     at = lines.index("[gains]")
-    lines[at:at] = EARLIER_LINES[2:]
+    lines[at:at] = EARLIER_LINES
     at = next(i for i, t in enumerate(lines) if t.startswith("seed = ")) + 1
-    lines[at:at] = EARLIER_LINES[:2]
+    lines[at:at] = EARLIER_KEYS
     return "\n".join(lines) + "\n"
 
 
@@ -169,7 +182,6 @@ def every_key_scenario():
         sequential=True,
         noise=0.002,
         parallelism=2.0,
-        stall_threshold=math.inf,
         humans=(human, replace(human, stature=1.6)),
         task=replace(sc.task, cycles=2),
         gains_config=replace(
@@ -188,25 +200,19 @@ def assert_starts_at_first_target(scenario):
 
 class TestValidation:
     def test_coordinates_at_the_bound_are_accepted(self):
-        def text(bound, heading):
+        def text(bound):
             humans = (HumanScript(waypoints=(HumanWaypoint(0.0, -bound, 0.3),)),)
-            scanners = (ScannerMount(0.0, bound, heading),)
-            sc = dataclasses.replace(bundled("approach_retreat"), humans=humans, scanners=scanners)
+            sc = dataclasses.replace(bundled("approach_retreat"), humans=humans)
             return sc, serialize_scenario(sc)
 
-        sc, at_bound = text(MAX_COORDINATE, -MAX_HEADING)
+        sc, at_bound = text(MAX_COORDINATE)
         assert parse_scenario(at_bound) == sc
-        far, turn = math.nextafter(MAX_COORDINATE, math.inf), math.nextafter(MAX_HEADING, 7.0)
-        lines = text(far, turn)[1].splitlines()
-        scanner = lines.index(f"scanner = 0.0 {far!r} {turn!r}") + 1
+        far = math.nextafter(MAX_COORDINATE, math.inf)
+        lines = text(far)[1].splitlines()
         waypoint = lines.index(f"waypoint = 0.0 {-far!r} 0.3 standing") + 1
         with pytest.raises(ScenarioError) as exc:
             parse_scenario("\n".join(lines))
         assert exc.value.errors == [
-            f"line {scanner}: scanners: scanner 0 x and y must lie in [-1000, 1000] m, "
-            f"got 0.0 {far!r}",
-            f"line {scanner}: scanners: scanner 0 heading must lie in [-6.28319, 6.28319] rad, "
-            f"got {turn!r}",
             f"line {waypoint}: human 0: waypoint 0 x and y must lie in [-1000, 1000] m, "
             f"got {-far!r} 0.3",
         ]
@@ -259,10 +265,7 @@ class TestValidation:
             ("duration = 34.0", "duration = inf"),
             ("kp = 20.0", "kp = nan"),
             ("kp = 20.0", "kp = -inf"),
-            ("stall_threshold = 5.0", "stall_threshold = nan"),
-            ("stall_threshold = 5.0", "stall_threshold = -inf"),
             ("q0 = -0.708626272", "q0 = nan"),
-            ("scanner = 0.0 -0.45", "scanner = inf -0.45"),
             ("waypoint = 2.0 2.3 -0.32 standing", "waypoint = 2.0 nan -0.32 standing"),
             ("step = sort_b 0.15 -0.35 0.3 1.5", "step = sort_b 0.15 -0.35 0.3 inf"),
             ("q0 = -0.708626272", "q0 = 9.0"),
@@ -271,7 +274,6 @@ class TestValidation:
             ("stature = 1.7", "stature = -1.7"),
             ("[robot]", "[robot]\nmodel = arm.cfg"),
             ("duration = 34.0", "duration = 1e12"),
-            ("scanner = 0.0 0.45 -0.29145679447786715", "scanner = 0.0 0.45 1e200"),
             ("noise = 0.0", "noise = 1e308"),
             ("task_gain = 1.0", "task_gain = 1e308"),
             # A bad row, then a range problem on a later row of the same kind.
@@ -310,11 +312,14 @@ class TestValidation:
         + [("scenario", "nominal_speed = 0.0"), ("layout", "danger_margin = -1.0")]
         + [("layout", "height_min = 3.0"), ("layout", "laser_mount_height = -0.4")]
         + [("safety", "stop_time = 2.5"), ("safety", "approach_speed = nan")]
-        + [("separation", "intrusion = -0.06"), ("separation", "human_speed = 1.6")],
+        + [("separation", "intrusion = -0.06"), ("separation", "human_speed = 1.6")]
+        + [("scenario", "stall_threshold = 5.0"), ("scenario", "stall_threshold = inf")]
+        + [("scanners", "scanner = 0.0 -0.45 0.29145679447786715")]
+        + [("scanners", "scanner = 1.5 0.45 -2.850135859111926")],
     )
     def test_a_removed_key_exits_1_as_unknown_naming_its_line(self, section, old, tmp_path):
-        # The cell's fixed values are constants: a file that sets one fails at its line,
-        # or at the line of the [layout], [safety] or [separation] section that holds it.
+        # The cell's fixed values are constants: a file that sets one fails at its line, or
+        # at the line of the [layout], [safety], [separation] or [scanners] section that holds it.
         lines = BUNDLED_TEXTS[0].splitlines()
         if section != "scenario":
             at, problem = lines.index("[gains]"), f"unknown section [{section}]"
@@ -335,7 +340,6 @@ class TestValidation:
         [
             ("noise = 0.0", "noise = -0.001", "noise must be >= 0"),
             ("parallelism = 1.0", "parallelism = 0.0", "parallelism must be positive"),
-            ("stall_threshold = 5.0", "stall_threshold = 0.0", "stall_threshold must be positive"),
             ("kd = 2.0", "kd = -1.0", "kd diagonal must be positive"),
             ("seed = 17", "seed = -1", "seed must be >= 0"),
             ("footprint_radius = 0.3", "footprint_radius = 0.0", "footprint_radius must be"),
@@ -364,12 +368,6 @@ class TestValidation:
         line = text.splitlines().index("stature = -1.0") + 1
         with pytest.raises(ScenarioError, match=f"line {line}: human 1: stature must be positive"):
             parse_scenario(text)
-
-    def test_infinite_stall_threshold_means_never(self):
-        text = serialize_scenario(bundled("approach_retreat"))
-        scenario = parse_scenario(text.replace("stall_threshold = 5.0", "stall_threshold = inf"))
-        assert scenario.stall_threshold == math.inf
-        assert parse_scenario(serialize_scenario(scenario)) == scenario
 
     def test_human_sections_keep_their_number_order(self):
         sc = bundled("approach_retreat")
@@ -496,7 +494,7 @@ def test_every_failing_value_mutation_names_its_line():
             if line not in named_lines(exc.errors):
                 unnamed.append((line, text.splitlines()[line - 1][:60], exc.errors[0][:200]))
     # The failure count is pinned too: a check that stops firing shows here.
-    assert (parsed, failed) == (2343, 1528)
+    assert (parsed, failed) == (2189, 1442)
     assert unnamed == []
 
 
@@ -506,7 +504,7 @@ def test_problems_of_two_sections_are_all_reported_in_reading_order():
         parse_scenario(text)
     assert exc.value.errors == [
         "line 7: scenario: seed must be >= 0",
-        "line 15: gains: kd diagonal must be positive",
+        "line 14: gains: kd diagonal must be positive",
     ]
 
 
@@ -517,9 +515,9 @@ def test_problems_follow_the_parsers_section_order_after_unknown_sections():
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(text + "\n[extra]\n")
     assert exc.value.errors == [
-        "line 52: unknown section [extra]",
-        "line 23: robot: q0: joint 0 value 9.000000 outside [-6.283185, 6.283185]",
-        "line 15: gains: kd diagonal must be positive",
+        "line 45: unknown section [extra]",
+        "line 22: robot: q0: joint 0 value 9.000000 outside [-6.283185, 6.283185]",
+        "line 14: gains: kd diagonal must be positive",
     ]
 
 
@@ -539,7 +537,6 @@ def test_a_mutated_file_never_stops_sim_run_with_a_runtime_error(text):
 # A range problem for a row of each kind: a row key and the tokens it replaces.
 RANGE_PROBLEMS = {
     "waypoint": [{1: "5000"}, {0: "100.0"}],  # x out of bounds; after the run, and out of order
-    "scanner": [{0: "5000"}, {2: "100.0"}],  # x out of bounds; heading beyond a turn
     "step": [{1: "5.0"}],  # beyond the arm's reach
 }
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ssmcell.scenario import Scenario
 from ssmcell.separation import (
     SeparationError,
     SeparationInputs,
@@ -20,6 +21,11 @@ def make_inputs(v_h=1.6, v_r=1.0, t_r=0.1, t_s=0.064, c=0.2, z_r=0.05, z_d=0.05)
         robot_uncertainty=z_r,
         human_uncertainty=z_d,
     )
+
+
+def test_defaults_are_the_cells_terms():
+    assert SeparationInputs() == make_inputs(v_h=0.0, v_r=0.0, c=0.06, z_r=0.02, z_d=0.02)
+    assert Scenario.separation == SeparationInputs()
 
 
 class TestTerms:

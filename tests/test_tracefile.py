@@ -165,6 +165,12 @@ class TestEvents:
         with pytest.raises(TraceFileError):
             read_events(path)
 
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_bytes(b"t,kind,payload\n0.5,cycle_done,cycle=0\n0.6,cycle_done,\xe9\n")
+        with pytest.raises(TraceFileError, match="events.csv:3: not UTF-8 text: byte 0xe9$"):
+            read_events(path)
+
     @pytest.mark.parametrize(
         "line",
         [
@@ -376,6 +382,17 @@ class TestReaderFailsClosed:
         path.write_text("\n".join(lines[:4] + [",".join(fields)] + lines[5:]) + "\n")
         with pytest.raises(TraceFileError, match=f"{path}:5: t: "):
             read_trace(path)
+
+    @pytest.mark.parametrize("index", [0, 3 + 2 * CHUNK + 10], ids=["metadata", "mid_chunk"])
+    def test_byte_that_is_not_utf8_names_its_line(self, index, lines, tmp_path, monkeypatch):
+        monkeypatch.setattr(tracefile, "CHUNK_ROWS", self.CHUNK)
+        path = tmp_path / "bad.csv"
+        data = [line.encode("utf-8") for line in lines]
+        data[index] = data[index][:2] + b"\xc3(" + data[index][2:]  # a lead byte, no follow-up
+        path.write_bytes(b"\n".join(data) + b"\n")
+        with pytest.raises(TraceFileError) as exc:
+            read_trace(path)
+        assert str(exc.value) == f"{path}:{index + 1}: not UTF-8 text: byte 0xc3"
 
     def test_short_line_in_chunk_names_its_line(self, lines, tmp_path):
         path = tmp_path / "bad.csv"
