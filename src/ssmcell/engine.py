@@ -24,7 +24,7 @@ _GRID_EPS = 1e-9
 _DWELL_DONE = 1e-12  # s, dwell time left at which a step is done
 _ROW_FLOATS = struct.Struct("2d")  # exact bits of v_task and lyap
 _HUMAN_COLUMNS = ("human_x", "human_y", "human_speed", "d_i", "dyn_msd")
-LANDMARK_CHUNK = 256  # ticks whose landmarks are built together, and of an output block
+LANDMARK_CHUNK = 256  # ticks or frames whose landmarks are built together; an output block
 _NO_MOTION = np.zeros(3)  # the task direction of a tick without task motion
 _NO_MOTION.flags.writeable = False
 
@@ -200,6 +200,7 @@ class _Messages:
             self.held = [False] + [s and p == q for s, p, q in zip(still[1:], piece[1:], piece)]
             self.frame_changes = [j for j in range(1, len(piece)) if not self.held[j]]
             self.walk_speed = track.walk_speeds(0, len(piece)).tolist()
+        self.block_start, self.block = 0, np.empty((0, perception.N_LANDMARKS, 3))
 
     def offer_until(self, stop: int, tcp: np.ndarray):
         """Offer every message due before tick stop; at one tick, the scan
@@ -225,8 +226,17 @@ class _Messages:
                 continue
             if not self.held[j] or tcp is not self.skel_tcp:
                 self.skel_tcp = tcp
-                self.d_i = float(_least_distance(self.track.landmarks(j, j + 1), tcp)[0])
+                self.d_i = float(_least_distance(self._landmarks(j), tcp)[0])
             controller.offer_skeleton(self.frame_times[j], self.d_i, self.walk_speed[j])
+
+    def _landmarks(self, j: int) -> np.ndarray:
+        """Frame j's landmarks (1, 32, 3), from a block of LANDMARK_CHUNK frames on."""
+        row = j - self.block_start
+        if not 0 <= row < len(self.block):
+            self.block_start, row = j, 0
+            stop = min(j + LANDMARK_CHUNK, len(self.held))
+            self.block = self.track.landmarks_at(np.arange(j, stop))
+        return self.block[row : row + 1]
 
     def quiet_until(self, tcp: np.ndarray) -> int:
         """The tick of the first message that can differ from the one the

@@ -14,6 +14,7 @@ from .zones import Quadrant, Zone, ZoneLayout
 SKELETON_RATE = 30.0  # Hz
 SCAN_PERIOD = 0.030  # s, one laser scan
 SCAN_CHUNK = 64  # scans that scan_occupancies casts together
+_MARGIN = 2  # rays that a scan casts on each side of a footprint's cone
 DEFAULT_STATURE = 1.70  # m, head landmark height when standing
 DEFAULT_FOOTPRINT_RADIUS = 0.30  # m
 LEAN_ANGLE = math.radians(30.0)
@@ -187,10 +188,11 @@ class SkeletonFrame:
         return self.landmarks[_INDEX[name]]
 
 
-def _check_grid(t: float, period: float, what: str):
-    steps = t / period
-    if abs(steps - round(steps)) > GRID_TOL / period:
-        raise PerceptionError(f"{what} time {t} is not aligned to the {period} s grid")
+def _check_grid(times: np.ndarray, period: float, what: str):
+    steps = times / period
+    off = np.abs(steps - np.round(steps)) > GRID_TOL / period
+    if off.any():
+        raise PerceptionError(f"{what} time {times[off][0]} is not aligned to the {period} s grid")
 
 
 @dataclass(frozen=True)
@@ -206,6 +208,7 @@ class _Rays:
     uy: np.ndarray  # (n,) np.sin
     cos_a: np.ndarray  # (n,) math.cos of the ray angle, for the hit points
     sin_a: np.ndarray  # (n,) math.sin
+    start: np.ndarray  # (n_mounts,) the angle of each mount's ray 0
 
 
 @lru_cache(maxsize=16)
@@ -226,7 +229,33 @@ def _rays(mounts: tuple[ScannerMount, ...]) -> _Rays:
         uy=np.concatenate([np.sin(a) for a in angles]),
         cos_a=np.array([math.cos(a) for a in every]),
         sin_a=np.array([math.sin(a) for a in every]),
+        start=np.array([a[0] for a in angles]),
     )
+
+
+def _cone(rays: _Rays, oc: np.ndarray, oc_sq: np.ndarray, radius: float):
+    """The rays that can meet a disc of the radius at offset oc (k, mounts, 2)
+    from each mount, ``|oc|^2`` oc_sq, as flat indices into oc's (k, mounts)
+    and the scans' (k, n_rays) ranges: those within asin(radius / |oc|) of the
+    centre's bearing or its turn before, and _MARGIN rays more each side; all
+    when the mount lies in the disc or the half-angle exceeds 1 rad; none when
+    the centre is not finite.  No other ray has a root ahead."""
+    n, step = ScannerMount.n_rays, ScannerMount.angular_resolution
+    outside = oc_sq > radius * radius
+    ratio = np.divide(radius, np.sqrt(oc_sq), out=np.ones_like(oc_sq), where=outside)
+    half = np.arcsin(np.minimum(ratio, 1.0))[..., None]
+    bearing = np.mod(np.arctan2(oc[..., 1], oc[..., 0]) - rays.start, 2.0 * math.pi)
+    centre = np.stack((bearing, bearing - 2.0 * math.pi), axis=-1)  # (k, mounts, 2)
+    lo = np.ceil((centre - half) / step) - _MARGIN
+    hi = np.floor((centre + half) / step) + _MARGIN
+    every = half[..., 0] > 1.0
+    lo[every], hi[every] = (0, n), n - 1  # the first window takes every ray
+    lo[~np.isfinite(oc).all(axis=-1)] = n
+    lo, hi = np.clip(lo, 0, n).astype(np.intp), np.clip(hi, -1, n - 1).astype(np.intp)
+    length = np.maximum(hi - lo + 1, 0).ravel()
+    k = np.arange(length.sum()) - np.repeat(np.cumsum(length) - length - lo.ravel(), length)
+    cell = np.repeat(np.arange(length.size) // 2, length)
+    return cell, cell * n + k
 
 
 def simulate_scan(
@@ -253,8 +282,7 @@ def simulate_scan(
     """
     mounts = tuple(mounts)
     times = np.asarray(times, dtype=float)
-    for t in times.tolist():
-        _check_grid(t, SCAN_PERIOD, "scan")
+    _check_grid(times, SCAN_PERIOD, "scan")
     ground = np.asarray(ground, dtype=float)
     radius, stature = np.asarray(radius, dtype=float), np.asarray(stature, dtype=float)
     if ground.shape != (len(times), len(radius), 2) or stature.shape != radius.shape:
@@ -265,23 +293,27 @@ def simulate_scan(
         if not ScannerMount.plane_height <= stature[h]:
             continue
         oc = ground[:, h, None, :] - rays.origin
-        # |oc|^2 stays one 1-D dot per scan and mount: BLAS may fuse its
-        # multiply-add, which an elementwise form of it would not.
-        oc_sq = np.array([float(v @ v) for v in oc.reshape(-1, 2)]).reshape(oc.shape[:2])
+        # |oc|^2 is one BLAS dot per scan and mount, as the 1-D v @ v makes it:
+        # BLAS may fuse its multiply-add, which an elementwise form would not.
+        v = oc.reshape(-1, 2)
+        oc_sq = np.matmul(v[:, None, :], v[:, :, None]).reshape(oc.shape[:2])
         c = oc_sq - radius[h] * radius[h]
-        # The arithmetic of one ray at a time, in place on (k, n) arrays.
-        b = oc[:, rays.mount, 0] * rays.ux  # projection of center onto each ray
-        b += oc[:, rays.mount, 1] * rays.uy
+        # The arithmetic of one ray at a time, on the rays of the disc's cone.
+        cell, at = _cone(rays, oc, oc_sq, radius[h])
+        ray = at % len(rays.mount)
+        b = oc[..., 0].ravel()[cell] * rays.ux[ray]  # projection of center onto each ray
+        b += oc[..., 1].ravel()[cell] * rays.uy[ray]
         disc = b * b
-        disc -= c[:, rays.mount]
+        disc -= c.ravel()[cell]
         mask = disc >= 0.0
         disc[~mask] = 0.0
         sq = np.sqrt(disc, out=disc)
         hit = b + sq  # the far root, unless the near one lies ahead
         near = np.subtract(b, sq, out=b)
         np.copyto(hit, near, where=near > 1e-12)
-        valid = mask & (hit > 1e-12) & (hit < ScannerMount.max_range) & (hit < ranges)
-        np.copyto(ranges, hit, where=valid)
+        flat = ranges.reshape(-1)
+        valid = mask & (hit > 1e-12) & (hit < ScannerMount.max_range) & (hit < flat[at])
+        flat[at[valid]] = hit[valid]
     if noise > 0.0:
         if rng is None:
             raise PerceptionError("noise requested without an rng")
@@ -373,7 +405,8 @@ def scan_occupancies(
     Scans are cast SCAN_CHUNK at a time, in order, so that noise draws what
     casting them one by one would.  Without noise a scan is cast only when
     some human's x or y differs from the scan before, and a scan that is not
-    cast takes the occupancy of the last one that was.
+    cast takes the occupancy of the last one that was.  Scans of one
+    occupancy share one dict.
     """
     times = np.asarray(times, dtype=float)
     ground = np.asarray(ground, dtype=float)
@@ -390,19 +423,8 @@ def scan_occupancies(
         hits = scan_to_occupancy(scan, mounts, layout)
         merged[start : start + len(chunk)] = merge_occupancy(hits, quadrant_blind=quadrant_blind)
         del scan, hits  # a chunk's arrays are not held while the next one is cast
-    return [
-        {Quadrant.LEFT: Zone(left), Quadrant.RIGHT: Zone(right)}
-        for left, right in merged[np.cumsum(fresh) - 1].tolist()
-    ]
-
-
-def _rotate_about_axis(v: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
-    # Rodrigues rotation; axis must be unit length.
-    return (
-        v * math.cos(angle)
-        + np.cross(axis, v) * math.sin(angle)
-        + axis * (axis @ v) * (1.0 - math.cos(angle))
-    )
+    table = [[{Quadrant.LEFT: left, Quadrant.RIGHT: right} for right in Zone] for left in Zone]
+    return [table[left][right] for left, right in merged[np.cumsum(fresh) - 1].tolist()]
 
 
 @lru_cache(maxsize=16)
@@ -442,7 +464,13 @@ def _template_for_stature(s: float) -> np.ndarray:
 
 # The postures of landmark_block's posture codes, in code order.
 POSTURES = tuple(Posture)
-_STANDING = POSTURES.index(Posture.STANDING)
+_REACHING, _LEANING = POSTURES.index(Posture.REACHING), POSTURES.index(Posture.LEANING)
+# Each side's arm, shoulder to thumb, left then right; and the upper body,
+# which leaning tilts about the pelvis.
+_ARM = ("shoulder", "elbow", "wrist", "hand", "handtip", "thumb")
+_ARMS = [[_INDEX[f"{part}_{side}"] for part in _ARM] for side in ("left", "right")]
+_TILTED = ("spine", "neck", "head", "nose", "eye", "ear", "clavicle", "shoulder")
+_UPPER = [i for i, name in enumerate(LANDMARK_NAMES) if name.startswith(_TILTED)]
 
 
 def landmark_block(x, y, cos_h, sin_h, posture, stature: float) -> np.ndarray:
@@ -451,8 +479,8 @@ def landmark_block(x, y, cos_h, sin_h, posture, stature: float) -> np.ndarray:
     x and y are the states' ground positions, cos_h and sin_h math.cos and
     math.sin of their headings, posture their codes in POSTURES; all (n,).
     Row k holds the floats pose_landmarks gives for state k: the standing
-    template is placed with the same elementwise operations, and each state
-    that is not standing is then bent on its own.
+    template is placed with the same elementwise operations, and the reaching
+    and the leaning states are then bent, each posture as one block.
     """
     local = _template_for_stature(stature)
     x, y = np.asarray(x, dtype=float)[:, None], np.asarray(y, dtype=float)[:, None]
@@ -462,73 +490,74 @@ def landmark_block(x, y, cos_h, sin_h, posture, stature: float) -> np.ndarray:
     world[:, :, 1] = y + sh * local[:, 0] + ch * local[:, 1]
     world[:, :, 2] = local[:, 2]
     posture = np.asarray(posture)
-    for k in np.flatnonzero(posture != _STANDING).tolist():
-        _bend(world[k], x[k, 0], y[k, 0], ch[k, 0], sh[k, 0], POSTURES[posture[k]], stature)
+    reach = np.flatnonzero(posture == _REACHING)
+    if len(reach):
+        world[reach] = _reach(world[reach], stature)
+    lean = np.flatnonzero(posture == _LEANING)
+    if len(lean):
+        world[lean] = _lean(world[lean], x[lean], y[lean], ch[lean], sh[lean], stature)
     return world
 
 
-def _bend(world: np.ndarray, gx, gy, ch, sh, posture: Posture, s: float):
-    """Bend one state's placed standing landmarks (32, 3) into its posture, in place.
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of each pair of last-axis vectors, with the BLAS dot call of the
+    1-D product.  OpenBLAS's Prescott kernel sums otherwise at another 16-byte
+    alignment, so each vector lies where the 1-D product had it: in place in a
+    block of states, or in a row of _aligned for a vector of its own."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
-    REACHING extends the base-nearer arm toward the robot base; LEANING tilts
-    the upper body toward the base.  Bone lengths are invariant to posture.
-    """
-    if posture == Posture.REACHING:
-        left = world[_INDEX["shoulder_left"]]
-        right = world[_INDEX["shoulder_right"]]
-        # math.sqrt(v @ v) is np.linalg.norm(v) of a 3-vector without its overhead.
-        side = "left" if math.sqrt(left @ left) <= math.sqrt(right @ right) else "right"
-        shoulder = world[_INDEX[f"shoulder_{side}"]]
-        direction = -shoulder / math.sqrt(shoulder @ shoulder)  # toward the base origin
-        world[_INDEX[f"elbow_{side}"]] = shoulder + _UPPER_ARM * s * direction
-        wrist = shoulder + (_UPPER_ARM + _FOREARM) * s * direction
-        world[_INDEX[f"wrist_{side}"]] = wrist
-        world[_INDEX[f"hand_{side}"]] = wrist + _HAND * s * direction
-        world[_INDEX[f"handtip_{side}"]] = wrist + _HANDTIP * s * direction
-        # direction x (0, 0, 1), with the products np.cross forms.
-        dx, dy, dz = direction.tolist()
-        perp = np.array([dy * 1.0 - dz * 0.0, dz * 0.0 - dx * 1.0, dx * 0.0 - dy * 0.0])
-        n = math.sqrt(perp @ perp)
-        perp = np.array([1.0, 0.0, 0.0]) if n < 1e-9 else perp / n
-        world[_INDEX[f"thumb_{side}"]] = wrist + _THUMB * s * perp
-    elif posture == Posture.LEANING:
-        toward = -np.array([gx, gy, 0.0])
-        n = np.linalg.norm(toward)
-        if n > 1e-9:
-            toward /= n
-            axis = np.cross(np.array([0.0, 0.0, 1.0]), toward)
-            axis /= np.linalg.norm(axis)
-            pelvis = world[_INDEX["pelvis"]].copy()
-            upper = [
-                "spine_navel",
-                "spine_chest",
-                "neck",
-                "head",
-                "nose",
-                "eye_left",
-                "eye_right",
-                "ear_left",
-                "ear_right",
-                "clavicle_left",
-                "clavicle_right",
-                "shoulder_left",
-                "shoulder_right",
-            ]
-            for name in upper:
-                i = _INDEX[name]
-                world[i] = pelvis + _rotate_about_axis(world[i] - pelvis, axis, LEAN_ANGLE)
-            # Arms keep hanging vertically from the displaced shoulders.
-            for side in ("left", "right"):
-                shoulder = world[_INDEX[f"shoulder_{side}"]]
-                drop = np.array([0.0, 0.0, -1.0])
-                world[_INDEX[f"elbow_{side}"]] = shoulder + _UPPER_ARM * s * drop
-                wrist = shoulder + (_UPPER_ARM + _FOREARM) * s * drop
-                world[_INDEX[f"wrist_{side}"]] = wrist
-                world[_INDEX[f"hand_{side}"]] = wrist + _HAND * s * drop
-                world[_INDEX[f"handtip_{side}"]] = wrist + _HANDTIP * s * drop
-                sign = 1.0 if side == "left" else -1.0
-                inward = np.array([-sh, ch, 0.0])
-                world[_INDEX[f"thumb_{side}"]] = wrist - sign * _THUMB * s * inward
+
+def _aligned(a: np.ndarray) -> np.ndarray:
+    """A copy of a (..., 3) whose rows are padded to 4 floats, so each starts
+    on a 16-byte boundary, as a fresh 3-vector does."""
+    return np.concatenate((a, a[..., :1]), axis=-1)[..., :3]
+
+
+def _reach(world: np.ndarray, s: float) -> np.ndarray:
+    """Placed standing landmarks (n, 32, 3) with the base-nearer arm of each
+    state extended toward the robot base.  Bone lengths are kept."""
+    arms, rows = np.array(_ARMS), np.arange(len(world))
+    left, right = (np.sqrt(_dots(world[:, i], world[:, i])) for i in arms[:, 0])
+    side = np.where(left <= right, 0, 1)
+    shoulder = world[rows, arms[side, 0]]
+    direction = -shoulder / np.where(side, right, left)[:, None]  # toward the base origin
+    wrist = shoulder + (_UPPER_ARM + _FOREARM) * s * direction
+    perp = _aligned(np.cross(direction, (0.0, 0.0, 1.0)))
+    n = np.sqrt(_dots(perp, perp))[:, None]
+    flat = n < 1e-9
+    perp = np.divide(perp, n, out=np.where(flat, (1.0, 0.0, 0.0), 0.0), where=~flat)
+    hand, handtip = wrist + _HAND * s * direction, wrist + _HANDTIP * s * direction
+    arm = (shoulder + _UPPER_ARM * s * direction, wrist, hand, handtip, wrist + _THUMB * s * perp)
+    world[rows[:, None], arms[side, 1:]] = np.stack(arm, axis=1)
+    return world
+
+
+def _lean(world: np.ndarray, gx, gy, ch, sh, s: float) -> np.ndarray:
+    """Placed standing landmarks (n, 32, 3) of states on the ground gx, gy
+    (n, 1) with the upper body tilted toward the base, the arms hanging from
+    the displaced shoulders.  A state at the base origin does not lean."""
+    toward = _aligned(-np.concatenate((gx, gy, np.zeros_like(gx)), axis=1))
+    n = np.sqrt(_dots(toward, toward))
+    tilt = n > 1e-9
+    axis = _aligned(np.cross((0.0, 0.0, 1.0), toward[tilt] / n[tilt, None]))
+    axis = _aligned(axis / np.sqrt(_dots(axis, axis))[:, None])[:, None]  # (m, 1, 3)
+    bent, arms = world[tilt], np.array(_ARMS)
+    pelvis = bent[:, _INDEX["pelvis"], None]
+    v = _aligned(bent[:, _UPPER] - pelvis)
+    # Rodrigues rotation by LEAN_ANGLE about each state's axis.
+    cos_a, sin_a = math.cos(LEAN_ANGLE), math.sin(LEAN_ANGLE)
+    along = axis * _dots(axis, v)[..., None] * (1.0 - cos_a)
+    bent[:, _UPPER] = pelvis + (v * cos_a + np.cross(axis, v) * sin_a + along)
+    shoulder = bent[:, arms[:, 0]]  # (m, 2, 3), left then right
+    drop = np.array([0.0, 0.0, -1.0])
+    wrist = shoulder + (_UPPER_ARM + _FOREARM) * s * drop
+    inward = np.stack((-sh[tilt], ch[tilt], np.zeros_like(ch[tilt])), axis=-1)  # (m, 1, 3)
+    thumb = wrist - np.array([[1.0], [-1.0]]) * _THUMB * s * inward  # left, right
+    hand, handtip = wrist + _HAND * s * drop, wrist + _HANDTIP * s * drop
+    arm = (shoulder + _UPPER_ARM * s * drop, wrist, hand, handtip, thumb)
+    bent[:, arms[:, 1:]] = np.stack(arm, axis=2)
+    world[tilt] = bent
+    return world
 
 
 def pose_landmarks(human: HumanState) -> np.ndarray:
@@ -545,5 +574,5 @@ def pose_landmarks(human: HumanState) -> np.ndarray:
 
 def skeleton_sample(human: HumanState, t: float) -> SkeletonFrame:
     """One tracker frame at time t; t must sit on the 30 Hz grid."""
-    _check_grid(t, 1.0 / SKELETON_RATE, "skeleton")
+    _check_grid(np.array([t]), 1.0 / SKELETON_RATE, "skeleton")
     return SkeletonFrame(t=t, landmarks=pose_landmarks(human), confidence=np.ones(N_LANDMARKS))

@@ -142,21 +142,11 @@ class HumanTrack:
     def walk_speeds(self, start: int, stop: int) -> np.ndarray:
         return self.walk_speed[self.piece[start:stop]]
 
-    def landmarks(self, start: int, stop: int) -> np.ndarray:
-        """The landmarks (n, 32, 3) of ticks start to stop - 1: pose_landmarks
-        of each tick's state, bit for bit.  When all n ticks lie in one still
-        piece, its one pose (1, 32, 3) stands for them all."""
-        piece = self.piece[start:stop]
-        p = int(piece[0])
-        if self.still[p] and piece[-1] == p:
-            return self._pose(start)
-        return self._build(slice(start, stop))
-
     def landmarks_at(self, ticks: np.ndarray) -> np.ndarray:
-        """The landmarks (n, 32, 3) of the given ticks: row j is
-        ``landmarks(k, k + 1)[0]`` of tick k = ticks[j], bit for bit.  A tick
-        in a still piece takes that piece's one pose; the others are built
-        with landmarks' elementwise operations, on their own states."""
+        """The landmarks (n, 32, 3) of the given ticks: row j is pose_landmarks
+        of the state of tick ticks[j], bit for bit.  A tick in a still piece
+        takes that piece's one pose; the others are built together with
+        landmark_block, each on its own state."""
         piece = self.piece[ticks]
         held = self.still[piece]
         if not held.any():

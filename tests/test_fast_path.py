@@ -173,8 +173,8 @@ def test_track_matches_state_at_at_every_time(script):
         times.update((w.t, math.nextafter(w.t, -math.inf), math.nextafter(w.t, math.inf)))
     times = np.array(sorted(times | set((np.arange(1000) * 0.037).tolist())))
     track = script.track(times)
-    landmarks = np.concatenate([track.landmarks(k, k + 1) for k in range(len(times))])
-    assert track.landmarks(0, len(times)).tobytes() == landmarks.tobytes()
+    landmarks = np.concatenate([track.landmarks_at(np.array([k])) for k in range(len(times))])
+    assert track.landmarks_at(np.arange(len(times))).tobytes() == landmarks.tobytes()
     for k, t in enumerate(times.tolist()):
         state = script.state_at(t)
         piece = track.piece[k]
@@ -629,10 +629,8 @@ def test_each_rows_distance_is_the_reduction_of_its_own_landmarks(name):
     trace = run(scenario).trace
     track = scenario.humans[0].track(np.arange(len(trace)) * DT)
     tcp = trace.column("tcp")
-    want = [
-        np.min(np.linalg.norm(track.landmarks(k, k + 1)[0] - tcp[k], axis=1))
-        for k in range(len(trace))
-    ]
+    landmarks = track.landmarks_at(np.arange(len(trace)))
+    want = [np.min(np.linalg.norm(landmarks[k] - tcp[k], axis=1)) for k in range(len(trace))]
     assert trace.column("d_i").view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
     piece = track.piece
     same_tcp = (tcp[1:].view(np.int64) == tcp[:-1].view(np.int64)).all(axis=1)
@@ -668,8 +666,8 @@ def test_tick_set_landmarks_equal_each_ticks_own():
         np.array([1299]),
         np.arange(300, 500),  # walking only
     ):
-        want = np.concatenate([track.landmarks(k, k + 1) for k in ticks.tolist()])
-        assert track.landmarks_at(ticks).tobytes() == want.tobytes()
+        want = [pose_landmarks(BENDING.state_at(t)) for t in times[ticks].tolist()]
+        assert track.landmarks_at(ticks).tobytes() == np.array(want).tobytes()
 
 
 def test_script_that_starts_late_holds_still_until_it_starts(monkeypatch):
@@ -725,16 +723,25 @@ def span_scenarios(draw, duration=2.5, min_humans=0):
     )
 
 
+@pytest.mark.parametrize(
+    "mode, min_humans",
+    [(SimMode.AUTONOMOUS, 0), (SimMode.TRADITIONAL, 1), (SimMode.PROPOSED, 1)],
+    ids=["autonomous", "traditional", "proposed"],
+)
 @settings(
     derandomize=True,
     database=None,
-    max_examples=20,
+    max_examples=12,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(scenario=span_scenarios())
-def test_generated_spans_match_tick_by_tick(scenario, monkeypatch):
-    assert_spans_exact(scenario, monkeypatch)
+@given(data=st.data())
+def test_generated_spans_match_tick_by_tick(mode, min_humans, data, monkeypatch):
+    # Each mode draws its own examples, traditional and proposed with at least
+    # one human, so every mode runs examples with a human, whatever modes the
+    # strategy's own draws fall on.
+    scenario = data.draw(span_scenarios(min_humans=min_humans), label="scenario")
+    assert_spans_exact(scenario.with_mode(mode), monkeypatch)
 
 
 # A human parked beyond the scanners' 5.5 m range, where no ray reaches.
@@ -755,6 +762,26 @@ def test_a_far_human_after_the_tracked_one_changes_no_byte(mode, scenario):
     scenario = scenario.with_mode(mode)
     with_far = dataclasses.replace(scenario, humans=(*scenario.humans, FAR_HUMAN))
     runs = [run(sc) for sc in (scenario, with_far)]
+    lines = [hashlib.sha256("".join(trace_lines(r.trace)).encode()).digest() for r in runs]
+    assert lines[0] == lines[1]
+    assert runs[0].events == runs[1].events
+
+
+@pytest.mark.parametrize("mode", SimMode, ids=lambda mode: mode.value)
+@settings(derandomize=True, database=None, max_examples=8, deadline=None)
+@given(
+    scenario=st.sampled_from((1.0, 1.25, 1.5)).flatmap(
+        lambda duration: span_scenarios(duration, min_humans=1)
+    ),
+    shift=st.integers(1, 2**32 - 1),
+)
+def test_a_second_seed_without_noise_changes_no_byte(mode, scenario, shift):
+    # A metamorphic relation (ROADMAP item 11): without range noise no scan
+    # draws from the generator, so the seed may reach neither the trace nor
+    # the events.
+    scenario = dataclasses.replace(scenario.with_mode(mode), noise=0.0)
+    reseeded = dataclasses.replace(scenario, seed=(scenario.seed + shift) % 2**32)
+    runs = [run(sc) for sc in (scenario, reseeded)]
     lines = [hashlib.sha256("".join(trace_lines(r.trace)).encode()).digest() for r in runs]
     assert lines[0] == lines[1]
     assert runs[0].events == runs[1].events
@@ -844,4 +871,4 @@ def test_still_operator_facing_a_still_tcp_is_measured_once_per_still_piece(monk
     result = engine.run(tiny_scenario(duration=2.0, humans=(script,), task=STAND_STILL))
     assert len(set(result.trace.values("tcp_speed"))) == 1  # the TCP never moves
     track = script.track(np.array([0.0, 10 * SCAN_PERIOD, 20 * SCAN_PERIOD, 30 * SCAN_PERIOD]))
-    assert measured == [track.landmarks(k, k + 1).tobytes() for k in range(4)]
+    assert measured == [track.landmarks_at(np.array([k])).tobytes() for k in range(4)]

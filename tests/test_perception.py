@@ -1,5 +1,9 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,6 +120,11 @@ class TestSimulateScan:
     def test_off_grid_time_rejected(self):
         with pytest.raises(PerceptionError):
             cast(forward_mount(), [], 0.0171)
+
+    def test_the_first_off_grid_time_is_named(self):
+        times = [0.0, 0.03, 0.0701, 0.09, 0.1201]
+        with pytest.raises(PerceptionError, match=r"^scan time 0\.0701 is not aligned"):
+            simulate_scan((forward_mount(),), np.zeros((5, 0, 2)), [], [], times)
 
     def test_a_radius_and_stature_per_human(self):
         ground, radius, stature = scan_arrays([[human_at(1.0, 0.0)]])
@@ -337,6 +346,101 @@ def test_batched_cast_equals_the_reference_bit_for_bit(run, noise, seed):
     assert batch_rng.bit_generator.state == scan_rng.bit_generator.state
 
 
+def disc_at(mount, bearing, distance, radius=0.3, nudge=0.0):
+    """A human whose footprint disc is centred at the bearing (rad) and the
+    distance from the mount, turned by nudge rad more."""
+    a = bearing + nudge
+    return HumanState(
+        ground=(mount.x + distance * math.cos(a), mount.y + distance * math.sin(a)),
+        footprint_radius=radius,
+    )
+
+
+HEAD_ON = forward_mount()  # rays from -2.4 rad to about 2.394 rad, a blind sector behind
+FIRST_RAY, LAST_RAY = HEAD_ON.ray_angles()[[0, -1]].tolist()
+# Turns (rad) that put the disc's edges between rays and on them.
+NUDGES = (-0.004, -0.0013, 0.0, 0.0021, 0.0043)
+
+# The cases of the cast that generated scenes barely reach, each as mounts and
+# a few scenes of one human, the disc turned a little from scene to scene.
+CAST_EDGES = {
+    "encloses_a_mount": (SCANNER_MOUNTS, [[human_at(0.05, -0.4 + n, radius=0.3)] for n in NUDGES]),
+    "across_the_first_ray_from_inside": (
+        (HEAD_ON,),
+        [[disc_at(HEAD_ON, FIRST_RAY + 0.05, 2.0, nudge=n)] for n in NUDGES],
+    ),
+    # The bearing lies just before the first ray, so the window wraps.
+    "across_the_first_ray_from_the_blind_sector": (
+        (HEAD_ON,),
+        [[disc_at(HEAD_ON, FIRST_RAY - 0.05, 2.0, nudge=n)] for n in NUDGES],
+    ),
+    "across_the_last_ray_from_inside": (
+        (HEAD_ON,),
+        [[disc_at(HEAD_ON, LAST_RAY - 0.05, 2.0, nudge=n)] for n in NUDGES],
+    ),
+    "across_the_last_ray_from_the_blind_sector": (
+        (HEAD_ON,),
+        [[disc_at(HEAD_ON, LAST_RAY + 0.05, 2.0, nudge=n)] for n in NUDGES],
+    ),
+    # The bearing crosses atan2's branch cut at +-pi inside the field of view.
+    "across_the_branch_cut": (
+        (forward_mount(heading=math.pi),),
+        [[disc_at(HEAD_ON, math.pi, 1.5, nudge=n)] for n in NUDGES],
+    ),
+    "in_the_blind_sector": (
+        (HEAD_ON,),
+        [[disc_at(HEAD_ON, math.pi, 1.5, nudge=n)] for n in NUDGES],
+    ),
+    # The disc's near edge lies within max_range, its centre beyond.
+    "across_max_range": (
+        SCANNER_MOUNTS,
+        [[disc_at(SCANNER_MOUNTS[0], 0.29, 5.8, radius=0.5, nudge=n)] for n in NUDGES],
+    ),
+    # Ray 0 of ALONG_X runs along +x and touches the disc at (2, 0): the
+    # discriminant is exactly 0.0.  In floats the bearing, atan2(0.3, 2), is
+    # above the half-angle, so the bare cone would start at ray 1.
+    "tangent_to_a_ray": ((ALONG_X,), [[human_at(2.0, 0.3)]]),
+}
+
+
+@pytest.mark.parametrize("noise", (0.0, 0.005), ids=("noiseless", "noisy"))
+@pytest.mark.parametrize("case", CAST_EDGES)
+def test_the_culled_cast_equals_the_reference_at_its_edges(case, noise):
+    mounts, scenes = CAST_EDGES[case]
+    times = [j * SCAN_PERIOD for j in range(len(scenes))]
+    batch_rng, scan_rng = np.random.default_rng(9), np.random.default_rng(9)
+    batched = simulate_scan(mounts, *scan_arrays(scenes), times, rng=batch_rng, noise=noise).ranges
+    expected = [
+        np.concatenate([reference_ranges(m, scene, scan_rng, noise) for m in mounts])
+        for scene in scenes
+    ]
+    assert batched.tobytes() == np.array(expected).tobytes()
+    assert batch_rng.bit_generator.state == scan_rng.bit_generator.state
+
+
+def test_the_cast_edge_cases_are_what_they_say():
+    def hits(case):
+        mounts, scenes = CAST_EDGES[case]
+        times = [j * SCAN_PERIOD for j in range(len(scenes))]
+        return simulate_scan(mounts, *scan_arrays(scenes), times).ranges < ScannerMount.max_range
+
+    n = ScannerMount.n_rays
+    assert hits("encloses_a_mount")[:, :n].all()
+    assert not hits("in_the_blind_sector").any()
+    for case in ("first_ray_from_inside", "first_ray_from_the_blind_sector"):
+        assert hits(f"across_the_{case}")[:, 0].all()
+    for case in ("last_ray_from_inside", "last_ray_from_the_blind_sector"):
+        assert hits(f"across_the_{case}")[:, -1].all()
+    assert hits("across_the_branch_cut")[:, n // 2].all()
+    # Only the central rays of those that meet the disc meet it within max_range.
+    angles = SCANNER_MOUNTS[0].ray_angles()
+    meeting = [np.sum(np.abs(angles - 0.29 - nudge) < math.asin(0.5 / 5.8)) for nudge in NUDGES]
+    ranged = hits("across_max_range")[:, :n].sum(axis=1)
+    assert (0 < ranged).all() and (ranged < meeting).all()
+    tangent = simulate_scan((ALONG_X,), *scan_arrays(CAST_EDGES["tangent_to_a_ray"][1]), [0.0])
+    assert tangent.ranges[0, 0] == 2.0
+
+
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(
     run=scan_runs(),
@@ -424,6 +528,75 @@ class TestSkeleton:
         pinned = "83c75102a9d4e7fb9dca27aed172046e82aa78c79970a9a1423ca52e4e3b7b17"
         assert by_state.hexdigest() == pinned
         assert by_block.hexdigest() == pinned
+
+    @pytest.mark.parametrize(
+        "ground, heading, posture, pinned",
+        [
+            # The nearer (left) shoulder on the z axis: the arm points straight
+            # down, and the thumb takes the fixed (1, 0, 0) direction.
+            (
+                (0.0, -(0.11 * 1.7)),
+                0.0,
+                Posture.REACHING,
+                "1bed07f97004380607248382ce5403e8f1423a7a7a82ded70c06bad215830b1f",
+            ),
+            # On the base origin, with no direction to lean in: the standing pose.
+            (
+                (0.0, 0.0),
+                0.7,
+                Posture.LEANING,
+                "4e3e47a80f861ca907b8c1c3dbf9c58823e7c4e5c1e983941758dff90f3fa417",
+            ),
+        ],
+        ids=["reaching_shoulder_on_the_z_axis", "leaning_at_the_base_origin"],
+    )
+    def test_degenerate_bends_keep_their_bytes(self, ground, heading, posture, pinned):
+        # sha256 of the state's landmark bytes, recorded when each state was
+        # bent on its own; in a block between states of the same posture that
+        # bend in full, its rows keep them.
+        human = HumanState(ground=ground, heading=heading, posture=posture, stature=1.7)
+        assert hashlib.sha256(pose_landmarks(human).tobytes()).hexdigest() == pinned
+        x, y = [ground[0], 1.2, ground[0], -0.4], [ground[1], 0.3, ground[1], -0.9]
+        cos_h, sin_h = [math.cos(heading)] * 4, [math.sin(heading)] * 4
+        block = landmark_block(x, y, cos_h, sin_h, [POSTURES.index(posture)] * 4, 1.7)
+        for k in (0, 2):
+            assert hashlib.sha256(block[k].tobytes()).hexdigest() == pinned
+        standing = landmark_block(x, y, cos_h, sin_h, [POSTURES.index(Posture.STANDING)] * 4, 1.7)
+        assert not np.array_equal(block[[1, 3]], standing[[1, 3]])
+
+    def test_a_rows_bits_do_not_depend_on_its_place_in_the_block(self):
+        # Under OpenBLAS's Prescott kernel a dot's sum depends on the 16-byte
+        # alignment of its vectors, so the block bend must keep each vector
+        # where the per-state bend had it.  Each reaching and leaning state is
+        # bent alone and at an odd and an even row of a block.
+        code = """
+import math, sys
+import numpy as np
+from ssmcell.perception import landmark_block
+rng = np.random.default_rng(3)
+buf = np.empty(8)
+def dot(at, v):
+    buf[at : at + 3] = v
+    return float(buf[at : at + 3] @ buf[at : at + 3])
+if all(dot(0, v) == dot(1, v) for v in rng.uniform(-3.0, 3.0, (200, 3))):
+    sys.exit("no alignment dependence")
+n = 40
+x, y, h = rng.uniform(-3.0, 3.0, n), rng.uniform(-3.0, 3.0, n), rng.uniform(-3.0, 3.0, n)
+x[::7], y[::7] = 0.0, 0.0
+c, s, p = np.cos(h), np.sin(h), 1 + np.arange(n) % 2
+block = landmark_block(x, y, c, s, p, 1.7)
+shifted = landmark_block(*(np.append(0.5, a) for a in (x, y, c, s, p)), 1.7)[1:]
+alone = [landmark_block(*(a[k : k + 1] for a in (x, y, c, s, p)), 1.7) for k in range(n)]
+print(block.tobytes() == shifted.tobytes() == np.concatenate(alone).tobytes())
+"""
+        env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, cwd=src, env=env
+        )
+        if "no alignment dependence" in done.stderr:
+            pytest.skip("numpy's BLAS sums a dot alike at every alignment here")
+        assert done.stdout.split() == ["True"], done.stderr
 
     def test_block_distances_equal_the_distance_of_each_state(self):
         # The batched reduction the engine fills a span's d_i with, against
