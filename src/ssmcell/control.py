@@ -125,9 +125,9 @@ class Gains:
 
 
 class SpeedCommand(NamedTuple):
-    """One control tick's arbitration output and resolved joint rates."""
+    """One control tick's arbitration output and resolved joint rates; the
+    rate arrays are read-only, as later ticks may return the same command."""
 
-    t: float
     mode: SpeedMode
     fraction: float  # slew-limited fraction actually applied this tick
     v_cartesian: float  # fraction x nominal speed (m/s)
@@ -135,19 +135,6 @@ class SpeedCommand(NamedTuple):
     qdot_task: np.ndarray | None = None  # resolution before PD correction
     source: CommandSource = CommandSource.PRIMARY_LOOP
     damped: bool = False
-
-    def at(self, t: float) -> "SpeedCommand":
-        """This command at time t, with rate arrays of its own."""
-        return SpeedCommand(
-            t,
-            self.mode,
-            self.fraction,
-            self.v_cartesian,
-            self.qdot_cmd.copy(),
-            self.qdot_task.copy(),
-            self.source,
-            self.damped,
-        )
 
 
 def primary_speed_select(left: Zone, right: Zone, robot_quadrant: Quadrant) -> SpeedMode:
@@ -262,17 +249,11 @@ class Controller:
             )
         )
 
-    @property
-    def occupancy(self) -> dict[Quadrant, Zone]:
-        left, right = self.zones
-        return {Quadrant.LEFT: left, Quadrant.RIGHT: right}
-
-    def offer_scan(self, t: float, occupancy: dict[Quadrant, Zone]):
+    def offer_scan(self, t: float, left: Zone, right: Zone):
+        """Hold the zones of the left and the right quadrant scanned at t, as
+        Zone members or their codes."""
         if t >= self._occ_t:  # latest wins; stale duplicates dropped
-            self.zones = (
-                occupancy.get(Quadrant.LEFT, Zone.NORMAL),
-                occupancy.get(Quadrant.RIGHT, Zone.NORMAL),
-            )
+            self.zones = (left, right)
             self._occ_t = t
 
     def offer_skeleton(self, t: float, d_i: float, human_speed: float = 0.0):
@@ -281,11 +262,11 @@ class Controller:
             self._human_speed = human_speed
             self._skel_t = t
 
-    def seed_fraction(self, t: float, robot_quadrant: Quadrant):
-        """Start at rest at the fraction the held messages arbitrate to at t, so
-        that a cold start has nothing to slew.  Arbitrating again at t with the
+    def seed_fraction(self, robot_quadrant: Quadrant):
+        """Start at rest at the fraction the held messages arbitrate to, so
+        that a cold start has nothing to slew.  Arbitrating again with the
         same messages, as the first step does, gives the same mode and gate state."""
-        self.fraction = self._arbitrate(t, robot_quadrant, 0.0)[0].fraction
+        self.fraction = self._arbitrate(robot_quadrant, 0.0)[0].fraction
 
     def _stale(self, t: float) -> bool:
         return (
@@ -293,7 +274,7 @@ class Controller:
             or t - self._skel_t > STALE_PERIODS * (1.0 / SKELETON_RATE) + _TIME_TOL
         )
 
-    def _arbitrate(self, t: float, robot_quadrant: Quadrant, tcp_speed: float):
+    def _arbitrate(self, robot_quadrant: Quadrant, tcp_speed: float):
         primary = primary_speed_select(*self.zones, robot_quadrant)
         mode = secondary_scale(self._d_i, self.layout, primary, self.gains)
         source = (
@@ -374,9 +355,11 @@ class Controller:
         robot quadrant, the gate state, the exact bits of tcp_speed and of the
         fraction before the slew, and the bytes of the task direction, joint
         reference and q.  A tick whose key equals that of the last fully
-        evaluated tick gets that tick's command with the new t; this is the
-        controller's only memo.  J must be ``jacobian(model, q)``: the key holds
-        q, which fixes J.
+        evaluated tick gets that tick's command, the same object, and leaves
+        the state that tick left.  This memo is the controller's only one
+        across whole ticks; _resolve_rates and _evaluate each keep the last
+        result of their own stage.  J must be ``jacobian(model, q)``: the key
+        holds q, which fixes J.
         """
         stale = self._stale(t)
         key = (
@@ -398,24 +381,24 @@ class Controller:
             self.fraction = command.fraction
         else:
             command = self._evaluate(
-                t, robot_quadrant, task_direction, joint_reference, q, tcp_speed, J, stale
+                robot_quadrant, task_direction, joint_reference, q, tcp_speed, J, stale
             )
             self._last = (key, command, self._gate.tripped)
-        return command.at(t)
+        return command
 
     def _evaluate(
-        self, t, robot_quadrant, task_direction, joint_reference, q, tcp_speed, J, stale
+        self, robot_quadrant, task_direction, joint_reference, q, tcp_speed, J, stale
     ) -> SpeedCommand:
         if stale:
             mode, source = MODE_STANDSTILL, CommandSource.ESTOP
         elif self.sequential:
             # Both loops polled together at skeleton arrivals only.
             if self._held is None or self._skel_t > self._held_skel_t:
-                self._held = self._arbitrate(t, robot_quadrant, tcp_speed)
+                self._held = self._arbitrate(robot_quadrant, tcp_speed)
                 self._held_skel_t = self._skel_t
             mode, source = self._held
         else:
-            mode, source = self._arbitrate(t, robot_quadrant, tcp_speed)
+            mode, source = self._arbitrate(robot_quadrant, tcp_speed)
 
         if stale:
             self.fraction = 0.0  # the watchdog's standstill is exempt from the slew bound
@@ -443,5 +426,6 @@ class Controller:
         # correction leaves them bit-identical (exact reference tracking).
         qdot_task = self.model.clamp_joint_rates(qdot_raw)
         qdot_cmd = self.model.clamp_joint_rates(qdot_raw + u_pd)
-        return SpeedCommand(t, mode, self.fraction, scale, qdot_cmd, qdot_task, source, damped)
+        qdot_cmd.flags.writeable = qdot_task.flags.writeable = False
+        return SpeedCommand(mode, self.fraction, scale, qdot_cmd, qdot_task, source, damped)
 

@@ -17,7 +17,7 @@ from .scenario import HumanTrack, Scenario, SimMode, TaskStep, build_gains, buil
 from .separation import SeparationInputs, msd_at_speeds
 from .stability import LyapunovSeries, lyapunov_value
 from .trace import MODES, Trace
-from .zones import Quadrant, Zone, ZoneLayout, footprint_zones, quadrant_of
+from .zones import Zone, ZoneLayout, footprint_zones, quadrant_of
 
 ARRIVAL_TOL = 0.003  # m, TCP-to-target distance that counts as arrived
 _GRID_EPS = 1e-9
@@ -182,7 +182,7 @@ class _Messages:
     def __init__(self, controller, scans, occupancy, frames, track: HumanTrack | None):
         self.controller = controller
         self.scan_times, self.scan_starts = scans
-        self.occupancy = occupancy
+        self.occupancy = occupancy.tolist()  # each scan's (left, right) zone codes
         self.frame_times, self.frame_starts = frames
         self.track = track  # the tracked human at the frame times; None when it sees no one
         self.n_scans = self.n_frames = 0
@@ -190,9 +190,8 @@ class _Messages:
         self.skel_tcp = None  # the TCP of the last measurement
         self.d_i = math.inf
         # The scans whose occupancy differs from the scan before, ascending.
-        self.scan_changes = [
-            j for j in range(1, len(occupancy)) if occupancy[j] != occupancy[j - 1]
-        ]
+        changed = (occupancy[1:] != occupancy[:-1]).any(axis=1)
+        self.scan_changes = (np.flatnonzero(changed) + 1).tolist()
         # The frames whose state can differ from the frame before, ascending.
         self.frame_changes = []
         if track is not None:
@@ -213,7 +212,7 @@ class _Messages:
                 if scan_tick >= stop:
                     self.due = scan_tick
                     return
-                controller.offer_scan(self.scan_times[self.n_scans], self.occupancy[self.n_scans])
+                controller.offer_scan(self.scan_times[self.n_scans], *self.occupancy[self.n_scans])
                 self.n_scans += 1
                 continue
             if frame_tick >= stop:
@@ -395,7 +394,7 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
     frames = _sensor_grid(tick_times, 1.0 / perception.SKELETON_RATE)
     scan_times = scans[0]
     if ignore_humans:
-        occupancy = [{Quadrant.LEFT: Zone.NORMAL, Quadrant.RIGHT: Zone.NORMAL}] * len(scan_times)
+        occupancy = np.zeros((len(scan_times), 2), dtype=np.int8)  # NORMAL on both sides
     else:
         at_scans = [script.track(np.array(scan_times)) for script in scenario.humans]
         occupancy = perception.scan_occupancies(
@@ -483,7 +482,7 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
         if messages.due <= i:
             messages.offer_until(i + 1, tcp)
         if not i:  # a cold start at the fraction the first messages arbitrate to
-            controller.seed_fraction(t, robot_quadrant)
+            controller.seed_fraction(robot_quadrant)
 
         task_dir = tracker.advance(t, tcp, controller.fraction, dt)
 

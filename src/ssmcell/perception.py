@@ -398,15 +398,15 @@ def scan_occupancies(
     rng: np.random.Generator | None = None,
     noise: float = 0.0,
     quadrant_blind: bool = False,
-) -> list[dict[Quadrant, Zone]]:
-    """The merged occupancy of each scan; the arguments before layout are
+) -> np.ndarray:
+    """The merged occupancy of each scan, (scans, 2) zone codes, LEFT then
+    RIGHT, as merge_occupancy gives; the arguments before layout are
     simulate_scan's.
 
     Scans are cast SCAN_CHUNK at a time, in order, so that noise draws what
     casting them one by one would.  Without noise a scan is cast only when
     some human's x or y differs from the scan before, and a scan that is not
-    cast takes the occupancy of the last one that was.  Scans of one
-    occupancy share one dict.
+    cast takes the occupancy of the last one that was.
     """
     times = np.asarray(times, dtype=float)
     ground = np.asarray(ground, dtype=float)
@@ -423,8 +423,7 @@ def scan_occupancies(
         hits = scan_to_occupancy(scan, mounts, layout)
         merged[start : start + len(chunk)] = merge_occupancy(hits, quadrant_blind=quadrant_blind)
         del scan, hits  # a chunk's arrays are not held while the next one is cast
-    table = [[{Quadrant.LEFT: left, Quadrant.RIGHT: right} for right in Zone] for left in Zone]
-    return [table[left][right] for left, right in merged[np.cumsum(fresh) - 1].tolist()]
+    return merged[np.cumsum(fresh) - 1]
 
 
 @lru_cache(maxsize=16)

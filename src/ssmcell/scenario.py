@@ -30,8 +30,9 @@ from .zones import SafetyParams, ZoneLayout, build_zone_layout, compute_msd_stat
 # from the tick count before the first tick: 2e6 rows of 26 float64 columns are
 # about 0.43 GB.
 MAX_TICKS = 2_000_000
-# The bound on the x and y of every waypoint: far beyond the 5.5 m scanner
-# range, and small enough that squared landmark distances stay finite.
+# The bound on the x and y of every waypoint, and on a human's stature and
+# footprint radius: far beyond the 5.5 m scanner range, and small enough that
+# squared landmark and footprint distances stay finite.
 MAX_COORDINATE = 1000.0  # m
 # The bound on the range noise amplitude: far beyond a laser scanner's noise,
 # and small enough that the draws from [-noise, noise] stay finite.
@@ -336,7 +337,7 @@ def build_gains(scenario: Scenario) -> Gains:
 
 
 # The scalar keys whose values must be positive.
-_POSITIVE = {"duration", "parallelism", "footprint_radius", "stature"}
+_POSITIVE = {"duration", "footprint_radius", "stature"}
 
 
 def _range_problem(key: str, v) -> str | None:
@@ -351,6 +352,11 @@ def _range_problem(key: str, v) -> str | None:
             f"{key} {v!r} s is {ticks:.6g} ticks of {CONTROL_PERIOD} s, "
             f"more than the {MAX_TICKS} a run may have"
         )
+    if key in ("footprint_radius", "stature") and v > MAX_COORDINATE:
+        return f"{key} must be at most {MAX_COORDINATE:g} m, got {v!r}"
+    # The ideal cycle is the solo time divided by it: never longer, and finite.
+    if key == "parallelism" and v < 1:
+        return f"{key} must be >= 1, got {v!r}"
     if key in ("seed", "noise") and v < 0:
         return f"{key} must be >= 0"
     if key == "noise" and v > MAX_NOISE:
@@ -582,6 +588,9 @@ def _steps(rows: list[Entry], errors: list) -> tuple[TaskStep, ...]:
                 f"line {e.line}: task: step {idx} '{parts[0]}' target is {distance:.4g} m "
                 f"from the base, beyond the {reach} m reach"
             )
+        if dwell < 0:
+            problem = f"dwell must be >= 0, got {dwell!r}"
+            errors.append(f"line {e.line}: task: step {idx} '{parts[0]}' {problem}")
         modes: tuple[str, ...] = ()
         if len(parts) == 6:
             modes = tuple(m.strip() for m in parts[5].split(","))
@@ -634,10 +643,28 @@ def parse_scenario(source) -> Scenario:
     if not steps:
         line = sections.get("task", Section(0)).line  # 0: the file has no [task]
         errors.append(f"line {line}: task: no steps" if line else "task: no steps")
-    values["task"] = RobotTask(steps=steps, **scalars)
+    values["task"] = task = RobotTask(steps=steps, **scalars)
+    duration = values.get("duration")
+    if steps and duration is not None and _range_problem("duration", duration) is None:
+        _check_plan(task, duration, key_lines, sections, errors)
     if errors:
         raise ScenarioError(errors)
     return Scenario(**values)
+
+
+def _check_plan(task: RobotTask, duration: float, key_lines, sections, errors: list):
+    """A task whose plan, in the mode that runs the most steps, has more steps
+    than the run has ticks can never finish them: a step finishes on a tick of
+    its own.  The problem starts at cycles, or at [task] when it is left out."""
+    ticks = round(duration / CONTROL_PERIOD)
+    per_cycle = max(len(task.steps_for(mode)) for mode in SimMode)
+    if task.cycles * per_cycle > ticks:
+        at = key_lines["task"].get("cycles", sections["task"].line)
+        run = f"the {duration!r} s run set on line {key_lines['scenario']['duration']}"
+        errors.append(
+            f"line {at}: task: {task.cycles} cycles of {per_cycle} steps are more steps "
+            f"than the {ticks} ticks of {run}"
+        )
 
 
 def _human_order(section: str) -> tuple[int, str]:

@@ -38,7 +38,7 @@ REGULAR_Q = np.array([0.4, -1.1, 0.9, 0.6, -0.7, 0.3])
 
 
 def occ(left=Zone.NORMAL, right=Zone.NORMAL):
-    return {Quadrant.LEFT: left, Quadrant.RIGHT: right}
+    return left, right
 
 
 class TestPrimarySelect:
@@ -261,7 +261,7 @@ class TestPdLaw:
     @staticmethod
     def correction(e, gains):
         ctrl = make_controller(gains=gains)
-        ctrl.offer_scan(0.0, occ())
+        ctrl.offer_scan(0.0, *occ())
         ctrl.offer_skeleton(0.0, math.inf)
         cmd = step_simple(ctrl, 0.0, q=np.zeros(6), reference=np.asarray(e, dtype=float))
         return cmd.qdot_cmd
@@ -269,7 +269,7 @@ class TestPdLaw:
     def test_zero_errors(self):
         ctrl = make_controller()
         ctrl.fraction = 1.0
-        ctrl.offer_scan(0.0, occ())
+        ctrl.offer_scan(0.0, *occ())
         ctrl.offer_skeleton(0.0, math.inf)
         cmd = step_simple(ctrl, 0.0, direction=(1.0, 0.0, 0.0))
         assert np.max(np.abs(cmd.qdot_task)) > 0.0
@@ -311,7 +311,7 @@ class TestControllerStep:
         ctrl = make_controller()
         ctrl.fraction = 1.0
         dt = CONTROL_PERIOD
-        ctrl.offer_scan(0.0, occ())
+        ctrl.offer_scan(0.0, *occ())
         ctrl.offer_skeleton(0.0, math.inf)
         fractions = [step_simple(ctrl, i * dt).fraction for i in range(5)]
         assert all(f == 1.0 for f in fractions)
@@ -319,7 +319,7 @@ class TestControllerStep:
         for i in range(5, 300):
             t = i * dt
             if i % 15 == 0:
-                ctrl.offer_scan(t, occ(left=Zone.DANGER))
+                ctrl.offer_scan(t, *occ(left=Zone.DANGER))
             if i % 16 == 0:
                 ctrl.offer_skeleton(t, math.inf)
             cmd = step_simple(ctrl, t)
@@ -330,7 +330,7 @@ class TestControllerStep:
     def test_stale_sensors_force_standstill(self):
         ctrl = make_controller()
         ctrl.fraction = 1.0
-        ctrl.offer_scan(0.0, occ())
+        ctrl.offer_scan(0.0, *occ())
         ctrl.offer_skeleton(0.0, math.inf)
         cmd = step_simple(ctrl, 0.0)
         assert cmd.mode.kind == ModeKind.FULL
@@ -345,12 +345,12 @@ class TestControllerStep:
     def test_one_silent_stream_alone_forces_standstill(self, silent):
         ctrl = make_controller()
         ctrl.fraction = 1.0
-        ctrl.offer_scan(0.0, occ())
+        ctrl.offer_scan(0.0, *occ())
         ctrl.offer_skeleton(0.0, math.inf)
         step_simple(ctrl, 0.0)
         t = 0.5  # past three periods of either sensor
         if silent != "scan":
-            ctrl.offer_scan(t, occ())
+            ctrl.offer_scan(t, *occ())
         if silent != "skeleton":
             ctrl.offer_skeleton(t, math.inf)
         cmd = step_simple(ctrl, t)
@@ -360,19 +360,19 @@ class TestControllerStep:
 
     def test_watchdog_recovers_when_data_resumes(self):
         ctrl = make_controller()
-        ctrl.offer_scan(0.0, occ())
+        ctrl.offer_scan(0.0, *occ())
         ctrl.offer_skeleton(0.0, math.inf)
         step_simple(ctrl, 0.0)
         t_stale = 0.5
         assert step_simple(ctrl, t_stale).source == CommandSource.ESTOP
-        ctrl.offer_scan(t_stale, occ())
+        ctrl.offer_scan(t_stale, *occ())
         ctrl.offer_skeleton(t_stale, math.inf)
         assert step_simple(ctrl, t_stale + 0.002).source != CommandSource.ESTOP
 
     def test_final_fraction_is_min_of_loops(self):
         ctrl = make_controller()
         ctrl.fraction = 1.0
-        ctrl.offer_scan(0.0, occ(left=Zone.WARNING))
+        ctrl.offer_scan(0.0, *occ(left=Zone.WARNING))
         ctrl.offer_skeleton(0.0, LAYOUT.scale_floor_distance)
         cmd = step_simple(ctrl, 0.0)
         primary = primary_speed_select(Zone.WARNING, Zone.NORMAL, Quadrant.LEFT)
@@ -391,7 +391,7 @@ class TestControllerStep:
             d = max(0.12, 1.2 - 0.4 * t)  # monotric approach
             if i % 15 == 0:
                 zone = Zone.DANGER if d < 0.2 else Zone.WARNING if d < 0.9 else Zone.NORMAL
-                ctrl.offer_scan(t, occ(left=zone))
+                ctrl.offer_scan(t, *occ(left=zone))
             if i % 17 == 0:
                 ctrl.offer_skeleton(t, d, human_speed=0.4)
             cmd = step_simple(ctrl, t)
@@ -401,7 +401,7 @@ class TestControllerStep:
     def test_violation_gate_forces_standstill(self):
         ctrl = make_controller()
         ctrl.fraction = 1.0
-        ctrl.offer_scan(0.0, occ(left=Zone.WARNING))
+        ctrl.offer_scan(0.0, *occ(left=Zone.WARNING))
         # distance below the dynamic minimum for the offered speeds
         ctrl.offer_skeleton(0.0, 0.05, human_speed=0.0)
         cmd = step_simple(ctrl, 0.0)
@@ -410,19 +410,19 @@ class TestControllerStep:
 
     def test_out_of_order_messages_latest_wins(self):
         ctrl = make_controller()
-        ctrl.offer_scan(0.030, occ(left=Zone.DANGER))
-        ctrl.offer_scan(0.015, occ())  # stale duplicate arrives late
-        assert ctrl.occupancy[Quadrant.LEFT] == Zone.DANGER
+        ctrl.offer_scan(0.030, *occ(left=Zone.DANGER))
+        ctrl.offer_scan(0.015, *occ())  # stale duplicate arrives late
+        assert ctrl.zones == (Zone.DANGER, Zone.NORMAL)
 
     def test_sequential_gates_to_skeleton_arrivals(self):
         ctrl = make_controller(sequential=True)
         ctrl.fraction = 1.0
         dt = CONTROL_PERIOD
-        ctrl.offer_scan(0.0, occ())
+        ctrl.offer_scan(0.0, *occ())
         ctrl.offer_skeleton(0.0, math.inf)
         step_simple(ctrl, 0.0)
         # zone change arrives but no new skeleton frame yet: held at FULL
-        ctrl.offer_scan(0.030, occ(left=Zone.DANGER))
+        ctrl.offer_scan(0.030, *occ(left=Zone.DANGER))
         cmd = step_simple(ctrl, 0.032)
         assert cmd.mode.kind == ModeKind.FULL
         ctrl.offer_skeleton(1 / 30.0, math.inf)
@@ -432,21 +432,21 @@ class TestControllerStep:
     def test_nominal_speed_command_at_full(self):
         ctrl = make_controller()
         ctrl.fraction = 1.0
-        ctrl.offer_scan(0.0, occ())
+        ctrl.offer_scan(0.0, *occ())
         ctrl.offer_skeleton(0.0, math.inf)
         cmd = step_simple(ctrl, 0.0, direction=(1.0, 0.0, 0.0))
         assert cmd.v_cartesian == 1.0
 
     def test_damping_engaged_near_singularity(self):
         ctrl = make_controller()
-        ctrl.offer_scan(0.0, occ())
+        ctrl.offer_scan(0.0, *occ())
         ctrl.offer_skeleton(0.0, math.inf)
         stretched = np.zeros(6)  # fully extended arm is rank deficient
         cmd = step_simple(ctrl, 0.0, q=stretched, direction=(1.0, 0.0, 0.0))
         assert cmd.damped
         assert np.all(np.isfinite(cmd.qdot_cmd))
         regular = np.array([0.4, -1.1, 0.9, 0.6, -0.7, 0.3])
-        ctrl.offer_scan(0.002, occ())
+        ctrl.offer_scan(0.002, *occ())
         ctrl.offer_skeleton(1 / 30.0, math.inf)
         assert not step_simple(ctrl, 0.002, q=regular).damped
 
@@ -467,7 +467,7 @@ class TestFactorReuse:
         def second_tick(first_q, second_J):
             ctrl = make_controller()
             ctrl.fraction = 0.5  # ramping up, so the task velocity differs per tick
-            ctrl.offer_scan(0.0, occ())
+            ctrl.offer_scan(0.0, *occ())
             ctrl.offer_skeleton(0.0, math.inf)
             J = jacobian(MODEL, first_q)
             step_J = J if second_J is None else second_J

@@ -23,7 +23,7 @@ from ssmcell.scenario import (
     TaskStep,
 )
 from helpers import bundled, tiny_scenario
-from ssmcell.zones import Quadrant, Zone
+from ssmcell.zones import Zone
 
 
 @pytest.fixture(scope="module")
@@ -46,9 +46,9 @@ class TestBasicContracts:
         offered = []
         offer = Controller.offer_scan
 
-        def record(self, t, occupancy):
-            offered.append((t, dict(occupancy)))
-            offer(self, t, occupancy)
+        def record(self, t, left, right):
+            offered.append((t, left, right))
+            offer(self, t, left, right)
 
         def no_cast(*args, **kwargs):
             raise AssertionError("cast a scan with no human to see")
@@ -56,9 +56,9 @@ class TestBasicContracts:
         monkeypatch.setattr(Controller, "offer_scan", record)
         monkeypatch.setattr(perception, "simulate_scan", no_cast)
         run(tiny_scenario(duration=1.0, noise=0.005, seed=3, **overrides))
-        normal = {Quadrant.LEFT: Zone.NORMAL, Quadrant.RIGHT: Zone.NORMAL}
         # Ticks 0 .. 0.998 s take the scans at 0, 0.03, ..., 0.99 s.
-        assert offered == [(j * perception.SCAN_PERIOD, normal) for j in range(34)]
+        normal = [(j * perception.SCAN_PERIOD, Zone.NORMAL, Zone.NORMAL) for j in range(34)]
+        assert offered == normal
 
     def test_trace_row_count_exact(self):
         scenario = tiny_scenario(duration=7.0)

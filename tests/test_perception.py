@@ -299,7 +299,7 @@ def scan_by_scan(mounts, scenes, times, rng, noise, blind):
         left, right = np.max(lanes, axis=0).tolist()
         if blind:
             left = right = max(left, right)
-        out.append({Quadrant.LEFT: Zone(left), Quadrant.RIGHT: Zone(right)})
+        out.append([left, right])
     return out
 
 
@@ -461,10 +461,27 @@ def test_batched_occupancies_equal_scan_by_scan(run, noise, blind, seed):
         noise=noise,
         quadrant_blind=blind,
     )
-    assert batched == scan_by_scan(mounts, scenes, times, scan_rng, noise, blind)
+    assert batched.dtype == np.int8 and batched.shape == (len(times), 2)
+    assert batched.tolist() == scan_by_scan(mounts, scenes, times, scan_rng, noise, blind)
     # Both drew the same values, so the generator goes on alike.
     assert batch_rng.bit_generator.state == scan_rng.bit_generator.state
     assert batch_rng.random() == scan_rng.random()
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(run=scan_runs(), seed=st.integers(0, 2**32 - 2))
+def test_without_noise_the_rng_changes_no_range(run, seed):
+    # The seed relation of the engine one level down (ROADMAP item 11): a
+    # scan without noise reads nothing from its generator.  The trace-level
+    # relation sees a leak only where it moves a hit across a zone edge.
+    mounts, scenes = run
+    times = [j * SCAN_PERIOD for j in range(len(scenes))]
+    args = (mounts, *scan_arrays(scenes), times)
+    ranges = [
+        simulate_scan(*args, rng=np.random.default_rng(s), noise=0.0).ranges
+        for s in (seed, seed + 1)
+    ]
+    assert ranges[0].tobytes() == ranges[1].tobytes()
 
 
 class TestSkeleton:

@@ -3,6 +3,7 @@ import hashlib
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssmcell.cli import EXIT_RUNTIME, EXIT_VALIDATION, main
+from ssmcell.engine import run
 from ssmcell.kinematics import RobotModel
 from ssmcell.perception import Posture
 from ssmcell.scenario import (
@@ -156,6 +158,14 @@ EARLIER_LINES += ["danger_margin = 0.1", "laser_mount_height = 0.4", "height_min
 EARLIER_LINES += ["height_max = 2.0", "scale_floor_distance = 0.3", "", "[scanners]"]
 EARLIER_LINES += ["scanner = 0.0 -0.45 0.29145679447786715"]
 EARLIER_LINES += ["scanner = 0.0 0.45 -0.29145679447786715", ""]
+
+
+def edited(name, old, new):
+    """The text of a bundled file with its line old replaced by new, and that line's number."""
+    lines = bundled_scenario_path(name).read_text(encoding="utf-8").splitlines()
+    at = lines.index(old)
+    lines[at] = new
+    return "\n".join(lines) + "\n", at + 1
 
 
 def earlier_format(text):
@@ -339,7 +349,7 @@ class TestValidation:
         "old, new, message",
         [
             ("noise = 0.0", "noise = -0.001", "noise must be >= 0"),
-            ("parallelism = 1.0", "parallelism = 0.0", "parallelism must be positive"),
+            ("parallelism = 1.0", "parallelism = 0.0", "parallelism must be >= 1, got 0.0"),
             ("kd = 2.0", "kd = -1.0", "kd diagonal must be positive"),
             ("seed = 17", "seed = -1", "seed must be >= 0"),
             ("footprint_radius = 0.3", "footprint_radius = 0.0", "footprint_radius must be"),
@@ -350,6 +360,94 @@ class TestValidation:
         text = serialize_scenario(bundled("approach_retreat")).replace(old, new)
         with pytest.raises(ScenarioError, match=re.escape(message)):
             parse_scenario(text)
+
+    @pytest.mark.parametrize(
+        "name, old, new, command, problem",
+        [
+            (
+                "approach_retreat",
+                "cycles = 1",
+                "cycles = 100000000000",
+                "run",
+                "task: 100000000000 cycles of 5 steps are more steps than the 17000 ticks "
+                "of the 34.0 s run set on line 6",
+            ),
+            (
+                "sorting_benchmark",
+                "step = sort_1 0.35 -0.3 0.25 2.5",
+                "step = sort_1 0.35 -0.3 0.25 -100.0",
+                "benchmark",
+                "task: step 0 'sort_1' dwell must be >= 0, got -100.0",
+            ),
+            (
+                "sorting_benchmark",
+                "parallelism = 2.5",
+                "parallelism = 1e-320",
+                "benchmark",
+                "scenario: parallelism must be >= 1, got 1e-320",
+            ),
+            (
+                "approach_retreat",
+                "stature = 1.7",
+                "stature = 1e200",
+                "run",
+                "human 0: stature must be at most 1000 m, got 1e+200",
+            ),
+            (
+                "approach_retreat",
+                "footprint_radius = 0.3",
+                "footprint_radius = 1e200",
+                "run",
+                "human 0: footprint_radius must be at most 1000 m, got 1e+200",
+            ),
+        ],
+        ids=["cycles", "dwell", "parallelism", "stature", "footprint_radius"],
+    )
+    def test_a_value_that_hung_or_failed_at_run_time_exits_1_at_its_line(
+        self, name, old, new, command, problem, tmp_path
+    ):
+        # Each was accepted: the cycles built a plan that never ended, the
+        # dwell and the parallelism failed the benchmark's ideal cycle time,
+        # and the human sizes overflowed and hid the operator.
+        text, line = edited(name, old, new)
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text)
+        assert exc.value.errors == [f"line {line}: {problem}"]
+        path = tmp_path / f"{name}.scn"
+        path.write_text(text, encoding="utf-8")
+        assert main(["sim", command, str(path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "name, old, at_bound, beyond",
+        [
+            # 5 steps a cycle, one finished on each of the run's 17,000 ticks.
+            ("approach_retreat", "cycles = 1", "cycles = 3400", "cycles = 3401"),
+            (
+                "sorting_benchmark",
+                "step = sort_1 0.35 -0.3 0.25 2.5",
+                "step = sort_1 0.35 -0.3 0.25 0.0",
+                "step = sort_1 0.35 -0.3 0.25 -5e-324",
+            ),
+            ("sorting_benchmark", "parallelism = 2.5", "parallelism = 1.0", "parallelism = 0.999"),
+        ],
+        ids=["cycles", "dwell", "parallelism"],
+    )
+    def test_a_task_at_its_bound_parses_and_one_beyond_fails(self, name, old, at_bound, beyond):
+        parse_scenario(edited(name, old, at_bound)[0])
+        with pytest.raises(ScenarioError):
+            parse_scenario(edited(name, old, beyond)[0])
+
+    @pytest.mark.parametrize("key, old", [("stature", "1.7"), ("footprint_radius", "0.3")])
+    def test_a_human_at_the_size_bound_runs_without_overflow(self, key, old):
+        text, _ = edited("approach_retreat", f"{key} = {old}", f"{key} = {MAX_COORDINATE!r}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run(parse_scenario(text)).trace
+        for name in ("d_i", "dyn_msd"):
+            assert np.isfinite(trace.column(name)).all(), name
+        above = f"{key} = {math.nextafter(MAX_COORDINATE, math.inf)!r}"
+        with pytest.raises(ScenarioError, match=f"{key} must be at most"):
+            parse_scenario(edited("approach_retreat", f"{key} = {old}", above)[0])
 
     @pytest.mark.parametrize(
         "text, value",
@@ -494,7 +592,7 @@ def test_every_failing_value_mutation_names_its_line():
             if line not in named_lines(exc.errors):
                 unnamed.append((line, text.splitlines()[line - 1][:60], exc.errors[0][:200]))
     # The failure count is pinned too: a check that stops firing shows here.
-    assert (parsed, failed) == (2189, 1442)
+    assert (parsed, failed) == (2189, 1464)
     assert unnamed == []
 
 

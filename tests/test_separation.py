@@ -120,7 +120,7 @@ class TestViolationPredicate:
         ctrl = Controller(
             model, build_zone_layout(0.45, 1.5, 0.9, 0.425), Gains.diagonal(), make_inputs()
         )
-        ctrl.offer_scan(0.0, {Quadrant.LEFT: Zone.NORMAL, Quadrant.RIGHT: Zone.NORMAL})
+        ctrl.offer_scan(0.0, Zone.NORMAL, Zone.NORMAL)
         ctrl.offer_skeleton(0.0, -0.1)
         with pytest.raises(ControlError):
             ctrl.step(
