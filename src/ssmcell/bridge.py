@@ -80,7 +80,7 @@ class _Client:
         while True:
             with self.cond:
                 while self.alive and not self.queue and not self.finished:
-                    self.cond.wait(0.1)
+                    self.cond.wait()
                 if not self.alive:
                     return
                 if not self.queue:
@@ -121,7 +121,6 @@ class SpeedBridge:
             self._server.close()
             raise BridgeError(f"cannot bind {bind_address}: {exc}") from exc
         self._server.listen()
-        self._server.settimeout(0.1)
         self.address = self._server.getsockname()
         self._clients: list[_Client] = []
         self._lock = threading.Lock()
@@ -132,11 +131,9 @@ class SpeedBridge:
         self._accept_thread.start()
 
     def _accept_loop(self):
-        while not self._closing:
+        while True:
             try:
                 conn, _ = self._server.accept()
-            except socket.timeout:
-                continue
             except OSError:
                 return
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -173,12 +170,18 @@ class SpeedBridge:
     def close(self, flush: bool = True):
         """Stop accepting; optionally let writers drain their queues, then disconnect.
 
-        A client still waiting in the listen backlog is accepted and closed at
-        once, so it reads a clean end of stream instead of a reset.  Calling
-        close again is harmless.
+        The accept loop blocks in accept() until one connection of close's own
+        wakes it.  A client still waiting in the listen backlog is accepted and
+        closed at once, so it reads a clean end of stream instead of a reset.
+        Calling close again is harmless.
         """
         self._closing = True
-        self._accept_thread.join(timeout=1.0)
+        if self._accept_thread.is_alive():
+            try:
+                socket.create_connection(self.address, timeout=1.0).close()
+            except OSError:
+                pass
+            self._accept_thread.join(timeout=1.0)
         try:
             self._server.setblocking(False)
             while True:

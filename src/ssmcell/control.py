@@ -75,7 +75,8 @@ MODE_STANDSTILL = SpeedMode(ModeKind.STANDSTILL, 0.0)
 
 @dataclass(frozen=True)
 class GainsConfig:
-    """The scalar gains a scenario's [gains] section sets; Gains.diagonal expands them."""
+    """The cell's scalar controller gains, Scenario.gains_config; Gains.diagonal
+    expands them, and a caller may pass others to it."""
 
     kp: float = 20.0
     kd: float = 2.0
@@ -296,9 +297,8 @@ class Controller:
         the damped least-squares factors s / (s^2 + DEFAULT_DAMPING^2)
         (Chiaverini 1997); the projector always uses the exact inverse.
 
-        The factorisation is the Jacobian's own (``Jacobian.svd``), computed
-        once per Jacobian object.  What depends on J and q alone (the factors,
-        the damped flag and the null-space term) is kept for the last Jacobian
+        What depends on J and q alone (the factorisation, the factors, the
+        damped flag and the null-space term) is kept for the last Jacobian
         object and q bytes, and the rates for the last v6 bytes too.  Each kept
         value is the array the same expression gives, so every bit is as when
         it is computed afresh.  The rates are read-only, as a later call may
@@ -308,7 +308,7 @@ class Controller:
         q_bytes = q.tobytes()
         memo = self._resolution
         if memo is None or memo.J is not J or memo.q_bytes != q_bytes:
-            U, s, Vt = J.svd
+            U, s, Vt = np.linalg.svd(J.matrix)
             values = s.tolist()
             damped = values[-1] < SINGULARITY_THRESHOLD
             # 1 / s_i above the rank tolerance, else 0, in Python floats.

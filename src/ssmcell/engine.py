@@ -62,11 +62,6 @@ def lyapunov_samples(trace: Trace) -> LyapunovSeries:
     return LyapunovSeries(*(trace.column(name).copy() for name in ("t", "lyap", "mode")))
 
 
-def _expand_plan(scenario: Scenario) -> list[tuple[int, TaskStep]]:
-    steps = scenario.task.steps_for(scenario.mode)
-    return [(cycle, step) for cycle in range(scenario.task.cycles) for step in steps]
-
-
 def nominal_task_duration(scenario: Scenario, mode: SimMode) -> float:
     """Robot-only task duration at nominal speed: segment lengths plus dwells."""
     model = build_model(scenario)
@@ -87,16 +82,19 @@ def ideal_cycle_time(scenario: Scenario) -> float:
 
 
 class _TaskTracker:
-    """Walks the expanded step plan: move the TCP to each target, then dwell.
+    """Walks the steps of each cycle in turn, by (cycle, step) index: move the
+    TCP to each target, then dwell.  A mode with no steps has nothing pending.
 
     Dwell (processing) time advances only while the commanded fraction is
     positive, so a stalled robot accrues pending time instead of progress.
     """
 
-    def __init__(self, plan: list[tuple[int, TaskStep]], events: list):
-        self.plan = plan
-        self.targets = [np.asarray(step.target) for _, step in plan]
-        self.idx = 0
+    def __init__(self, steps: list[TaskStep], cycles: int, events: list):
+        self.steps = steps
+        self.targets = [np.asarray(step.target) for step in steps]
+        self.cycles = cycles if steps else 0
+        self.cycle = 0
+        self.idx = 0  # the step of the cycle
         self.dwelling = False
         self.dwell_left = 0.0
         self.done_at = -math.inf  # the time of the tick that last finished a step
@@ -104,13 +102,13 @@ class _TaskTracker:
 
     @property
     def pending(self) -> bool:
-        return self.idx < len(self.plan)
+        return self.cycle < self.cycles
 
     def advance(self, t: float, tcp: np.ndarray, fraction: float, dt: float) -> np.ndarray:
         """Commanded task direction for this tick (unit vector, shortened on arrival)."""
         if not self.pending:
             return _NO_MOTION
-        cycle, step = self.plan[self.idx]
+        step = self.steps[self.idx]
         if not self.dwelling:
             delta = self.targets[self.idx] - tcp
             dist = float(np.linalg.norm(delta))
@@ -125,11 +123,13 @@ class _TaskTracker:
         if fraction > 0.0:
             self.dwell_left -= dt
         if self.dwell_left <= _DWELL_DONE:
-            done = f"step={step.name};cycle={cycle}"
+            done = f"step={step.name};cycle={self.cycle}"
             self.events.append(Event(t, EventKind.TASK_STEP_DONE, done))
-            if self.idx + 1 >= len(self.plan) or self.plan[self.idx + 1][0] != cycle:
-                self.events.append(Event(t, EventKind.CYCLE_DONE, f"cycle={cycle}"))
             self.idx += 1
+            if self.idx == len(self.steps):
+                self.events.append(Event(t, EventKind.CYCLE_DONE, f"cycle={self.cycle}"))
+                self.idx = 0
+                self.cycle += 1
             self.dwelling = False
             self.done_at = t
         return _NO_MOTION
@@ -372,7 +372,8 @@ def run(scenario: Scenario, bridge=None) -> SimResult:
         model, layout, gains, scenario.separation, sequential=scenario.sequential
     )
     events: list[Event] = []
-    tracker = _TaskTracker(_expand_plan(scenario), events)
+    task = scenario.task
+    tracker = _TaskTracker(task.steps_for(scenario.mode), task.cycles, events)
 
     q = np.asarray(scenario.q0, dtype=float)
     q_ref = q.copy()

@@ -88,14 +88,6 @@ class Jacobian:
         if not np.isfinite(m).all():
             raise KinematicsError("Jacobian has non-finite entries")
 
-    @property
-    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(U, s, Vt) of the full SVD of the matrix, computed once per Jacobian."""
-        found = self.__dict__.get("_svd")
-        if found is None:
-            found = self.__dict__["_svd"] = np.linalg.svd(self.matrix)
-        return found
-
 
 def _link_table(links: tuple[LinkRow, ...]) -> tuple[tuple[float, ...], ...]:
     """(theta_offset, a, d, cos alpha, sin alpha) of each link, computed once per

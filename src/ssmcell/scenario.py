@@ -37,9 +37,6 @@ MAX_COORDINATE = 1000.0  # m
 # The bound on the range noise amplitude: far beyond a laser scanner's noise,
 # and small enough that the draws from [-noise, noise] stay finite.
 MAX_NOISE = 1.0  # m
-# The bound on the task gain: the resolved rates saturate at the joint speed
-# limits long before it, and far beyond it they overflow.
-MAX_TASK_GAIN = 1000.0
 
 
 class ScenarioError(ValueError):
@@ -307,11 +304,11 @@ class Scenario:
     humans: tuple[HumanScript, ...] = ()
     task: RobotTask = RobotTask(steps=())
     q0: tuple[float, float, float, float, float, float] = (0.0,) * 6
-    gains_config: GainsConfig = GainsConfig()
-    # Not keys of the file: every scenario runs at the controller's period, with
-    # the cell's ISO 13855 terms (a 0.45 m static MSD) and ISO/TS 15066 terms,
-    # and flags a pending standstill longer than 5 s as a deadlock.
+    # Not keys of the file: every scenario runs at the controller's period and
+    # gains, with the cell's ISO 13855 terms (a 0.45 m static MSD) and ISO/TS
+    # 15066 terms, and flags a pending standstill longer than 5 s as a deadlock.
     control_period: ClassVar[float] = CONTROL_PERIOD
+    gains_config: ClassVar[GainsConfig] = GainsConfig()
     safety: ClassVar[SafetyParams] = SafetyParams()
     separation: ClassVar[SeparationInputs] = SeparationInputs()
     stall_threshold: ClassVar[float] = 5.0  # s
@@ -342,7 +339,7 @@ _POSITIVE = {"duration", "footprint_radius", "stature"}
 
 def _range_problem(key: str, v) -> str | None:
     """What is out of range in a scalar key's value, checked where the key is
-    read, or None; most keys of the [gains] section are checked by Gains instead."""
+    read, or None."""
     if key in _POSITIVE and v <= 0:
         return f"{key} must be positive"
     # engine.run runs round(duration / CONTROL_PERIOD) ticks, more than MAX_TICKS
@@ -361,8 +358,6 @@ def _range_problem(key: str, v) -> str | None:
         return f"{key} must be >= 0"
     if key == "noise" and v > MAX_NOISE:
         return f"{key} must be at most {MAX_NOISE:g} m, got {v!r}"
-    if key == "task_gain" and v > MAX_TASK_GAIN:
-        return f"{key} must be at most {MAX_TASK_GAIN:g}, got {v!r}"
     if key == "cycles" and v < 1:
         return f"{key} must be >= 1"
     if key == "q0":
@@ -371,15 +366,6 @@ def _range_problem(key: str, v) -> str | None:
         except ValueError as exc:
             return f"{key}: {exc}"
     return None
-
-
-def _cite(keys, lines: dict[str, int], fallback: int) -> tuple[str, str]:
-    """'line N: ' for the first of keys the file sets, else fallback ('' for 0: no such
-    section), and ' (key on line M, ...)' for the others it sets, to put around a message."""
-    named = [k for k in dict.fromkeys(keys) if k in lines]
-    at = lines[named[0]] if named else fallback
-    others = ", ".join(f"{k} on line {lines[k]}" for k in named[1:])
-    return f"line {at}: " if at else "", f" ({others})" if others else ""
 
 
 _POSTURES = {p.value: p for p in Posture}
@@ -472,7 +458,6 @@ def _section(cls, skip=(), names=None, row=None) -> _Section:
 _ROBOT_KEYS = {"q0": "q0"}
 _SECTIONS = {
     "scenario": _section(Scenario, skip=_ROBOT_KEYS.values()),
-    "gains": _section(GainsConfig),
     "robot": _section(Scenario, names=_ROBOT_KEYS),
     "human": _section(HumanScript, row="waypoint"),  # also human2, human3, ...
     "task": _section(RobotTask, row="step"),
@@ -510,19 +495,6 @@ def _read_section(name: str, label: str, entries: Section, errors: list):
         if k.key not in lines and (problem := _range_problem(k.key, getattr(spec.cls, k.attr))):
             errors.append(f"line {entries.line}: {label}: {problem}")
     return values, rows, lines
-
-
-def _gains(values: dict, section: Section, lines: dict[str, int], errors: list):
-    """The GainsConfig of the values read, or None if Gains refuses them;
-    the error cites the keys its message names, in file order."""
-    try:
-        Gains.diagonal(**values)
-        return GainsConfig(**values)
-    except ValueError as exc:
-        named = sorted(lines.keys() & str(exc).split(), key=lines.get)
-        at, where = _cite(named, lines, section.line)
-        errors.append(f"{at}gains: {exc}{where}")
-        return None
 
 
 # How each row key's value reads, and which of its tokens are numbers.
@@ -606,8 +578,8 @@ def parse_scenario(source) -> Scenario:
     """Parse and fully validate a scenario file; raises ScenarioError with all problems.
 
     Unknown sections come first.  Then each section's problems follow in the order the
-    parser reads it, whatever the file's order: [scenario], [robot], [gains],
-    each [human] by number, [task].
+    parser reads it, whatever the file's order: [scenario], [robot], each
+    [human] by number, [task].
     A value is checked where it is read, and values checked together once all are read.
     """
     sections = parse_sections(source)
@@ -626,9 +598,6 @@ def parse_scenario(source) -> Scenario:
         return values, rows
 
     values = {**read("scenario")[0], **read("robot")[0]}
-    gains = _gains(read("gains")[0], sections.get("gains", Section(0)), key_lines["gains"], errors)
-    if gains is not None:
-        values["gains_config"] = gains
     humans = []
     human_sections = sorted((s for s in sections if _kind(s) == "human"), key=_human_order)
     for h, name in enumerate(human_sections):
@@ -683,7 +652,6 @@ def _section_text(title: str, obj, rows=()) -> str:
 def serialize_scenario(sc: Scenario) -> str:
     """Canonical text form; parse(serialize(sc)) == sc."""
     blocks = [_section_text("scenario", sc)]
-    blocks.append(_section_text("gains", sc.gains_config))
     blocks.append(_section_text("robot", sc))
     for i, human in enumerate(sc.humans):
         rows = [f"{w.t!r} {w.x!r} {w.y!r} {w.posture.value}" for w in human.waypoints]

@@ -145,6 +145,25 @@ class TestLiveBridge:
             finally:
                 late.close()
 
+    def test_close_with_a_client_waits_for_no_poll(self):
+        # The accept loop blocks until close wakes it, and an idle writer
+        # until close finishes it, so close waits for no timeout to run out.
+        for _ in range(10):
+            bridge = serve(decimation=1)
+            client = connect(bridge.address)
+            deadline = time.monotonic() + 5
+            while bridge.client_count() < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            t0 = time.perf_counter()
+            bridge.close()
+            elapsed = time.perf_counter() - t0
+            client.settimeout(5.0)
+            try:
+                assert client.recv(65536) == b""
+            finally:
+                client.close()
+            assert elapsed < 0.020
+
 
 class TestBridgeDoesNotPerturbSimulation:
     def test_trace_identical_with_and_without_bridge(self, tmp_path):

@@ -423,8 +423,7 @@ class TestSimRun:
     @pytest.mark.parametrize(
         "old, new, message",
         [
-            ("kd = 2.0", "kd = -1.0", "kd diagonal must be positive"),
-            ("ks_floor = 0.3", "ks_floor = 2.0", "ks_floor must lie in (0, 1]"),
+            ("parallelism = 2.5", "parallelism = 0.5", "parallelism must be >= 1, got 0.5"),
             # The nominal speed is a constant now, not a key.
             ("sequential = false", "nominal_speed = 0.0", "line 6: unknown key 'nominal_speed'"),
         ],
@@ -465,23 +464,23 @@ class TestSimRun:
         "edits, message",
         [
             (
-                {27: "waypoint = 0.0 2.3 -0.32 flying", 28: "waypoint = 2.0 2.3 5000 standing"},
-                "line 28: human 0: waypoint 1 x and y must lie in [-1000, 1000] m, got 2.3 5000.0",
+                {19: "waypoint = 0.0 2.3 -0.32 flying", 20: "waypoint = 2.0 2.3 5000 standing"},
+                "line 20: human 0: waypoint 1 x and y must lie in [-1000, 1000] m, got 2.3 5000.0",
             ),
             (
-                {39: "step = sort_a 0.35 -0.3 z 1.5", 40: "step = sort_b 5.0 -0.35 0.3 1.5"},
-                "line 40: task: step 1 'sort_b' target is 5.021 m from the base, "
+                {31: "step = sort_a 0.35 -0.3 z 1.5", 32: "step = sort_b 5.0 -0.35 0.3 1.5"},
+                "line 32: task: step 1 'sort_b' target is 5.021 m from the base, "
                 "beyond the 0.85 m reach",
             ),
             (
-                {27: "waypoint = zero 2.3 -0.32 standing", 30: "waypoint = 1.0 1.0 -0.32 reaching"},
-                "line 30: human 0: waypoint 3 timestamp 1.0 not after waypoint 2 on line 29",
+                {19: "waypoint = zero 2.3 -0.32 standing", 22: "waypoint = 1.0 1.0 -0.32 reaching"},
+                "line 22: human 0: waypoint 3 timestamp 1.0 not after waypoint 2 on line 21",
             ),
         ],
         ids=["waypoint_after_a_bad_one", "step_after_a_bad_one", "time_after_a_bad_row"],
     )
     def test_row_problem_names_its_own_line_and_index(self, edits, message, tmp_path, capsys):
-        # approach_retreat.scn: waypoints on lines 27-35, steps 39-43.
+        # approach_retreat.scn: waypoints on lines 19-27, steps 31-35.
         lines = bundled_scenario_path("approach_retreat").read_text(encoding="utf-8").splitlines()
         for line, text in edits.items():
             lines[line - 1] = text

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from ssmcell.scenario import (
     SimMode,
     TaskStep,
 )
+from ssmcell.tracefile import trace_lines
 from helpers import bundled, tiny_scenario
 from ssmcell.zones import Zone
 
@@ -200,6 +202,23 @@ class TestTaskModel:
         assert ideal_cycle_time(scenario) == pytest.approx(
             nominal_task_duration(scenario, SimMode.AUTONOMOUS) / 2.0
         )
+
+    def test_a_runaway_cycle_count_runs_as_two_cycles_do(self):
+        # The task is walked by (cycle, step) index, with no list of every
+        # cycle's steps: 10**11 cycles once ended in a MemoryError.
+        def outputs(cycles):
+            sc = tiny_scenario(duration=1.0)
+            result = run(dataclasses.replace(sc, task=dataclasses.replace(sc.task, cycles=cycles)))
+            return list(trace_lines(result.trace)), result.events
+
+        assert outputs(10**11) == outputs(2)
+
+    def test_a_mode_without_steps_has_nothing_pending(self):
+        sc = tiny_scenario(duration=1.0)
+        steps = tuple(dataclasses.replace(s, modes=("autonomous",)) for s in sc.task.steps)
+        result = run(dataclasses.replace(sc, task=RobotTask(steps=steps, cycles=3)))
+        assert not result.trace.column("pending").any()
+        assert not [e for e in result.events if e.kind == EventKind.TASK_STEP_DONE]
 
     def test_dwell_pauses_while_stalled(self):
         # traditional mode with the parked human: dwell clock must not advance

@@ -79,18 +79,6 @@ class TestJacobian:
         s = np.linalg.svd(J, compute_uv=False)
         assert int(np.sum(s > 1e-10 * s[0])) == 6
 
-    def test_svd_computed_once_per_jacobian_and_bit_equal(self, monkeypatch):
-        J = jacobian(RobotModel(), np.array([0.4, -1.1, 0.9, 0.6, -0.7, 0.3]))
-        expected = np.linalg.svd(J.matrix)
-        svd, calls = np.linalg.svd, []
-        monkeypatch.setattr(np.linalg, "svd", lambda m: calls.append(m) or svd(m))
-        first = J.svd
-        assert J.svd is first and len(calls) == 1
-        for got, want in zip(first, expected):
-            assert got.tobytes() == want.tobytes()
-        jacobian(RobotModel(), np.zeros(6)).svd  # another Jacobian factorises afresh
-        assert len(calls) == 2
-
 
 class TestPseudoInverse:
     def test_square_nonsingular_equals_inverse(self):

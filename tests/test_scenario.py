@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssmcell.cli import EXIT_RUNTIME, EXIT_VALIDATION, main
+from ssmcell.control import GainsConfig
 from ssmcell.engine import run
 from ssmcell.kinematics import RobotModel
 from ssmcell.perception import Posture
@@ -108,12 +109,10 @@ class TestBundledScenarios:
         text = earlier_format(BUNDLED_TEXTS[0])
         text = text.replace("quadrant_half_width = 0.425", "quadrant_half_width = 0.3")
         lines = text.splitlines()
-        named = EARLIER_KEYS + ["[safety]", "[separation]", "[layout]", "[scanners]"]
+        sections = ("safety", "separation", "layout", "scanners", "gains")
+        named = EARLIER_KEYS + [f"[{name}]" for name in sections]
         at = {t.split()[0].strip("[]"): lines.index(t) + 1 for t in named}
-        expected = [
-            f"line {at[name]}: unknown section [{name}]"
-            for name in ("safety", "separation", "layout", "scanners")
-        ] + [
+        expected = [f"line {at[name]}: unknown section [{name}]" for name in sections] + [
             f"line {at[key]}: unknown key '{key}' in [scenario]"
             for key in ("control_period", "nominal_speed", "stall_threshold")
         ]
@@ -127,7 +126,7 @@ class TestBundledScenarios:
 
     def test_every_key_round_trips(self):
         scenario = every_key_scenario()
-        holders = (scenario, scenario.gains_config, scenario.humans[0], scenario.task)
+        holders = (scenario, scenario.humans[0], scenario.task)
         for obj in holders:
             for f in dataclasses.fields(obj):
                 if f.default is dataclasses.MISSING:
@@ -140,14 +139,14 @@ class TestBundledScenarios:
 
 # sha256 of serialize_scenario for the bundled files.
 SERIALIZED_SHA256 = {
-    "approach_retreat": "2ba02c3ce6e2ec9e0daf5c8779e48d6f64fc5ac720695e9213ece49747fbd8bc",
-    "sorting_benchmark": "75363f8dbda1af6ff8441d7219e05a30cd9bd7e99229445a931cf8349295b411",
+    "approach_retreat": "836a96585478844c4d9246ce57029e3e03a23dbafbcf8baa170522d1aae45829",
+    "sorting_benchmark": "0d1a06f501c44219c155733a384ff6539e2a09652677916b2e2eabea6f8216e0",
 }
 
 
 # The lines that set the cell's fixed values in the bundled files before they
 # became constants: three [scenario] keys and the [safety], [separation],
-# [layout] and [scanners] sections.
+# [layout], [scanners] and [gains] sections.
 EARLIER_KEYS = ["control_period = 0.002", "nominal_speed = 1.0", "stall_threshold = 5.0"]
 EARLIER_LINES = ["[safety]", "approach_speed = 1.6", "stop_time = 0.25", "intrusion = 0.04"]
 EARLIER_LINES += ["uncertainty = 0.01", "", "[separation]", "robot_reaction_time = 0.1"]
@@ -157,7 +156,9 @@ EARLIER_LINES += ["workspace_length = 1.5", "workspace_width = 0.9", "quadrant_h
 EARLIER_LINES += ["danger_margin = 0.1", "laser_mount_height = 0.4", "height_min = 0.0"]
 EARLIER_LINES += ["height_max = 2.0", "scale_floor_distance = 0.3", "", "[scanners]"]
 EARLIER_LINES += ["scanner = 0.0 -0.45 0.29145679447786715"]
-EARLIER_LINES += ["scanner = 0.0 0.45 -0.29145679447786715", ""]
+EARLIER_LINES += ["scanner = 0.0 0.45 -0.29145679447786715", "", "[gains]", "kp = 20.0"]
+EARLIER_LINES += ["kd = 2.0", "task_gain = 1.0", "k0 = 0.05", "ks_floor = 0.3"]
+EARLIER_LINES += ["accel_limit = 2.0", ""]
 
 
 def edited(name, old, new):
@@ -171,7 +172,7 @@ def edited(name, old, new):
 def earlier_format(text):
     """A bundled file's text as it was written with those lines."""
     lines = text.splitlines()
-    at = lines.index("[gains]")
+    at = lines.index("[robot]")
     lines[at:at] = EARLIER_LINES
     at = next(i for i, t in enumerate(lines) if t.startswith("seed = ")) + 1
     lines[at:at] = EARLIER_KEYS
@@ -194,9 +195,6 @@ def every_key_scenario():
         parallelism=2.0,
         humans=(human, replace(human, stature=1.6)),
         task=replace(sc.task, cycles=2),
-        gains_config=replace(
-            sc.gains_config, kp=25.0, kd=3.0, task_gain=1.2, k0=0.04, ks_floor=0.25, accel_limit=2.5
-        ),
     )
 
 
@@ -266,15 +264,15 @@ class TestValidation:
     @pytest.mark.parametrize(
         "old, new",
         [
-            ("kp = 20.0", "kpp = 30"),
-            ("[gains]", "[gain]"),
+            ("seed = 17", "sed = 17"),
+            ("[robot]", "[robots]"),
             ("sequential = false", "sequential = treu"),
-            ("kp = 20.0", "kp = 20.0\nkp = 30.0"),
+            ("seed = 17", "seed = 17\nseed = 18"),
             ("[robot]", "[robot]\nmodel = default"),
             ("duration = 34.0", "duration = nan"),
             ("duration = 34.0", "duration = inf"),
-            ("kp = 20.0", "kp = nan"),
-            ("kp = 20.0", "kp = -inf"),
+            ("parallelism = 1.0", "parallelism = nan"),
+            ("parallelism = 1.0", "parallelism = -inf"),
             ("q0 = -0.708626272", "q0 = nan"),
             ("waypoint = 2.0 2.3 -0.32 standing", "waypoint = 2.0 nan -0.32 standing"),
             ("step = sort_b 0.15 -0.35 0.3 1.5", "step = sort_b 0.15 -0.35 0.3 inf"),
@@ -285,7 +283,6 @@ class TestValidation:
             ("[robot]", "[robot]\nmodel = arm.cfg"),
             ("duration = 34.0", "duration = 1e12"),
             ("noise = 0.0", "noise = 1e308"),
-            ("task_gain = 1.0", "task_gain = 1e308"),
             # A bad row, then a range problem on a later row of the same kind.
             (
                 "waypoint = 0.0 2.3 -0.32 standing\nwaypoint = 2.0 2.3 -0.32 standing",
@@ -325,14 +322,15 @@ class TestValidation:
         + [("separation", "intrusion = -0.06"), ("separation", "human_speed = 1.6")]
         + [("scenario", "stall_threshold = 5.0"), ("scenario", "stall_threshold = inf")]
         + [("scanners", "scanner = 0.0 -0.45 0.29145679447786715")]
-        + [("scanners", "scanner = 1.5 0.45 -2.850135859111926")],
+        + [("scanners", "scanner = 1.5 0.45 -2.850135859111926")]
+        + [("gains", f"{key} = {value!r}") for key, value in vars(GainsConfig()).items()],
     )
     def test_a_removed_key_exits_1_as_unknown_naming_its_line(self, section, old, tmp_path):
-        # The cell's fixed values are constants: a file that sets one fails at its line, or
-        # at the line of the [layout], [safety], [separation] or [scanners] section that holds it.
+        # The cell's fixed values are constants: a file that sets one fails at its line, or at
+        # the line of the [layout], [safety], [separation], [scanners] or [gains] section of it.
         lines = BUNDLED_TEXTS[0].splitlines()
         if section != "scenario":
-            at, problem = lines.index("[gains]"), f"unknown section [{section}]"
+            at, problem = lines.index("[robot]"), f"unknown section [{section}]"
             lines[at:at] = [f"[{section}]", old]
         else:
             at = lines.index("seed = 17") + 1
@@ -350,7 +348,6 @@ class TestValidation:
         [
             ("noise = 0.0", "noise = -0.001", "noise must be >= 0"),
             ("parallelism = 1.0", "parallelism = 0.0", "parallelism must be >= 1, got 0.0"),
-            ("kd = 2.0", "kd = -1.0", "kd diagonal must be positive"),
             ("seed = 17", "seed = -1", "seed must be >= 0"),
             ("footprint_radius = 0.3", "footprint_radius = 0.0", "footprint_radius must be"),
             ("stature = 1.7", "stature = 0.0", "stature must be positive"),
@@ -592,30 +589,32 @@ def test_every_failing_value_mutation_names_its_line():
             if line not in named_lines(exc.errors):
                 unnamed.append((line, text.splitlines()[line - 1][:60], exc.errors[0][:200]))
     # The failure count is pinned too: a check that stops firing shows here.
-    assert (parsed, failed) == (2189, 1464)
+    assert (parsed, failed) == (2057, 1370)
     assert unnamed == []
 
 
 def test_problems_of_two_sections_are_all_reported_in_reading_order():
-    text = BUNDLED_TEXTS[0].replace("seed = 17", "seed = -1").replace("kd = 2.0", "kd = -1.0")
+    text = BUNDLED_TEXTS[0].replace("seed = 17", "seed = -1")
+    text = text.replace("stature = 1.7", "stature = -1.7")
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(text)
     assert exc.value.errors == [
         "line 7: scenario: seed must be >= 0",
-        "line 14: gains: kd diagonal must be positive",
+        "line 18: human 0: stature must be positive",
     ]
 
 
 def test_problems_follow_the_parsers_section_order_after_unknown_sections():
-    # [robot] is written after [gains] but read before it; [extra] is last in the file.
-    text = BUNDLED_TEXTS[0].replace("kd = 2.0", "kd = -1.0")
-    text = text.replace("q0 = -0.708626272", "q0 = 9.0")
+    # [robot] is moved after [task] but read before [human]; [extra] is last in the file.
+    text = BUNDLED_TEXTS[0].replace("stature = 1.7", "stature = -1.7")
+    robot = text[text.index("[robot]") : text.index("[human]")]
+    text = text.replace(robot, "") + "\n" + robot.replace("q0 = -0.708626272", "q0 = 9.0")
     with pytest.raises(ScenarioError) as exc:
-        parse_scenario(text + "\n[extra]\n")
+        parse_scenario(text + "[extra]\n")
     assert exc.value.errors == [
-        "line 45: unknown section [extra]",
-        "line 22: robot: q0: joint 0 value 9.000000 outside [-6.283185, 6.283185]",
-        "line 14: gains: kd diagonal must be positive",
+        "line 37: unknown section [extra]",
+        "line 35: robot: q0: joint 0 value 9.000000 outside [-6.283185, 6.283185]",
+        "line 14: human 0: stature must be positive",
     ]
 
 
