@@ -75,8 +75,8 @@ MODE_STANDSTILL = SpeedMode(ModeKind.STANDSTILL, 0.0)
 
 @dataclass(frozen=True)
 class GainsConfig:
-    """The cell's scalar controller gains, Scenario.gains_config; Gains.diagonal
-    expands them, and a caller may pass others to it."""
+    """The scalar controller gains, which Gains.diagonal expands; every
+    scenario runs with the defaults, Scenario.gains_config."""
 
     kp: float = 20.0
     kd: float = 2.0
