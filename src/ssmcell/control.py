@@ -74,19 +74,6 @@ MODE_STANDSTILL = SpeedMode(ModeKind.STANDSTILL, 0.0)
 
 
 @dataclass(frozen=True)
-class GainsConfig:
-    """The scalar controller gains, which Gains.diagonal expands; every
-    scenario runs with the defaults, Scenario.gains_config."""
-
-    kp: float = 20.0
-    kd: float = 2.0
-    task_gain: float = 1.0
-    k0: float = 0.05
-    ks_floor: float = 0.3
-    accel_limit: float = 2.0  # fraction/s slew bound on the commanded fraction
-
-
-@dataclass(frozen=True)
 class Gains:
     """Controller gains; kp/kd/task_gain are positive-definite diagonal 6x6."""
 
@@ -112,17 +99,20 @@ class Gains:
             raise ControlError("accel_limit must be positive")
 
     @staticmethod
-    def diagonal(**scalars: float) -> "Gains":
-        """Gains with kp, kd and task_gain on the diagonal; omitted scalars take GainsConfig's."""
-        c = GainsConfig(**scalars)
-        return Gains(
-            kp=np.eye(6) * c.kp,
-            kd=np.eye(6) * c.kd,
-            task_gain=np.eye(6) * c.task_gain,
-            k0=c.k0,
-            ks_floor=c.ks_floor,
-            accel_limit=c.accel_limit,
-        )
+    def diagonal(
+        kp: float = 20.0,
+        kd: float = 2.0,
+        task_gain: float = 1.0,
+        k0: float = 0.05,
+        ks_floor: float = 0.3,
+        accel_limit: float = 2.0,  # fraction/s slew bound on the commanded fraction
+    ) -> "Gains":
+        """Gains with kp, kd and task_gain on the diagonal, in read-only arrays; the
+        defaults are the cell's gains, Scenario.gains_config, which every run shares."""
+        diagonals = [np.eye(6) * g for g in (kp, kd, task_gain)]
+        for m in diagonals:
+            m.flags.writeable = False
+        return Gains(*diagonals, k0, ks_floor, accel_limit)
 
 
 class SpeedCommand(NamedTuple):

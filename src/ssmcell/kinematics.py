@@ -20,10 +20,6 @@ class KinematicsError(ValueError):
     pass
 
 
-class JointLimitError(KinematicsError):
-    pass
-
-
 @dataclass(frozen=True)
 class LinkRow:
     """One serial link: rotation offset (rad), offset d (m), length a (m), twist alpha (rad)."""
@@ -51,15 +47,6 @@ class RobotModel:
     joint_limits: ClassVar[tuple[tuple[float, float], ...]] = ((-2 * math.pi, 2 * math.pi),) * 6
     max_joint_speed: ClassVar[tuple[float, ...]] = (math.pi,) * 6  # rad/s per joint
     reach: ClassVar[float] = 0.850  # m
-
-    def check_joint_vector(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        if q.shape != (6,):
-            raise KinematicsError(f"expected 6 joint values, got shape {q.shape}")
-        for i, (lo, hi) in enumerate(self.joint_limits):
-            if not lo <= q[i] <= hi:
-                raise JointLimitError(f"joint {i} value {q[i]:.6f} outside [{lo:.6f}, {hi:.6f}]")
-        return q
 
     def clamp_joint_rates(self, qdot: np.ndarray) -> np.ndarray:
         """Scale a joint-rate vector uniformly so every joint respects its speed limit.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import COLLABORATIVE_FRACTION
-from .engine import Event, EventKind, SimResult, detect_deadlock, ideal_cycle_time
+from .engine import Event, EventKind, SimResult, ideal_cycle_time
 from .trace import Trace
 
 _FRACTION_TOL = 1e-12
@@ -121,18 +121,20 @@ def oee(trace: Trace, events: list[Event], ideal_cycle: float) -> float:
 
 
 def report(result: SimResult, ideal_cycle: float | None = None) -> KpiReport:
-    """All four metrics for one completed run."""
-    events = list(result.events)
-    if not any(e.kind == EventKind.DEADLOCK for e in events):
-        events.extend(detect_deadlock(result.trace, events, result.scenario.stall_threshold))
+    """All four metrics for one completed run.
+
+    result.events must already hold the run's deadlocks (engine.detect_deadlock,
+    as run_benchmark adds them): OEE counts as downtime only the DEADLOCK
+    events it is given.
+    """
     if ideal_cycle is None:
         ideal_cycle = ideal_cycle_time(result.scenario)
     return KpiReport(
         mode_label=result.scenario.mode.value,
-        cycle_time=cycle_time(events),
-        reaction_time=reaction_time(result.trace, events),
+        cycle_time=cycle_time(result.events),
+        reaction_time=reaction_time(result.trace, result.events),
         flexibility_rate=flexibility_rate(result.trace),
-        oee=oee(result.trace, events, ideal_cycle),
+        oee=oee(result.trace, result.events, ideal_cycle),
     )
 
 

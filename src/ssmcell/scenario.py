@@ -11,7 +11,7 @@ from typing import Callable, ClassVar, get_type_hints
 
 import numpy as np
 
-from .control import CONTROL_PERIOD, Gains, GainsConfig
+from .control import CONTROL_PERIOD, Gains
 from .kinematics import RobotModel
 from .perception import (
     DEFAULT_FOOTPRINT_RADIUS,
@@ -303,12 +303,16 @@ class Scenario:
     seed: int = 0
     humans: tuple[HumanScript, ...] = ()
     task: RobotTask = RobotTask(steps=())
-    q0: tuple[float, float, float, float, float, float] = (0.0,) * 6
-    # Not keys of the file: every scenario runs at the controller's period and
-    # gains, with the cell's ISO 13855 terms (a 0.45 m static MSD) and ISO/TS
-    # 15066 terms, and flags a pending standstill longer than 5 s as a deadlock.
+    # Not keys of the file: every scenario starts the arm at one pose, runs at
+    # the controller's period and gains, with the cell's ISO 13855 terms (a
+    # 0.45 m static MSD) and ISO/TS 15066 terms, and flags a pending standstill
+    # longer than 5 s as a deadlock.  The pose puts the TCP at the first
+    # sorting target (0.35, -0.30, 0.25) in the left quadrant.
+    q0: ClassVar[tuple[float, ...]] = (
+        -0.708626272, -0.373845277, 1.647358634, 0.633394073, -0.5, 0.3
+    )
     control_period: ClassVar[float] = CONTROL_PERIOD
-    gains_config: ClassVar[GainsConfig] = GainsConfig()
+    gains_config: ClassVar[Gains] = Gains.diagonal()
     safety: ClassVar[SafetyParams] = SafetyParams()
     separation: ClassVar[SeparationInputs] = SeparationInputs()
     stall_threshold: ClassVar[float] = 5.0  # s
@@ -330,7 +334,8 @@ def build_model(scenario: Scenario) -> RobotModel:
 
 
 def build_gains(scenario: Scenario) -> Gains:
-    return Gains.diagonal(**vars(scenario.gains_config))
+    """The gains every scenario runs: the one Scenario.gains_config."""
+    return scenario.gains_config
 
 
 # The scalar keys whose values must be positive.
@@ -360,11 +365,6 @@ def _range_problem(key: str, v) -> str | None:
         return f"{key} must be at most {MAX_NOISE:g} m, got {v!r}"
     if key == "cycles" and v < 1:
         return f"{key} must be >= 1"
-    if key == "q0":
-        try:
-            RobotModel().check_joint_vector(v)
-        except ValueError as exc:
-            return f"{key}: {exc}"
     return None
 
 
@@ -372,13 +372,6 @@ _POSTURES = {p.value: p for p in Posture}
 _MODES = {m.value: m for m in SimMode}
 _BOOLS = dict.fromkeys(("true", "1", "yes", "on"), True)
 _BOOLS.update(dict.fromkeys(("false", "0", "no", "off"), False))
-
-
-def _six_floats(text: str) -> tuple[float, ...]:
-    values = tuple(map(float, text.split()))
-    if len(values) != 6:
-        raise ValueError(text)
-    return values
 
 
 @dataclass(frozen=True)
@@ -400,18 +393,14 @@ _CODECS = {
         "cannot parse '{key}' as bool (true/false, 1/0, yes/no, on/off)",
     ),
     SimMode: _Codec(SimMode, lambda mode: mode.value, "unknown {key} '{text}'"),
-    tuple[float, float, float, float, float, float]: _Codec(
-        _six_floats, lambda values: " ".join(map(repr, values)), "{key} needs 6 numbers"
-    ),
 }
 
 
 @dataclass(frozen=True)
 class _Key:
-    """A scalar 'key = value' line and the dataclass field it fills."""
+    """A scalar 'key = value' line; key is also the name of the dataclass field it fills."""
 
     key: str
-    attr: str
     codec: _Codec
 
     def read(self, e: Entry, label: str, errors: list):
@@ -422,8 +411,7 @@ class _Key:
         except (ValueError, KeyError):
             errors.append(f"line {e.line}: " + self.codec.error.format(key=self.key, text=e.value))
             return None
-        numbers = value if isinstance(value, tuple) else (value,)
-        if not all(math.isfinite(v) for v in numbers if isinstance(v, float)):
+        if isinstance(value, float) and not math.isfinite(value):
             errors.append(f"line {e.line}: '{self.key}' must be finite, got {e.value}")
             return None
         problem = _range_problem(self.key, value)
@@ -441,24 +429,15 @@ class _Section:
     row: str | None = None
 
 
-def _section(cls, skip=(), names=None, row=None) -> _Section:
-    """A section whose keys are cls's fields of a type with a codec, less skip.
-
-    names maps key to field where the two differ; it then lists every key.
-    """
+def _section(cls, row=None) -> _Section:
+    """A section whose keys are cls's fields of a type with a codec, named as the fields."""
     hints = get_type_hints(cls)
-    if names is None:
-        names = {
-            f.name: f.name for f in fields(cls) if f.name not in skip and hints[f.name] in _CODECS
-        }
-    keys = {key: _Key(key, f, _CODECS[hints[f]]) for key, f in names.items()}
-    return _Section(cls, keys, row)
+    keys = [f.name for f in fields(cls) if hints[f.name] in _CODECS]
+    return _Section(cls, {key: _Key(key, _CODECS[hints[key]]) for key in keys}, row)
 
 
-_ROBOT_KEYS = {"q0": "q0"}
 _SECTIONS = {
-    "scenario": _section(Scenario, skip=_ROBOT_KEYS.values()),
-    "robot": _section(Scenario, names=_ROBOT_KEYS),
+    "scenario": _section(Scenario),
     "human": _section(HumanScript, row="waypoint"),  # also human2, human3, ...
     "task": _section(RobotTask, row="step"),
 }
@@ -489,10 +468,10 @@ def _read_section(name: str, label: str, entries: Section, errors: list):
             lines[e.key] = e.line
             value = k.read(e, label, errors)
             if value is not None:
-                values[k.attr] = value
+                values[k.key] = value
     # A key left out keeps its default, checked at the header: only [scenario]'s duration fails.
     for k in spec.keys.values():
-        if k.key not in lines and (problem := _range_problem(k.key, getattr(spec.cls, k.attr))):
+        if k.key not in lines and (problem := _range_problem(k.key, getattr(spec.cls, k.key))):
             errors.append(f"line {entries.line}: {label}: {problem}")
     return values, rows, lines
 
@@ -578,8 +557,8 @@ def parse_scenario(source) -> Scenario:
     """Parse and fully validate a scenario file; raises ScenarioError with all problems.
 
     Unknown sections come first.  Then each section's problems follow in the order the
-    parser reads it, whatever the file's order: [scenario], [robot], each
-    [human] by number, [task].
+    parser reads it, whatever the file's order: [scenario], each [human] by
+    number, [task].
     A value is checked where it is read, and values checked together once all are read.
     """
     sections = parse_sections(source)
@@ -597,7 +576,7 @@ def parse_scenario(source) -> Scenario:
         values, rows, key_lines[name] = _read_section(name, label or name, entries, errors)
         return values, rows
 
-    values = {**read("scenario")[0], **read("robot")[0]}
+    values = read("scenario")[0]
     humans = []
     human_sections = sorted((s for s in sections if _kind(s) == "human"), key=_human_order)
     for h, name in enumerate(human_sections):
@@ -644,7 +623,7 @@ def _human_order(section: str) -> tuple[int, str]:
 def _section_text(title: str, obj, rows=()) -> str:
     spec = _SECTIONS[_kind(title)]
     lines = [f"[{title}]"]
-    lines.extend(f"{k.key} = {k.codec.format(getattr(obj, k.attr))}" for k in spec.keys.values())
+    lines.extend(f"{k.key} = {k.codec.format(getattr(obj, k.key))}" for k in spec.keys.values())
     lines.extend(f"{spec.row} = {row}" for row in rows)
     return "\n".join(lines)
 
@@ -652,7 +631,6 @@ def _section_text(title: str, obj, rows=()) -> str:
 def serialize_scenario(sc: Scenario) -> str:
     """Canonical text form; parse(serialize(sc)) == sc."""
     blocks = [_section_text("scenario", sc)]
-    blocks.append(_section_text("robot", sc))
     for i, human in enumerate(sc.humans):
         rows = [f"{w.t!r} {w.x!r} {w.y!r} {w.posture.value}" for w in human.waypoints]
         blocks.append(_section_text("human" if i == 0 else f"human{i + 1}", human, rows))

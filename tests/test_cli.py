@@ -464,23 +464,23 @@ class TestSimRun:
         "edits, message",
         [
             (
-                {19: "waypoint = 0.0 2.3 -0.32 flying", 20: "waypoint = 2.0 2.3 5000 standing"},
-                "line 20: human 0: waypoint 1 x and y must lie in [-1000, 1000] m, got 2.3 5000.0",
+                {15: "waypoint = 0.0 2.3 -0.32 flying", 16: "waypoint = 2.0 2.3 5000 standing"},
+                "line 16: human 0: waypoint 1 x and y must lie in [-1000, 1000] m, got 2.3 5000.0",
             ),
             (
-                {31: "step = sort_a 0.35 -0.3 z 1.5", 32: "step = sort_b 5.0 -0.35 0.3 1.5"},
-                "line 32: task: step 1 'sort_b' target is 5.021 m from the base, "
+                {27: "step = sort_a 0.35 -0.3 z 1.5", 28: "step = sort_b 5.0 -0.35 0.3 1.5"},
+                "line 28: task: step 1 'sort_b' target is 5.021 m from the base, "
                 "beyond the 0.85 m reach",
             ),
             (
-                {19: "waypoint = zero 2.3 -0.32 standing", 22: "waypoint = 1.0 1.0 -0.32 reaching"},
-                "line 22: human 0: waypoint 3 timestamp 1.0 not after waypoint 2 on line 21",
+                {15: "waypoint = zero 2.3 -0.32 standing", 18: "waypoint = 1.0 1.0 -0.32 reaching"},
+                "line 18: human 0: waypoint 3 timestamp 1.0 not after waypoint 2 on line 17",
             ),
         ],
         ids=["waypoint_after_a_bad_one", "step_after_a_bad_one", "time_after_a_bad_row"],
     )
     def test_row_problem_names_its_own_line_and_index(self, edits, message, tmp_path, capsys):
-        # approach_retreat.scn: waypoints on lines 19-27, steps 31-35.
+        # approach_retreat.scn: waypoints on lines 15-23, steps 27-31.
         lines = bundled_scenario_path("approach_retreat").read_text(encoding="utf-8").splitlines()
         for line, text in edits.items():
             lines[line - 1] = text

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from ssmcell.kinematics import (
     pseudo_inverse,
 )
 from ssmcell.perception import SKELETON_RATE
-from ssmcell.scenario import Scenario
+from ssmcell.scenario import Scenario, build_gains
 from ssmcell.zones import Quadrant, Zone, build_zone_layout
 
 MODEL = RobotModel()
@@ -287,6 +288,19 @@ class TestPdLaw:
         b = self.correction(e, Gains.diagonal(kp=40.0, kd=0.0, k0=0.0))
         assert np.allclose(b, 2 * a)
         assert np.allclose(a, 20 * e)
+
+
+class TestCellGains:
+    def test_the_shared_gains_cannot_be_written(self):
+        # Every run takes this one object, so no run may change the next one's gains.
+        gains = Scenario.gains_config
+        assert build_gains(Scenario()) is gains
+        for name in ("kp", "kd", "task_gain"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(gains, name)[0, 0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gains.kp = np.eye(6)
+        assert np.array_equal(gains.kp, np.eye(6) * 20.0)
 
 
 def make_controller(sequential=False, gains=None):

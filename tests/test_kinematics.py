@@ -9,7 +9,6 @@ from helpers import finite_difference_jacobian, oracle_transform_chain
 
 from ssmcell.kinematics import (
     FrameChain,
-    JointLimitError,
     KinematicsError,
     LinkRow,
     RobotModel,
@@ -41,10 +40,6 @@ class TestForwardKinematics:
             q = rng.uniform(-3.0, 3.0, 6)
             T = oracle_transform_chain(model, q)
             assert np.max(np.abs(tcp_position(model, q) - T[:3, 3])) < 1e-9
-
-    def test_out_of_limit_rejected(self):
-        with pytest.raises(JointLimitError):
-            RobotModel().check_joint_vector(np.array([7.0, 0, 0, 0, 0, 0]))
 
     def test_tcp_never_exceeds_reach(self):
         model = RobotModel()

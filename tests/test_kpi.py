@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ssmcell.control import ModeKind
-from ssmcell.engine import Event, EventKind
+from ssmcell.engine import Event, EventKind, SimResult, detect_deadlock
 from ssmcell.kpi import (
     IncompleteRunError,
     KpiError,
@@ -12,7 +12,9 @@ from ssmcell.kpi import (
     flexibility_rate,
     oee,
     reaction_time,
+    report,
 )
+from ssmcell.scenario import Scenario
 from ssmcell.trace import TraceRow
 from helpers import trace_from_rows
 
@@ -157,6 +159,20 @@ class TestOrderCanonical:
         ]
         assert cycle_time(events[::-1]) == cycle_time(events)
         assert reaction_time(trace, events[::-1]) == reaction_time(trace, events)
+
+
+class TestReport:
+    def test_counts_only_the_deadlocks_it_is_given(self):
+        # 2 s of motion, then 8 s of pending standstill: a stall that
+        # detect_deadlock flags, though the events hold no DEADLOCK.
+        stalled = [row(2.0 + i * 0.1, fraction=0.0, mode=ModeKind.STANDSTILL) for i in range(80)]
+        trace = trace_from_rows(rows(20) + stalled)
+        assert detect_deadlock(trace, [], Scenario.stall_threshold)
+        events = [Event(10.0, EventKind.CYCLE_DONE, "cycle=0")]
+        result = SimResult(Scenario(), None, trace, events)
+        ideal = 4.0
+        assert report(result, ideal_cycle=ideal).oee == min(1.0, ideal / cycle_time(events))
+        assert result.events == events
 
 
 class TestReportShape:

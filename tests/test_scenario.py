@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssmcell.cli import EXIT_RUNTIME, EXIT_VALIDATION, main
-from ssmcell.control import GainsConfig
 from ssmcell.engine import run
 from ssmcell.kinematics import RobotModel
 from ssmcell.perception import Posture
@@ -109,7 +108,7 @@ class TestBundledScenarios:
         text = earlier_format(BUNDLED_TEXTS[0])
         text = text.replace("quadrant_half_width = 0.425", "quadrant_half_width = 0.3")
         lines = text.splitlines()
-        sections = ("safety", "separation", "layout", "scanners", "gains")
+        sections = ("safety", "separation", "layout", "scanners", "gains", "robot")
         named = EARLIER_KEYS + [f"[{name}]" for name in sections]
         at = {t.split()[0].strip("[]"): lines.index(t) + 1 for t in named}
         expected = [f"line {at[name]}: unknown section [{name}]" for name in sections] + [
@@ -137,16 +136,25 @@ class TestBundledScenarios:
         assert serialize_scenario(again) == serialize_scenario(scenario)
 
 
+# The [gains] lines and the [robot] section's comment and start pose in the bundled files.
+GAINS_LINES = ["kp = 20.0", "kd = 2.0", "task_gain = 1.0", "k0 = 0.05", "ks_floor = 0.3"]
+GAINS_LINES += ["accel_limit = 2.0"]
+ROBOT_COMMENT = (
+    "# start pose: TCP at the first sorting waypoint (0.35, -0.30, 0.25) in the left quadrant"
+)
+ROBOT_Q0 = "q0 = -0.708626272 -0.373845277 1.647358634 0.633394073 -0.5 0.3"
+
+
 # sha256 of serialize_scenario for the bundled files.
 SERIALIZED_SHA256 = {
-    "approach_retreat": "836a96585478844c4d9246ce57029e3e03a23dbafbcf8baa170522d1aae45829",
-    "sorting_benchmark": "0d1a06f501c44219c155733a384ff6539e2a09652677916b2e2eabea6f8216e0",
+    "approach_retreat": "43a66d7ef213bd28f9f15b1b7b1eb8fb21bf8a5470a873277015f55dd05ad57a",
+    "sorting_benchmark": "0c404de269a12c2229949a570a7de23ef7e44d46a34fbd1e03c8d54fe0d72f27",
 }
 
 
 # The lines that set the cell's fixed values in the bundled files before they
 # became constants: three [scenario] keys and the [safety], [separation],
-# [layout], [scanners] and [gains] sections.
+# [layout], [scanners], [gains] and [robot] sections.
 EARLIER_KEYS = ["control_period = 0.002", "nominal_speed = 1.0", "stall_threshold = 5.0"]
 EARLIER_LINES = ["[safety]", "approach_speed = 1.6", "stop_time = 0.25", "intrusion = 0.04"]
 EARLIER_LINES += ["uncertainty = 0.01", "", "[separation]", "robot_reaction_time = 0.1"]
@@ -156,9 +164,8 @@ EARLIER_LINES += ["workspace_length = 1.5", "workspace_width = 0.9", "quadrant_h
 EARLIER_LINES += ["danger_margin = 0.1", "laser_mount_height = 0.4", "height_min = 0.0"]
 EARLIER_LINES += ["height_max = 2.0", "scale_floor_distance = 0.3", "", "[scanners]"]
 EARLIER_LINES += ["scanner = 0.0 -0.45 0.29145679447786715"]
-EARLIER_LINES += ["scanner = 0.0 0.45 -0.29145679447786715", "", "[gains]", "kp = 20.0"]
-EARLIER_LINES += ["kd = 2.0", "task_gain = 1.0", "k0 = 0.05", "ks_floor = 0.3"]
-EARLIER_LINES += ["accel_limit = 2.0", ""]
+EARLIER_LINES += ["scanner = 0.0 0.45 -0.29145679447786715", "", "[gains]", *GAINS_LINES]
+EARLIER_LINES += ["", "[robot]", ROBOT_COMMENT, ROBOT_Q0, ""]
 
 
 def edited(name, old, new):
@@ -172,7 +179,7 @@ def edited(name, old, new):
 def earlier_format(text):
     """A bundled file's text as it was written with those lines."""
     lines = text.splitlines()
-    at = lines.index("[robot]")
+    at = lines.index("[human]")
     lines[at:at] = EARLIER_LINES
     at = next(i for i, t in enumerate(lines) if t.startswith("seed = ")) + 1
     lines[at:at] = EARLIER_KEYS
@@ -265,22 +272,22 @@ class TestValidation:
         "old, new",
         [
             ("seed = 17", "sed = 17"),
-            ("[robot]", "[robots]"),
+            ("[human]", "[humans]"),
             ("sequential = false", "sequential = treu"),
             ("seed = 17", "seed = 17\nseed = 18"),
-            ("[robot]", "[robot]\nmodel = default"),
+            ("[human]", "[human]\nmodel = default"),
             ("duration = 34.0", "duration = nan"),
             ("duration = 34.0", "duration = inf"),
             ("parallelism = 1.0", "parallelism = nan"),
             ("parallelism = 1.0", "parallelism = -inf"),
-            ("q0 = -0.708626272", "q0 = nan"),
+            ("footprint_radius = 0.3", "footprint_radius = nan"),
             ("waypoint = 2.0 2.3 -0.32 standing", "waypoint = 2.0 nan -0.32 standing"),
             ("step = sort_b 0.15 -0.35 0.3 1.5", "step = sort_b 0.15 -0.35 0.3 inf"),
-            ("q0 = -0.708626272", "q0 = 9.0"),
+            ("footprint_radius = 0.3", "footprint_radius = 2000.0"),
             ("step = sort_a 0.35", "step = sort_a 5.0"),
             ("step = sort_d 0.45", "step = sort_d -4.5"),
             ("stature = 1.7", "stature = -1.7"),
-            ("[robot]", "[robot]\nmodel = arm.cfg"),
+            ("[task]", "[task]\nmodel = arm.cfg"),
             ("duration = 34.0", "duration = 1e12"),
             ("noise = 0.0", "noise = 1e308"),
             # A bad row, then a range problem on a later row of the same kind.
@@ -323,14 +330,16 @@ class TestValidation:
         + [("scenario", "stall_threshold = 5.0"), ("scenario", "stall_threshold = inf")]
         + [("scanners", "scanner = 0.0 -0.45 0.29145679447786715")]
         + [("scanners", "scanner = 1.5 0.45 -2.850135859111926")]
-        + [("gains", f"{key} = {value!r}") for key, value in vars(GainsConfig()).items()],
+        + [("gains", line) for line in GAINS_LINES]
+        + [("robot", ROBOT_Q0), ("scenario", ROBOT_Q0)],
     )
     def test_a_removed_key_exits_1_as_unknown_naming_its_line(self, section, old, tmp_path):
         # The cell's fixed values are constants: a file that sets one fails at its line, or at
-        # the line of the [layout], [safety], [separation], [scanners] or [gains] section of it.
+        # the line of the [layout], [safety], [separation], [scanners], [gains] or [robot]
+        # section of it.
         lines = BUNDLED_TEXTS[0].splitlines()
         if section != "scenario":
-            at, problem = lines.index("[robot]"), f"unknown section [{section}]"
+            at, problem = lines.index("[human]"), f"unknown section [{section}]"
             lines[at:at] = [f"[{section}]", old]
         else:
             at = lines.index("seed = 17") + 1
@@ -589,7 +598,7 @@ def test_every_failing_value_mutation_names_its_line():
             if line not in named_lines(exc.errors):
                 unnamed.append((line, text.splitlines()[line - 1][:60], exc.errors[0][:200]))
     # The failure count is pinned too: a check that stops firing shows here.
-    assert (parsed, failed) == (2057, 1370)
+    assert (parsed, failed) == (1925, 1298)
     assert unnamed == []
 
 
@@ -600,21 +609,21 @@ def test_problems_of_two_sections_are_all_reported_in_reading_order():
         parse_scenario(text)
     assert exc.value.errors == [
         "line 7: scenario: seed must be >= 0",
-        "line 18: human 0: stature must be positive",
+        "line 14: human 0: stature must be positive",
     ]
 
 
 def test_problems_follow_the_parsers_section_order_after_unknown_sections():
-    # [robot] is moved after [task] but read before [human]; [extra] is last in the file.
+    # [scenario] is moved after [task] but read before [human]; [extra] is last in the file.
     text = BUNDLED_TEXTS[0].replace("stature = 1.7", "stature = -1.7")
-    robot = text[text.index("[robot]") : text.index("[human]")]
-    text = text.replace(robot, "") + "\n" + robot.replace("q0 = -0.708626272", "q0 = 9.0")
+    scenario = text[text.index("[scenario]") : text.index("[human]")]
+    text = text.replace(scenario, "") + "\n" + scenario.replace("seed = 17", "seed = -1")
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(text + "[extra]\n")
     assert exc.value.errors == [
-        "line 37: unknown section [extra]",
-        "line 35: robot: q0: joint 0 value 9.000000 outside [-6.283185, 6.283185]",
-        "line 14: human 0: stature must be positive",
+        "line 33: unknown section [extra]",
+        "line 28: scenario: seed must be >= 0",
+        "line 5: human 0: stature must be positive",
     ]
 
 
