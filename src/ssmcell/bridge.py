@@ -9,16 +9,18 @@ Records arrive in tick order, in bursts of up to one output block or one
 span of repeated ticks: ``engine.run`` publishes the rows of a block, at
 least ``engine.LANDMARK_CHUNK`` ticks, at once.  A client's queue must hold
 a burst at the decimation it reads.  At decimation 1 on
-``approach_retreat`` the largest burst is 3,776 records, so a client that
-reads with the default buffer of 4,096 receives all 17,000, and one with a
-buffer of 1,024 or fewer is dropped.
+``approach_retreat`` in the traditional and proposed modes the largest
+burst is 3,776 records, so a client that reads with the default buffer of
+4,096 receives all 17,000, and one with a buffer of 1,024 or fewer is
+dropped.  Its autonomous run bursts 9,207 records and ``sorting_benchmark``
+up to 13,683, so at decimation 1 they drop a client with the default buffer.
 """
 
 from __future__ import annotations
 
+import queue
 import socket
 import threading
-from collections import deque
 
 SEND_TIMEOUT = 5.0  # s, a client stuck longer than this is dropped
 DEFAULT_CLIENT_BUFFER = 4096  # queued records per client before it is dropped
@@ -37,63 +39,50 @@ def format_record(
 
 
 class _Client:
+    """One connection and its writer thread, fed through a queue that None ends."""
+
     def __init__(self, conn: socket.socket, buffer_limit: int):
         self.conn = conn
         self.buffer_limit = buffer_limit
-        self.queue: deque[bytes] = deque()
-        self.cond = threading.Condition()
+        self.queue: queue.SimpleQueue[bytes | None] = queue.SimpleQueue()
         self.alive = True
-        self.finished = False
         self.thread = threading.Thread(target=self._writer, daemon=True)
         self.thread.start()
 
     def offer(self, record: bytes) -> bool:
-        with self.cond:
-            if not self.alive:
-                return False
-            if len(self.queue) >= self.buffer_limit:
-                self._kill_locked()
-                return False
-            self.queue.append(record)
-            self.cond.notify()
+        """Queue a record, or kill a client that has buffer_limit records waiting.
+
+        Only publish puts records, so the queue cannot grow past the limit
+        between the size check and the put.
+        """
+        if self.queue.qsize() >= self.buffer_limit:
+            self.kill()
+            return False
+        self.queue.put(record)
         return True
 
     def finish(self):
-        with self.cond:
-            self.finished = True
-            self.cond.notify()
+        self.queue.put(None)
 
-    def _kill_locked(self):
+    def kill(self):
         self.alive = False
-        self.cond.notify()
+        self.queue.put(None)
         try:
             self.conn.close()
         except OSError:
             pass
 
-    def kill(self):
-        with self.cond:
-            self._kill_locked()
-
     def _writer(self):
         self.conn.settimeout(SEND_TIMEOUT)
-        while True:
-            with self.cond:
-                while self.alive and not self.queue and not self.finished:
-                    self.cond.wait()
-                if not self.alive:
-                    return
-                if not self.queue:
-                    if self.finished:
-                        self._kill_locked()
-                        return
-                    continue
-                record = self.queue.popleft()
+        while self.alive:
+            record = self.queue.get()
+            if record is None:
+                break
             try:
                 self.conn.sendall(record)
             except OSError:
-                self.kill()
-                return
+                break
+        self.kill()
 
 
 class SpeedBridge:

@@ -63,17 +63,26 @@ def lyapunov_samples(trace: Trace) -> LyapunovSeries:
 
 
 def nominal_task_duration(scenario: Scenario, mode: SimMode) -> float:
-    """Robot-only task duration at nominal speed: segment lengths plus dwells."""
-    model = build_model(scenario)
-    pos = tcp_position(model, np.asarray(scenario.q0))
-    total = 0.0
-    for _ in range(scenario.task.cycles):
-        for step in scenario.task.steps_for(mode):
+    """Robot-only task duration at nominal speed: segment lengths plus dwells.
+
+    The first cycle starts at the start TCP and every later one at the last
+    target, so the later cycles add one such cycle times their count, and a
+    one-cycle task adds exactly 0.0.
+    """
+    steps = scenario.task.steps_for(mode)
+
+    def cycle(pos) -> float:
+        total = 0.0
+        for step in steps:
             target = np.asarray(step.target)
             total += float(np.linalg.norm(target - pos)) / NOMINAL_SPEED
             total += step.dwell
             pos = target
-    return total
+        return total
+
+    first = cycle(tcp_position(build_model(scenario), np.asarray(scenario.q0)))
+    later = cycle(np.asarray(steps[-1].target)) if steps else 0.0
+    return first + (scenario.task.cycles - 1) * later
 
 
 def ideal_cycle_time(scenario: Scenario) -> float:

@@ -76,26 +76,6 @@ class Jacobian:
             raise KinematicsError("Jacobian has non-finite entries")
 
 
-def _link_table(links: tuple[LinkRow, ...]) -> tuple[tuple[float, ...], ...]:
-    """(theta_offset, a, d, cos alpha, sin alpha) of each link, computed once per
-    link tuple.  Keyed by the tuple's id: the entry holds the tuple, so no
-    other object can take that id while the entry is kept."""
-    entry = _LINK_TABLES.get(id(links))
-    if entry is None:
-        if len(_LINK_TABLES) >= _MAX_LINK_TABLES:
-            _LINK_TABLES.clear()
-        table = tuple(
-            (row.theta_offset, row.a, row.d, math.cos(row.alpha), math.sin(row.alpha))
-            for row in links
-        )
-        entry = _LINK_TABLES[id(links)] = (links, table)
-    return entry[1]
-
-
-_LINK_TABLES: dict[int, tuple] = {}
-_MAX_LINK_TABLES = 16
-
-
 class FrameChain:
     """Hand-rolled cumulative frames for the hot path: joint origins and z axes.
 
@@ -114,9 +94,9 @@ class FrameChain:
         px = py = pz = 0.0
         origins = [(0.0, 0.0, 0.0)]
         z_axes = [(0.0, 0.0, 1.0)]
-        links = _link_table(model.link_parameters)
-        for qi, (offset, a, d, ca, sa) in zip(np.asarray(q, dtype=float).tolist(), links):
-            theta = qi + offset
+        for qi, row in zip(np.asarray(q, dtype=float).tolist(), model.link_parameters):
+            a, d, ca, sa = row.a, row.d, cos(row.alpha), sin(row.alpha)
+            theta = qi + row.theta_offset
             ct, st = cos(theta), sin(theta)
             # Local translation (a ct, a st, d) and rotation Rz(theta) Rx(alpha),
             # whose rows are (ct, -st ca, st sa), (st, ct ca, -ct sa), (0, sa, ca).

@@ -182,7 +182,6 @@ class LaserScan:
 class SkeletonFrame:
     t: float
     landmarks: np.ndarray = field(repr=False)  # (32, 3) m
-    confidence: np.ndarray = field(repr=False)  # (32,) in [0, 1]
 
     def landmark(self, name: str) -> np.ndarray:
         return self.landmarks[_INDEX[name]]
@@ -574,4 +573,4 @@ def pose_landmarks(human: HumanState) -> np.ndarray:
 def skeleton_sample(human: HumanState, t: float) -> SkeletonFrame:
     """One tracker frame at time t; t must sit on the 30 Hz grid."""
     _check_grid(np.array([t]), 1.0 / SKELETON_RATE, "skeleton")
-    return SkeletonFrame(t=t, landmarks=pose_landmarks(human), confidence=np.ones(N_LANDMARKS))
+    return SkeletonFrame(t, pose_landmarks(human))

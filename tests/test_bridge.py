@@ -1,5 +1,6 @@
 import itertools
 import socket
+import threading
 import time
 
 import pytest
@@ -30,6 +31,13 @@ def connect(address):
     return s
 
 
+def wait_for_clients(bridge, n):
+    deadline = time.monotonic() + 5
+    while bridge.client_count() < n and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert bridge.client_count() == n
+
+
 class TestWireFormat:
     def test_record_layout(self):
         rec = format_record(7, 1.23456789, "full", 1.0, 0.654321987, 0.3)
@@ -46,9 +54,7 @@ class TestLiveBridge:
         try:
             a = connect(bridge.address)
             b = connect(bridge.address)
-            deadline = time.monotonic() + 5
-            while bridge.client_count() < 2 and time.monotonic() < deadline:
-                time.sleep(0.01)
+            wait_for_clients(bridge, 2)
             for tick in range(50):
                 bridge.publish(tick, tick * 0.002, "full", 1.0, 2.0, 0.3)
         finally:
@@ -64,9 +70,7 @@ class TestLiveBridge:
         bridge = serve(decimation=1)
         try:
             client = connect(bridge.address)
-            deadline = time.monotonic() + 5
-            while bridge.client_count() < 1 and time.monotonic() < deadline:
-                time.sleep(0.01)
+            wait_for_clients(bridge, 1)
         finally:
             bridge.close()
         client.settimeout(5.0)  # a missing end of stream raises instead of passing
@@ -81,9 +85,7 @@ class TestLiveBridge:
             for tick in range(10):
                 bridge.publish(tick, tick * 0.002, "full", 1.0, 2.0, 0.3)
             client = connect(bridge.address)
-            deadline = time.monotonic() + 5
-            while bridge.client_count() < 1 and time.monotonic() < deadline:
-                time.sleep(0.01)
+            wait_for_clients(bridge, 1)
             for tick in range(10, 20):
                 bridge.publish(tick, tick * 0.002, "full", 1.0, 2.0, 0.3)
         finally:
@@ -98,9 +100,7 @@ class TestLiveBridge:
         bridge = serve(decimation=10)
         try:
             client = connect(bridge.address)
-            deadline = time.monotonic() + 5
-            while bridge.client_count() < 1 and time.monotonic() < deadline:
-                time.sleep(0.01)
+            wait_for_clients(bridge, 1)
             for tick in range(100):
                 bridge.publish(tick, tick * 0.002, "full", 1.0, 2.0, 0.3)
         finally:
@@ -114,9 +114,7 @@ class TestLiveBridge:
         bridge = serve(decimation=1, client_buffer=32)
         try:
             slow = connect(bridge.address)
-            deadline = time.monotonic() + 5
-            while bridge.client_count() < 1 and time.monotonic() < deadline:
-                time.sleep(0.01)
+            wait_for_clients(bridge, 1)
             t0 = time.monotonic()
             for tick in range(200_000):
                 bridge.publish(tick, tick * 0.002, "full", 1.0, 2.0, 0.3)
@@ -126,6 +124,69 @@ class TestLiveBridge:
         slow.close()
         assert bridge.dropped_clients >= 1
         assert elapsed < 5.0  # publisher never blocked on the stuck client
+
+    def test_a_client_hanging_up_leaves_the_other_stream_whole(self):
+        # The writer of a client that hangs up mid-stream ends at its first
+        # failed send; the other client still gets every record in order.
+        bridge = serve(decimation=1)
+        published = 0
+
+        def publish():
+            nonlocal published
+            bridge.publish(published, published * 0.002, "full", 1.0, 2.0, 0.3)
+            published += 1
+
+        try:
+            leaver = connect(bridge.address)
+            stayer = connect(bridge.address)
+            wait_for_clients(bridge, 2)
+            received = []
+            reader = threading.Thread(target=lambda: received.append(recv_all(stayer)))
+            reader.start()
+            for _ in range(20):
+                publish()
+            assert leaver.recv(1)  # the hang-up comes mid-stream
+            leaver.close()
+            deadline = time.monotonic() + 5
+            while bridge.client_count() > 1 and time.monotonic() < deadline:
+                publish()
+                time.sleep(0.001)
+            assert bridge.client_count() == 1
+            for _ in range(20):
+                publish()
+        finally:
+            bridge.close()
+        reader.join(timeout=10.0)
+        stayer.close()
+        assert not reader.is_alive()
+        expected = b"".join(
+            format_record(seq, seq * 0.002, "full", 1.0, 2.0, 0.3) for seq in range(published)
+        )
+        assert received == [expected]
+        assert bridge.dropped_clients == 0
+
+    def test_an_overflowing_client_is_disconnected_at_once(self):
+        # A client that never reads is dropped; it reads the records that made
+        # it out and then the end of its stream, while the bridge stays open.
+        bridge = serve(decimation=1, client_buffer=32)
+        try:
+            stuck = connect(bridge.address)
+            wait_for_clients(bridge, 1)
+            for tick in range(200_000):
+                bridge.publish(tick, tick * 0.002, "full", 1.0, 2.0, 0.3)
+                if bridge.dropped_clients:
+                    break
+            assert bridge.dropped_clients == 1
+            stuck.settimeout(8.0)  # a connection left open raises instead of passing
+            try:
+                while stuck.recv(65536):
+                    pass
+            except ConnectionResetError:
+                pass
+            finally:
+                stuck.close()
+        finally:
+            bridge.close()
 
     def test_client_connecting_at_close_reads_clean_eof(self):
         # The late client's handshake completes in the listen backlog; close()
@@ -151,9 +212,7 @@ class TestLiveBridge:
         for _ in range(10):
             bridge = serve(decimation=1)
             client = connect(bridge.address)
-            deadline = time.monotonic() + 5
-            while bridge.client_count() < 1 and time.monotonic() < deadline:
-                time.sleep(0.01)
+            wait_for_clients(bridge, 1)
             t0 = time.perf_counter()
             bridge.close()
             elapsed = time.perf_counter() - t0
@@ -172,9 +231,7 @@ class TestBridgeDoesNotPerturbSimulation:
         bridge = serve(decimation=5)
         client = connect(bridge.address)
         try:
-            deadline = time.monotonic() + 5
-            while bridge.client_count() < 1 and time.monotonic() < deadline:
-                time.sleep(0.01)
+            wait_for_clients(bridge, 1)
             bridged = run(scenario, bridge=bridge)
         finally:
             bridge.close()

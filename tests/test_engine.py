@@ -1,10 +1,11 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
 
-from ssmcell import perception
+from ssmcell import kpi, perception
 from ssmcell.control import NOMINAL_SPEED, Controller, ModeKind
 from ssmcell.engine import (
     Event,
@@ -202,6 +203,24 @@ class TestTaskModel:
         assert ideal_cycle_time(scenario) == pytest.approx(
             nominal_task_duration(scenario, SimMode.AUTONOMOUS) / 2.0
         )
+
+    @pytest.mark.parametrize(
+        "name, ideal",
+        [("approach_retreat", "24.93067554814373"), ("sorting_benchmark", "23.74674332606019")],
+    )
+    def test_ideal_cycle_time_of_the_bundled_one_cycle_tasks(self, name, ideal):
+        assert repr(ideal_cycle_time(bundled(name))) == ideal
+
+    def test_a_runaway_cycle_count_has_its_kpis_at_once(self, approach_result):
+        # Later cycles start at the last target and all have one length, so
+        # the nominal duration does not walk them one by one.
+        sc = approach_result.scenario
+        sc = dataclasses.replace(sc, task=dataclasses.replace(sc.task, cycles=10**11))
+        result = dataclasses.replace(approach_result, scenario=sc)
+        t0 = time.perf_counter()
+        report = kpi.report(result)
+        assert time.perf_counter() - t0 < 1.0
+        assert 0.0 <= report.oee <= 1.0
 
     def test_a_runaway_cycle_count_runs_as_two_cycles_do(self):
         # The task is walked by (cycle, step) index, with no list of every
